@@ -2,8 +2,8 @@
 
 Skew semistandard tableaux, Knuth equivalence, internal row insertion with
 the empty-matrix-word skew RSK correspondence, the switching involution and
-its recursive internal-insertion realisation, LR coefficients with an exact
-polynomial oracle, and exhaustive desk-scale verification sweeps.
+its internal-insertion realisation as a row program, LR coefficients with an
+exact polynomial oracle, and exhaustive desk-scale verification sweeps.
 """
 
 from .tableaux import (EMPTY, SkewShape, SkewTableau, as_partition,
@@ -20,9 +20,10 @@ from .insertion import (GluedPair, InsertionTrace, apply_order_word,
                         extended_insert, glued_pair, inner_corners,
                         internal_insert, is_lr_pair, lr_violation,
                         order_word_steps, skew_rsk_forward, skew_rsk_inverse)
-from .commutor import (StagedDecomposition, SwitchSite, TwoColorTableau,
-                       apply_switch, chi_append, gt_order_word, nu_hat,
-                       rho1_internal, rho1_scratch, rho1_switching,
+from .commutor import (RowStep, StagedDecomposition, SwitchSite,
+                       TwoColorTableau, apply_switch, chi_append,
+                       gt_order_word, nu_hat, rho1_internal, rho1_scratch,
+                       rho1_switching, row_program, run_row_program,
                        staged_decomposition, switch_sites, switching)
 from .schur import (lr_coefficient, poly_mul, schur_polynomial, schur_product)
 from .verify import CHECKS, VerifyReport, run_checks

@@ -12,8 +12,10 @@ import sys
 
 from . import golden as golden_mod
 from . import verify as verify_mod
-from .commutor import (rho1_internal, rho1_scratch, rho1_switching, switching)
-from .insertion import (GluedPair, glued_pair, lr_violation, order_word_steps)
+from .commutor import (_RouteClaim, rho1_internal, rho1_scratch,
+                       rho1_switching, run_row_program, switching)
+from .insertion import (GluedPair, _freeze, glued_pair, lr_violation,
+                        order_word_steps)
 from .knuth import rsk
 from .schur import lr_coefficient, schur_product
 from .tableaux import (SkewTableau, as_partition, from_json_dict, from_text,
@@ -104,50 +106,33 @@ def cmd_commute(args) -> int:
             result = GluedPair(s, h)
         else:
             result = rho1_switching(pair, strategy=strategy, seed=args.seed)
-    elif args.method == "internal":
-        result = rho1_internal(pair)
-        if args.trace:
-            frames = _insertion_frames(pair)
+    elif not args.trace:
+        rho = rho1_internal if args.method == "internal" else rho1_scratch
+        result = rho(pair)
     else:
-        result = rho1_scratch(pair)
-        if args.trace:
-            frames = _insertion_frames(pair)
+        claim = _RouteClaim()
+
+        def on_step(step, trace, state):
+            claim(step, trace, state)
+            frames.append(_insertion_frame(step, trace, state))
+
+        result = glued_pair(run_row_program(pair.skew, on_step))
+        if args.method == "internal":
+            claim.check()
     print(_emit_pair(result, args.format))
     if args.trace:
         print(json.dumps(frames))
     return 0
 
 
-def _insertion_frames(pair: GluedPair) -> list:
-    from .commutor import _chi_skew
-    from .insertion import internal_insert
-    from .tableaux import EMPTY
-    t = pair.skew
-    cur = EMPTY
-    frames = []
-
-    def record(op, i, trace=None):
-        entry = {"op": op, "row": i, "state": to_json_dict(cur)}
-        if trace is not None:
-            entry["trace"] = {"vacated": list(trace.vacated),
-                              "route": [list(c) for c in trace.route],
-                              "created": list(trace.created)}
-        frames.append(entry)
-
-    for k in range(len(t.outer)):
-        i = k + 1
-        row = t.rows[k]
-        v_word = [x for x in row if x < i]
-        for _ in range(len(row) - len(v_word)):
-            cur, tr = internal_insert(cur, i)
-            record("insert", i, tr)
-        for x in reversed(v_word):
-            cur, tr = internal_insert(cur, x)
-            record("insert", x, tr)
-        for _ in range(t.inner[k]):
-            cur = _chi_skew(cur, i)
-            record("append", i)
-    return frames
+def _insertion_frame(step, trace, state) -> dict:
+    frame = {"op": step.op, "row": step.i,
+             "state": to_json_dict(_freeze(*state))}
+    if trace is not None:
+        frame["trace"] = {"vacated": list(trace.vacated),
+                          "route": [list(c) for c in trace.route],
+                          "created": list(trace.created)}
+    return frame
 
 
 def cmd_insert(args) -> int:

@@ -1,22 +1,24 @@
 """The Littlewood-Richardson commutor, two independent ways.
 
 ``rho1_switching`` moves a ballot pair through itself by local switches (with
-pluggable switch orders, including a jeu-de-taquin "infusion" order), while
-``rho1_internal`` computes the same involution by a recursion over rows built
-from internal row insertions and row appends.  ``staged_decomposition``
+pluggable switch orders, including a jeu-de-taquin "infusion" order).  The
+second way is a row program: ``row_program`` lists, row block by row block,
+the internal row insertions and row appends that build the image from the
+empty tableau, and ``run_row_program`` executes them in place.
+``rho1_internal`` and ``rho1_scratch`` are that one run, the former also
+checking the route claim on every row block.  ``staged_decomposition``
 exposes the intermediate state of row-by-row staged switching.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .insertion import (GluedPair, InsertionTrace, glued_pair,
-                        internal_insert, lr_violation)
-from .tableaux import (Cell, EMPTY, SkewTableau, as_partition,
-                       is_ballot_tableau, tableau_content,
-                       yamanouchi_tableau)
+from .insertion import (GluedPair, InsertionTrace, _freeze, _insert_inplace,
+                        glued_pair, lr_violation)
+from .tableaux import (Cell, SkewTableau, as_partition, is_ballot_tableau,
+                       tableau_content, yamanouchi_tableau)
 
 STRATEGIES = ("greedy", "infusion", "random")
 
@@ -305,61 +307,50 @@ def staged_decomposition(p: GluedPair) -> StagedDecomposition:
     if d is None:
         raise ValueError("no lifted letter reached the last row")
     # remaining "y" cells are Y_(mu_1..mu_{d-1}) in place; split v from q
-    y_outer = mu[:d - 1]
-    v_cells = {c: e for c, e in cells.items() if e[1] == "v"}
-    q_cells = {c: e for c, e in cells.items() if e[1] == "q"}
-    sigma = list(y_outer) + [0] * (np1 - (d - 1))
-    for (r, _c), _ in v_cells.items():
-        sigma[r - 1] += 1
-    s_rows = []
-    inner_s = list(y_outer) + [0] * (np1 - (d - 1))
-    for k in range(np1):
-        row = []
-        for col in range(inner_s[k] + 1, sigma[k] + 1):
-            e = v_cells.get((k + 1, col))
-            if e is None:
-                raise ValueError("staged switching left a ragged middle member")
-            row.append(e[0])
-        s_rows.append(tuple(row))
-    s = _trimmed_skew(sigma, inner_s, s_rows)
-    q_rows = []
-    for k in range(np1):
-        row = []
-        for col in range(sigma[k] + 1, lam[k] + 1):
-            e = q_cells.get((k + 1, col))
-            if e is None:
-                raise ValueError("staged switching left a ragged outer member")
-            row.append(e[0])
-        q_rows.append(tuple(row))
-    q = SkewTableau(lam, as_partition(tuple(sigma)), q_rows)
+    s, q = _split_cells(lam, mu[:d - 1], cells, "q", "v")
     s_last = s.rows[np1 - 1] if len(s.rows) >= np1 else ()
     f_hat = tuple(x for x in s_last if x <= n)
     big_d = q.rows[np1 - 1]
     return StagedDecomposition(d, s, f_hat, big_d, q)
 
 
-def _chi_skew(skew: SkewTableau, i: int) -> SkewTableau:
-    outer = list(skew.outer)
-    inner = list(skew.inner)
-    rows = [list(r) for r in skew.rows]
-    if i == len(outer) + 1:
+
+
+def _append_inplace(outer: list, inner: list, rows: list, i: int) -> None:
+    """Append one letter i at the end of row i (a new last row when i is one
+    past it) on parallel mutable lists.  Only the new cell is checked, against
+    what it can break: the partition shape, its left neighbour and the cell
+    above it."""
+    n = len(outer)
+    if not 1 <= i <= n + 1:
+        raise ValueError(f"row {i} out of range for appending")
+    row = rows[i - 1] if i <= n else []
+    col = (outer[i - 1] if i <= n else 0) + 1
+    why = None
+    if i > 1 and outer[i - 2] < col:
+        why = f"row {i} would outgrow row {i - 1}"
+    elif row and row[-1] > i:
+        why = f"row {i} not weakly increasing"
+    elif i > 1 and inner[i - 2] < col and rows[i - 2][col - 1 - inner[i - 2]] >= i:
+        why = f"column {col} not strictly increasing at row {i}"
+    if why:
+        raise ValueError(f"appending {i} to row {i} breaks the tableau: {why}")
+    if i > n:
         outer.append(1)
         inner.append(0)
         rows.append([i])
-    elif 1 <= i <= len(outer):
-        outer[i - 1] += 1
-        rows[i - 1].append(i)
     else:
-        raise ValueError(f"row {i} out of range for appending")
-    try:
-        return SkewTableau(outer, inner, rows)
-    except ValueError as exc:
-        raise ValueError(f"appending {i} to row {i} breaks the tableau: {exc}")
+        outer[i - 1] = col
+        row.append(i)
 
 
 def chi_append(p: GluedPair, i: int) -> GluedPair:
     """Append one letter i at the end of row i of the skew member."""
-    return GluedPair(p.yam, _chi_skew(p.skew, i))
+    t = p.skew
+    outer, inner = list(t.outer), list(t.inner)
+    rows = [list(r) for r in t.rows]
+    _append_inplace(outer, inner, rows, i)
+    return GluedPair(p.yam, _freeze(outer, inner, rows))
 
 
 def nu_hat(t: SkewTableau) -> tuple[int, ...]:
@@ -390,6 +381,56 @@ def gt_order_word(t: SkewTableau) -> tuple[int, ...]:
     return tuple(word)
 
 
+class RowStep(NamedTuple):
+    """One operator of a row program: ``op`` ("insert" or "append") acts at
+    row ``i`` while building the block of input row ``row``."""
+    row: int
+    op: str
+    i: int
+
+
+def row_program(t: SkewTableau) -> Iterator[RowStep]:
+    """The operator program of a ballot tableau, one block per row: for row
+    n, insert its h_n letters n, insert its letters below n right to left,
+    then append n once per inner cell of row n."""
+    for k, row in enumerate(t.rows):
+        n = k + 1
+        if row and row[-1] > n:
+            raise ValueError(f"row {n} holds a letter above {n}")
+        v_word = [x for x in row if x < n]
+        for _ in range(len(row) - len(v_word)):
+            yield RowStep(n, "insert", n)
+        for x in reversed(v_word):
+            yield RowStep(n, "insert", x)
+        for _ in range(t.inner[k]):
+            yield RowStep(n, "append", n)
+
+
+def run_row_program(t: SkewTableau,
+                    on_step: Callable | None = None) -> SkewTableau:
+    """Run ``row_program(t)`` from the empty tableau; returns the skew member
+    of the commutor image.
+
+    The state is kept in parallel mutable lists (outer, inner, rows) and
+    frozen once at the end.  After each step, ``on_step(step, trace, state)``
+    receives the step, its insertion trace (None for an append) and the live
+    lists, which a callback that keeps them must copy.
+    """
+    outer: list[int] = []
+    inner: list[int] = []
+    rows: list[list[int]] = []
+    state = (outer, inner, rows)
+    for step in row_program(t):
+        if step.op == "insert":
+            trace = _insert_inplace(outer, inner, rows, step.i)
+        else:
+            trace = None
+            _append_inplace(outer, inner, rows, step.i)
+        if on_step is not None:
+            on_step(step, trace, state)
+    return _freeze(outer, inner, rows)
+
+
 def _assert_route_claim(traces: list[InsertionTrace], row: int):
     seen: set[Cell] = set()
     for tr in traces:
@@ -405,60 +446,39 @@ def _assert_route_claim(traces: list[InsertionTrace], row: int):
     return True
 
 
-def rho1_internal(p: GluedPair) -> GluedPair:
-    """The commutor computed by the row recursion: strip the last row into
-    its sub-[n] word and its n's, recurse, then reinsert and append.
+class _RouteClaim:
+    """An ``on_step`` callback filing the row-word insertions of each row
+    block (its letters below the row) by row; ``check`` then asserts that
+    each row's bumping routes are pairwise disjoint and land in that row."""
 
-    Checks, at every level, that the row-word bumping routes are pairwise
-    disjoint and land in that level's row.
-    """
+    def __init__(self):
+        self.groups: dict[int, list[InsertionTrace]] = {}
+
+    def __call__(self, step: RowStep, trace, _state):
+        if step.op == "insert" and step.i < step.row:
+            self.groups.setdefault(step.row, []).append(trace)
+
+    def check(self):
+        for row, traces in self.groups.items():
+            _assert_route_claim(traces, row)
+
+
+def rho1_internal(p: GluedPair) -> GluedPair:
+    """The commutor by the row program, checking the route claim on every
+    row block."""
     why = lr_violation(p)
     if why:
         raise ValueError(f"not a ballot pair of partition shape: {why}")
-    t = p.skew
-    for k, row in enumerate(t.rows):
-        if any(x > k + 1 for x in row):
-            raise ValueError(f"row {k + 1} holds a letter above {k + 1}")
-
-    def rec(n: int) -> SkewTableau:
-        if n == 0:
-            return EMPTY
-        cur = rec(n - 1)
-        row = t.rows[n - 1]
-        v_word = [x for x in row if x < n]
-        count_n = len(row) - len(v_word)
-        for _ in range(count_n):
-            cur, _tr = internal_insert(cur, n)
-        traces = []
-        for x in reversed(v_word):
-            cur, tr = internal_insert(cur, x)
-            traces.append(tr)
-        _assert_route_claim(traces, n)
-        for _ in range(t.inner[n - 1]):
-            cur = _chi_skew(cur, n)
-        return cur
-
-    return glued_pair(rec(len(t.outer)))
+    claim = _RouteClaim()
+    skew = run_row_program(p.skew, claim)
+    claim.check()
+    return glued_pair(skew)
 
 
 def rho1_scratch(p: GluedPair) -> GluedPair:
-    """The commutor built from the empty tableau by the flat product of
-    insert-and-append operators, one block per row."""
+    """The commutor by the row program alone: the flat product of insert and
+    append operators, one block per row, applied to the empty tableau."""
     why = lr_violation(p)
     if why:
         raise ValueError(f"not a ballot pair of partition shape: {why}")
-    t = p.skew
-    cur = EMPTY
-    for k in range(len(t.outer)):
-        i = k + 1
-        row = t.rows[k]
-        v_word = [x for x in row if x < i]
-        if len(v_word) + sum(1 for x in row if x == i) != len(row):
-            raise ValueError(f"row {i} holds a letter above {i}")
-        for _ in range(len(row) - len(v_word)):
-            cur, _tr = internal_insert(cur, i)
-        for x in reversed(v_word):
-            cur, _tr = internal_insert(cur, x)
-        for _ in range(t.inner[k]):
-            cur = _chi_skew(cur, i)
-    return glued_pair(cur)
+    return glued_pair(run_row_program(p.skew))

@@ -14,10 +14,10 @@ from importlib import resources
 
 from .commutor import (TwoColorTableau, _find_sites, _swap, chi_append,
                        gt_order_word, nu_hat, rho1_internal, rho1_scratch,
-                       rho1_switching, staged_decomposition, switch_sites,
-                       switching)
-from .insertion import (GluedPair, apply_order_word, extended_insert,
-                        glued_pair, internal_insert)
+                       rho1_switching, run_row_program, staged_decomposition,
+                       switch_sites, switching)
+from .insertion import (GluedPair, _freeze, apply_order_word, extended_insert,
+                        glued_pair)
 from .knuth import knuth_equivalent
 from .tableaux import (EMPTY, SkewTableau, as_partition, companion_word,
                        content, from_json_dict, glue, is_ballot, reading_word,
@@ -177,20 +177,15 @@ def _run_row_recursion(res: GoldenResult, data: dict):
               apply_order_word(EMPTY, word).outer)
 
     # flat scratch construction, one displayed frame per row block
-    cur = EMPTY
-    hats = nu_hat(t)
+    after_block = {}
+
+    def on_step(step, _trace, state):
+        after_block[step.row] = _freeze(*state)
+
+    run_row_program(t, on_step)
     for k in range(len(t.outer)):
-        i = k + 1
-        row = t.rows[k]
-        v_word = [x for x in row if x < i]
-        h = hats[k] if k < len(hats) else 0
-        for _ in range(h):
-            cur, _tr = internal_insert(cur, i)
-        for x in reversed(v_word):
-            cur, _tr = internal_insert(cur, x)
-        for _ in range(t.inner[k]):
-            cur = chi_append(GluedPair(EMPTY, cur), i).skew
-        res.check(f"scratch frame {i}", _tab(data["scratch_frames"][k]), cur)
+        res.check(f"scratch frame {k + 1}", _tab(data["scratch_frames"][k]),
+                  after_block[k + 1])
 
     # level by level: switching result, operator frames, recursion result
     state = GluedPair(EMPTY, EMPTY)

@@ -279,79 +279,35 @@ def restrict_rows(t: SkewTableau, i: int) -> tuple[SkewTableau, SkewTableau]:
     return bottom, top
 
 
-def _fill_backtrack(outer, inner, accept_entry, on_complete):
-    """Shared cell-by-cell filler, top row to bottom, left to right.
-
-    accept_entry(row_idx0, col, lower_bound, state) yields the admissible
-    (value, state) choices for one cell; on_complete(rows) is called with
-    the filled rows for every complete filling.
-    """
-    n = len(outer)
-    rows = [[0] * (outer[k] - inner[k]) for k in range(n)]
-
-    def rec(k, j, state):
-        if k == n:
-            on_complete(rows)
-            return
-        if j == len(rows[k]):
-            rec(k + 1, 0, state)
-            return
-        col = inner[k] + j + 1
-        lo = rows[k][j - 1] if j > 0 else 1
-        above = 0
-        if k > 0 and inner[k - 1] < col <= outer[k - 1]:
-            above = rows[k - 1][col - 1 - inner[k - 1]]
-        lo = max(lo, above + 1)
-        for val, st in accept_entry(k, col, lo, state):
-            rows[k][j] = val
-            rec(k, j + 1, st)
-        rows[k][j] = 0
-
-    rec(0, 0, None)
-
-
 def enumerate_ssyt(shape: SkewShape, max_letter: int) -> list[SkewTableau]:
     """All semistandard fillings over alphabet [max_letter], ordered
     lexicographically by reading word."""
     if max_letter < 1:
         raise ValueError("max_letter must be >= 1")
     outer, inner = shape.outer, shape.inner + (0,) * (len(shape.outer) - len(shape.inner))
+    n = len(outer)
+    rows = [[0] * (outer[k] - inner[k]) for k in range(n)]
     found: list[SkewTableau] = []
 
-    def accept(k, col, lo, state):
-        for v in range(lo, max_letter + 1):
-            yield v, state
+    # fill cell by cell, top row to bottom, left to right
+    def rec(k, j):
+        if k == n:
+            found.append(SkewTableau(outer, inner, [tuple(r) for r in rows],
+                                     check=False))
+            return
+        if j == len(rows[k]):
+            rec(k + 1, 0)
+            return
+        col = inner[k] + j + 1
+        lo = rows[k][j - 1] if j > 0 else 1
+        if k > 0 and inner[k - 1] < col <= outer[k - 1]:
+            lo = max(lo, rows[k - 1][col - 1 - inner[k - 1]] + 1)
+        for val in range(lo, max_letter + 1):
+            rows[k][j] = val
+            rec(k, j + 1)
+        rows[k][j] = 0
 
-    def done(rows):
-        found.append(SkewTableau(outer, inner, [tuple(r) for r in rows],
-                                 check=False))
-
-    _fill_backtrack(outer, inner, accept, done)
-    found.sort(key=reading_word)
-    return found
-
-
-def enumerate_with_content(shape: SkewShape, nu) -> list[SkewTableau]:
-    """All semistandard fillings of the shape with exact content nu."""
-    nu = tuple(nu)
-    outer, inner = shape.outer, shape.inner + (0,) * (len(shape.outer) - len(shape.inner))
-    if sum(outer) - sum(inner) != sum(nu):
-        return []
-    found: list[SkewTableau] = []
-    remaining = list(nu)
-
-    def accept(k, col, lo, state):
-        for v in range(lo, len(remaining) + 1):
-            if remaining[v - 1] > 0:
-                remaining[v - 1] -= 1
-                yield v, state
-                remaining[v - 1] += 1
-
-    def done(rows):
-        found.append(SkewTableau(outer, inner, [tuple(r) for r in rows],
-                                 check=False))
-
-    _fill_backtrack(outer, inner, accept, done)
+    rec(0, 0)
     found.sort(key=reading_word)
     return found
 

@@ -1,4 +1,6 @@
+import io
 import json
+from importlib import resources
 
 import pytest
 
@@ -84,14 +86,37 @@ def test_commute_rejects_non_ballot(tmp_path, capsys):
 
 
 def test_commute_trace(tmp_path, capsys):
-    f = tmp_path / "t.txt"
-    f.write_text(T_TEXT)
-    code, out, _ = run(capsys, "commute", str(f), "--trace", "--method",
-                       "internal")
+    fixture = resources.files("lrcommute.fixtures").joinpath("row_recursion.json")
+    data = json.loads(fixture.read_text())
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps(data["t"]))
+    traces = {}
+    for method in ("internal", "scratch"):
+        code, out, _ = run(capsys, "commute", str(f), "--trace", "--method",
+                           method)
+        assert code == 0
+        traces[method] = json.loads(out.strip().splitlines()[-1])
+    frames = traces["internal"]
+    assert frames == traces["scratch"]
+    assert all("op" in fr and "state" in fr for fr in frames)
+    # while row block n runs the state has n rows, so the last such frame
+    # is the state after the block
+    after_block = {len(fr["state"]["outer"]): fr["state"] for fr in frames}
+    assert [from_json_dict(after_block[k + 1])
+            for k in range(len(data["scratch_frames"]))] == \
+        [from_json_dict(d) for d in data["scratch_frames"]]
+
+
+def test_commute_deep_column(monkeypatch, capsys):
+    n = 1100
+    column = {"outer": [1] * n, "inner": [0] * n,
+              "rows": [[k] for k in range(1, n + 1)]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(column)))
+    code, out, _ = run(capsys, "--format", "json", "commute", "-",
+                       "--method", "internal")
     assert code == 0
-    lines = out.strip().splitlines()
-    frames = json.loads(lines[-1])
-    assert frames and all("op" in fr and "state" in fr for fr in frames)
+    skew = from_json_dict(json.loads(out)["skew"])
+    assert skew.size == 0 and skew.outer == (1,) * n
 
 
 def test_insert_command(tmp_path, capsys):

@@ -149,6 +149,12 @@ def test_chi_append():
         chi_append(p2, 2)  # row 2 would outgrow row 1
     with pytest.raises(ValueError):
         chi_append(GluedPair(EMPTY, EMPTY), 2)
+    # a new row under a letter that is too large
+    with pytest.raises(ValueError, match="breaks the tableau"):
+        chi_append(GluedPair(EMPTY, SkewTableau((1,), (0,), [(2,)])), 2)
+    # a column clash with the cell above
+    with pytest.raises(ValueError, match="breaks the tableau"):
+        chi_append(GluedPair(EMPTY, SkewTableau((2, 1), (1, 0), [(3,), (1,)])), 2)
 
 
 def test_nu_hat_examples():
@@ -170,6 +176,14 @@ def test_rho1_internal_and_scratch_running_example():
     expected = GluedPair(yamanouchi_tableau((4, 4, 3, 2)), H_RUNNING)
     assert rho1_internal(pair) == expected
     assert rho1_scratch(pair) == expected
+
+
+def test_rho1_internal_and_scratch_deep_column():
+    n = 1100
+    column = SkewTableau((1,) * n, (), [(k,) for k in range(1, n + 1)])
+    expected = glued_pair(empty_of_shape((1,) * n))
+    assert rho1_internal(glued_pair(column)) == expected
+    assert rho1_scratch(glued_pair(column)) == expected
 
 
 def test_rho1_scratch_normal_shape():
