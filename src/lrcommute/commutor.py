@@ -6,8 +6,13 @@ second way is a row program: ``row_program`` lists, row block by row block,
 the internal row insertions and row appends that build the image from the
 empty tableau, and ``run_row_program`` executes them in place.
 ``rho1_internal`` and ``rho1_scratch`` are that one run, the former also
-checking the route claim on every row block.  ``staged_decomposition``
-exposes the intermediate state of row-by-row staged switching.
+checking the route claim on every row block.
+
+``switching`` is the one switching engine.  Staged switching is ``switching``
+applied one Yamanouchi row at a time, bottom-up: each colour class stays a
+skew semistandard tableau at every step (Benkart-Sottile-Stroomer), so a row
+of the Yamanouchi member switches like any other tableau.
+``staged_decomposition`` exposes the intermediate state at which it stops.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import random
 from typing import Callable, Iterator, NamedTuple
 
 from .insertion import (GluedPair, InsertionTrace, _freeze, _insert_inplace,
-                        glued_pair, lr_violation)
-from .tableaux import (Cell, SkewTableau, as_partition, is_ballot_tableau,
-                       tableau_content, yamanouchi_tableau)
+                        _tableau_from_cells, glued_pair, lr_violation)
+from .tableaux import (Cell, SkewTableau, as_partition, empty_of_shape, glue,
+                       is_ballot_tableau, tableau_content, yamanouchi_tableau)
 
 STRATEGIES = ("greedy", "infusion", "random")
 
@@ -90,21 +95,21 @@ def _placement_ok(cells, color, val, at, skip):
     return True
 
 
-def _admissible(cells, cu, cv, ucol="u", vcol="v"):
+def _admissible(cells, cu, cv):
     vu = cells[cu][0]
     vv = cells[cv][0]
-    return (_placement_ok(cells, ucol, vu, cv, cu)
-            and _placement_ok(cells, vcol, vv, cu, cv))
+    return (_placement_ok(cells, "u", vu, cv, cu)
+            and _placement_ok(cells, "v", vv, cu, cv))
 
 
-def _find_sites(cells, ucol="u", vcol="v"):
+def _find_sites(cells):
     sites = []
     for (r, c), (val, col) in cells.items():
-        if col != ucol:
+        if col != "u":
             continue
         for cv in ((r, c + 1), (r + 1, c)):
             e = cells.get(cv)
-            if e is not None and e[1] == vcol and _admissible(cells, (r, c), cv, ucol, vcol):
+            if e is not None and e[1] == "v" and _admissible(cells, (r, c), cv):
                 sites.append(SwitchSite((r, c), cv))
     sites.sort()
     return sites
@@ -137,25 +142,48 @@ def _swap(cells, cu, cv):
     cells[cv] = (vu, ucol)
 
 
-def _run_switching(cells, ucol, vcol, strategy, rng=None, on_frame=None) -> bool:
-    """Switch until no site remains; mutates ``cells`` in place.
+def _split_cells(outer, inner, cells):
+    """Decompose terminal cells into (S, H): the v-material must fill a
+    partition-bounded region extending the inner border."""
+    sigma = list(inner) + [0] * (len(outer) - len(inner))
+    s_vals: dict[Cell, int] = {}
+    h_vals: dict[Cell, int] = {}
+    for cell, (val, col) in cells.items():
+        if col == "v":
+            sigma[cell[0] - 1] += 1
+            s_vals[cell] = val
+        else:
+            h_vals[cell] = val
+    try:
+        return (_tableau_from_cells(sigma, inner, s_vals),
+                _tableau_from_cells(outer, sigma, h_vals))
+    except ValueError as exc:
+        raise ValueError(f"switching did not separate the members: {exc}") from exc
 
-    Returns whether any step offered more than one admissible site (when not,
-    every order walks the same path).
-    """
+
+def _switch(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
+            seed: int = 0, on_frame: Callable | None = None):
+    """Switch v through u until no site remains; returns ((S, H), had_choice),
+    where had_choice says whether any step offered more than one admissible
+    site (when not, every order walks the same path)."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}")
+    tc = TwoColorTableau.from_pair(u, v)
+    cells = tc.cells
+    rng = random.Random(seed) if strategy == "random" else None
     tracked = None
     had_choice = False
     while True:
-        sites = _find_sites(cells, ucol, vcol)
+        sites = _find_sites(cells)
         if not sites:
-            return had_choice
+            return _split_cells(tc.outer, tc.inner, cells), had_choice
         if len(sites) > 1:
             had_choice = True
         if strategy == "greedy":
             site = sites[0]
         elif strategy == "random":
             site = rng.choice(sites)
-        elif strategy == "infusion":
+        else:
             mine = [s for s in sites if s.cell_u == tracked] if tracked else []
             if not mine:
                 tracked = min(s.cell_u for s in sites)
@@ -171,54 +199,9 @@ def _run_switching(cells, ucol, vcol, strategy, rng=None, on_frame=None) -> bool
             else:
                 site = mine[0]
             tracked = site.cell_v
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
         _swap(cells, site.cell_u, site.cell_v)
         if on_frame is not None:
             on_frame(site, dict(cells))
-
-
-def _trimmed_skew(outer, inner, rows) -> SkewTableau:
-    """Build a tableau from parallel lists that may carry trailing empty rows."""
-    outer = list(outer)
-    k = len(outer)
-    while k and outer[k - 1] == 0:
-        if inner[k - 1] or rows[k - 1]:
-            raise ValueError("nonempty data beyond the outer shape")
-        k -= 1
-    return SkewTableau(outer[:k], inner[:k], rows[:k])
-
-
-def _split_cells(outer, inner, cells, ucol, vcol):
-    """Decompose terminal cells into (S, H): the v-material must fill a
-    partition-bounded region extending the inner border."""
-    outer = as_partition(outer)
-    inner = tuple(as_partition(inner)) + (0,) * (len(outer) - len(as_partition(inner)))
-    sigma = []
-    for k in range(len(outer)):
-        count = sum(1 for (r, _c), (_v, col) in cells.items()
-                    if r == k + 1 and col == vcol)
-        sigma.append(inner[k] + count)
-    s_rows = []
-    h_rows = []
-    for k in range(len(outer)):
-        srow = []
-        for col in range(inner[k] + 1, sigma[k] + 1):
-            e = cells.get((k + 1, col))
-            if e is None or e[1] != vcol:
-                raise ValueError("switching did not separate the members")
-            srow.append(e[0])
-        hrow = []
-        for col in range(sigma[k] + 1, outer[k] + 1):
-            e = cells.get((k + 1, col))
-            if e is None or e[1] != ucol:
-                raise ValueError("switching did not separate the members")
-            hrow.append(e[0])
-        s_rows.append(tuple(srow))
-        h_rows.append(tuple(hrow))
-    s = _trimmed_skew(sigma, inner, s_rows)
-    h = SkewTableau(outer, sigma, h_rows)
-    return s, h
 
 
 def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
@@ -226,15 +209,7 @@ def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
               on_frame: Callable | None = None) -> tuple[SkewTableau, SkewTableau]:
     """Switch v through u until no switch applies; returns (S, H) with
     S Knuth-equivalent to v and H to u, on the same union shape."""
-    if strategy == "seeded-random":
-        strategy = "random"
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
-    tc = TwoColorTableau.from_pair(u, v)
-    cells = tc.cells
-    rng = random.Random(seed) if strategy == "random" else None
-    _run_switching(cells, "u", "v", strategy, rng, on_frame)
-    return _split_cells(tc.outer, tc.inner, cells, "u", "v")
+    return _switch(u, v, strategy, seed, on_frame)[0]
 
 
 def rho1_switching(p: GluedPair, strategy: str = "greedy",
@@ -259,9 +234,10 @@ class StagedDecomposition(NamedTuple):
 
 
 def staged_decomposition(p: GluedPair) -> StagedDecomposition:
-    """Switch the skew member through the Yamanouchi rows bottom-up and stop
-    once a lifted letter settles in the last row; returns the intermediate
-    state (d, S, F-hat, D, Q) of that staged switching."""
+    """Staged switching: for d = len(mu), ..., 1, switch row d of the
+    Yamanouchi member through the current S (starting from the skew member)
+    and glue the switched-out H onto Q; stop once H has a cell in the last
+    row.  Returns that intermediate state (d, S, F-hat, D, Q)."""
     why = lr_violation(p)
     if why:
         raise ValueError(f"not a ballot pair of partition shape: {why}")
@@ -280,38 +256,17 @@ def staged_decomposition(p: GluedPair) -> StagedDecomposition:
     if len(f_word) + nu_last != len(last) or not f_word:
         raise ValueError("last row must be a nonempty word over [n] followed "
                          "by largest letters")
-    tc = TwoColorTableau.from_pair(p.yam, t)
-    cells = tc.cells
-    # recolor: unswitched Yamanouchi rows are "y"
-    for cell, (val, col) in list(cells.items()):
-        if col == "u":
-            cells[cell] = (val, "y")
-    d = None
-    for r in range(n, 0, -1):
-        if r > len(mu) or mu[r - 1] == 0:
-            continue
-        # activate row r of the Yamanouchi factor
-        for cell, (val, col) in list(cells.items()):
-            if col == "y" and val == r:
-                cells[cell] = (val, "u")
-        _run_switching(cells, "u", "v", "greedy")
-        reached = any(cell[0] == np1 for cell, (_val, col) in cells.items()
-                      if col == "u")
-        # retire the switched row into the "q" class
-        for cell, (val, col) in list(cells.items()):
-            if col == "u":
-                cells[cell] = (val, "q")
-        if reached:
-            d = r
+    s, q = t, empty_of_shape(lam)
+    for d in range(len(mu), 0, -1):
+        row = SkewTableau(mu[:d], mu[:d - 1], ((),) * (d - 1) + (p.yam.rows[d - 1],))
+        s, h = switching(row, s)
+        q = glue(h, q)
+        if len(h.rows) == np1 and h.rows[n]:
             break
-    if d is None:
+    else:
         raise ValueError("no lifted letter reached the last row")
-    # remaining "y" cells are Y_(mu_1..mu_{d-1}) in place; split v from q
-    s, q = _split_cells(lam, mu[:d - 1], cells, "q", "v")
-    s_last = s.rows[np1 - 1] if len(s.rows) >= np1 else ()
-    f_hat = tuple(x for x in s_last if x <= n)
-    big_d = q.rows[np1 - 1]
-    return StagedDecomposition(d, s, f_hat, big_d, q)
+    f_hat = tuple(x for x in s.rows[n] if x <= n) if len(s.rows) == np1 else ()
+    return StagedDecomposition(d, s, f_hat, q.rows[n], q)
 
 
 

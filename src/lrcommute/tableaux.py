@@ -332,36 +332,46 @@ def enumerate_ballot(shape: SkewShape, nu) -> list[SkewTableau]:
 
     # reverse reading order is rows top to bottom, each row right to left;
     # every partial filling is then a suffix of the reading word
-    def walk(k, j):
-        if k == n:
-            found.append(SkewTableau(outer, inner,
-                                     [tuple(r) for r in rows], check=False))
-            return
-        width = len(rows[k])
-        if j == width:
-            walk(k + 1, 0)
-            return
-        pos = width - 1 - j
+    cells = [(k, pos) for k in range(n) for pos in range(len(rows[k]) - 1, -1, -1)]
+    if not cells:
+        return [SkewTableau(outer, inner, rows, check=False)]
+
+    def letters(depth):
+        """Letters to try at cells[depth], largest first: at most its right
+        neighbour, above the entry over it."""
+        k, pos = cells[depth]
+        hi = rows[k][pos + 1] if pos + 1 < len(rows[k]) else len(nu)
         col = inner[k] + pos + 1
-        hi = rows[k][pos + 1] if pos + 1 < width else len(nu)
         above = 0
         if k > 0 and inner[k - 1] < col <= outer[k - 1]:
             above = rows[k - 1][col - 1 - inner[k - 1]]
-        for v in range(hi, above, -1):
-            if remaining[v - 1] == 0:
-                continue
-            # ballot: reading this letter keeps suffix content a partition
-            if v > 1 and suffix[v] + 1 > suffix[v - 1]:
-                continue
-            remaining[v - 1] -= 1
-            suffix[v] += 1
-            rows[k][pos] = v
-            walk(k, j + 1)
-            rows[k][pos] = 0
-            suffix[v] -= 1
-            remaining[v - 1] += 1
+        return iter(range(hi, above, -1))
 
-    walk(0, 0)
+    # stack[d] yields the untried letters of cells[d]; an explicit stack keeps
+    # very long rows and columns clear of the recursion limit
+    stack = [letters(0)]
+    while stack:
+        k, pos = cells[len(stack) - 1]
+        x = rows[k][pos]
+        if x:  # take back the letter tried last at this cell
+            rows[k][pos] = 0
+            suffix[x] -= 1
+            remaining[x - 1] += 1
+        for v in stack[-1]:
+            # ballot: reading this letter keeps suffix content a partition
+            if remaining[v - 1] and (v == 1 or suffix[v] < suffix[v - 1]):
+                break
+        else:
+            stack.pop()
+            continue
+        remaining[v - 1] -= 1
+        suffix[v] += 1
+        rows[k][pos] = v
+        if len(stack) == len(cells):
+            found.append(SkewTableau(outer, inner,
+                                     [tuple(r) for r in rows], check=False))
+        else:
+            stack.append(letters(len(stack)))
     found.sort(key=reading_word)
     return found
 

@@ -36,6 +36,11 @@ def test_lr_coeff_command(capsys):
     assert code == 0 and out.strip() == "2"
 
 
+def test_lr_coeff_command_deep_row(capsys):
+    code, out, _ = run(capsys, "lr-coeff", "1100", "0", "1100")
+    assert code == 0 and out.strip() == "1"
+
+
 def test_schur_product_command(capsys):
     code, out, _ = run(capsys, "--format", "json", "schur-product",
                        "1", "1", "--max-rows", "2")

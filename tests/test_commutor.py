@@ -1,7 +1,8 @@
 import pytest
 
-from lrcommute.commutor import (SwitchSite, TwoColorTableau, apply_switch,
-                                chi_append, gt_order_word, nu_hat,
+from lrcommute.commutor import (SwitchSite, TwoColorTableau, _split_cells,
+                                _switch, apply_switch, chi_append,
+                                gt_order_word, nu_hat,
                                 rho1_internal, rho1_scratch, rho1_switching,
                                 staged_decomposition, switch_sites, switching)
 from lrcommute.insertion import GluedPair, glued_pair
@@ -77,6 +78,23 @@ def test_switching_validates_extension():
         switching(yamanouchi_tableau((2,)), empty_of_shape((3, 1)))
     with pytest.raises(ValueError):
         switching(SW_U, SW_V, strategy="sideways")
+    with pytest.raises(ValueError):
+        switching(SW_U, SW_V, strategy="seeded-random")
+
+
+def test_switch_reports_whether_any_step_had_a_choice():
+    result, had_choice = _switch(SW_U, SW_V, "greedy")
+    assert had_choice and result == switching(SW_U, SW_V)
+    # one letter past one letter: a single site at every step
+    u, v = yamanouchi_tableau((1,)), SkewTableau((2,), (1,), [(1,)])
+    assert _switch(u, v, "greedy") == ((SkewTableau((1,), (), [(1,)]),
+                                        SkewTableau((2,), (1,), [(1,)])), False)
+
+
+def test_split_cells_rejects_unswitched_members():
+    tc = TwoColorTableau.from_pair(SW_U, SW_V)
+    with pytest.raises(ValueError, match="did not separate"):
+        _split_cells(tc.outer, tc.inner, tc.cells)
 
 
 def test_rho1_switching_running_example():

@@ -16,6 +16,12 @@ def test_lr_coefficient_examples():
     assert lr_coefficient((1, 1), (2,), (1,)) == 0  # not contained
 
 
+def test_lr_coefficient_deep_row_and_column():
+    # 1,100 cells in one row or one column, past the default recursion limit
+    assert lr_coefficient((1100,), (), (1100,)) == 1
+    assert lr_coefficient((1,) * 1100, (), (1,) * 1100) == 1
+
+
 def test_lr_coefficient_symmetric_small():
     for total in range(7):
         for a in range(total + 1):
