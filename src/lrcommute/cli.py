@@ -19,7 +19,7 @@ from .insertion import (GluedPair, _freeze, glued_pair, lr_violation,
 from .knuth import rsk
 from .schur import lr_coefficient, schur_product
 from .tableaux import (SkewTableau, as_partition, from_json_dict, from_text,
-                       to_json_dict, to_text)
+                       json_ints, to_json_dict, to_text)
 
 
 class UsageError(Exception):
@@ -44,18 +44,18 @@ def parse_tableau(text: str) -> SkewTableau:
         if text.startswith("{"):
             return from_json_dict(json.loads(text))
         return from_text(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse tableau: {exc}")
 
 
 def parse_partition(text: str):
     try:
         if text.strip().startswith("["):
-            return as_partition(json.loads(text))
+            return as_partition(json_ints(json.loads(text)))
         if text.strip() in ("", "0", "()"):
             return ()
         return as_partition(int(x) for x in text.split(","))
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"cannot parse partition {text!r}: {exc}")
 
 
@@ -63,11 +63,11 @@ def parse_word(text: str):
     text = text.strip()
     try:
         if text.startswith("["):
-            return tuple(int(x) for x in json.loads(text))
+            return json_ints(json.loads(text))
         if "," in text:
             return tuple(int(x) for x in text.split(","))
         return tuple(int(ch) for ch in text)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"cannot parse word {text!r}: {exc}")
 
 

@@ -320,20 +320,10 @@ def nu_hat(t: SkewTableau) -> tuple[int, ...]:
 def gt_order_word(t: SkewTableau) -> tuple[int, ...]:
     """The insertion-order word V_n n^h_n ... V_2 2^h_2 1^h_1 read off the
     rows of a ballot tableau, where V_i is row i without its trailing i's
-    and h_i counts them."""
+    and h_i counts them: the inserted rows of ``row_program(t)``, reversed."""
     if not is_ballot_tableau(t):
         raise ValueError("tableau is not ballot")
-    word: list[int] = []
-    for k in range(len(t.outer) - 1, -1, -1):
-        i = k + 1
-        row = t.rows[k]
-        v_i = [x for x in row if x < i]
-        h_i = len(row) - len(v_i)
-        if any(x > i for x in row):
-            raise ValueError(f"row {i} holds a letter above {i}")
-        word.extend(v_i)
-        word.extend([i] * h_i)
-    return tuple(word)
+    return tuple(step.i for step in row_program(t) if step.op == "insert")[::-1]
 
 
 class RowStep(NamedTuple):

@@ -163,18 +163,11 @@ def apply_order_word(t: SkewTableau, word) -> SkewTableau:
 def extended_insert(p: GluedPair, i: int) -> GluedPair:
     """Internal insertion on a glued pair: the Yamanouchi factor gains one
     box in row i (a new bottom row when i is one past its length)."""
-    mu = as_partition(p.yam.outer)
-    n = len(mu)
-    if i == n + 1:
-        if n > 0 and mu[-1] < 1:
-            raise ValueError("new Yamanouchi row needs a nonzero last part")
-        new_mu = mu + (1,)
-    elif 1 <= i <= n:
-        new_mu = mu[:i - 1] + (mu[i - 1] + 1,) + mu[i:]
-    else:
-        raise ValueError(f"row {i} out of range for the Yamanouchi factor")
-    skew, _ = internal_insert(p.skew, i)
-    return GluedPair(yamanouchi_tableau(new_mu), skew)
+    mu = as_partition(p.skew.inner)
+    if p.yam.outer != mu:
+        raise ValueError(f"the Yamanouchi factor {p.yam.outer} does not meet "
+                         f"the skew member's inner border {mu}")
+    return glued_pair(internal_insert(p.skew, i)[0])
 
 
 def _standard_values(u: SkewTableau) -> list[int]:

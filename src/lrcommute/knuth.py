@@ -6,6 +6,7 @@ moves and breadth-first class search exist as an independent oracle.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .tableaux import SkewTableau
@@ -29,18 +30,11 @@ def _insert_rows(rows: list[list[int]], x: int) -> tuple[int, int]:
             rows.append([x])
             return k + 1, 1
         row = rows[k]
-        # leftmost entry strictly greater than x
-        lo, hi = 0, len(row)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if row[mid] > x:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo == len(row):
+        j = bisect_right(row, x)  # leftmost entry strictly greater than x
+        if j == len(row):
             row.append(x)
             return k + 1, len(row)
-        row[lo], x = x, row[lo]
+        row[j], x = x, row[j]
         k += 1
 
 

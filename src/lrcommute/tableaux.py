@@ -384,8 +384,17 @@ def to_json_dict(t: SkewTableau) -> dict:
             "rows": [list(r) for r in t.rows]}
 
 
+def json_ints(value) -> tuple[int, ...]:
+    """A decoded JSON array of integers as a tuple.  Anything else raises
+    ValueError, so floats and booleans are never truncated to integers."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"expected an array of integers, got {json.dumps(value)}")
+    return tuple(value)
+
+
 def from_json_dict(d: dict) -> SkewTableau:
-    return SkewTableau(d["outer"], d["inner"], d["rows"])
+    return SkewTableau(json_ints(d["outer"]), json_ints(d["inner"]),
+                       [json_ints(r) for r in d["rows"]])
 
 
 def to_json(t: SkewTableau) -> str:

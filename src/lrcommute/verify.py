@@ -25,6 +25,7 @@ from .tableaux import (SkewShape, SkewTableau, as_partition, enumerate_ballot,
                        tableau_content, yamanouchi_tableau)
 
 MAX_STORED_FAILURES = 50
+RANDOM_ORDERS = 20  # seeded random switch orders per confluence instance
 
 
 @dataclass
@@ -116,10 +117,9 @@ def check_coincidence(max_size: int = 8, seed: int = 0) -> VerifyReport:
     return rep
 
 
-def check_confluence(max_size: int = 8, seed: int = 0,
-                     n_random: int = 20) -> VerifyReport:
-    """infusion, greedy and seeded random switch orders all agree, and the
-    outputs stay Knuth equivalent to the inputs."""
+def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
+    """infusion, greedy and RANDOM_ORDERS seeded random switch orders all
+    agree, and the outputs stay Knuth equivalent to the inputs."""
     rep = VerifyReport("confluence")
     t0 = time.perf_counter()
     for gamma in partitions_up_to(max_size):
@@ -143,7 +143,7 @@ def check_confluence(max_size: int = 8, seed: int = 0,
                         alt = _switch(u, v, "infusion")[0]
                         if alt != (s, h):
                             rep.fail(f"infusion: {u!r} {v!r}", (s, h), alt)
-                        for k in range(n_random):
+                        for k in range(RANDOM_ORDERS):
                             alt = _switch(u, v, "random", seed + k)[0]
                             if alt != (s, h):
                                 rep.fail(f"random[{seed + k}]: {u!r} {v!r}",
@@ -193,7 +193,13 @@ def _class_of(word):
 
 @lru_cache(maxsize=None)
 def _thu_sweep(max_size: int, word_len: int):
-    """Returns (knuth failures, route failures, words, route pairs, seconds);
+    """For each packed filling t, one walk applies every valid order word of
+    length up to word_len once, keeping the state it reaches and checking
+    successive bumping routes; then every member of each Knuth class met must
+    be a walked word (``inner_corners`` lists exactly the insertable rows)
+    reaching the same state.
+
+    Returns (knuth failures, route failures, words, route pairs, seconds);
     both checks that read it report the seconds the sweep itself took."""
     t0 = time.perf_counter()
     thu_failures: list = []
@@ -205,56 +211,47 @@ def _thu_sweep(max_size: int, word_len: int):
         for mu in subpartitions(lam):
             mu_p = mu + (0,) * (len(lam) - len(mu))
             for t in packed_fillings(lam, mu_p):
+                # after[w]: the state reached by inserting at rows w[0], w[1],
+                # ... in turn, filled in depth-first preorder
+                after: dict = {}
+                stack = [((i,), *internal_insert(t, i), None)
+                         for i in reversed(inner_corners(t))]
+                while stack:
+                    w, state, tr, prev_tr = stack.pop()
+                    after[w] = state
+                    if prev_tr is not None and prev_tr.route and tr.route:
+                        n_route_pairs += 1
+                        if (not _route_pair_ok(w[-2], prev_tr, w[-1], tr)
+                                and len(route_failures) < MAX_STORED_FAILURES):
+                            route_failures.append(
+                                (f"{t!r} word={w}", "route geometry",
+                                 f"routes {prev_tr} then {tr}"))
+                    if len(w) < word_len:
+                        stack.extend((w + (i,), *internal_insert(state, i), tr)
+                                     for i in reversed(inner_corners(state)))
+                n_words += len(after)
+
                 classes_done: set = set()
-
-                def visit(state, word, prev):
-                    nonlocal n_words, n_route_pairs
-                    for i in inner_corners(state):
-                        new, tr = internal_insert(state, i)
-                        w = word + (i,)
-                        n_words += 1
-                        if prev is not None and prev[1].route and tr.route:
-                            n_route_pairs += 1
-                            if not _route_pair_ok(prev[0], prev[1], i, tr):
-                                if len(route_failures) < MAX_STORED_FAILURES:
-                                    route_failures.append(
-                                        (f"{t!r} word={w}", "route geometry",
-                                         f"routes {prev[1]} then {tr}"))
-                        # the applied word, reading right to left, is w
-                        u = tuple(reversed(w))
-                        cls = _class_of(u)
-                        rep_word = min(cls)
-                        if rep_word not in classes_done:
-                            classes_done.add(rep_word)
-                            if len(cls) > 1:
-                                _check_class(t, u, cls, thu_failures)
-                        if len(w) < word_len:
-                            visit(new, w, (i, tr))
-
-                def _check_class(tab, u, cls, sink):
-                    from .insertion import apply_order_word
-                    try:
-                        base = apply_order_word(tab, u)
-                    except ValueError as exc:
-                        if len(sink) < MAX_STORED_FAILURES:
-                            sink.append((f"{tab!r} u={u}", "u applies", str(exc)))
-                        return
+                for w, state in after.items():
+                    # the applied word, reading right to left, is u
+                    u = w[::-1]
+                    cls = _class_of(u)
+                    rep_word = min(cls)
+                    if rep_word in classes_done:
+                        continue
+                    classes_done.add(rep_word)
                     for v in cls:
-                        if v == u:
+                        other = after.get(v[::-1])
+                        if other is None:
+                            failure = (f"{t!r} v={v}", "v applies",
+                                       f"u={u} applies, v does not")
+                        elif other != state:
+                            failure = (f"{t!r} u={u} v={v}", f"{state!r}",
+                                       f"{other!r}")
+                        else:
                             continue
-                        try:
-                            other = apply_order_word(tab, v)
-                        except ValueError as exc:
-                            if len(sink) < MAX_STORED_FAILURES:
-                                sink.append((f"{tab!r} v={v}", "v applies",
-                                             str(exc)))
-                            continue
-                        if other != base:
-                            if len(sink) < MAX_STORED_FAILURES:
-                                sink.append((f"{tab!r} u={u} v={v}",
-                                             f"{base!r}", f"{other!r}"))
-
-                visit(t, (), None)
+                        if len(thu_failures) < MAX_STORED_FAILURES:
+                            thu_failures.append(failure)
 
     return (tuple(thu_failures), tuple(route_failures), n_words, n_route_pairs,
             time.perf_counter() - t0)

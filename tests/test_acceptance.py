@@ -14,9 +14,11 @@ from lrcommute.verify import (check_coincidence, check_confluence,
                               check_route_geometry, check_skew_rsk)
 
 
-def _report(rep, max_seconds=None):
+def _report(rep, instances, max_seconds=None):
+    # the instance counts pin the sweeps: a refactor that walks fewer (or
+    # more) instances is not the same check
     print(rep.line())
-    assert rep.instances > 0
+    assert rep.instances == instances
     assert rep.passed, rep.failures[:5]
     if max_seconds is not None:
         assert rep.seconds < max_seconds, (
@@ -36,32 +38,32 @@ def test_criterion_1_golden_examples():
 
 
 def test_criterion_2_involution():
-    _report(check_involution(max_size=8), max_seconds=120)
+    _report(check_involution(max_size=8), 1351, max_seconds=120)
 
 
 def test_criterion_3_commutor_coincidence():
-    _report(check_coincidence(max_size=8))
+    _report(check_coincidence(max_size=8), 1351)
 
 
 def test_criterion_4_strategy_confluence():
-    _report(check_confluence(max_size=8))
+    _report(check_confluence(max_size=8), 209293)
 
 
 def test_criterion_5_knuth_commutativity():
-    _report(check_knuth_commutativity(max_size=7, word_len=5))
+    _report(check_knuth_commutativity(max_size=7, word_len=5), 982678)
 
 
 def test_criterion_6_skew_rsk_bijection():
-    _report(check_skew_rsk(max_size=6))
+    _report(check_skew_rsk(max_size=6), 778783)
 
 
 def test_criterion_7_route_geometry():
-    _report(check_route_geometry(max_size=7, word_len=5))
+    _report(check_route_geometry(max_size=7, word_len=5), 628894)
 
 
 def test_criterion_8_lr_rule_vs_polynomial_oracle():
-    _report(check_lr_oracle(max_size=8), max_seconds=300)
+    _report(check_lr_oracle(max_size=8), 434, max_seconds=300)
 
 
 def test_criterion_9_recursion_structure():
-    _report(check_recursion(max_size=8))
+    _report(check_recursion(max_size=8), 769)

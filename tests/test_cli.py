@@ -190,3 +190,22 @@ def test_golden_failure_exit_code(capsys, monkeypatch):
 
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("stdin, argv", [
+    ('{"outer": 5, "inner": [], "rows": []}', ["commute", "-"]),
+    ('{"outer": [1], "inner": [0], "rows": [[null]]}', ["commute", "-"]),
+    ('{"outer": [1], "inner": [0], "rows": [5]}', ["commute", "-"]),
+    ("", ["rsk", "[null]"]),
+    ("", ["lr-coeff", "[null]", "0", "0"]),
+    (T_TEXT, ["insert", "-", "[null]"]),
+    ("", ["lr-coeff", "[2.9]", "0", "[2.2]"]),
+    ("", ["rsk", "[1.5,true]"]),
+], ids=["outer-number", "null-entry", "number-row", "rsk-null",
+        "lr-coeff-null", "insert-null", "lr-coeff-floats", "rsk-float-bool"])
+def test_json_input_needs_integers(monkeypatch, capsys, stdin, argv):
+    # null, floats and booleans are parse errors (exit 2), never a traceback
+    # or a silent truncation to an integer
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "cannot parse" in err

@@ -169,6 +169,9 @@ def test_extended_insert_blank_and_errors():
                     SkewTableau((2, 1), (1, 0), [(1,), (1,)]))
     with pytest.raises(ValueError):
         extended_insert(bad, 3)
+    mismatched = GluedPair(yamanouchi_tableau((1,)), empty_of_shape((2,)))
+    with pytest.raises(ValueError, match="inner border"):
+        extended_insert(mismatched, 1)
 
 
 def test_skew_rsk_forward_example():

@@ -1,4 +1,8 @@
-from lrcommute.verify import check_knuth_commutativity, check_route_geometry
+from bisect import bisect_left
+
+from lrcommute import insertion
+from lrcommute.verify import (_thu_sweep, check_knuth_commutativity,
+                              check_route_geometry)
 
 
 def test_route_geometry_reports_the_shared_sweep_time():
@@ -7,3 +11,17 @@ def test_route_geometry_reports_the_shared_sweep_time():
     knuth = check_knuth_commutativity(max_size=5, word_len=4)
     route = check_route_geometry(max_size=5, word_len=4)
     assert route.seconds == knuth.seconds > 0
+
+
+def test_knuth_sweep_flags_a_broken_bump(monkeypatch):
+    # bumping the leftmost entry >= x instead of > x breaks the insertion,
+    # and both checks that read the sweep must report it
+    monkeypatch.setattr(insertion, "bisect_right", bisect_left)
+    _thu_sweep.cache_clear()
+    try:
+        knuth = check_knuth_commutativity(max_size=5, word_len=3)
+        route = check_route_geometry(max_size=5, word_len=3)
+    finally:
+        _thu_sweep.cache_clear()
+    assert knuth.instances == 6384 and not knuth.passed
+    assert not route.passed
