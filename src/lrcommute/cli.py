@@ -12,8 +12,7 @@ import sys
 
 from . import golden as golden_mod
 from . import verify as verify_mod
-from .commutor import (_RouteClaim, rho1_internal, rho1_scratch,
-                       rho1_switching, run_row_program, switching)
+from .commutor import rho1_internal, rho1_scratch, rho1_switching
 from .insertion import (GluedPair, _freeze, glued_pair, lr_violation,
                         order_word_steps)
 from .knuth import rsk
@@ -84,10 +83,6 @@ def _emit_pair(p: GluedPair, fmt: str) -> str:
     return to_text(p.skew)
 
 
-def _cells_json(cells) -> list:
-    return [[r, c, val, color] for (r, c), (val, color) in sorted(cells.items())]
-
-
 def cmd_commute(args) -> int:
     skew = parse_tableau(_read_input(args.input))
     pair = glued_pair(skew)
@@ -96,43 +91,26 @@ def cmd_commute(args) -> int:
         raise UsageError(f"input is not a ballot pair: {why}")
     frames = []
     if args.method in ("switching", "infusion"):
+        def on_frame(site, cells):
+            frames.append({"switch": [list(site.cell_u), list(site.cell_v)],
+                           "cells": [[r, c, val, color] for (r, c), (val, color)
+                                     in sorted(cells.items())]})
         strategy = "infusion" if args.method == "infusion" else "greedy"
-        if args.trace:
-            def on_frame(site, cells):
-                frames.append({"switch": [list(site.cell_u), list(site.cell_v)],
-                               "cells": _cells_json(cells)})
-            s, h = switching(pair.yam, pair.skew, strategy=strategy,
-                             seed=args.seed, on_frame=on_frame)
-            result = GluedPair(s, h)
-        else:
-            result = rho1_switching(pair, strategy=strategy, seed=args.seed)
-    elif not args.trace:
-        rho = rho1_internal if args.method == "internal" else rho1_scratch
-        result = rho(pair)
+        result = rho1_switching(pair, strategy=strategy, seed=args.seed,
+                                on_frame=on_frame if args.trace else None)
     else:
-        claim = _RouteClaim()
-
         def on_step(step, trace, state):
-            claim(step, trace, state)
-            frames.append(_insertion_frame(step, trace, state))
-
-        result = glued_pair(run_row_program(pair.skew, on_step))
-        if args.method == "internal":
-            claim.check()
+            frame = {"op": step.op, "row": step.i,
+                     "state": to_json_dict(_freeze(*state))}
+            if trace is not None:
+                frame["trace"] = trace._asdict()
+            frames.append(frame)
+        rho = rho1_internal if args.method == "internal" else rho1_scratch
+        result = rho(pair, on_step=on_step if args.trace else None)
     print(_emit_pair(result, args.format))
     if args.trace:
         print(json.dumps(frames))
     return 0
-
-
-def _insertion_frame(step, trace, state) -> dict:
-    frame = {"op": step.op, "row": step.i,
-             "state": to_json_dict(_freeze(*state))}
-    if trace is not None:
-        frame["trace"] = {"vacated": list(trace.vacated),
-                          "route": [list(c) for c in trace.route],
-                          "created": list(trace.created)}
-    return frame
 
 
 def cmd_insert(args) -> int:
@@ -144,15 +122,16 @@ def cmd_insert(args) -> int:
         raise UsageError(str(exc))
     print(emit_tableau(result, args.format))
     if args.trace:
-        print(json.dumps([{"vacated": list(tr.vacated),
-                           "route": [list(c) for c in tr.route],
-                           "created": list(tr.created)} for tr in traces]))
+        print(json.dumps([tr._asdict() for tr in traces]))
     return 0
 
 
 def cmd_rsk(args) -> int:
     word = parse_word(args.word)
-    pair = rsk(word)
+    try:
+        pair = rsk(word)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if args.format == "json":
         print(json.dumps({"p": to_json_dict(pair.p), "q": to_json_dict(pair.q)}))
     else:

@@ -212,14 +212,15 @@ def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
     return _switch(u, v, strategy, seed, on_frame)[0]
 
 
-def rho1_switching(p: GluedPair, strategy: str = "greedy",
-                   seed: int = 0) -> GluedPair:
-    """The switching involution on a ballot pair of partition shape."""
+def rho1_switching(p: GluedPair, strategy: str = "greedy", seed: int = 0,
+                   on_frame: Callable | None = None) -> GluedPair:
+    """The switching involution on a ballot pair of partition shape;
+    ``on_frame`` is passed to ``switching``."""
     why = lr_violation(p)
     if why:
         raise ValueError(f"not a ballot pair of partition shape: {why}")
     nu = tableau_content(p.skew)
-    s, h = switching(p.yam, p.skew, strategy=strategy, seed=seed)
+    s, h = switching(p.yam, p.skew, strategy, seed, on_frame)
     if s != yamanouchi_tableau(nu):
         raise ValueError("switching did not produce the Yamanouchi tableau")
     return GluedPair(s, h)
@@ -393,37 +394,42 @@ def _assert_route_claim(traces: list[InsertionTrace], row: int):
 
 class _RouteClaim:
     """An ``on_step`` callback filing the row-word insertions of each row
-    block (its letters below the row) by row; ``check`` then asserts that
-    each row's bumping routes are pairwise disjoint and land in that row."""
+    block (its letters below the row) by row, then passing every step on to
+    ``on_step``; ``check`` then asserts that each row's bumping routes are
+    pairwise disjoint and land in that row."""
 
-    def __init__(self):
+    def __init__(self, on_step: Callable | None = None):
         self.groups: dict[int, list[InsertionTrace]] = {}
+        self.on_step = on_step
 
-    def __call__(self, step: RowStep, trace, _state):
+    def __call__(self, step: RowStep, trace, state):
         if step.op == "insert" and step.i < step.row:
             self.groups.setdefault(step.row, []).append(trace)
+        if self.on_step is not None:
+            self.on_step(step, trace, state)
 
     def check(self):
         for row, traces in self.groups.items():
             _assert_route_claim(traces, row)
 
 
-def rho1_internal(p: GluedPair) -> GluedPair:
+def rho1_internal(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
     """The commutor by the row program, checking the route claim on every
-    row block."""
+    row block; ``on_step`` is passed to ``run_row_program``."""
     why = lr_violation(p)
     if why:
         raise ValueError(f"not a ballot pair of partition shape: {why}")
-    claim = _RouteClaim()
+    claim = _RouteClaim(on_step)
     skew = run_row_program(p.skew, claim)
     claim.check()
     return glued_pair(skew)
 
 
-def rho1_scratch(p: GluedPair) -> GluedPair:
+def rho1_scratch(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
     """The commutor by the row program alone: the flat product of insert and
-    append operators, one block per row, applied to the empty tableau."""
+    append operators, one block per row, applied to the empty tableau;
+    ``on_step`` is passed to ``run_row_program``."""
     why = lr_violation(p)
     if why:
         raise ValueError(f"not a ballot pair of partition shape: {why}")
-    return glued_pair(run_row_program(p.skew))
+    return glued_pair(run_row_program(p.skew, on_step))

@@ -42,6 +42,8 @@ def schensted_insert(p: SkewTableau, x: int) -> tuple[SkewTableau, tuple[int, in
     """Row-insert x into a normal-shape tableau; returns (tableau, new cell)."""
     if not p.is_normal():
         raise ValueError("schensted_insert needs a normal-shape tableau")
+    if x < 1:
+        raise ValueError(f"letter {x} < 1")
     rows = [list(r) for r in p.rows]
     cell = _insert_rows(rows, x)
     return SkewTableau([len(r) for r in rows], (), rows, check=False), cell
@@ -52,6 +54,8 @@ def rsk(word) -> RskPair:
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for i, x in enumerate(word):
+        if x < 1:
+            raise ValueError(f"letter {x} < 1")
         r, _ = _insert_rows(p_rows, x)
         if r > len(q_rows):
             q_rows.append([])

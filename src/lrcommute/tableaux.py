@@ -231,11 +231,17 @@ def tableau_content(t: SkewTableau) -> tuple[int, ...]:
     return content(reading_word(t))
 
 
+def standard_order(t: SkewTableau) -> list[tuple[int, Cell]]:
+    """The (entry, cell) pairs of t sorted by entry, then column, then row:
+    the order in which standardization numbers the cells."""
+    return sorted(((x, c) for c, x in t.cells()),
+                  key=lambda e: (e[0], e[1][1], e[1][0]))
+
+
 def standardize(t: SkewTableau) -> SkewTableau:
     """Renumber entries 1..size; among equal entries the one in the smaller
     column gets the smaller number (equal entries never share a column)."""
-    order = sorted(((x, c[1], c[0]) for c, x in t.cells()))
-    label = {(r, c): p + 1 for p, (_, c, r) in enumerate(order)}
+    label = {c: p for p, (_x, c) in enumerate(standard_order(t), start=1)}
     rows = []
     for k in range(len(t.outer)):
         rows.append(tuple(label[(k + 1, t.inner[k] + j + 1)]
@@ -245,8 +251,7 @@ def standardize(t: SkewTableau) -> SkewTableau:
 
 def companion_word(t: SkewTableau) -> tuple[int, ...]:
     """Word u_N .. u_1 where u_p is the row of entry p in the standardization."""
-    order = sorted(((x, c[1], c[0]) for c, x in t.cells()))
-    return tuple(r for _, _, r in reversed(order))
+    return tuple(c[0] for _x, c in reversed(standard_order(t)))
 
 
 def yamanouchi_tableau(mu) -> SkewTableau:
@@ -392,9 +397,27 @@ def json_ints(value) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _json_rows(value) -> list[tuple[int, ...]]:
+    if not isinstance(value, list):
+        raise ValueError("expected an array of arrays of integers, "
+                         f"got {json.dumps(value)}")
+    return [json_ints(r) for r in value]
+
+
+def _json_field(d: dict, name: str, read):
+    """read(d[name]); an error names the field."""
+    if name not in d:
+        raise ValueError(f"missing field {name!r}")
+    try:
+        return read(d[name])
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def from_json_dict(d: dict) -> SkewTableau:
-    return SkewTableau(json_ints(d["outer"]), json_ints(d["inner"]),
-                       [json_ints(r) for r in d["rows"]])
+    return SkewTableau(_json_field(d, "outer", json_ints),
+                       _json_field(d, "inner", json_ints),
+                       _json_field(d, "rows", _json_rows))
 
 
 def to_json(t: SkewTableau) -> str:

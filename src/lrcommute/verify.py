@@ -15,14 +15,14 @@ from functools import lru_cache
 
 from .commutor import (_switch, rho1_internal, rho1_scratch, rho1_switching,
                        staged_decomposition)
-from .insertion import (GluedPair, glued_pair, inner_corners,
+from .insertion import (GluedPair, _forward, glued_pair, inner_corners,
                         internal_insert, skew_rsk_inverse)
 from .knuth import knuth_class, p_tableau_rows
 from .schur import (lr_coefficient, poly_add_scaled, poly_mul, schur_polynomial,
                     schur_product)
 from .tableaux import (SkewShape, SkewTableau, as_partition, enumerate_ballot,
-                       glue, partitions_of, reading_word, subpartitions,
-                       tableau_content, yamanouchi_tableau)
+                       glue, partitions_of, reading_word, standard_order,
+                       subpartitions, tableau_content, yamanouchi_tableau)
 
 MAX_STORED_FAILURES = 50
 RANDOM_ORDERS = 20  # seeded random switch orders per confluence instance
@@ -281,9 +281,8 @@ def check_route_geometry(max_size: int = 7, seed: int = 0,
 
 def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:
     """Forward-then-inverse identity plus class preservation for all
-    shared-border pairs within the ambient bound."""
-    from .insertion import _forward_core, _standard_values
-    from .tableaux import companion_word
+    shared-border pairs within the ambient bound; an instance on which the
+    forward or the inverse raises fails its round trip."""
     rep = VerifyReport("skew-rsk")
     t0 = time.perf_counter()
     by_mu: dict = {}
@@ -296,21 +295,24 @@ def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:
             t_side.extend(packed_fillings(lam, mu + (0,) * (len(lam) - len(mu))))
         pre_t = [(t, p_tableau_rows(reading_word(t))) for t in t_side]
         for u in t_side:
-            rev_word = tuple(reversed(companion_word(u)))
-            values = _standard_values(u)
+            order = standard_order(u)
             w_u = p_tableau_rows(reading_word(u))
             for t, w_t in pre_t:
                 rep.instances += 1
-                p, q = _forward_core(t, rev_word, values, check=False)
-                if as_partition(p.outer) != as_partition(q.outer):
-                    rep.fail(f"{t!r} {u!r}", "shared outer border",
-                             f"{p.outer} vs {q.outer}")
+                try:
+                    p, q = _forward(t, order, check=False)
+                    if p.outer != q.outer:
+                        rep.fail(f"{t!r} {u!r}", "shared outer border",
+                                 f"{p.outer} vs {q.outer}")
+                        continue
+                    if p_tableau_rows(reading_word(p)) != w_t:
+                        rep.fail(f"{t!r} {u!r}", "P = T class", f"{p!r}")
+                    if p_tableau_rows(reading_word(q)) != w_u:
+                        rep.fail(f"{t!r} {u!r}", "Q = U class", f"{q!r}")
+                    t2, u2 = skew_rsk_inverse(p, q)
+                except ValueError as exc:
+                    rep.fail(f"{t!r} {u!r}", "round trip", f"raises {exc}")
                     continue
-                if p_tableau_rows(reading_word(p)) != w_t:
-                    rep.fail(f"{t!r} {u!r}", "P = T class", f"{p!r}")
-                if p_tableau_rows(reading_word(q)) != w_u:
-                    rep.fail(f"{t!r} {u!r}", "Q = U class", f"{q!r}")
-                t2, u2 = skew_rsk_inverse(p, q)
                 if t2 != t or u2 != u:
                     rep.fail(f"{t!r} {u!r}", "round trip", f"{t2!r} {u2!r}")
     rep.seconds = time.perf_counter() - t0
@@ -414,6 +416,8 @@ CHECKS = {
 
 
 def run_checks(names, max_size: int, seed: int = 0) -> list[VerifyReport]:
+    if max_size < 0:
+        raise ValueError(f"max_size must be at least 0, got {max_size}")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; valid names: "

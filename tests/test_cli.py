@@ -54,6 +54,9 @@ def test_rsk_command(capsys):
     assert code == 0
     d = json.loads(out)
     assert from_json_dict(d["p"]).outer == from_json_dict(d["q"]).outer
+    for word in ("[0,-3]", "0"):
+        code, out, err = run(capsys, "rsk", word)
+        assert code == 2 and out == "" and "letter 0 < 1" in err
 
 
 def test_commute_methods_agree(tmp_path, capsys):
@@ -190,22 +193,29 @@ def test_golden_failure_exit_code(capsys, monkeypatch):
 
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
+    code, out, err = run(capsys, "verify", "--max-size", "-3")
+    assert code == 2 and out == "" and "max_size must be at least 0" in err
 
 
-@pytest.mark.parametrize("stdin, argv", [
-    ('{"outer": 5, "inner": [], "rows": []}', ["commute", "-"]),
-    ('{"outer": [1], "inner": [0], "rows": [[null]]}', ["commute", "-"]),
-    ('{"outer": [1], "inner": [0], "rows": [5]}', ["commute", "-"]),
-    ("", ["rsk", "[null]"]),
-    ("", ["lr-coeff", "[null]", "0", "0"]),
-    (T_TEXT, ["insert", "-", "[null]"]),
-    ("", ["lr-coeff", "[2.9]", "0", "[2.2]"]),
-    ("", ["rsk", "[1.5,true]"]),
-], ids=["outer-number", "null-entry", "number-row", "rsk-null",
-        "lr-coeff-null", "insert-null", "lr-coeff-floats", "rsk-float-bool"])
-def test_json_input_needs_integers(monkeypatch, capsys, stdin, argv):
+@pytest.mark.parametrize("stdin, argv, reason", [
+    ('{"outer": 5, "inner": [], "rows": []}', ["commute", "-"], "outer: "),
+    ('{"outer": [1], "inner": [0], "rows": [[null]]}', ["commute", "-"],
+     "rows: "),
+    ('{"outer": [1], "inner": [0], "rows": [5]}', ["commute", "-"], "rows: "),
+    ('{"outer": [1], "inner": [0], "rows": 5}', ["commute", "-"],
+     "rows: expected an array of arrays of integers, got 5"),
+    ('{"outer": [1], "inner": [0]}', ["commute", "-"], "missing field 'rows'"),
+    ("", ["rsk", "[null]"], ""),
+    ("", ["lr-coeff", "[null]", "0", "0"], ""),
+    (T_TEXT, ["insert", "-", "[null]"], ""),
+    ("", ["lr-coeff", "[2.9]", "0", "[2.2]"], ""),
+    ("", ["rsk", "[1.5,true]"], ""),
+], ids=["outer-number", "null-entry", "number-row", "rows-number",
+        "missing-rows", "rsk-null", "lr-coeff-null", "insert-null",
+        "lr-coeff-floats", "rsk-float-bool"])
+def test_json_input_needs_integers(monkeypatch, capsys, stdin, argv, reason):
     # null, floats and booleans are parse errors (exit 2), never a traceback
-    # or a silent truncation to an integer
+    # or a silent truncation to an integer; a tableau error names its field
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and "cannot parse" in err
+    assert code == 2 and out == "" and "cannot parse" in err and reason in err

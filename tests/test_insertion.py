@@ -1,6 +1,7 @@
 import pytest
 
-from lrcommute.insertion import (GluedPair, apply_order_word, extended_insert,
+from lrcommute.insertion import (GluedPair, _insert_inplace, _uninsert_inplace,
+                                 apply_order_word, extended_insert,
                                  glued_pair, inner_corners, internal_insert,
                                  is_lr_pair, lr_violation, order_word_steps,
                                  skew_rsk_forward, skew_rsk_inverse)
@@ -82,6 +83,18 @@ def test_internal_insert_shape_accounting():
                 assert tr.created == tr.route[-1]
             else:
                 assert tr.created == tr.vacated
+
+
+def test_uninsert_undoes_insert():
+    for t in small_tableaux(6):
+        for i in inner_corners(t):
+            outer, inner = list(t.outer), list(t.inner)
+            rows = [list(r) for r in t.rows]
+            trace = _insert_inplace(outer, inner, rows, i)
+            assert _uninsert_inplace(outer, inner, rows,
+                                     trace.created) == trace.vacated
+            assert (outer, inner, rows) == (list(t.outer), list(t.inner),
+                                            [list(r) for r in t.rows])
 
 
 def test_internal_insert_preserves_knuth_and_ballot():

@@ -19,11 +19,15 @@ def test_schensted_insert_examples():
     assert p.rows == ((1,),) and cell == (1, 1)
     with pytest.raises(ValueError):
         schensted_insert(SkewTableau((2,), (1,), [(1,)]), 1)
+    with pytest.raises(ValueError, match="letter 0 < 1"):
+        schensted_insert(EMPTY, 0)
 
 
 def test_rsk_examples():
     pair = rsk(())
     assert pair.p == EMPTY and pair.q == EMPTY
+    with pytest.raises(ValueError, match="letter 0 < 1"):
+        rsk((0, -3))
     pair = rsk((1, 1, 2, 3))
     assert pair.p.rows == ((1, 1, 2, 3),)
     assert pair.q.rows == ((1, 2, 3, 4),)

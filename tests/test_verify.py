@@ -1,8 +1,8 @@
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from lrcommute import insertion
 from lrcommute.verify import (_thu_sweep, check_knuth_commutativity,
-                              check_route_geometry)
+                              check_route_geometry, check_skew_rsk)
 
 
 def test_route_geometry_reports_the_shared_sweep_time():
@@ -25,3 +25,12 @@ def test_knuth_sweep_flags_a_broken_bump(monkeypatch):
         _thu_sweep.cache_clear()
     assert knuth.instances == 6384 and not knuth.passed
     assert not route.passed
+
+
+def test_skew_rsk_flags_a_broken_reverse_bump(monkeypatch):
+    # reverse-bumping the rightmost entry <= x instead of < x breaks the
+    # inverse, which then raises on some instances: each such instance is a
+    # failed round trip, and the sweep still walks every instance
+    monkeypatch.setattr(insertion, "bisect_left", bisect_right)
+    rep = check_skew_rsk(max_size=4)
+    assert rep.instances == 3430 and not rep.passed
