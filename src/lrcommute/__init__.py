@@ -16,10 +16,11 @@ from .tableaux import (EMPTY, SkewShape, SkewTableau, as_partition,
                        yamanouchi_tableau)
 from .knuth import (RskPair, elementary_moves, knuth_class, knuth_equivalent,
                     rsk, schensted_insert)
-from .insertion import (GluedPair, InsertionTrace, apply_order_word,
-                        extended_insert, glued_pair, inner_corners,
-                        internal_insert, is_lr_pair, lr_violation,
-                        order_word_steps, skew_rsk_forward, skew_rsk_inverse)
+from .insertion import (GluedPair, InsertionTrace, NotBallotPair,
+                        apply_order_word, extended_insert, glued_pair,
+                        inner_corners, internal_insert, is_lr_pair,
+                        lr_violation, order_word_steps, skew_rsk_forward,
+                        skew_rsk_inverse)
 from .commutor import (RowStep, StagedDecomposition, SwitchSite,
                        TwoColorTableau, apply_switch, chi_append,
                        gt_order_word, nu_hat, rho1_internal, rho1_scratch,

@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import golden as golden_mod
 from . import verify as verify_mod
 from .commutor import rho1_internal, rho1_scratch, rho1_switching
-from .insertion import (GluedPair, _freeze, glued_pair, lr_violation,
+from .insertion import (GluedPair, NotBallotPair, _freeze, glued_pair,
                         order_word_steps)
 from .knuth import rsk
 from .schur import lr_coefficient, schur_product
@@ -85,10 +86,6 @@ def _emit_pair(p: GluedPair, fmt: str) -> str:
 
 def cmd_commute(args) -> int:
     skew = parse_tableau(_read_input(args.input))
-    pair = glued_pair(skew)
-    why = lr_violation(pair)
-    if why:
-        raise UsageError(f"input is not a ballot pair: {why}")
     frames = []
     if args.method in ("switching", "infusion"):
         def on_frame(site, cells):
@@ -96,8 +93,8 @@ def cmd_commute(args) -> int:
                            "cells": [[r, c, val, color] for (r, c), (val, color)
                                      in sorted(cells.items())]})
         strategy = "infusion" if args.method == "infusion" else "greedy"
-        result = rho1_switching(pair, strategy=strategy, seed=args.seed,
-                                on_frame=on_frame if args.trace else None)
+        rho = partial(rho1_switching, strategy=strategy, seed=args.seed,
+                      on_frame=on_frame if args.trace else None)
     else:
         def on_step(step, trace, state):
             frame = {"op": step.op, "row": step.i,
@@ -105,8 +102,12 @@ def cmd_commute(args) -> int:
             if trace is not None:
                 frame["trace"] = trace._asdict()
             frames.append(frame)
-        rho = rho1_internal if args.method == "internal" else rho1_scratch
-        result = rho(pair, on_step=on_step if args.trace else None)
+        rho = partial(rho1_internal if args.method == "internal" else rho1_scratch,
+                      on_step=on_step if args.trace else None)
+    try:
+        result = rho(glued_pair(skew))
+    except NotBallotPair as exc:
+        raise UsageError(f"input is not a ballot pair: {exc.why}")
     print(_emit_pair(result, args.format))
     if args.trace:
         print(json.dumps(frames))

@@ -21,7 +21,7 @@ import random
 from typing import Callable, Iterator, NamedTuple
 
 from .insertion import (GluedPair, InsertionTrace, _freeze, _insert_inplace,
-                        _tableau_from_cells, glued_pair, lr_violation)
+                        _require_lr_pair, _tableau_from_cells, glued_pair)
 from .tableaux import (Cell, SkewTableau, as_partition, empty_of_shape, glue,
                        is_ballot_tableau, tableau_content, yamanouchi_tableau)
 
@@ -49,7 +49,7 @@ class TwoColorTableau:
 
     @classmethod
     def from_pair(cls, u: SkewTableau, v: SkewTableau) -> "TwoColorTableau":
-        if as_partition(v.inner) != as_partition(u.outer):
+        if as_partition(v.inner) != u.outer:
             raise ValueError("v does not extend u")
         cells: dict[Cell, tuple[int, str]] = {}
         for cell, val in u.cells():
@@ -143,8 +143,9 @@ def _swap(cells, cu, cv):
 
 
 def _split_cells(outer, inner, cells):
-    """Decompose terminal cells into (S, H): the v-material must fill a
-    partition-bounded region extending the inner border."""
+    """Decompose terminal cells into (S, H).  Checks only that the v-cells
+    fill sigma/inner for a partition sigma: ``_placement_ok`` keeps each
+    colour class semistandard at every switch."""
     sigma = list(inner) + [0] * (len(outer) - len(inner))
     s_vals: dict[Cell, int] = {}
     h_vals: dict[Cell, int] = {}
@@ -216,9 +217,7 @@ def rho1_switching(p: GluedPair, strategy: str = "greedy", seed: int = 0,
                    on_frame: Callable | None = None) -> GluedPair:
     """The switching involution on a ballot pair of partition shape;
     ``on_frame`` is passed to ``switching``."""
-    why = lr_violation(p)
-    if why:
-        raise ValueError(f"not a ballot pair of partition shape: {why}")
+    _require_lr_pair(p)
     nu = tableau_content(p.skew)
     s, h = switching(p.yam, p.skew, strategy, seed, on_frame)
     if s != yamanouchi_tableau(nu):
@@ -239,9 +238,7 @@ def staged_decomposition(p: GluedPair) -> StagedDecomposition:
     Yamanouchi member through the current S (starting from the skew member)
     and glue the switched-out H onto Q; stop once H has a cell in the last
     row.  Returns that intermediate state (d, S, F-hat, D, Q)."""
-    why = lr_violation(p)
-    if why:
-        raise ValueError(f"not a ballot pair of partition shape: {why}")
+    _require_lr_pair(p)
     t = p.skew
     mu = as_partition(t.inner)
     lam = t.outer
@@ -259,7 +256,8 @@ def staged_decomposition(p: GluedPair) -> StagedDecomposition:
                          "by largest letters")
     s, q = t, empty_of_shape(lam)
     for d in range(len(mu), 0, -1):
-        row = SkewTableau(mu[:d], mu[:d - 1], ((),) * (d - 1) + (p.yam.rows[d - 1],))
+        row = SkewTableau._fast(mu[:d], mu[:d - 1] + (0,),
+                                ((),) * (d - 1) + (p.yam.rows[d - 1],))
         s, h = switching(row, s)
         q = glue(h, q)
         if len(h.rows) == np1 and h.rows[n]:
@@ -268,8 +266,6 @@ def staged_decomposition(p: GluedPair) -> StagedDecomposition:
         raise ValueError("no lifted letter reached the last row")
     f_hat = tuple(x for x in s.rows[n] if x <= n) if len(s.rows) == np1 else ()
     return StagedDecomposition(d, s, f_hat, q.rows[n], q)
-
-
 
 
 def _append_inplace(outer: list, inner: list, rows: list, i: int) -> None:
@@ -416,9 +412,7 @@ class _RouteClaim:
 def rho1_internal(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
     """The commutor by the row program, checking the route claim on every
     row block; ``on_step`` is passed to ``run_row_program``."""
-    why = lr_violation(p)
-    if why:
-        raise ValueError(f"not a ballot pair of partition shape: {why}")
+    _require_lr_pair(p)
     claim = _RouteClaim(on_step)
     skew = run_row_program(p.skew, claim)
     claim.check()
@@ -429,7 +423,5 @@ def rho1_scratch(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
     """The commutor by the row program alone: the flat product of insert and
     append operators, one block per row, applied to the empty tableau;
     ``on_step`` is passed to ``run_row_program``."""
-    why = lr_violation(p)
-    if why:
-        raise ValueError(f"not a ballot pair of partition shape: {why}")
+    _require_lr_pair(p)
     return glued_pair(run_row_program(p.skew, on_step))

@@ -38,18 +38,33 @@ class GluedPair(NamedTuple):
 
 def glued_pair(skew: SkewTableau) -> GluedPair:
     """Glue the Yamanouchi tableau of the inner border onto skew."""
-    return GluedPair(yamanouchi_tableau(as_partition(skew.inner)), skew)
+    return GluedPair(yamanouchi_tableau(skew.inner), skew)
 
 
 def lr_violation(p: GluedPair) -> str | None:
     """Why p fails to be a ballot pair of partition shape, or None."""
-    mu = as_partition(p.skew.inner)
-    if p.yam != yamanouchi_tableau(mu):
+    yam = yamanouchi_tableau(p.skew.inner)
+    if p.yam != yam:
         return ("the inner member must be the Yamanouchi tableau of the "
-                f"skew member's inner border {mu}")
+                f"skew member's inner border {yam.outer}")
     if not is_ballot_tableau(p.skew):
         return "the skew member's reading word is not ballot"
     return None
+
+
+class NotBallotPair(ValueError):
+    """A commutor's input is not a ballot pair; ``why`` says why."""
+
+    def __init__(self, why: str):
+        super().__init__(f"not a ballot pair of partition shape: {why}")
+        self.why = why
+
+
+def _require_lr_pair(p: GluedPair) -> None:
+    """The input guard of every commutor."""
+    why = lr_violation(p)
+    if why:
+        raise NotBallotPair(why)
 
 
 def is_lr_pair(p: GluedPair) -> bool:
@@ -210,13 +225,13 @@ def extended_insert(p: GluedPair, i: int) -> GluedPair:
     return glued_pair(internal_insert(p.skew, i)[0])
 
 
-def _forward(t: SkewTableau, order, check: bool = True):
+def _forward(t: SkewTableau, order):
     """(P, Q): insert t at the rows of the cells of order, a
     ``standard_order`` list, recording each entry in Q at the created cell."""
     # the companion word: rows in reverse order, as words apply right to left
     p, traces = order_word_steps(t, [c[0] for _x, c in reversed(order)])
     recorded = {tr.created: x for (x, _c), tr in zip(order, traces)}
-    return p, _tableau_from_cells(p.outer, t.outer, recorded, check=check)
+    return p, _tableau_from_cells(p.outer, t.outer, recorded)
 
 
 def skew_rsk_forward(t: SkewTableau, u: SkewTableau) -> tuple[SkewTableau, SkewTableau]:
@@ -231,10 +246,11 @@ def skew_rsk_forward(t: SkewTableau, u: SkewTableau) -> tuple[SkewTableau, SkewT
     return _forward(t, standard_order(u))
 
 
-def _tableau_from_cells(outer, inner, values: dict[Cell, int],
-                        check: bool = True) -> SkewTableau:
+def _tableau_from_cells(outer, inner, values: dict[Cell, int]) -> SkewTableau:
+    """The trusted tableau on outer/inner holding values; raises unless outer
+    is a partition and every cell has a value."""
     outer = as_partition(outer)
-    inner = tuple(inner) + (0,) * (len(outer) - len(tuple(inner)))
+    inner = (tuple(inner) + (0,) * len(outer))[:len(outer)]  # cut or padded
     rows = []
     for k in range(len(outer)):
         row = []
@@ -243,9 +259,7 @@ def _tableau_from_cells(outer, inner, values: dict[Cell, int],
                 raise ValueError(f"cell ({k + 1}, {col}) missing a value")
             row.append(values[(k + 1, col)])
         rows.append(tuple(row))
-    if not check:
-        return SkewTableau._fast(outer, inner, tuple(rows))
-    return SkewTableau(outer, inner, rows)
+    return SkewTableau._fast(outer, inner, tuple(rows))
 
 
 def skew_rsk_inverse(p: SkewTableau, q: SkewTableau) -> tuple[SkewTableau, SkewTableau]:
@@ -257,5 +271,5 @@ def skew_rsk_inverse(p: SkewTableau, q: SkewTableau) -> tuple[SkewTableau, SkewT
     rows = [list(r) for r in p.rows]
     u_values = {_uninsert_inplace(outer, inner, rows, cell): x
                 for x, cell in reversed(standard_order(q))}
-    t = SkewTableau(outer, inner, rows)
+    t = _freeze(outer, inner, rows)
     return t, _tableau_from_cells(p.inner, t.inner, u_values)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
+from .insertion import _freeze
 from .tableaux import SkewTableau
 
 Word = tuple[int, ...]
@@ -46,7 +47,7 @@ def schensted_insert(p: SkewTableau, x: int) -> tuple[SkewTableau, tuple[int, in
         raise ValueError(f"letter {x} < 1")
     rows = [list(r) for r in p.rows]
     cell = _insert_rows(rows, x)
-    return SkewTableau([len(r) for r in rows], (), rows, check=False), cell
+    return _freeze(map(len, rows), [0] * len(rows), rows), cell
 
 
 def rsk(word) -> RskPair:
@@ -60,9 +61,8 @@ def rsk(word) -> RskPair:
         if r > len(q_rows):
             q_rows.append([])
         q_rows[r - 1].append(i + 1)
-    shape = [len(r) for r in p_rows]
-    return RskPair(SkewTableau(shape, (), p_rows, check=False),
-                   SkewTableau(shape, (), q_rows, check=False))
+    shape, inner = [len(r) for r in p_rows], [0] * len(p_rows)
+    return RskPair(_freeze(shape, inner, p_rows), _freeze(shape, inner, q_rows))
 
 
 def p_tableau_rows(word) -> tuple[tuple[int, ...], ...]:

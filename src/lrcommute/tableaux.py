@@ -52,18 +52,21 @@ def partitions_of(n: int, max_len: int | None = None,
 
 
 def subpartitions(outer: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All partitions contained in ``outer``."""
-    def rec(i, prev):
-        if i == len(outer):
-            yield ()
-            return
-        for part in range(min(outer[i], prev), -1, -1):
-            if part == 0:
-                yield ()
-                return
-            for tail in rec(i + 1, part):
-                yield (part,) + tail
-    yield from rec(0, outer[0] if outer else 0)
+    """All partitions contained in the partition ``outer``, in decreasing
+    lexicographic order.  Each is the one before with its last part lowered
+    by one (dropped if it was 1) and the rows below refilled as far as
+    ``outer`` allows, so no recursion limits the length of ``outer``."""
+    outer = as_partition(outer)
+    parts = list(outer)
+    yield outer
+    while parts:
+        if parts[-1] == 1:
+            parts.pop()
+        else:
+            parts[-1] -= 1
+            while len(parts) < len(outer):
+                parts.append(min(outer[len(parts)], parts[-1]))
+        yield tuple(parts)
 
 
 class SkewShape(NamedTuple):
@@ -133,7 +136,11 @@ class SkewTableau:
 
     @staticmethod
     def _fast(outer: tuple, inner: tuple, rows: tuple) -> "SkewTableau":
-        # caller guarantees normalized tuples of matching lengths
+        """The one trusted path, for values the library built itself: no
+        normalising, no validation.  The caller guarantees what ``__init__``
+        establishes: ``outer`` a partition without trailing zeros, ``inner``
+        one inside it padded with zeros to its length, and ``rows`` tuples
+        holding a semistandard filling."""
         t = SkewTableau.__new__(SkewTableau)
         t.outer = outer
         t.inner = inner
@@ -190,7 +197,7 @@ EMPTY = SkewTableau((), (), ())
 def empty_of_shape(mu) -> SkewTableau:
     """The empty skew tableau mu/mu (a bare Young diagram)."""
     mu = as_partition(mu)
-    return SkewTableau(mu, mu, ((),) * len(mu), check=False)
+    return SkewTableau._fast(mu, mu, ((),) * len(mu))
 
 
 def reading_word(t: SkewTableau) -> tuple[int, ...]:
@@ -246,7 +253,7 @@ def standardize(t: SkewTableau) -> SkewTableau:
     for k in range(len(t.outer)):
         rows.append(tuple(label[(k + 1, t.inner[k] + j + 1)]
                           for j in range(t.outer[k] - t.inner[k])))
-    return SkewTableau(t.outer, t.inner, rows, check=False)
+    return SkewTableau._fast(t.outer, t.inner, tuple(rows))
 
 
 def companion_word(t: SkewTableau) -> tuple[int, ...]:
@@ -258,20 +265,17 @@ def yamanouchi_tableau(mu) -> SkewTableau:
     """Normal-shape tableau with row i filled with mu_i copies of i."""
     mu = as_partition(mu)
     rows = tuple((i + 1,) * m for i, m in enumerate(mu))
-    return SkewTableau(mu, (), rows, check=False)
+    return SkewTableau._fast(mu, (0,) * len(mu), rows)
 
 
 def glue(a: SkewTableau, b: SkewTableau) -> SkewTableau:
     """Union of a and an extending b as one skew tableau."""
-    if as_partition(b.inner) != as_partition(a.outer):
+    if as_partition(b.inner) != a.outer:
         raise ValueError("b does not extend a")
-    outer = b.outer
-    inner = a.inner + (0,) * (len(outer) - len(a.inner))
-    rows = []
-    for k in range(len(outer)):
-        row = a.rows[k] if k < len(a.rows) else ()
-        rows.append(row + (b.rows[k] if k < len(b.rows) else ()))
-    return SkewTableau(outer, inner, rows)
+    # b has a row for each row of a, and perhaps more below them
+    pad = (0,) * (len(b.outer) - len(a.outer))
+    rows = [x + y for x, y in zip(a.rows + ((),) * len(pad), b.rows)]
+    return SkewTableau(b.outer, a.inner + pad, rows)
 
 
 def restrict_rows(t: SkewTableau, i: int) -> tuple[SkewTableau, SkewTableau]:
@@ -279,9 +283,34 @@ def restrict_rows(t: SkewTableau, i: int) -> tuple[SkewTableau, SkewTableau]:
     n = len(t.outer)
     if not (0 <= i <= n):
         raise ValueError(f"row index {i} out of range 0..{n}")
-    top = SkewTableau(t.outer[:i], t.inner[:i], t.rows[:i], check=False)
-    bottom = SkewTableau(t.outer[i:], t.inner[i:], t.rows[i:], check=False)
+    top = SkewTableau._fast(t.outer[:i], t.inner[:i], t.rows[:i])
+    bottom = SkewTableau._fast(t.outer[i:], t.inner[i:], t.rows[i:])
     return bottom, top
+
+
+def _fillings(outer, inner, rows, cells, letters) -> list[SkewTableau]:
+    """Every complete filling of rows in reading-word lexicographic order,
+    found depth first: cells[d] = (k, pos) takes in turn each letter that
+    ``letters(d)`` yields.  An explicit stack keeps very long rows and
+    columns clear of the recursion limit."""
+    if not cells:
+        return [SkewTableau._fast(outer, inner, ((),) * len(outer))]
+    found: list[SkewTableau] = []
+    stack = [letters(0)]
+    while stack:
+        v = next(stack[-1], 0)
+        if not v:
+            stack.pop()
+            continue
+        k, pos = cells[len(stack) - 1]
+        rows[k][pos] = v
+        if len(stack) == len(cells):
+            found.append(SkewTableau._fast(outer, inner,
+                                           tuple(tuple(r) for r in rows)))
+        else:
+            stack.append(letters(len(stack)))
+    found.sort(key=reading_word)
+    return found
 
 
 def enumerate_ssyt(shape: SkewShape, max_letter: int) -> list[SkewTableau]:
@@ -289,32 +318,28 @@ def enumerate_ssyt(shape: SkewShape, max_letter: int) -> list[SkewTableau]:
     lexicographically by reading word."""
     if max_letter < 1:
         raise ValueError("max_letter must be >= 1")
-    outer, inner = shape.outer, shape.inner + (0,) * (len(shape.outer) - len(shape.inner))
-    n = len(outer)
-    rows = [[0] * (outer[k] - inner[k]) for k in range(n)]
-    found: list[SkewTableau] = []
+    outer, inner = as_partition(shape.outer), as_partition(shape.inner)
+    inner += (0,) * (len(outer) - len(inner))
+    rows = [[0] * (o - i) for o, i in zip(outer, inner)]
+    # fill top row to bottom, each left to right
+    cells = [(k, pos) for k in range(len(outer)) for pos in range(len(rows[k]))]
+    # height[col]: how many rows reach column col
+    height = [sum(1 for o in outer if o >= col)
+              for col in range(max(outer, default=0) + 1)]
 
-    # fill cell by cell, top row to bottom, left to right
-    def rec(k, j):
-        if k == n:
-            found.append(SkewTableau(outer, inner, [tuple(r) for r in rows],
-                                     check=False))
-            return
-        if j == len(rows[k]):
-            rec(k + 1, 0)
-            return
-        col = inner[k] + j + 1
-        lo = rows[k][j - 1] if j > 0 else 1
+    def letters(depth):
+        """Letters to try at cells[depth], smallest first: at least its left
+        neighbour, above the entry over it, below those the cells under it
+        in its column need."""
+        k, pos = cells[depth]
+        col = inner[k] + pos + 1
+        lo = rows[k][pos - 1] if pos else 1
         if k > 0 and inner[k - 1] < col <= outer[k - 1]:
             lo = max(lo, rows[k - 1][col - 1 - inner[k - 1]] + 1)
-        for val in range(lo, max_letter + 1):
-            rows[k][j] = val
-            rec(k, j + 1)
-        rows[k][j] = 0
+        below = height[col] - k - 1
+        return iter(range(lo, max_letter - below + 1))
 
-    rec(0, 0)
-    found.sort(key=reading_word)
-    return found
+    return _fillings(outer, inner, rows, cells, letters)
 
 
 def enumerate_ballot(shape: SkewShape, nu) -> list[SkewTableau]:
@@ -325,60 +350,38 @@ def enumerate_ballot(shape: SkewShape, nu) -> list[SkewTableau]:
     ballot condition prunes every prefix of the search.
     """
     nu = as_partition(nu)
-    outer = shape.outer
-    inner = shape.inner + (0,) * (len(outer) - len(shape.inner))
+    outer, inner = as_partition(shape.outer), as_partition(shape.inner)
+    inner += (0,) * (len(outer) - len(inner))
     if sum(outer) - sum(inner) != sum(nu):
         return []
-    n = len(outer)
-    rows = [[0] * (outer[k] - inner[k]) for k in range(n)]
+    rows = [[0] * (o - i) for o, i in zip(outer, inner)]
     remaining = list(nu)
     suffix = [0] * (len(nu) + 1)
-    found: list[SkewTableau] = []
-
     # reverse reading order is rows top to bottom, each row right to left;
     # every partial filling is then a suffix of the reading word
-    cells = [(k, pos) for k in range(n) for pos in range(len(rows[k]) - 1, -1, -1)]
-    if not cells:
-        return [SkewTableau(outer, inner, rows, check=False)]
+    cells = [(k, pos) for k in range(len(outer))
+             for pos in range(len(rows[k]) - 1, -1, -1)]
 
     def letters(depth):
         """Letters to try at cells[depth], largest first: at most its right
-        neighbour, above the entry over it."""
+        neighbour, above the entry over it, and ballot.  Each letter stays
+        counted in the suffix content until the walk asks for the next."""
         k, pos = cells[depth]
         hi = rows[k][pos + 1] if pos + 1 < len(rows[k]) else len(nu)
         col = inner[k] + pos + 1
         above = 0
         if k > 0 and inner[k - 1] < col <= outer[k - 1]:
             above = rows[k - 1][col - 1 - inner[k - 1]]
-        return iter(range(hi, above, -1))
-
-    # stack[d] yields the untried letters of cells[d]; an explicit stack keeps
-    # very long rows and columns clear of the recursion limit
-    stack = [letters(0)]
-    while stack:
-        k, pos = cells[len(stack) - 1]
-        x = rows[k][pos]
-        if x:  # take back the letter tried last at this cell
-            rows[k][pos] = 0
-            suffix[x] -= 1
-            remaining[x - 1] += 1
-        for v in stack[-1]:
+        for v in range(hi, above, -1):
             # ballot: reading this letter keeps suffix content a partition
             if remaining[v - 1] and (v == 1 or suffix[v] < suffix[v - 1]):
-                break
-        else:
-            stack.pop()
-            continue
-        remaining[v - 1] -= 1
-        suffix[v] += 1
-        rows[k][pos] = v
-        if len(stack) == len(cells):
-            found.append(SkewTableau(outer, inner,
-                                     [tuple(r) for r in rows], check=False))
-        else:
-            stack.append(letters(len(stack)))
-    found.sort(key=reading_word)
-    return found
+                remaining[v - 1] -= 1
+                suffix[v] += 1
+                yield v
+                remaining[v - 1] += 1
+                suffix[v] -= 1
+
+    return _fillings(outer, inner, rows, cells, letters)
 
 
 # ---------------------------------------------------------------------------

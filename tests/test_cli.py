@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from lrcommute import cli
+from lrcommute import cli, commutor, insertion
 from lrcommute.golden import run_golden
 from lrcommute.tableaux import SkewTableau, from_json_dict, to_json_dict
 
@@ -90,7 +90,31 @@ def test_commute_rejects_non_ballot(tmp_path, capsys):
     f.write_text(". 2")
     code, _out, err = run(capsys, "commute", str(f))
     assert code == 2
-    assert "ballot" in err
+    assert err == ("error: input is not a ballot pair: the skew member's "
+                   "reading word is not ballot\n")
+
+
+def test_commute_checks_its_input_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = insertion.lr_violation
+    monkeypatch.setattr(insertion, "lr_violation",
+                        lambda p: calls.append(p) or original(p))
+    f = tmp_path / "t.txt"
+    f.write_text(T_TEXT)
+    for method in ("switching", "internal", "scratch", "infusion"):
+        calls.clear()
+        code, _out, _err = run(capsys, "commute", str(f), "--method", method)
+        assert code == 0 and len(calls) == 1
+
+
+def test_commute_propagates_internal_errors(tmp_path, capsys, monkeypatch):
+    # only a failed input check is a usage error; a commutor that goes wrong
+    # on valid input raises
+    monkeypatch.setattr(commutor, "switching", lambda u, v, *a: (v, u))
+    f = tmp_path / "t.txt"
+    f.write_text(T_TEXT)
+    with pytest.raises(ValueError, match="did not produce the Yamanouchi"):
+        cli.main(["commute", str(f)])
 
 
 def test_commute_trace(tmp_path, capsys):

@@ -95,6 +95,12 @@ def test_split_cells_rejects_unswitched_members():
     tc = TwoColorTableau.from_pair(SW_U, SW_V)
     with pytest.raises(ValueError, match="did not separate"):
         _split_cells(tc.outer, tc.inner, tc.cells)
+    # v-cells under the u-cells: the v-region (0, 2) is not a partition
+    u = SkewTableau((2,), (), [(1, 1)])
+    v = SkewTableau((2, 2), (2,), [(), (2, 2)])
+    tc = TwoColorTableau.from_pair(u, v)
+    with pytest.raises(ValueError, match="did not separate.*not weakly decreasing"):
+        _split_cells(tc.outer, tc.inner, tc.cells)
 
 
 def test_rho1_switching_running_example():

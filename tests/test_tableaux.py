@@ -184,6 +184,21 @@ def test_enumerate_ssyt_valid_and_lex_sorted():
             t._validate()
 
 
+def test_subpartitions_order():
+    assert list(subpartitions((2, 2))) == [(2, 2), (2, 1), (2,), (1, 1), (1,), ()]
+    assert list(subpartitions(())) == [()]
+
+
+def test_enumerators_walk_deep_shapes():
+    # explicit stacks: a 1,100-row column is past the recursion limit
+    column = (1,) * 1100
+    assert sum(1 for _ in subpartitions(column)) == 1101
+    only = enumerate_ssyt(skew_shape(column, ()), 1100)
+    assert [t.rows for t in only] == [tuple((x,) for x in range(1, 1101))]
+    # a column longer than the alphabet has no filling
+    assert enumerate_ssyt(skew_shape((1, 1, 1), ()), 2) == []
+
+
 def test_glue():
     a = yamanouchi_tableau((2, 1))
     b = SkewTableau((3, 2), (2, 1), [(1,), (2,)])

@@ -1,8 +1,9 @@
 from bisect import bisect_left, bisect_right
 
-from lrcommute import insertion
-from lrcommute.verify import (_thu_sweep, check_knuth_commutativity,
-                              check_route_geometry, check_skew_rsk)
+from lrcommute import commutor, insertion
+from lrcommute.verify import (_thu_sweep, check_confluence,
+                              check_knuth_commutativity, check_route_geometry,
+                              check_skew_rsk)
 
 
 def test_route_geometry_reports_the_shared_sweep_time():
@@ -34,3 +35,12 @@ def test_skew_rsk_flags_a_broken_reverse_bump(monkeypatch):
     monkeypatch.setattr(insertion, "bisect_left", bisect_right)
     rep = check_skew_rsk(max_size=4)
     assert rep.instances == 3430 and not rep.passed
+
+
+def test_confluence_flags_a_broken_switch(monkeypatch):
+    # admitting every switch lets a colour class stop being semistandard;
+    # the sweep must report the instances that break, not raise out of the
+    # whole sweep
+    monkeypatch.setattr(commutor, "_placement_ok", lambda *args: True)
+    rep = check_confluence(max_size=4)
+    assert rep.instances == 341 and not rep.passed
