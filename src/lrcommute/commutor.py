@@ -8,10 +8,11 @@ empty tableau, and ``run_row_program`` executes them in place.
 ``rho1_internal`` and ``rho1_scratch`` are that one run, the former also
 checking the route claim on every row block.
 
-``switching`` is the one switching engine.  Staged switching is ``switching``
-applied one Yamanouchi row at a time, bottom-up: each colour class stays a
-skew semistandard tableau at every step (Benkart-Sottile-Stroomer), so a row
-of the Yamanouchi member switches like any other tableau.
+``switching`` is the one switching engine.  Each colour class stays a valid
+filling at every switch (Benkart-Sottile-Stroomer), so a switch is tested
+only on the order relations it creates.  Staged switching is ``switching``
+applied one Yamanouchi row at a time, bottom-up: a row of the Yamanouchi
+member switches like any other tableau.
 ``staged_decomposition`` exposes the intermediate state at which it stops.
 """
 
@@ -26,6 +27,7 @@ from .tableaux import (Cell, SkewTableau, as_partition, empty_of_shape, glue,
                        is_ballot_tableau, tableau_content, yamanouchi_tableau)
 
 STRATEGIES = ("greedy", "infusion", "random")
+_TOP = float("inf")
 
 
 class SwitchSite(NamedTuple):
@@ -37,7 +39,9 @@ class TwoColorTableau:
     """Cells of a glued pair mid-switching, tagged by member.
 
     ``cells`` maps a 1-based (row, col) to (value, color) with color "u" for
-    the inner member and "v" for the outer one.
+    the inner member and "v" for the outer one.  Unchecked precondition:
+    they fill the board outer/inner and each colour class is a valid filling
+    (rows weak, columns strict, weak from northwest to southeast).
     """
 
     __slots__ = ("outer", "inner", "cells")
@@ -71,35 +75,34 @@ class TwoColorTableau:
         return f"TwoColorTableau({self.outer}/{self.inner}, {len(self.cells)} cells)"
 
 
-def _placement_ok(cells, color, val, at, skip):
-    """Whether placing val at ``at`` keeps its color class a valid filling:
-    rows weakly increase, columns strictly increase, values weakly increase
-    along strict northwest-to-southeast diagonals."""
-    r, c = at
-    for cell, (v2, col2) in cells.items():
-        if col2 != color or cell == skip or cell == at:
-            continue
-        r2, c2 = cell
-        if r2 == r:
-            if v2 > val if c2 < c else v2 < val:
-                return False
-        elif c2 == c:
-            if v2 >= val if r2 < r else v2 <= val:
-                return False
-        elif r2 < r and c2 < c:
-            if v2 > val:
-                return False
-        elif r2 > r and c2 > c:
-            if v2 < val:
-                return False
-    return True
+def _nearest(cells, r, c, dr, dc, color, off):
+    """The first ``color`` value stepping from (r, c) by (dr, dc), or ``off``
+    past the board's edge (a skew shape: its rows and columns have no gaps)."""
+    while True:
+        r += dr
+        c += dc
+        e = cells.get((r, c))
+        if e is None:
+            return off
+        if e[1] == color:
+            return e[0]
 
 
 def _admissible(cells, cu, cv):
-    vu = cells[cu][0]
-    vv = cells[cv][0]
-    return (_placement_ok(cells, "u", vu, cv, cu)
-            and _placement_ok(cells, "v", vv, cu, cv))
+    """Whether swapping u-letter a at cu with v-letter b east or south of it
+    keeps both colour classes valid.  The state is valid, so only the order
+    relations the swap creates are tested, each against the nearest cell of
+    its sorted class: east, a's and b's new columns; south, a's new row left
+    of it and b's new row right of it."""
+    a, b = cells[cu][0], cells[cv][0]
+    r, c = cu
+    if cv[1] > c:
+        return (_nearest(cells, r, c + 1, -1, 0, "u", 0) < a
+                < _nearest(cells, r, c + 1, 1, 0, "u", _TOP)
+                and _nearest(cells, r, c, -1, 0, "v", 0) < b
+                < _nearest(cells, r, c, 1, 0, "v", _TOP))
+    return (_nearest(cells, r + 1, c, 0, -1, "u", 0) <= a
+            and _nearest(cells, r, c, 0, 1, "v", _TOP) >= b)
 
 
 def _find_sites(cells):
@@ -117,12 +120,13 @@ def _find_sites(cells):
 
 def switch_sites(t: TwoColorTableau) -> list[SwitchSite]:
     """All admissible switches, sorted row-major by the u-cell, horizontal
-    before vertical."""
+    before vertical; ``t`` meets the precondition of ``TwoColorTableau``."""
     return _find_sites(t.cells)
 
 
 def apply_switch(t: TwoColorTableau, s: SwitchSite) -> TwoColorTableau:
-    """Interchange the letters at an admissible site."""
+    """Interchange the letters at an admissible site of a ``t`` that meets
+    the precondition of ``TwoColorTableau``, as the result then does."""
     cells = dict(t.cells)
     if s.cell_v not in ((s.cell_u[0], s.cell_u[1] + 1),
                         (s.cell_u[0] + 1, s.cell_u[1])):
@@ -144,7 +148,7 @@ def _swap(cells, cu, cv):
 
 def _split_cells(outer, inner, cells):
     """Decompose terminal cells into (S, H).  Checks only that the v-cells
-    fill sigma/inner for a partition sigma: ``_placement_ok`` keeps each
+    fill sigma/inner for a partition sigma: ``_admissible`` keeps each
     colour class semistandard at every switch."""
     sigma = list(inner) + [0] * (len(outer) - len(inner))
     s_vals: dict[Cell, int] = {}
@@ -185,20 +189,13 @@ def _switch(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
         elif strategy == "random":
             site = rng.choice(sites)
         else:
-            mine = [s for s in sites if s.cell_u == tracked] if tracked else []
-            if not mine:
-                tracked = min(s.cell_u for s in sites)
-                mine = [s for s in sites if s.cell_u == tracked]
-            if len(mine) == 2:
-                east, south = mine[0], mine[1]
-                # jeu de taquin move: the smaller neighbour slides in, the
-                # south one on ties
-                if cells[south.cell_v][0] <= cells[east.cell_v][0]:
-                    site = south
-                else:
-                    site = east
-            else:
-                site = mine[0]
+            # jeu de taquin move at the tracked cell (else the first site's
+            # u-cell): the smaller neighbour slides in, the south one on ties
+            mine = ([s for s in sites if s.cell_u == tracked]
+                    or [s for s in sites if s.cell_u == sites[0].cell_u])
+            east, south = mine[0], mine[-1]
+            site = (south if cells[south.cell_v][0] <= cells[east.cell_v][0]
+                    else east)
             tracked = site.cell_v
         _swap(cells, site.cell_u, site.cell_v)
         if on_frame is not None:

@@ -36,19 +36,19 @@ def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
 
 def partitions_of(n: int, max_len: int | None = None,
                   max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n, largest part first, optionally bounded."""
-    if max_part is None:
-        max_part = n
-    if max_len is None:
-        max_len = n
-    if n == 0:
-        yield ()
-        return
-    if max_len == 0:
-        return
-    for head in range(min(n, max_part), 0, -1):
-        for tail in partitions_of(n - head, max_len - 1, head):
-            yield (head,) + tail
+    """All partitions of n, largest part first, optionally bounded, in
+    decreasing lexicographic order.  An explicit stack of (parts, rest, cap)
+    keeps very long partitions clear of the recursion limit."""
+    max_len = n if max_len is None else max_len
+    stack = [((), n, n if max_part is None else max_part)]
+    while stack:
+        parts, rest, cap = stack.pop()
+        if not rest:
+            yield parts
+        elif len(parts) < max_len:
+            # pushed smallest first, so the largest next part pops first
+            stack.extend((parts + (h,), rest - h, h)
+                         for h in range(1, min(rest, cap) + 1))
 
 
 def subpartitions(outer: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -101,6 +101,8 @@ class SkewTableau:
         i = as_partition(inner)
         i = i + (0,) * (len(o) - len(i))
         r = tuple(tuple(int(x) for x in row) for row in rows)
+        if len(r) > len(o):
+            raise ValueError("row count mismatch with outer shape")
         r = r + ((),) * (len(o) - len(r))
         self.outer = o
         self.inner = i

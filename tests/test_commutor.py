@@ -43,6 +43,37 @@ def test_switch_sites_terminal_state_empty():
     assert switch_sites(terminal) == []
 
 
+def _state(outer, inner, entries):
+    """A two-colour state from "(row, col): value colour" entries."""
+    return TwoColorTableau(outer, inner, {cell: (int(e[:-1]), e[-1])
+                                          for cell, e in entries.items()})
+
+
+@pytest.mark.parametrize("outer, inner, entries, expected", [
+    # east: a u-cell above the u-letter's new cell must be smaller
+    ((2, 2), (1,), {(1, 2): "1u", (2, 1): "1u", (2, 2): "1v"},
+     [((1, 2), (2, 2))]),
+    # east: a u-cell below the u-letter's new cell must be larger
+    ((2, 2), (), {(1, 1): "1u", (1, 2): "1v", (2, 1): "2v", (2, 2): "1u"}, []),
+    # east: a v-cell above the v-letter's new cell must be smaller
+    ((2, 2), (), {(1, 1): "1v", (1, 2): "1u", (2, 1): "2u", (2, 2): "1v"}, []),
+    # east: a v-cell below the v-letter's new cell must be larger
+    ((2, 1), (), {(1, 1): "1u", (1, 2): "1v", (2, 1): "1v"},
+     [((1, 1), (2, 1))]),
+    # south: a u-cell left of the u-letter's new cell must not be larger
+    ((2, 2), (1,), {(1, 2): "1u", (2, 1): "2u", (2, 2): "1v"},
+     [((2, 1), (2, 2))]),
+    # south: a v-cell right of the v-letter's new cell must not be smaller
+    ((2, 1), (), {(1, 1): "1u", (1, 2): "1v", (2, 1): "2v"},
+     [((1, 1), (1, 2))]),
+], ids=["east-u-above", "east-u-below", "east-v-above", "east-v-below",
+        "south-u-left", "south-v-right"])
+def test_each_relation_a_switch_creates_blocks_it(outer, inner, entries,
+                                                   expected):
+    # in each state exactly one relation the switch creates blocks a site
+    assert switch_sites(_state(outer, inner, entries)) == expected
+
+
 def test_apply_switch():
     tc = TwoColorTableau.from_pair(SW_U, SW_V)
     site = SwitchSite((2, 2), (3, 2))

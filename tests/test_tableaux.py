@@ -135,6 +135,12 @@ def test_validation_rejects_bad_fillings():
         SkewTableau((2,), (), [(0, 1)])        # entries below 1
 
 
+@pytest.mark.parametrize("check", [True, False])
+def test_rows_beyond_the_outer_shape_are_rejected(check):
+    with pytest.raises(ValueError, match="row count mismatch with outer shape"):
+        SkewTableau((1,), (), [(1,), (2,)], check)
+
+
 def test_enumerate_ballot_examples():
     only = enumerate_ballot(skew_shape((2, 1), ()), (2, 1))
     assert only == [yamanouchi_tableau((2, 1))]
@@ -189,10 +195,20 @@ def test_subpartitions_order():
     assert list(subpartitions(())) == [()]
 
 
+def test_partitions_of_order_and_bounds():
+    assert list(partitions_of(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1),
+                                      (1, 1, 1, 1)]
+    assert list(partitions_of(5, max_len=2, max_part=3)) == [(3, 2)]
+    assert list(partitions_of(0, max_len=0)) == [()]
+    assert list(partitions_of(3, max_len=0)) == []
+
+
 def test_enumerators_walk_deep_shapes():
     # explicit stacks: a 1,100-row column is past the recursion limit
     column = (1,) * 1100
     assert sum(1 for _ in subpartitions(column)) == 1101
+    assert list(partitions_of(1100, max_part=1)) == [column]
+    assert list(partitions_of(1100, max_len=1)) == [(1100,)]
     only = enumerate_ssyt(skew_shape(column, ()), 1100)
     assert [t.rows for t in only] == [tuple((x,) for x in range(1, 1101))]
     # a column longer than the alphabet has no filling

@@ -41,6 +41,6 @@ def test_confluence_flags_a_broken_switch(monkeypatch):
     # admitting every switch lets a colour class stop being semistandard;
     # the sweep must report the instances that break, not raise out of the
     # whole sweep
-    monkeypatch.setattr(commutor, "_placement_ok", lambda *args: True)
+    monkeypatch.setattr(commutor, "_admissible", lambda *args: True)
     rep = check_confluence(max_size=4)
     assert rep.instances == 341 and not rep.passed
