@@ -26,7 +26,7 @@ from .commutor import (RowStep, StagedDecomposition, SwitchSite,
                        gt_order_word, nu_hat, rho1_internal, rho1_scratch,
                        rho1_switching, row_program, run_row_program,
                        staged_decomposition, switch_sites, switching)
-from .schur import (lr_coefficient, poly_mul, schur_polynomial, schur_product)
+from .schur import lr_coefficient, schur_polynomial, schur_product
 from .verify import CHECKS, VerifyReport, run_checks
 from .golden import run_golden
 

@@ -24,7 +24,8 @@ from typing import Callable, Iterator, NamedTuple
 from .insertion import (GluedPair, InsertionTrace, _freeze, _insert_inplace,
                         _require_lr_pair, _tableau_from_cells, glued_pair)
 from .tableaux import (Cell, SkewTableau, as_partition, empty_of_shape, glue,
-                       is_ballot_tableau, tableau_content, yamanouchi_tableau)
+                       is_ballot_tableau, skew_shape, tableau_content,
+                       yamanouchi_tableau)
 
 STRATEGIES = ("greedy", "infusion", "random")
 _TOP = float("inf")
@@ -39,28 +40,52 @@ class TwoColorTableau:
     """Cells of a glued pair mid-switching, tagged by member.
 
     ``cells`` maps a 1-based (row, col) to (value, color) with color "u" for
-    the inner member and "v" for the outer one.  Unchecked precondition:
-    they fill the board outer/inner and each colour class is a valid filling
-    (rows weak, columns strict, weak from northwest to southeast).
+    the inner member and "v" for the outer one.  The constructor checks that
+    they fill the board outer/inner and that each colour class is a valid
+    filling (rows weak, columns strict, weak from northwest to southeast).
     """
 
     __slots__ = ("outer", "inner", "cells")
 
     def __init__(self, outer, inner, cells: dict[Cell, tuple[int, str]]):
-        self.outer = as_partition(outer)
-        self.inner = as_partition(inner)
+        self.outer = o = as_partition(outer)
+        self.inner = i = skew_shape(o, inner).inner
         self.cells = dict(cells)
+        pad = i + (0,) * (len(o) - len(i))
+        if set(self.cells) != {(r, c) for r in range(1, len(o) + 1)
+                               for c in range(pad[r - 1] + 1, o[r - 1] + 1)}:
+            raise ValueError(f"cells do not fill the board {o}/{i}")
+        # row-major; nw: the largest u and v values weakly northwest of a cell
+        nw: dict = {}
+        for (r, c), e in sorted(self.cells.items()):
+            if not (type(e) is tuple and len(e) == 2 and type(e[0]) is int
+                    and e[0] >= 1 and e[1] in ("u", "v")):
+                raise ValueError(f"cell {(r, c)} holds {e!r}, not a value "
+                                 f"of at least 1 and a colour 'u' or 'v'")
+            value, color = e
+            m = [max(x, y) for x, y in zip(nw.get((r - 1, c), (0, 0)),
+                                           nw.get((r, c - 1), (0, 0)))]
+            k = "uv".index(color)
+            if m[k] > value or _nearest(self.cells, r, c, -1, 0, color, 0) >= value:
+                raise ValueError(f"colour class {color} is not a valid filling "
+                                 f"at cell {(r, c)}")
+            m[k] = value
+            nw[r, c] = m
+
+    @classmethod
+    def _fast(cls, outer: tuple, inner: tuple, cells: dict):
+        """``__init__`` unchecked, for states the library built itself."""
+        t = cls.__new__(cls)
+        t.outer, t.inner, t.cells = outer, inner, cells
+        return t
 
     @classmethod
     def from_pair(cls, u: SkewTableau, v: SkewTableau) -> "TwoColorTableau":
         if as_partition(v.inner) != u.outer:
             raise ValueError("v does not extend u")
-        cells: dict[Cell, tuple[int, str]] = {}
-        for cell, val in u.cells():
-            cells[cell] = (val, "u")
-        for cell, val in v.cells():
-            cells[cell] = (val, "v")
-        return cls(v.outer, u.inner, cells)
+        cells = {cell: (val, "u") for cell, val in u.cells()}
+        cells.update((cell, (val, "v")) for cell, val in v.cells())
+        return cls._fast(v.outer, as_partition(u.inner), cells)
 
     def __eq__(self, other):
         if not isinstance(other, TwoColorTableau):
@@ -120,13 +145,12 @@ def _find_sites(cells):
 
 def switch_sites(t: TwoColorTableau) -> list[SwitchSite]:
     """All admissible switches, sorted row-major by the u-cell, horizontal
-    before vertical; ``t`` meets the precondition of ``TwoColorTableau``."""
+    before vertical."""
     return _find_sites(t.cells)
 
 
 def apply_switch(t: TwoColorTableau, s: SwitchSite) -> TwoColorTableau:
-    """Interchange the letters at an admissible site of a ``t`` that meets
-    the precondition of ``TwoColorTableau``, as the result then does."""
+    """Interchange the letters at an admissible site."""
     cells = dict(t.cells)
     if s.cell_v not in ((s.cell_u[0], s.cell_u[1] + 1),
                         (s.cell_u[0] + 1, s.cell_u[1])):
@@ -136,7 +160,7 @@ def apply_switch(t: TwoColorTableau, s: SwitchSite) -> TwoColorTableau:
             or not _admissible(cells, s.cell_u, s.cell_v)):
         raise ValueError(f"site {s} is not admissible")
     _swap(cells, s.cell_u, s.cell_v)
-    return TwoColorTableau(t.outer, t.inner, cells)
+    return TwoColorTableau._fast(t.outer, t.inner, cells)
 
 
 def _swap(cells, cu, cv):
@@ -385,34 +409,22 @@ def _assert_route_claim(traces: list[InsertionTrace], row: int):
     return True
 
 
-class _RouteClaim:
-    """An ``on_step`` callback filing the row-word insertions of each row
-    block (its letters below the row) by row, then passing every step on to
-    ``on_step``; ``check`` then asserts that each row's bumping routes are
-    pairwise disjoint and land in that row."""
-
-    def __init__(self, on_step: Callable | None = None):
-        self.groups: dict[int, list[InsertionTrace]] = {}
-        self.on_step = on_step
-
-    def __call__(self, step: RowStep, trace, state):
-        if step.op == "insert" and step.i < step.row:
-            self.groups.setdefault(step.row, []).append(trace)
-        if self.on_step is not None:
-            self.on_step(step, trace, state)
-
-    def check(self):
-        for row, traces in self.groups.items():
-            _assert_route_claim(traces, row)
-
-
 def rho1_internal(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
     """The commutor by the row program, checking the route claim on every
     row block; ``on_step`` is passed to ``run_row_program``."""
     _require_lr_pair(p)
-    claim = _RouteClaim(on_step)
-    skew = run_row_program(p.skew, claim)
-    claim.check()
+    by_row: dict[int, list[InsertionTrace]] = {}
+
+    def file_route(step: RowStep, trace, state):
+        # the row-word insertions of a block are its letters below the row
+        if step.op == "insert" and step.i < step.row:
+            by_row.setdefault(step.row, []).append(trace)
+        if on_step is not None:
+            on_step(step, trace, state)
+
+    skew = run_row_program(p.skew, file_route)
+    for row, traces in by_row.items():
+        _assert_route_claim(traces, row)
     return glued_pair(skew)
 
 

@@ -1,8 +1,10 @@
 """LR coefficients by ballot enumeration, with a polynomial oracle.
 
 ``lr_coefficient`` and ``schur_product`` count ballot tableaux directly; the
-generating-function route (``schur_polynomial`` plus exact sparse-polynomial
-arithmetic) is kept as an independent cross-check and never feeds the counts.
+generating-function route, ``schur_polynomial``, is kept as an independent
+cross-check and never feeds the counts.  The oracle compares in the monomial
+basis: symmetric polynomials agree exactly when their coefficients agree on
+the monomials whose exponent is a partition (Macdonald, I.2).
 """
 
 from __future__ import annotations
@@ -56,25 +58,3 @@ def schur_polynomial(lam, n_vars: int) -> Poly:
         key = c + (0,) * (n_vars - len(c))
         poly[key] = poly.get(key, 0) + 1
     return poly
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            val = out.get(key, 0) + c1 * c2
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return out
-
-
-def poly_add_scaled(acc: Poly, p: Poly, scale: int) -> None:
-    for e, c in p.items():
-        val = acc.get(e, 0) + scale * c
-        if val:
-            acc[e] = val
-        else:
-            acc.pop(e, None)

@@ -99,10 +99,12 @@ class SkewTableau:
     def __init__(self, outer, inner, rows, check: bool = True):
         o = as_partition(outer)
         i = as_partition(inner)
-        i = i + (0,) * (len(o) - len(i))
         r = tuple(tuple(int(x) for x in row) for row in rows)
-        if len(r) > len(o):
+        if len(r) > len(o) or len(i) > len(o):
             raise ValueError("row count mismatch with outer shape")
+        i = i + (0,) * (len(o) - len(i))
+        if not contains(o, i):
+            raise ValueError(f"inner {i} not contained in outer {o}")
         r = r + ((),) * (len(o) - len(r))
         self.outer = o
         self.inner = i
@@ -114,8 +116,6 @@ class SkewTableau:
         o, i, r = self.outer, self.inner, self.rows
         if len(i) != len(o) or len(r) != len(o):
             raise ValueError("row count mismatch with outer shape")
-        if not contains(o, tuple(x for x in i if x)):
-            raise ValueError(f"inner {i} not contained in outer {o}")
         for k, row in enumerate(r):
             if len(row) != o[k] - i[k]:
                 raise ValueError(

@@ -74,6 +74,40 @@ def test_each_relation_a_switch_creates_blocks_it(outer, inner, entries,
     assert switch_sites(_state(outer, inner, entries)) == expected
 
 
+@pytest.mark.parametrize("outer, inner, cells, why", [
+    ((1,), (), {(5, 5): (1, "u")}, r"cells do not fill the board \(1,\)/\(\)"),
+    ((2,), (3,), {}, r"inner \(3,\) not contained in outer \(2,\)"),
+    ((1,), (), {(1, 1): (0, "u")}, r"holds \(0, 'u'\), not a value of at least 1"),
+    ((1,), (), {(1, 1): (1, "w")}, "not a value of at least 1 and a colour"),
+    ((1,), (), {(1, 1): 1}, "holds 1, not a value"),
+    # a row out of order, a column not strict, and a class decreasing from
+    # northwest to southeast past cells of the other colour
+    ((2,), (), {(1, 1): (2, "u"), (1, 2): (1, "u")},
+     r"colour class u is not a valid filling at cell \(1, 2\)"),
+    ((1, 1), (), {(1, 1): (1, "v"), (2, 1): (1, "v")},
+     r"colour class v is not a valid filling at cell \(2, 1\)"),
+    ((2, 2), (), {(1, 1): (2, "u"), (1, 2): (1, "v"), (2, 1): (1, "v"),
+                  (2, 2): (1, "u")},
+     r"colour class u is not a valid filling at cell \(2, 2\)"),
+], ids=["off-board", "borders", "value", "colour", "entry", "row", "column",
+        "diagonal"])
+def test_two_colour_state_is_checked(outer, inner, cells, why):
+    # the literal states above build, so the check admits valid states
+    with pytest.raises(ValueError, match=why):
+        TwoColorTableau(outer, inner, cells)
+
+
+def test_switching_never_runs_the_state_check(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the checking constructor ran")
+
+    monkeypatch.setattr(TwoColorTableau, "__init__", refuse)
+    tc = TwoColorTableau.from_pair(SW_U, SW_V)
+    apply_switch(tc, switch_sites(tc)[0])
+    for strategy in ("greedy", "infusion", "random"):
+        switching(SW_U, SW_V, strategy)
+
+
 def test_apply_switch():
     tc = TwoColorTableau.from_pair(SW_U, SW_V)
     site = SwitchSite((2, 2), (3, 2))

@@ -1,7 +1,7 @@
-from itertools import permutations
+from collections import Counter
+from math import factorial, prod
 
-from lrcommute.schur import (lr_coefficient, poly_add_scaled, poly_mul,
-                             schur_polynomial, schur_product)
+from lrcommute.schur import lr_coefficient, schur_polynomial, schur_product
 from lrcommute.tableaux import partitions_of
 
 import pytest
@@ -52,31 +52,18 @@ def test_schur_polynomial_examples():
 
 
 def test_schur_polynomial_homogeneous_and_symmetric():
-    for lam in ((2,), (2, 1), (3, 1), (2, 2)):
-        poly = schur_polynomial(lam, 3)
-        n = sum(lam)
-        assert all(sum(e) == n for e in poly)
-        for e, c in poly.items():
-            for perm in permutations(e):
-                assert poly.get(tuple(perm)) == c
-
-
-def test_product_matches_polynomial_oracle_small():
-    for a in range(5):
-        for b in range(5 - a):
-            n = max(1, a + b)
-            for mu in partitions_of(a):
-                for nu in partitions_of(b):
-                    lhs = poly_mul(schur_polynomial(mu, n),
-                                   schur_polynomial(nu, n))
-                    rhs = {}
-                    for lam, c in schur_product(mu, nu, n).items():
-                        poly_add_scaled(rhs, schur_polynomial(lam, n), c)
-                    assert lhs == rhs, (mu, nu)
-
-
-def test_poly_mul_exact():
-    p = {(1, 0): 2, (0, 1): -1}
-    q = {(1, 0): 1, (0, 1): 1}
-    assert poly_mul(p, q) == {(2, 0): 2, (1, 1): 1, (0, 2): -1}
-    assert poly_mul(p, {}) == {}
+    # symmetry is what lets lr-oracle compare only partition exponents
+    terms = 0
+    for n in range(7):
+        for lam in partitions_of(n):
+            poly = schur_polynomial(lam, 6)
+            assert all(sum(e) == n for e in poly)
+            for e, c in poly.items():
+                assert poly[tuple(sorted(e, reverse=True))] == c, (lam, e)
+            # and each present exponent brings all its rearrangements
+            orbits = Counter(tuple(sorted(e, reverse=True)) for e in poly)
+            for alpha, k in orbits.items():
+                assert k == factorial(6) // prod(
+                    factorial(m) for m in Counter(alpha).values()), (lam, alpha)
+            terms += len(poly)
+    assert terms == 4550

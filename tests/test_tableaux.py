@@ -139,6 +139,11 @@ def test_validation_rejects_bad_fillings():
 def test_rows_beyond_the_outer_shape_are_rejected(check):
     with pytest.raises(ValueError, match="row count mismatch with outer shape"):
         SkewTableau((1,), (), [(1,), (2,)], check)
+    # the borders too: an inner border with more rows, or a wider row
+    with pytest.raises(ValueError, match="row count mismatch with outer shape"):
+        SkewTableau((1,), (1, 1), [], check)
+    with pytest.raises(ValueError, match=r"inner \(2,\) not contained"):
+        SkewTableau((1,), (2,), [()], check)
 
 
 def test_enumerate_ballot_examples():

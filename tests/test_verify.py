@@ -1,9 +1,9 @@
 from bisect import bisect_left, bisect_right
 
-from lrcommute import commutor, insertion
+from lrcommute import commutor, insertion, schur, verify
 from lrcommute.verify import (_thu_sweep, check_confluence,
-                              check_knuth_commutativity, check_route_geometry,
-                              check_skew_rsk)
+                              check_knuth_commutativity, check_lr_oracle,
+                              check_route_geometry, check_skew_rsk)
 
 
 def test_route_geometry_reports_the_shared_sweep_time():
@@ -44,3 +44,25 @@ def test_confluence_flags_a_broken_switch(monkeypatch):
     monkeypatch.setattr(commutor, "_admissible", lambda *args: True)
     rep = check_confluence(max_size=4)
     assert rep.instances == 341 and not rep.passed
+
+
+def test_lr_oracle_flags_a_broken_count(monkeypatch):
+    # every count of at least 2 is one too many on both count paths, so the
+    # forward and reverse counts still agree and the witness sets are
+    # untouched: only the polynomial identity can see the error
+    rep = check_lr_oracle(max_size=6)
+    assert rep.instances == 139 and rep.passed
+    count = schur.lr_coefficient
+
+    def broken(lam, mu, nu):
+        c = count(lam, mu, nu)
+        return c + 1 if c >= 2 else c
+
+    monkeypatch.setattr(schur, "lr_coefficient", broken)
+    monkeypatch.setattr(verify, "lr_coefficient", broken)
+    rep = check_lr_oracle(max_size=6)
+    assert rep.instances == 139 and not rep.passed
+    # one failure per (mu, nu) instance: the first differing exponent, with
+    # the coefficient of s_mu s_nu and that of the expansion
+    assert rep.failures == [
+        ("mu=(2, 1) nu=(2, 1) alpha=(3, 2, 1, 0, 0, 0)", "6", "7")]
