@@ -22,7 +22,7 @@ import random
 from typing import Callable, Iterator, NamedTuple
 
 from .insertion import (GluedPair, InsertionTrace, _freeze, _insert_inplace,
-                        _require_lr_pair, _tableau_from_cells, glued_pair)
+                        _require_lr_pair, glued_pair)
 from .tableaux import (Cell, SkewTableau, as_partition, empty_of_shape, glue,
                        is_ballot_tableau, skew_shape, tableau_content,
                        yamanouchi_tableau)
@@ -171,41 +171,43 @@ def _swap(cells, cu, cv):
 
 
 def _split_cells(outer, inner, cells):
-    """Decompose terminal cells into (S, H).  Checks only that the v-cells
-    fill sigma/inner for a partition sigma: ``_admissible`` keeps each
-    colour class semistandard at every switch."""
-    sigma = list(inner) + [0] * (len(outer) - len(inner))
-    s_vals: dict[Cell, int] = {}
-    h_vals: dict[Cell, int] = {}
-    for cell, (val, col) in cells.items():
-        if col == "v":
-            sigma[cell[0] - 1] += 1
-            s_vals[cell] = val
-        else:
-            h_vals[cell] = val
+    """Split a terminal board into (S, H) row by row, checking only that each
+    row holds its v-letters before its u-letters and that these end at a
+    partition sigma: ``_admissible`` keeps each colour class semistandard."""
+    pad = inner + (0,) * (len(outer) - len(inner))
+    sigma, s_rows, h_rows = [], [], []
+    for r, (a, b) in enumerate(zip(pad, outer), start=1):
+        row = [cells[r, c] for c in range(a + 1, b + 1)]
+        k = sum(color == "v" for _x, color in row)
+        if any(color == "u" for _x, color in row[:k]):
+            raise ValueError(f"switching did not separate the members in row {r}")
+        sigma.append(a + k)
+        s_rows.append(tuple(x for x, _color in row[:k]))
+        h_rows.append(tuple(x for x, _color in row[k:]))
     try:
-        return (_tableau_from_cells(sigma, inner, s_vals),
-                _tableau_from_cells(outer, sigma, h_vals))
+        mid = as_partition(sigma)
     except ValueError as exc:
         raise ValueError(f"switching did not separate the members: {exc}") from exc
+    return (SkewTableau._fast(mid, pad[:len(mid)], tuple(s_rows[:len(mid)])),
+            SkewTableau._fast(outer, tuple(sigma), tuple(h_rows)))
 
 
-def _switch(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
-            seed: int = 0, on_frame: Callable | None = None):
-    """Switch v through u until no site remains; returns ((S, H), had_choice),
-    where had_choice says whether any step offered more than one admissible
-    site (when not, every order walks the same path)."""
+def _switch(board: dict, strategy: str = "greedy", seed: int = 0,
+            on_frame: Callable | None = None):
+    """Switch a copy of the board, a ``TwoColorTableau.cells`` dict, until no
+    site remains; returns (terminal board, had_choice), where had_choice says
+    whether any step offered more than one admissible site (when not, every
+    order walks the same path)."""
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
-    tc = TwoColorTableau.from_pair(u, v)
-    cells = tc.cells
+    cells = dict(board)
     rng = random.Random(seed) if strategy == "random" else None
     tracked = None
     had_choice = False
     while True:
         sites = _find_sites(cells)
         if not sites:
-            return _split_cells(tc.outer, tc.inner, cells), had_choice
+            return cells, had_choice
         if len(sites) > 1:
             had_choice = True
         if strategy == "greedy":
@@ -230,8 +232,11 @@ def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
               seed: int = 0,
               on_frame: Callable | None = None) -> tuple[SkewTableau, SkewTableau]:
     """Switch v through u until no switch applies; returns (S, H) with
-    S Knuth-equivalent to v and H to u, on the same union shape."""
-    return _switch(u, v, strategy, seed, on_frame)[0]
+    S Knuth-equivalent to v and H to u, on the same union shape: the pair's
+    board goes through ``_switch``, its terminal board through ``_split_cells``."""
+    tc = TwoColorTableau.from_pair(u, v)
+    return _split_cells(tc.outer, tc.inner,
+                        _switch(tc.cells, strategy, seed, on_frame)[0])
 
 
 def rho1_switching(p: GluedPair, strategy: str = "greedy", seed: int = 0,

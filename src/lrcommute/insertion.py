@@ -8,8 +8,10 @@ place on parallel mutable lists (outer, inner, rows): ``_insert_inplace``
 makes the move and ``_uninsert_inplace`` undoes it from the cell it created.
 The forward correspondence (T, U) -> (P, Q) inserts T at the rows of U's
 cells in standard order (``tableaux.standard_order``) through
-``order_word_steps``, and Q records U's entries at the created cells; the
-inverse undoes the moves in reverse standard order of Q.
+``order_word_steps``; the inverse undoes the moves in reverse standard order
+of Q.  A created cell ends its row of P, and a vacated one its row of the
+inner border, so Q's rows fill left to right as U's entries create cells,
+and U's rows right to left as Q's entries vacate them.
 """
 
 from __future__ import annotations
@@ -230,8 +232,10 @@ def _forward(t: SkewTableau, order):
     ``standard_order`` list, recording each entry in Q at the created cell."""
     # the companion word: rows in reverse order, as words apply right to left
     p, traces = order_word_steps(t, [c[0] for _x, c in reversed(order)])
-    recorded = {tr.created: x for (x, _c), tr in zip(order, traces)}
-    return p, _tableau_from_cells(p.outer, t.outer, recorded)
+    q_rows: list[list[int]] = [[] for _ in p.outer]
+    for (x, _c), tr in zip(order, traces):
+        q_rows[tr.created[0] - 1].append(x)
+    return p, _freeze(p.outer, t.outer + (0,) * (len(p.outer) - len(t.outer)), q_rows)
 
 
 def skew_rsk_forward(t: SkewTableau, u: SkewTableau) -> tuple[SkewTableau, SkewTableau]:
@@ -246,22 +250,6 @@ def skew_rsk_forward(t: SkewTableau, u: SkewTableau) -> tuple[SkewTableau, SkewT
     return _forward(t, standard_order(u))
 
 
-def _tableau_from_cells(outer, inner, values: dict[Cell, int]) -> SkewTableau:
-    """The trusted tableau on outer/inner holding values; raises unless outer
-    is a partition and every cell has a value."""
-    outer = as_partition(outer)
-    inner = (tuple(inner) + (0,) * len(outer))[:len(outer)]  # cut or padded
-    rows = []
-    for k in range(len(outer)):
-        row = []
-        for col in range(inner[k] + 1, outer[k] + 1):
-            if (k + 1, col) not in values:
-                raise ValueError(f"cell ({k + 1}, {col}) missing a value")
-            row.append(values[(k + 1, col)])
-        rows.append(tuple(row))
-    return SkewTableau._fast(outer, inner, tuple(rows))
-
-
 def skew_rsk_inverse(p: SkewTableau, q: SkewTableau) -> tuple[SkewTableau, SkewTableau]:
     """Invert the forward correspondence by reverse bumping in reverse
     standard order of Q; returns (T, U)."""
@@ -269,7 +257,10 @@ def skew_rsk_inverse(p: SkewTableau, q: SkewTableau) -> tuple[SkewTableau, SkewT
         raise ValueError("P and Q must share their outer border")
     outer, inner = list(p.outer), list(p.inner)
     rows = [list(r) for r in p.rows]
-    u_values = {_uninsert_inplace(outer, inner, rows, cell): x
-                for x, cell in reversed(standard_order(q))}
+    mu = as_partition(p.inner)
+    u_rows: list[list[int]] = [[] for _ in mu]
+    for x, cell in reversed(standard_order(q)):
+        u_rows[_uninsert_inplace(outer, inner, rows, cell)[0] - 1].append(x)
     t = _freeze(outer, inner, rows)
-    return t, _tableau_from_cells(p.inner, t.inner, u_values)
+    return t, _freeze(mu, (t.inner + (0,) * len(mu))[:len(mu)],
+                      [r[::-1] for r in u_rows])

@@ -9,6 +9,7 @@ integers; trailing zeros are stripped on input, so ``(6, 4, 0, 0)`` and
 from __future__ import annotations
 
 import json
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 Cell = tuple[int, int]
@@ -16,7 +17,7 @@ Cell = tuple[int, int]
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Validate a weakly decreasing nonnegative sequence; strip trailing zeros."""
-    p = tuple(int(x) for x in parts)
+    p = tuple(index(x) for x in parts)
     for a, b in zip(p, p[1:]):
         if a < b:
             raise ValueError(f"not weakly decreasing: {p}")
@@ -99,7 +100,7 @@ class SkewTableau:
     def __init__(self, outer, inner, rows, check: bool = True):
         o = as_partition(outer)
         i = as_partition(inner)
-        r = tuple(tuple(int(x) for x in row) for row in rows)
+        r = tuple(tuple(index(x) for x in row) for row in rows)
         if len(r) > len(o) or len(i) > len(o):
             raise ValueError("row count mismatch with outer shape")
         i = i + (0,) * (len(o) - len(i))
@@ -187,7 +188,7 @@ class SkewTableau:
         return hash((self.outer, self.inner, self.rows))
 
     def __repr__(self):
-        return f"SkewTableau({self.outer}/{self.inner})"
+        return f"SkewTableau({self.outer}, {self.inner}, {self.rows})"
 
     def __str__(self):
         return to_text(self)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import sub
 
-from .commutor import (_switch, rho1_internal, rho1_scratch, rho1_switching,
-                       staged_decomposition)
+from .commutor import (TwoColorTableau, _split_cells, _switch, rho1_internal,
+                       rho1_scratch, rho1_switching, staged_decomposition)
 from .insertion import (GluedPair, _forward, glued_pair, inner_corners,
                         internal_insert, skew_rsk_inverse)
 from .knuth import knuth_class, p_tableau_rows
@@ -111,8 +111,8 @@ def check_coincidence(max_size: int = 8, seed: int = 0) -> VerifyReport:
 
 
 def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
-    """infusion, greedy and RANDOM_ORDERS seeded random switch orders all
-    agree, and the outputs stay Knuth equivalent to the inputs."""
+    """infusion and RANDOM_ORDERS seeded random switch orders end on greedy's
+    terminal board, and greedy's (S, H) stay Knuth equivalent to (V, U)."""
     rep = VerifyReport("confluence")
     t0 = time.perf_counter()
     for gamma in partitions_up_to(max_size):
@@ -126,21 +126,23 @@ def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
                         rep.instances += 1
                         if u.size == 0 or v.size == 0:
                             continue  # no switch can ever apply
-                        (s, h), had_choice = _switch(u, v, "greedy")
+                        board = TwoColorTableau.from_pair(u, v)
+                        end, had_choice = _switch(board.cells, "greedy")
+                        s, h = _split_cells(board.outer, board.inner, end)
                         if (p_tableau_rows(reading_word(s)) != p_tableau_rows(reading_word(v))
                                 or p_tableau_rows(reading_word(h)) != p_tableau_rows(reading_word(u))):
                             rep.fail(f"knuth: {u!r} {v!r}", "S=V, H=U classes",
                                      "mismatch")
                         if not had_choice:
                             continue  # every order is forced onto one path
-                        alt = _switch(u, v, "infusion")[0]
-                        if alt != (s, h):
-                            rep.fail(f"infusion: {u!r} {v!r}", (s, h), alt)
+                        alt = _switch(board.cells, "infusion")[0]
+                        if alt != end:
+                            rep.fail(f"infusion: {u!r} {v!r}", end, alt)
                         for k in range(RANDOM_ORDERS):
-                            alt = _switch(u, v, "random", seed + k)[0]
-                            if alt != (s, h):
+                            alt = _switch(board.cells, "random", seed + k)[0]
+                            if alt != end:
                                 rep.fail(f"random[{seed + k}]: {u!r} {v!r}",
-                                         (s, h), alt)
+                                         end, alt)
                                 break
     rep.seconds = time.perf_counter() - t0
     return rep

@@ -148,12 +148,17 @@ def test_switching_validates_extension():
 
 
 def test_switch_reports_whether_any_step_had_a_choice():
-    result, had_choice = _switch(SW_U, SW_V, "greedy")
-    assert had_choice and result == switching(SW_U, SW_V)
+    tc = TwoColorTableau.from_pair(SW_U, SW_V)
+    board, had_choice = _switch(tc.cells, "greedy")
+    assert had_choice
+    assert _split_cells(tc.outer, tc.inner, board) == switching(SW_U, SW_V)
     # one letter past one letter: a single site at every step
     u, v = yamanouchi_tableau((1,)), SkewTableau((2,), (1,), [(1,)])
-    assert _switch(u, v, "greedy") == ((SkewTableau((1,), (), [(1,)]),
-                                        SkewTableau((2,), (1,), [(1,)])), False)
+    tc = TwoColorTableau.from_pair(u, v)
+    board, had_choice = _switch(tc.cells, "greedy")
+    assert not had_choice
+    assert _split_cells(tc.outer, tc.inner, board) == (
+        SkewTableau((1,), (), [(1,)]), SkewTableau((2,), (1,), [(1,)]))
 
 
 def test_split_cells_rejects_unswitched_members():

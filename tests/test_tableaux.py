@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from lrcommute.schur import lr_coefficient
 from lrcommute.tableaux import (EMPTY, SkewShape, SkewTableau, as_partition,
                                 companion_word, content, empty_of_shape,
                                 enumerate_ballot, enumerate_ssyt, from_json,
@@ -30,6 +31,17 @@ def test_partition_normalisation():
         as_partition((1, 2))
     with pytest.raises(ValueError):
         as_partition((2, -1))
+
+
+def test_non_integer_parts_and_entries_raise():
+    # floats are never truncated: a part, an entry or an LR argument that
+    # is not an integer is a TypeError
+    with pytest.raises(TypeError):
+        as_partition([2.7, 1.2])
+    with pytest.raises(TypeError):
+        SkewTableau((2,), (), [(1.9, 2.2)])
+    with pytest.raises(TypeError):
+        lr_coefficient((2.5, 1), (1,), (1.9, 0.5))
 
 
 def test_reading_word_examples():

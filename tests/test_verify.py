@@ -1,6 +1,7 @@
 from bisect import bisect_left, bisect_right
 
 from lrcommute import commutor, insertion, schur, verify
+from lrcommute.commutor import SwitchSite
 from lrcommute.verify import (_thu_sweep, check_confluence,
                               check_knuth_commutativity, check_lr_oracle,
                               check_route_geometry, check_skew_rsk)
@@ -35,6 +36,8 @@ def test_skew_rsk_flags_a_broken_reverse_bump(monkeypatch):
     monkeypatch.setattr(insertion, "bisect_left", bisect_right)
     rep = check_skew_rsk(max_size=4)
     assert rep.instances == 3430 and not rep.passed
+    # each stored failure names its own instance
+    assert len({key for key, _expected, _actual in rep.failures}) == 50
 
 
 def test_confluence_flags_a_broken_switch(monkeypatch):
@@ -44,6 +47,32 @@ def test_confluence_flags_a_broken_switch(monkeypatch):
     monkeypatch.setattr(commutor, "_admissible", lambda *args: True)
     rep = check_confluence(max_size=4)
     assert rep.instances == 341 and not rep.passed
+    assert len({key for key, _expected, _actual in rep.failures}) == 50
+
+
+def test_confluence_compares_the_alternative_orders_as_boards(monkeypatch):
+    # a site that is not admissible (a u-cell with a v-cell weakly southeast
+    # of it, so every switch still moves a v-letter northwest and the walk
+    # ends) joins every choice of two or more; greedy never takes it, so only
+    # infusion and the random orders go wrong, and the sweep records their
+    # terminal boards as failures without splitting them
+    find = commutor._find_sites
+
+    def with_a_bad_site(cells):
+        sites = find(cells)
+        if len(sites) > 1:
+            board = sorted(cells.items())
+            sites += [SwitchSite(cu, cv) for cu, (_x, a) in board if a == "u"
+                      for cv, (_y, b) in board if b == "v"
+                      and cv[0] >= cu[0] and cv[1] >= cu[1]
+                      and SwitchSite(cu, cv) not in sites][:1]
+        return sites
+
+    monkeypatch.setattr(commutor, "_find_sites", with_a_bad_site)
+    rep = check_confluence(max_size=4)
+    assert rep.instances == 341 and not rep.passed
+    assert all(key.startswith(("infusion: ", "random["))
+               for key, _expected, _actual in rep.failures)
 
 
 def test_lr_oracle_flags_a_broken_count(monkeypatch):
