@@ -8,12 +8,12 @@ empty tableau, and ``run_row_program`` executes them in place.
 ``rho1_internal`` and ``rho1_scratch`` are that one run, the former also
 checking the route claim on every row block.
 
-``switching`` is the one switching engine.  Each colour class stays a valid
-filling at every switch (Benkart-Sottile-Stroomer), so a switch is tested
-only on the order relations it creates.  Staged switching is ``switching``
-applied one Yamanouchi row at a time, bottom-up: a row of the Yamanouchi
-member switches like any other tableau.
-``staged_decomposition`` exposes the intermediate state at which it stops.
+``switching`` states each switch order once.  Greedy and random run the site
+engine ``_switch``: each colour class stays a valid filling at every switch
+(Benkart-Sottile-Stroomer), so a switch is tested only on the order
+relations it creates.  Infusion (reverse standard order, Thomas-Yong) and
+staged switching (``staged_decomposition``: one Yamanouchi row at a time,
+bottom-up, on one board) slide by jeu de taquin in ``_infuse``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Callable, Iterator, NamedTuple
 
 from .insertion import (GluedPair, InsertionTrace, _freeze, _insert_inplace,
                         _require_lr_pair, glued_pair)
-from .tableaux import (Cell, SkewTableau, as_partition, empty_of_shape, glue,
-                       is_ballot_tableau, skew_shape, tableau_content,
+from .tableaux import (Cell, SkewTableau, as_partition, is_ballot_tableau,
+                       skew_shape, standard_order, tableau_content,
                        yamanouchi_tableau)
 
 STRATEGIES = ("greedy", "infusion", "random")
@@ -192,17 +192,13 @@ def _split_cells(outer, inner, cells):
             SkewTableau._fast(outer, tuple(sigma), tuple(h_rows)))
 
 
-def _switch(board: dict, strategy: str = "greedy", seed: int = 0,
+def _switch(board: dict, rng: random.Random | None = None,
             on_frame: Callable | None = None):
-    """Switch a copy of the board, a ``TwoColorTableau.cells`` dict, until no
-    site remains; returns (terminal board, had_choice), where had_choice says
-    whether any step offered more than one admissible site (when not, every
-    order walks the same path)."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
+    """Switch a copy of the board, a ``TwoColorTableau.cells`` dict, at the
+    first site row-major (greedy) or one drawn by ``rng`` until none remains;
+    returns (terminal board, had_choice), where had_choice says whether any
+    step offered more than one site (when not, every order walks one path)."""
     cells = dict(board)
-    rng = random.Random(seed) if strategy == "random" else None
-    tracked = None
     had_choice = False
     while True:
         sites = _find_sites(cells)
@@ -210,22 +206,31 @@ def _switch(board: dict, strategy: str = "greedy", seed: int = 0,
             return cells, had_choice
         if len(sites) > 1:
             had_choice = True
-        if strategy == "greedy":
-            site = sites[0]
-        elif strategy == "random":
-            site = rng.choice(sites)
-        else:
-            # jeu de taquin move at the tracked cell (else the first site's
-            # u-cell): the smaller neighbour slides in, the south one on ties
-            mine = ([s for s in sites if s.cell_u == tracked]
-                    or [s for s in sites if s.cell_u == sites[0].cell_u])
-            east, south = mine[0], mine[-1]
-            site = (south if cells[south.cell_v][0] <= cells[east.cell_v][0]
-                    else east)
-            tracked = site.cell_v
+        site = rng.choice(sites) if rng else sites[0]
         _swap(cells, site.cell_u, site.cell_v)
         if on_frame is not None:
             on_frame(site, dict(cells))
+
+
+def _infuse(board: dict, order, on_frame: Callable | None = None) -> dict:
+    """Slide the u-letters at the cells of ``order`` one at a time by jeu de
+    taquin, on a copy of the board: each trades places with the smaller of
+    its east and south v-neighbours, the south one on ties, until it has
+    neither.  Such a move is always an admissible switch, so none is tested."""
+    cells = dict(board)
+    for r, c in order:
+        while True:
+            # the v-values south and east; _TOP off the board or at a u-letter
+            south, east = (e[0] if e and e[1] == "v" else _TOP
+                           for e in (cells.get((r + 1, c)), cells.get((r, c + 1))))
+            if south == east == _TOP:
+                break
+            cv = (r + 1, c) if south <= east else (r, c + 1)
+            _swap(cells, (r, c), cv)
+            if on_frame is not None:
+                on_frame(SwitchSite((r, c), cv), dict(cells))
+            r, c = cv
+    return cells
 
 
 def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
@@ -233,10 +238,17 @@ def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
               on_frame: Callable | None = None) -> tuple[SkewTableau, SkewTableau]:
     """Switch v through u until no switch applies; returns (S, H) with
     S Knuth-equivalent to v and H to u, on the same union shape: the pair's
-    board goes through ``_switch``, its terminal board through ``_split_cells``."""
+    board goes through ``_switch`` (greedy, random) or ``_infuse`` in reverse
+    standard order of u (infusion), its terminal board through ``_split_cells``."""
     tc = TwoColorTableau.from_pair(u, v)
-    return _split_cells(tc.outer, tc.inner,
-                        _switch(tc.cells, strategy, seed, on_frame)[0])
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}")
+    if strategy == "infusion":
+        end = _infuse(tc.cells, [c for _x, c in reversed(standard_order(u))], on_frame)
+    else:
+        rng = random.Random(seed) if strategy == "random" else None
+        end = _switch(tc.cells, rng, on_frame)[0]
+    return _split_cells(tc.outer, tc.inner, end)
 
 
 def rho1_switching(p: GluedPair, strategy: str = "greedy", seed: int = 0,
@@ -260,10 +272,10 @@ class StagedDecomposition(NamedTuple):
 
 
 def staged_decomposition(p: GluedPair) -> StagedDecomposition:
-    """Staged switching: for d = len(mu), ..., 1, switch row d of the
-    Yamanouchi member through the current S (starting from the skew member)
-    and glue the switched-out H onto Q; stop once H has a cell in the last
-    row.  Returns that intermediate state (d, S, F-hat, D, Q)."""
+    """Staged switching on one board: for d = len(mu), ..., 1, slide row d of
+    the Yamanouchi member, right to left, by ``_infuse``; stop once a slid
+    letter reaches the last row, and split the board there into S and Q.
+    Returns that intermediate state (d, S, F-hat, D, Q)."""
     _require_lr_pair(p)
     t = p.skew
     mu = as_partition(t.inner)
@@ -280,16 +292,15 @@ def staged_decomposition(p: GluedPair) -> StagedDecomposition:
     if len(f_word) + nu_last != len(last) or not f_word:
         raise ValueError("last row must be a nonempty word over [n] followed "
                          "by largest letters")
-    s, q = t, empty_of_shape(lam)
+    board = TwoColorTableau.from_pair(p.yam, t).cells
     for d in range(len(mu), 0, -1):
-        row = SkewTableau._fast(mu[:d], mu[:d - 1] + (0,),
-                                ((),) * (d - 1) + (p.yam.rows[d - 1],))
-        s, h = switching(row, s)
-        q = glue(h, q)
-        if len(h.rows) == np1 and h.rows[n]:
+        board = _infuse(board, [(d, c) for c in range(mu[d - 1], 0, -1)])
+        # the slid letters fill lam/sigma, which ends each row it meets
+        if board[np1, lam[n]][1] == "u":
             break
     else:
         raise ValueError("no lifted letter reached the last row")
+    s, q = _split_cells(lam, mu[:d - 1], board)
     f_hat = tuple(x for x in s.rows[n] if x <= n) if len(s.rows) == np1 else ()
     return StagedDecomposition(d, s, f_hat, q.rows[n], q)
 

@@ -53,10 +53,6 @@ def _load(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
-def _tab(d: dict) -> SkewTableau:
-    return from_json_dict(d)
-
-
 def _cells(entries) -> dict:
     return {(r, c): (val, color) for r, c, val, color in entries}
 
@@ -92,7 +88,7 @@ def _reachable(start, target, cap=200000) -> bool:
 # ---------------------------------------------------------------------------
 
 def _run_companion_word(res: GoldenResult, data: dict):
-    u, v, std = _tab(data["u"]), _tab(data["v"]), _tab(data["std"])
+    u, v, std = (from_json_dict(data[k]) for k in ("u", "v", "std"))
     word = tuple(data["companion"])
     res.check("std U", std, standardize(u))
     res.check("std V", std, standardize(v))
@@ -101,7 +97,7 @@ def _run_companion_word(res: GoldenResult, data: dict):
 
 
 def _run_ballot_words(res: GoldenResult, data: dict):
-    h, t = _tab(data["h"]), _tab(data["t"])
+    h, t = from_json_dict(data["h"]), from_json_dict(data["t"])
     res.check("word of H", tuple(data["word_h"]), reading_word(h))
     res.check("word of T", tuple(data["word_t"]), reading_word(t))
     res.check("H ballot", data["ballot_h"], is_ballot(reading_word(h)))
@@ -110,7 +106,7 @@ def _run_ballot_words(res: GoldenResult, data: dict):
 
 def _run_switch_sequence(res: GoldenResult, data: dict):
     frames = [_cells(f) for f in data["frames"]]
-    u, v = _tab(data["u"]), _tab(data["v"])
+    u, v = from_json_dict(data["u"]), from_json_dict(data["v"])
     start = TwoColorTableau.from_pair(u, v)
     res.check("first frame", frames[0], start.cells)
     for k in range(len(frames) - 1):
@@ -119,17 +115,17 @@ def _run_switch_sequence(res: GoldenResult, data: dict):
     res.check("first frame admits a switch", True, bool(switch_sites(start)))
     for strategy in ("greedy", "infusion", "random"):
         s, h = switching(u, v, strategy=strategy, seed=1)
-        res.check(f"terminal S ({strategy})", _tab(data["terminal_s"]), s)
-        res.check(f"terminal H ({strategy})", _tab(data["terminal_h"]), h)
+        res.check(f"terminal S ({strategy})", from_json_dict(data["terminal_s"]), s)
+        res.check(f"terminal H ({strategy})", from_json_dict(data["terminal_h"]), h)
 
 
 def _run_insertion_words(res: GoldenResult, data: dict):
-    t = _tab(data["t"])
-    expected = _tab(data["result"])
+    t = from_json_dict(data["t"])
+    expected = from_json_dict(data["result"])
     word = tuple(data["word"])
     word_p = tuple(data["word_prime"])
-    res.check("R(U)", word, companion_word(_tab(data["u"])))
-    res.check("R(U')", word_p, companion_word(_tab(data["u_prime"])))
+    res.check("R(U)", word, companion_word(from_json_dict(data["u"])))
+    res.check("R(U')", word_p, companion_word(from_json_dict(data["u_prime"])))
     res.check("words Knuth equivalent", True, knuth_equivalent(word, word_p))
     res.check("phi_u T", expected, apply_order_word(t, word))
     res.check("phi_v T", expected, apply_order_word(t, word_p))
@@ -137,15 +133,15 @@ def _run_insertion_words(res: GoldenResult, data: dict):
 
 def _run_staged_switching(res: GoldenResult, data: dict):
     a = data["a"]
-    pair_a = glued_pair(_tab(a["t"]))
+    pair_a = glued_pair(from_json_dict(a["t"]))
     sd = staged_decomposition(pair_a)
     res.check("a: d", a["d"], sd.d)
     res.check("a: F", tuple(a["f"]),
               tuple(x for x in pair_a.skew.rows[-1] if x <= len(pair_a.skew.outer) - 1))
     res.check("a: F hat", tuple(a["f_hat"]), sd.f_hat)
     res.check("a: D", tuple(a["big_d"]), sd.big_d)
-    res.check("a: S", _tab(a["s"]), sd.s)
-    res.check("a: Q", _tab(a["q"]), sd.q)
+    res.check("a: S", from_json_dict(a["s"]), sd.s)
+    res.check("a: Q", from_json_dict(a["q"]), sd.q)
     start = TwoColorTableau.from_pair(pair_a.yam, pair_a.skew).cells
     mid = _cells(a["frame_mid"])
     final = _cells(a["frame_final"])
@@ -153,21 +149,21 @@ def _run_staged_switching(res: GoldenResult, data: dict):
     res.check("a: final frame reachable from mid", True, _reachable(mid, final))
 
     b = data["b"]
-    pair_b = glued_pair(_tab(b["t"]))
+    pair_b = glued_pair(from_json_dict(b["t"]))
     sdb = staged_decomposition(pair_b)
     res.check("b: d", b["d"], sdb.d)
     res.check("b: G hat", tuple(b["g_hat"]), sdb.f_hat)
     res.check("b: D", tuple(b["big_d"]), sdb.big_d)
     res.check("b: X", tuple(b["x"]), sdb.q.rows[-1][len(tuple(a["big_d"])):])
-    res.check("b: S", _tab(b["s"]), sdb.s)
-    res.check("b: Q", _tab(b["q"]), sdb.q)
+    res.check("b: S", from_json_dict(b["s"]), sdb.s)
+    res.check("b: Q", from_json_dict(b["q"]), sdb.q)
     start_b = TwoColorTableau.from_pair(pair_b.yam, pair_b.skew).cells
     res.check("b: final frame reachable", True,
               _reachable(start_b, _cells(b["frame_final"])))
 
 
 def _run_row_recursion(res: GoldenResult, data: dict):
-    t = _tab(data["t"])
+    t = from_json_dict(data["t"])
     res.check("content", tuple(data["nu"]), as_partition(content(reading_word(t))))
     res.check("nu hat", tuple(data["nu_hat"]), nu_hat(t))
     word = tuple(data["gt_word"])
@@ -184,7 +180,7 @@ def _run_row_recursion(res: GoldenResult, data: dict):
 
     run_row_program(t, on_step)
     for k in range(len(t.outer)):
-        res.check(f"scratch frame {k + 1}", _tab(data["scratch_frames"][k]),
+        res.check(f"scratch frame {k + 1}", from_json_dict(data["scratch_frames"][k]),
                   after_block[k + 1])
 
     # level by level: switching result, operator frames, recursion result
@@ -201,8 +197,8 @@ def _run_row_recursion(res: GoldenResult, data: dict):
                 state = chi_append(state, i)
             if frame is not None:
                 res.check(f"rho^({k}) frame after {op}_{i}",
-                          _tab(frame), state.skew)
-        expected = glued_pair(_tab(level["result"]))
+                          from_json_dict(frame), state.skew)
+        expected = glued_pair(from_json_dict(level["result"]))
         res.check(f"rho^({k}) recursion result", expected, state)
         res.check(f"rho^({k}) switching", expected, rho1_switching(sub_pair))
         res.check(f"rho^({k}) internal", expected, rho1_internal(sub_pair))
@@ -210,20 +206,23 @@ def _run_row_recursion(res: GoldenResult, data: dict):
 
 
 def _run_factored_commutor(res: GoldenResult, data: dict):
-    pair = glued_pair(_tab(data["t"]))
+    pair = glued_pair(from_json_dict(data["t"]))
     sd = staged_decomposition(pair)
     full = rho1_switching(pair)
-    res.check("rho1 of the full pair", glued_pair(_tab(data["rho4_full"])), full)
+    res.check("rho1 of the full pair",
+              glued_pair(from_json_dict(data["rho4_full"])), full)
     part = rho1_switching(glued_pair(sd.s))
-    res.check("rho1 of the staged state", glued_pair(_tab(data["rho4_part"])), part)
+    res.check("rho1 of the staged state",
+              glued_pair(from_json_dict(data["rho4_part"])), part)
     res.check("gluing identity", full,
               GluedPair(part.yam, glue(part.skew, sd.q)))
     _rest, s2 = restrict_rows(sd.s, 2)
     res.check("rho1 of the two-row restriction",
-              glued_pair(_tab(data["rho2_sub"])), rho1_switching(glued_pair(s2)))
-    b_state = _tab(data["rho3_b_state"])
+              glued_pair(from_json_dict(data["rho2_sub"])),
+              rho1_switching(glued_pair(s2)))
+    b_state = from_json_dict(data["rho3_b_state"])
     res.check("rho1 of the b-level state",
-              glued_pair(_tab(data["rho3_b_result"])),
+              glued_pair(from_json_dict(data["rho3_b_result"])),
               rho1_switching(glued_pair(b_state)))
     w1, w2 = tuple(data["word_lhs"]), tuple(data["word_rhs"])
     res.check("row words Knuth equivalent", True, knuth_equivalent(w1, w2))

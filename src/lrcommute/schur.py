@@ -35,9 +35,9 @@ def schur_product(mu, nu, max_rows: int) -> dict[tuple[int, ...], int]:
         raise ValueError("max_rows too small for the factors")
     total = sum(mu) + sum(nu)
     terms = {}
-    for lam in partitions_of(total, max_len=max_rows):
-        if not contains(lam, mu):
-            continue
+    # c^lam_{mu,nu} != 0 forces lam inside mu + nu and l(lam) <= l(mu) + l(nu)
+    for lam in partitions_of(total, max_len=min(max_rows, len(mu) + len(nu)),
+                             max_part=sum(mu[:1]) + sum(nu[:1])):
         c = lr_coefficient(lam, mu, nu)
         if c:
             terms[lam] = c

@@ -9,13 +9,15 @@ on that order type, so the sweeps cover every alphabet.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import sub
 
-from .commutor import (TwoColorTableau, _split_cells, _switch, rho1_internal,
-                       rho1_scratch, rho1_switching, staged_decomposition)
+from .commutor import (TwoColorTableau, _infuse, _split_cells, _switch,
+                       rho1_internal, rho1_scratch, rho1_switching,
+                       staged_decomposition)
 from .insertion import (GluedPair, _forward, glued_pair, inner_corners,
                         internal_insert, skew_rsk_inverse)
 from .knuth import knuth_class, p_tableau_rows
@@ -122,24 +124,27 @@ def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
             for mu in subpartitions(lam):
                 us = packed_fillings(lam, mu + (0,) * (len(lam) - len(mu)))
                 for u in us:
+                    infusion = [c for _x, c in reversed(standard_order(u))]
                     for v in vs:
                         rep.instances += 1
                         if u.size == 0 or v.size == 0:
                             continue  # no switch can ever apply
                         board = TwoColorTableau.from_pair(u, v)
-                        end, had_choice = _switch(board.cells, "greedy")
+                        end, had_choice = _switch(board.cells)
                         s, h = _split_cells(board.outer, board.inner, end)
-                        if (p_tableau_rows(reading_word(s)) != p_tableau_rows(reading_word(v))
-                                or p_tableau_rows(reading_word(h)) != p_tableau_rows(reading_word(u))):
-                            rep.fail(f"knuth: {u!r} {v!r}", "S=V, H=U classes",
-                                     "mismatch")
+                        want = tuple(p_tableau_rows(reading_word(t)) for t in (v, u))
+                        got = tuple(p_tableau_rows(reading_word(t)) for t in (s, h))
+                        if got != want:
+                            left = " and ".join(m for m, g, w in zip("SH", got, want) if g != w)
+                            rep.fail(f"knuth: {u!r} {v!r}", f"P(V), P(U) = {want}",
+                                     f"{left} left its class: P(S), P(H) = {got}")
                         if not had_choice:
                             continue  # every order is forced onto one path
-                        alt = _switch(board.cells, "infusion")[0]
+                        alt = _infuse(board.cells, infusion)
                         if alt != end:
                             rep.fail(f"infusion: {u!r} {v!r}", end, alt)
                         for k in range(RANDOM_ORDERS):
-                            alt = _switch(board.cells, "random", seed + k)[0]
+                            alt = _switch(board.cells, random.Random(seed + k))[0]
                             if alt != end:
                                 rep.fail(f"random[{seed + k}]: {u!r} {v!r}",
                                          end, alt)

@@ -49,6 +49,16 @@ def test_schur_product_command(capsys):
                                {"shape": [2], "coeff": 1}]
 
 
+def test_schur_product_command_deep_column(capsys):
+    # only shapes inside mu + nu with at most l(mu) + l(nu) rows can occur,
+    # so the default --max-rows (the total size) walks one candidate here
+    n = 1100
+    code, out, _ = run(capsys, "--format", "json", "schur-product",
+                       ",".join(["1"] * n), "0")
+    assert code == 0
+    assert json.loads(out) == [{"shape": [1] * n, "coeff": 1}]
+
+
 def test_rsk_command(capsys):
     code, out, _ = run(capsys, "--format", "json", "rsk", "2132313")
     assert code == 0

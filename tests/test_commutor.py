@@ -1,5 +1,6 @@
 import pytest
 
+from lrcommute import commutor
 from lrcommute.commutor import (SwitchSite, TwoColorTableau, _split_cells,
                                 _switch, apply_switch, chi_append,
                                 gt_order_word, nu_hat,
@@ -149,16 +150,57 @@ def test_switching_validates_extension():
 
 def test_switch_reports_whether_any_step_had_a_choice():
     tc = TwoColorTableau.from_pair(SW_U, SW_V)
-    board, had_choice = _switch(tc.cells, "greedy")
+    board, had_choice = _switch(tc.cells)
     assert had_choice
     assert _split_cells(tc.outer, tc.inner, board) == switching(SW_U, SW_V)
     # one letter past one letter: a single site at every step
     u, v = yamanouchi_tableau((1,)), SkewTableau((2,), (1,), [(1,)])
     tc = TwoColorTableau.from_pair(u, v)
-    board, had_choice = _switch(tc.cells, "greedy")
+    board, had_choice = _switch(tc.cells)
     assert not had_choice
     assert _split_cells(tc.outer, tc.inner, board) == (
         SkewTableau((1,), (), [(1,)]), SkewTableau((2,), (1,), [(1,)]))
+
+
+def _infusion_frames(u, v):
+    frames = []
+    switching(u, v, "infusion", on_frame=lambda *frame: frames.append(frame))
+    return frames
+
+
+def test_infusion_slides_by_admissible_switches_to_greedys_board():
+    pairs = [(SW_U, SW_V)] + [(p.yam, p.skew) for p in lr_pairs(6)]
+    for u, v in pairs:
+        previous = tc = TwoColorTableau.from_pair(u, v)
+        for site, cells in _infusion_frames(u, v):
+            assert site in switch_sites(previous)
+            previous = apply_switch(previous, site)
+            assert previous.cells == cells
+        assert previous.cells == _switch(tc.cells)[0]
+
+
+def test_infusion_slides_the_largest_letter_first():
+    # jeu de taquin in reverse standard order: the rightmost 2 slides east,
+    # to the 1 smaller than the 3 south of it; the other 2 takes the south 1
+    # on a tie with the east one, then slides east; then the 1 does the same
+    u = SkewTableau((3,), (), [(1, 2, 2)])
+    v = SkewTableau((4, 3), (3, 0), [(1,), (1, 1, 3)])
+    assert [site for site, _cells in _infusion_frames(u, v)] == [
+        SwitchSite((1, 3), (1, 4)),
+        SwitchSite((1, 2), (2, 2)), SwitchSite((2, 2), (2, 3)),
+        SwitchSite((1, 1), (2, 1)), SwitchSite((2, 1), (2, 2))]
+
+
+def test_infusion_and_staged_switching_never_read_the_site_list(monkeypatch):
+    expected = switching(SW_U, SW_V)
+    expected_sd = staged_decomposition(glued_pair(T_STAGED))
+
+    def refuse(cells):
+        raise AssertionError("the site list was read")
+
+    monkeypatch.setattr(commutor, "_find_sites", refuse)
+    assert switching(SW_U, SW_V, "infusion") == expected
+    assert staged_decomposition(glued_pair(T_STAGED)) == expected_sd
 
 
 def test_split_cells_rejects_unswitched_members():

@@ -53,9 +53,10 @@ def test_confluence_flags_a_broken_switch(monkeypatch):
 def test_confluence_compares_the_alternative_orders_as_boards(monkeypatch):
     # a site that is not admissible (a u-cell with a v-cell weakly southeast
     # of it, so every switch still moves a v-letter northwest and the walk
-    # ends) joins every choice of two or more; greedy never takes it, so only
-    # infusion and the random orders go wrong, and the sweep records their
-    # terminal boards as failures without splitting them
+    # ends) joins every choice of two or more; greedy never takes it and
+    # infusion slides without the site list, so only the random orders go
+    # wrong, and the sweep records their terminal boards as failures without
+    # splitting them
     find = commutor._find_sites
 
     def with_a_bad_site(cells):
@@ -71,8 +72,39 @@ def test_confluence_compares_the_alternative_orders_as_boards(monkeypatch):
     monkeypatch.setattr(commutor, "_find_sites", with_a_bad_site)
     rep = check_confluence(max_size=4)
     assert rep.instances == 341 and not rep.passed
-    assert all(key.startswith(("infusion: ", "random["))
+    assert all(key.startswith("random[")
                for key, _expected, _actual in rep.failures)
+
+
+def test_confluence_flags_an_unslid_infusion(monkeypatch):
+    # an infusion that leaves the board as it is ends off greedy's board on
+    # every instance that has a choice, and on nothing else
+    monkeypatch.setattr(verify, "_infuse",
+                        lambda board, order, on_frame=None: dict(board))
+    rep = check_confluence(max_size=4)
+    assert rep.instances == 341 and len(rep.failures) == 15
+    assert all(key.startswith("infusion: ")
+               for key, _expected, _actual in rep.failures)
+
+
+def test_confluence_records_the_classes_a_member_left(monkeypatch):
+    # with every switch admitted, greedy's members can leave their Knuth
+    # classes; each such failure names the member and shows the P-tableau
+    # rows of V and U (expected) and of S and H (actual)
+    monkeypatch.setattr(commutor, "_admissible", lambda *args: True)
+    rep = check_confluence(max_size=4)
+    knuth = [f for f in rep.failures if f[0].startswith("knuth: ")]
+    assert len(knuth) == 4
+    assert knuth[0] == (
+        "knuth: SkewTableau((2, 1), (0, 0), ((1, 2), (3,))) "
+        "SkewTableau((2, 2), (2, 1), ((), (1,)))",
+        "P(V), P(U) = (((1,),), ((1, 2), (3,)))",
+        "H left its class: P(S), P(H) = (((1,),), ((1,), (2,), (3,)))")
+    for _key, expected, actual in knuth:
+        assert expected.startswith("P(V), P(U) = (((")
+        assert actual.startswith(("S left its class: P(S), P(H) = (((",
+                                  "H left its class: P(S), P(H) = (((",
+                                  "S and H left its class: P(S), P(H) = ((("))
 
 
 def test_lr_oracle_flags_a_broken_count(monkeypatch):
