@@ -93,7 +93,7 @@ def cmd_commute(args) -> int:
                            "cells": [[r, c, val, color] for (r, c), (val, color)
                                      in sorted(cells.items())]})
         strategy = "infusion" if args.method == "infusion" else "greedy"
-        rho = partial(rho1_switching, strategy=strategy, seed=args.seed,
+        rho = partial(rho1_switching, strategy=strategy,
                       on_frame=on_frame if args.trace else None)
     else:
         def on_step(step, trace, state):
@@ -174,8 +174,7 @@ def cmd_schur_product(args) -> int:
 def cmd_verify(args) -> int:
     names = args.checks.split(",") if args.checks else sorted(verify_mod.CHECKS)
     try:
-        reports = verify_mod.run_checks(names, max_size=args.max_size,
-                                        seed=args.seed)
+        reports = verify_mod.run_checks(names, max_size=args.max_size)
     except ValueError as exc:
         raise UsageError(str(exc))
     failed = False
@@ -208,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Littlewood-Richardson commutor toolkit: switching, "
                     "internal row insertion, LR coefficients, verification.")
     ap.add_argument("--format", choices=("json", "text"), default="text")
-    ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("commute", help="apply the LR commutor to a ballot pair")

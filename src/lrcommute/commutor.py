@@ -11,7 +11,8 @@ checking the route claim on every row block.
 ``switching`` states each switch order once.  Greedy and random run the site
 engine ``_switch``: each colour class stays a valid filling at every switch
 (Benkart-Sottile-Stroomer), so a switch is tested only on the order
-relations it creates.  Infusion (reverse standard order, Thomas-Yong) and
+relations it creates.  ``_terminals`` walks every order of such switches,
+for the confluence sweep.  Infusion (reverse standard order, Thomas-Yong) and
 staged switching (``staged_decomposition``: one Yamanouchi row at a time,
 bottom-up, on one board) slide by jeu de taquin in ``_infuse``.
 """
@@ -193,23 +194,43 @@ def _split_cells(outer, inner, cells):
 
 
 def _switch(board: dict, rng: random.Random | None = None,
-            on_frame: Callable | None = None):
+            on_frame: Callable | None = None) -> dict:
     """Switch a copy of the board, a ``TwoColorTableau.cells`` dict, at the
     first site row-major (greedy) or one drawn by ``rng`` until none remains;
-    returns (terminal board, had_choice), where had_choice says whether any
-    step offered more than one site (when not, every order walks one path)."""
+    returns the terminal board."""
     cells = dict(board)
-    had_choice = False
-    while True:
-        sites = _find_sites(cells)
-        if not sites:
-            return cells, had_choice
-        if len(sites) > 1:
-            had_choice = True
+    while sites := _find_sites(cells):
         site = rng.choice(sites) if rng else sites[0]
         _swap(cells, site.cell_u, site.cell_v)
         if on_frame is not None:
             on_frame(site, dict(cells))
+    return cells
+
+
+def _successors(cells: dict) -> Iterator[dict]:
+    """Each board one admissible switch away, in site order."""
+    for site in _find_sites(cells):
+        nxt = dict(cells)
+        _swap(nxt, site.cell_u, site.cell_v)
+        yield nxt
+
+
+def _terminals(board: dict) -> Iterator[dict]:
+    """Every terminal board reachable by admissible switches, once each: depth
+    first over a seen set, sites in order.  Each switch moves a v-letter one
+    step northwest, so greedy's path meets no seen state: its board is first."""
+    seen = {frozenset(board.items())}
+    stack = [board]
+    while stack:
+        cells = stack.pop()
+        nxt = list(_successors(cells))
+        if not nxt:
+            yield cells
+        for b in reversed(nxt):
+            key = frozenset(b.items())
+            if key not in seen:
+                seen.add(key)
+                stack.append(b)
 
 
 def _infuse(board: dict, order, on_frame: Callable | None = None) -> dict:
@@ -247,7 +268,7 @@ def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
         end = _infuse(tc.cells, [c for _x, c in reversed(standard_order(u))], on_frame)
     else:
         rng = random.Random(seed) if strategy == "random" else None
-        end = _switch(tc.cells, rng, on_frame)[0]
+        end = _switch(tc.cells, rng, on_frame)
     return _split_cells(tc.outer, tc.inner, end)
 
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .commutor import (TwoColorTableau, _find_sites, _swap, chi_append,
+from .commutor import (TwoColorTableau, _successors, chi_append,
                        gt_order_word, nu_hat, rho1_internal, rho1_scratch,
                        rho1_switching, run_row_program, staged_decomposition,
                        switch_sites, switching)
@@ -57,27 +57,21 @@ def _cells(entries) -> dict:
     return {(r, c): (val, color) for r, c, val, color in entries}
 
 
-def _frozen(cells):
-    return frozenset(cells.items())
-
-
 def _reachable(start, target, cap=200000) -> bool:
     """Best-first search through admissible switches from one two-color
     state to another."""
     def dist(cells):
         return sum(1 for k, v in target.items() if cells.get(k) != v)
 
-    seen = {_frozen(start)}
+    seen = {frozenset(start.items())}
     heap = [(dist(start), 0, start)]
     tick = 0
     while heap and len(seen) < cap:
         d, _, cells = heapq.heappop(heap)
         if d == 0:
             return True
-        for site in _find_sites(cells):
-            nxt = dict(cells)
-            _swap(nxt, site.cell_u, site.cell_v)
-            key = _frozen(nxt)
+        for nxt in _successors(cells):
+            key = frozenset(nxt.items())
             if key not in seen:
                 seen.add(key)
                 tick += 1

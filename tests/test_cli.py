@@ -183,12 +183,15 @@ def test_verify_command(capsys):
 
 
 def test_verify_deterministic(capsys):
-    a = run(capsys, "--seed", "5", "verify", "--max-size", "3",
-            "--checks", "confluence")
-    b = run(capsys, "--seed", "5", "verify", "--max-size", "3",
-            "--checks", "confluence")
+    a = run(capsys, "verify", "--max-size", "3", "--checks", "confluence")
+    b = run(capsys, "verify", "--max-size", "3", "--checks", "confluence")
     strip = lambda s: [l.split("time=")[0] for l in s.splitlines()]
     assert a[0] == b[0] == 0 and strip(a[1]) == strip(b[1])
+
+
+def test_seed_is_not_an_option(capsys):
+    code, _out, err = run(capsys, "--seed", "5", "verify")
+    assert code == 2 and "usage" in err
 
 
 def test_golden_command_and_subset(capsys):

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from lrcommute import commutor
 from lrcommute.commutor import (SwitchSite, TwoColorTableau, _split_cells,
-                                _switch, apply_switch, chi_append,
+                                _switch, _terminals, apply_switch, chi_append,
                                 gt_order_word, nu_hat,
                                 rho1_internal, rho1_scratch, rho1_switching,
                                 staged_decomposition, switch_sites, switching)
@@ -148,18 +150,41 @@ def test_switching_validates_extension():
         switching(SW_U, SW_V, strategy="seeded-random")
 
 
-def test_switch_reports_whether_any_step_had_a_choice():
-    tc = TwoColorTableau.from_pair(SW_U, SW_V)
-    board, had_choice = _switch(tc.cells)
-    assert had_choice
-    assert _split_cells(tc.outer, tc.inner, board) == switching(SW_U, SW_V)
-    # one letter past one letter: a single site at every step
+def test_terminals_branch_only_where_a_step_has_a_choice(monkeypatch):
+    reads = []
+    find = commutor._find_sites
+    monkeypatch.setattr(commutor, "_find_sites",
+                        lambda cells: reads.append(1) or find(cells))
+
+    def search(u, v):
+        """(greedy's frames, site-list reads of the search, its terminals)"""
+        frames = []
+        switching(u, v, on_frame=lambda *frame: frames.append(frame))
+        tc = TwoColorTableau.from_pair(u, v)
+        reads.clear()
+        ends = [_split_cells(tc.outer, tc.inner, b) for b in _terminals(tc.cells)]
+        return len(frames), len(reads), ends
+
+    # a choice: the search leaves greedy's path, and every order ends on
+    # greedy's board
+    frames, n_reads, ends = search(SW_U, SW_V)
+    assert n_reads > frames + 1
+    assert ends == [switching(SW_U, SW_V)] * len(ends)
+    # one letter past one letter: a single site at every step, so the search
+    # reads the site list once per state on greedy's path
     u, v = yamanouchi_tableau((1,)), SkewTableau((2,), (1,), [(1,)])
-    tc = TwoColorTableau.from_pair(u, v)
-    board, had_choice = _switch(tc.cells)
-    assert not had_choice
-    assert _split_cells(tc.outer, tc.inner, board) == (
-        SkewTableau((1,), (), [(1,)]), SkewTableau((2,), (1,), [(1,)]))
+    frames, n_reads, ends = search(u, v)
+    assert n_reads == frames + 1
+    assert ends == [(SkewTableau((1,), (), [(1,)]),
+                     SkewTableau((2,), (1,), [(1,)]))]
+
+
+def test_every_random_order_ends_on_a_searched_terminal():
+    for p in lr_pairs(6):
+        board = TwoColorTableau.from_pair(p.yam, p.skew).cells
+        ends = {frozenset(b.items()) for b in _terminals(board)}
+        for k in range(20):
+            assert frozenset(_switch(board, random.Random(k)).items()) in ends
 
 
 def _infusion_frames(u, v):
@@ -176,7 +201,7 @@ def test_infusion_slides_by_admissible_switches_to_greedys_board():
             assert site in switch_sites(previous)
             previous = apply_switch(previous, site)
             assert previous.cells == cells
-        assert previous.cells == _switch(tc.cells)[0]
+        assert previous.cells == _switch(tc.cells)
 
 
 def test_infusion_slides_the_largest_letter_first():

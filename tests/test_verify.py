@@ -4,7 +4,8 @@ from lrcommute import commutor, insertion, schur, verify
 from lrcommute.commutor import SwitchSite
 from lrcommute.verify import (_thu_sweep, check_confluence,
                               check_knuth_commutativity, check_lr_oracle,
-                              check_route_geometry, check_skew_rsk)
+                              check_recursion, check_route_geometry,
+                              check_skew_rsk)
 
 
 def test_route_geometry_reports_the_shared_sweep_time():
@@ -54,9 +55,9 @@ def test_confluence_compares_the_alternative_orders_as_boards(monkeypatch):
     # a site that is not admissible (a u-cell with a v-cell weakly southeast
     # of it, so every switch still moves a v-letter northwest and the walk
     # ends) joins every choice of two or more; greedy never takes it and
-    # infusion slides without the site list, so only the random orders go
-    # wrong, and the sweep records their terminal boards as failures without
-    # splitting them
+    # infusion slides without the site list, so only the other orders of the
+    # search go wrong, and the sweep records one of their terminal boards as
+    # the failure without splitting it
     find = commutor._find_sites
 
     def with_a_bad_site(cells):
@@ -72,17 +73,20 @@ def test_confluence_compares_the_alternative_orders_as_boards(monkeypatch):
     monkeypatch.setattr(commutor, "_find_sites", with_a_bad_site)
     rep = check_confluence(max_size=4)
     assert rep.instances == 341 and not rep.passed
-    assert all(key.startswith("random[")
+    assert all(key.startswith("order: ")
                for key, _expected, _actual in rep.failures)
 
 
 def test_confluence_flags_an_unslid_infusion(monkeypatch):
     # an infusion that leaves the board as it is ends off greedy's board on
-    # every instance that has a choice, and on nothing else
+    # every instance where a switch applies, and on nothing else: 113 of the
+    # 125 with both members non-empty (u = (2)/(1) under v = (2, 1)/(2), say,
+    # admits no switch)
     monkeypatch.setattr(verify, "_infuse",
                         lambda board, order, on_frame=None: dict(board))
+    monkeypatch.setattr(verify, "MAX_STORED_FAILURES", 10**6)
     rep = check_confluence(max_size=4)
-    assert rep.instances == 341 and len(rep.failures) == 15
+    assert rep.instances == 341 and len(rep.failures) == 113
     assert all(key.startswith("infusion: ")
                for key, _expected, _actual in rep.failures)
 
@@ -105,6 +109,34 @@ def test_confluence_records_the_classes_a_member_left(monkeypatch):
         assert actual.startswith(("S left its class: P(S), P(H) = (((",
                                   "H left its class: P(S), P(H) = (((",
                                   "S and H left its class: P(S), P(H) = ((("))
+
+
+def test_recursion_records_the_pairs_that_raise(monkeypatch):
+    # a slide that takes the east neighbour on ties breaks staged switching,
+    # which then raises on some pairs: each such pair fails, and the sweep
+    # still walks every pair
+    def infuse_east_on_ties(board, order, on_frame=None):
+        cells = dict(board)
+        for r, c in order:
+            while True:
+                south, east = (e[0] if e and e[1] == "v" else commutor._TOP
+                               for e in (cells.get((r + 1, c)),
+                                         cells.get((r, c + 1))))
+                if south == east == commutor._TOP:
+                    break
+                cv = (r + 1, c) if south < east else (r, c + 1)
+                commutor._swap(cells, (r, c), cv)
+                r, c = cv
+        return cells
+
+    assert check_recursion(max_size=6).passed
+    monkeypatch.setattr(commutor, "_infuse", infuse_east_on_ties)
+    monkeypatch.setattr(verify, "MAX_STORED_FAILURES", 10**6)
+    rep = check_recursion(max_size=6)
+    assert rep.instances == 137 and not rep.passed
+    raised = {key for key, _expected, actual in rep.failures
+              if actual.startswith("raises ")}
+    assert len(raised) == 53
 
 
 def test_lr_oracle_flags_a_broken_count(monkeypatch):
