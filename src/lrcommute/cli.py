@@ -174,14 +174,24 @@ def cmd_schur_product(args) -> int:
 def cmd_verify(args) -> int:
     names = args.checks.split(",") if args.checks else sorted(verify_mod.CHECKS)
     try:
+        # checks the arguments only: the checks run in the loop below, and a
+        # check that fails, or whose instances raise, reports FAIL (exit 1)
         reports = verify_mod.run_checks(names, max_size=args.max_size)
     except ValueError as exc:
         raise UsageError(str(exc))
     failed = False
     for rep in reports:
-        print(rep.line())
-        for f in rep.failures[:5]:
-            print(f"    {f}")
+        if args.format == "json":
+            shown = [dict(zip(("instance", "expected", "actual"), f))
+                     for f in rep.failures[:5]]
+            print(json.dumps({"name": rep.name, "passed": rep.passed,
+                              "instances": rep.instances,
+                              "failures": rep.failure_count,
+                              "seconds": rep.seconds, "first_failures": shown}))
+        else:
+            print(rep.line())
+            for f in rep.failures[:5]:
+                print(f"    {f}")
         failed = failed or not rep.passed
     return 1 if failed else 0
 
@@ -194,9 +204,13 @@ def cmd_golden(args) -> int:
         raise UsageError(str(exc))
     failed = False
     for res in results:
-        print(res.line())
-        for m in res.messages:
-            print("    " + m.replace("\n", "\n    "))
+        if args.format == "json":
+            print(json.dumps({"name": res.name, "passed": res.passed,
+                              "messages": res.messages}))
+        else:
+            print(res.line())
+            for m in res.messages:
+                print("    " + m.replace("\n", "\n    "))
         failed = failed or not res.passed
     return 1 if failed else 0
 

@@ -272,13 +272,13 @@ def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
     return _split_cells(tc.outer, tc.inner, end)
 
 
-def rho1_switching(p: GluedPair, strategy: str = "greedy", seed: int = 0,
+def rho1_switching(p: GluedPair, strategy: str = "greedy",
                    on_frame: Callable | None = None) -> GluedPair:
     """The switching involution on a ballot pair of partition shape;
     ``on_frame`` is passed to ``switching``."""
     _require_lr_pair(p)
     nu = tableau_content(p.skew)
-    s, h = switching(p.yam, p.skew, strategy, seed, on_frame)
+    s, h = switching(p.yam, p.skew, strategy, on_frame=on_frame)
     if s != yamanouchi_tableau(nu):
         raise ValueError("switching did not produce the Yamanouchi tableau")
     return GluedPair(s, h)

@@ -5,14 +5,23 @@ failures into a report.  Factor fillings range over packed tableaux (entries
 occupying an initial segment of the alphabet); any semistandard filling is
 order-isomorphic to a packed one and all the checked operations depend only
 on that order type, so the sweeps cover every alphabet.
+
+The driver ``_sweep(name, instances, prop, key)`` times a check and counts
+its instances; it records each (instance, expected, actual) that ``prop``
+yields, and an ``Exception`` that ``prop`` raises as that instance's failure
+(``key(instance)``, ``raises <Type>: <message>``), and goes on.  Knuth
+commutativity and route geometry share one walk (``_thu_sweep``) that does
+the same per filling.  A report counts every failure and stores the first
+``MAX_STORED_FAILURES``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from operator import sub
+from typing import Iterator
 
 from .commutor import (TwoColorTableau, _infuse, _split_cells, _terminals,
                        rho1_internal, rho1_scratch, rho1_switching,
@@ -35,19 +44,21 @@ class VerifyReport:
     instances: int = 0
     failures: list = field(default_factory=list)
     seconds: float = 0.0
+    failure_count: int = 0
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.failure_count
 
     def fail(self, instance, expected, actual):
+        self.failure_count += 1
         if len(self.failures) < MAX_STORED_FAILURES:
             self.failures.append((str(instance), str(expected), str(actual)))
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
         return (f"{self.name:<22} {status}  instances={self.instances}"
-                f"  failures={len(self.failures)}  time={self.seconds:.1f}s")
+                f"  failures={self.failure_count}  time={self.seconds:.1f}s")
 
 
 def partitions_up_to(n):
@@ -78,73 +89,86 @@ def _pair_key(p: GluedPair) -> str:
     return f"{p.skew.outer}/{p.skew.inner} rows={p.skew.rows}"
 
 
+def _raised(exc: Exception) -> str:
+    return f"raises {type(exc).__name__}: {exc}"
+
+
+def _sweep(name: str, instances, prop, key) -> VerifyReport:
+    """One check's report (see the module docstring)."""
+    rep = VerifyReport(name)
+    t0 = time.perf_counter()
+    for instance in instances:
+        rep.instances += 1
+        try:
+            for failure in prop(instance):
+                rep.fail(*failure)
+        except Exception as exc:  # a raising kernel fails this instance only
+            rep.fail(key(instance), "no exception", _raised(exc))
+    rep.seconds = time.perf_counter() - t0
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # criterion sweeps
 
 def check_involution(max_size: int = 8, seed: int = 0) -> VerifyReport:
     """rho1 o rho1 = id on all ballot pairs, via switching and internally."""
-    rep = VerifyReport("involution")
-    t0 = time.perf_counter()
-    for p in lr_pairs(max_size):
-        rep.instances += 1
+    def prop(p):
         for name, rho in (("switching", rho1_switching), ("internal", rho1_internal)):
             back = rho(rho(p))
             if back != p:
-                rep.fail(f"{name}: {_pair_key(p)}", _pair_key(p), _pair_key(back))
-    rep.seconds = time.perf_counter() - t0
-    return rep
+                yield f"{name}: {_pair_key(p)}", _pair_key(p), _pair_key(back)
+
+    return _sweep("involution", lr_pairs(max_size), prop, _pair_key)
 
 
 def check_coincidence(max_size: int = 8, seed: int = 0) -> VerifyReport:
     """rho1_switching = rho1_internal = rho1_scratch on all ballot pairs."""
-    rep = VerifyReport("coincidence")
-    t0 = time.perf_counter()
-    for p in lr_pairs(max_size):
-        rep.instances += 1
+    def prop(p):
         a = rho1_switching(p)
         b = rho1_internal(p)
         c = rho1_scratch(p)
         if not (a == b == c):
-            rep.fail(_pair_key(p), _pair_key(a), f"{_pair_key(b)} / {_pair_key(c)}")
-    rep.seconds = time.perf_counter() - t0
-    return rep
+            yield _pair_key(p), _pair_key(a), f"{_pair_key(b)} / {_pair_key(c)}"
+
+    return _sweep("coincidence", lr_pairs(max_size), prop, _pair_key)
 
 
 def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
     """Every order of admissible switches, and infusion, ends on greedy's
     terminal board, and greedy's (S, H) stay Knuth equivalent to (V, U)."""
-    rep = VerifyReport("confluence")
-    t0 = time.perf_counter()
-    for gamma in partitions_up_to(max_size):
-        for lam in subpartitions(gamma):
-            lam_p = lam + (0,) * (len(gamma) - len(lam))
-            vs = packed_fillings(gamma, lam_p)
-            for mu in subpartitions(lam):
-                us = packed_fillings(lam, mu + (0,) * (len(lam) - len(mu)))
-                for u in us:
-                    infusion = [c for _x, c in reversed(standard_order(u))]
-                    for v in vs:
-                        rep.instances += 1
-                        if u.size == 0 or v.size == 0:
-                            continue  # no switch can ever apply
-                        board = TwoColorTableau.from_pair(u, v)
-                        ends = _terminals(board.cells)
-                        end = next(ends)  # greedy's board
-                        s, h = _split_cells(board.outer, board.inner, end)
-                        want = tuple(p_tableau_rows(reading_word(t)) for t in (v, u))
-                        got = tuple(p_tableau_rows(reading_word(t)) for t in (s, h))
-                        if got != want:
-                            left = " and ".join(m for m, g, w in zip("SH", got, want) if g != w)
-                            rep.fail(f"knuth: {u!r} {v!r}", f"P(V), P(U) = {want}",
-                                     f"{left} left its class: P(S), P(H) = {got}")
-                        alt = _infuse(board.cells, infusion)
-                        if alt != end:
-                            rep.fail(f"infusion: {u!r} {v!r}", end, alt)
-                        alt = next((b for b in ends if b != end), None)
-                        if alt is not None:
-                            rep.fail(f"order: {u!r} {v!r}", end, alt)
-    rep.seconds = time.perf_counter() - t0
-    return rep
+    def instances():
+        for gamma in partitions_up_to(max_size):
+            for lam in subpartitions(gamma):
+                vs = packed_fillings(gamma, lam + (0,) * (len(gamma) - len(lam)))
+                for mu in subpartitions(lam):
+                    for u in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu))):
+                        infusion = [c for _x, c in reversed(standard_order(u))]
+                        for v in vs:
+                            yield u, v, infusion
+
+    def prop(instance):
+        u, v, infusion = instance
+        if u.size == 0 or v.size == 0:
+            return  # no switch can ever apply
+        board = TwoColorTableau.from_pair(u, v)
+        ends = _terminals(board.cells)
+        end = next(ends)  # greedy's board
+        s, h = _split_cells(board.outer, board.inner, end)
+        want = tuple(p_tableau_rows(reading_word(t)) for t in (v, u))
+        got = tuple(p_tableau_rows(reading_word(t)) for t in (s, h))
+        if got != want:
+            left = " and ".join(m for m, g, w in zip("SH", got, want) if g != w)
+            yield (f"knuth: {u!r} {v!r}", f"P(V), P(U) = {want}",
+                   f"{left} left its class: P(S), P(H) = {got}")
+        alt = _infuse(board.cells, infusion)
+        if alt != end:
+            yield f"infusion: {u!r} {v!r}", end, alt
+        alt = next((b for b in ends if b != end), None)
+        if alt is not None:
+            yield f"order: {u!r} {v!r}", end, alt
+
+    return _sweep("confluence", instances(), prop, lambda i: f"{i[0]!r} {i[1]!r}")
 
 
 # --- th:U and route geometry share one sweep ------------------------------
@@ -186,127 +210,107 @@ def _class_of(word):
 
 
 @lru_cache(maxsize=None)
-def _thu_sweep(max_size: int, word_len: int):
+def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport]:
     """For each packed filling t, one walk applies every valid order word of
     length up to word_len once, keeping the state it reaches and checking
     successive bumping routes; then every member of each Knuth class met must
     be a walked word (``inner_corners`` lists exactly the insertable rows)
     reaching the same state.
 
-    Returns (knuth failures, route failures, words, route pairs, seconds);
-    both checks that read it report the seconds the sweep itself took."""
+    Returns the knuth-commutativity report over the words walked and the
+    route-geometry report over the route pairs met, both timed by the sweep.
+    A filling whose walk raises fails in both; its later words go uncounted."""
+    knuth = VerifyReport("knuth-commutativity")
+    route = VerifyReport("route-geometry")
     t0 = time.perf_counter()
-    thu_failures: list = []
-    route_failures: list = []
-    n_words = 0
-    n_route_pairs = 0
+    fillings = (t for lam in partitions_up_to(max_size) for mu in subpartitions(lam)
+                for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu))))
+    for t in fillings:
+        # after[w]: the state reached by inserting at rows w[0], w[1], ... in
+        # turn, filled in depth-first preorder
+        after: dict = {}
+        try:
+            stack = [((i,), *internal_insert(t, i), None)
+                     for i in reversed(inner_corners(t))]
+            while stack:
+                w, state, tr, prev_tr = stack.pop()
+                after[w] = state
+                if prev_tr is not None and prev_tr.route and tr.route:
+                    route.instances += 1
+                    if not _route_pair_ok(w[-2], prev_tr, w[-1], tr):
+                        route.fail(f"{t!r} word={w}", "route geometry",
+                                   f"routes {prev_tr} then {tr}")
+                if len(w) < word_len:
+                    stack.extend((w + (i,), *internal_insert(state, i), tr)
+                                 for i in reversed(inner_corners(state)))
 
-    for lam in partitions_up_to(max_size):
-        for mu in subpartitions(lam):
-            mu_p = mu + (0,) * (len(lam) - len(mu))
-            for t in packed_fillings(lam, mu_p):
-                # after[w]: the state reached by inserting at rows w[0], w[1],
-                # ... in turn, filled in depth-first preorder
-                after: dict = {}
-                stack = [((i,), *internal_insert(t, i), None)
-                         for i in reversed(inner_corners(t))]
-                while stack:
-                    w, state, tr, prev_tr = stack.pop()
-                    after[w] = state
-                    if prev_tr is not None and prev_tr.route and tr.route:
-                        n_route_pairs += 1
-                        if (not _route_pair_ok(w[-2], prev_tr, w[-1], tr)
-                                and len(route_failures) < MAX_STORED_FAILURES):
-                            route_failures.append(
-                                (f"{t!r} word={w}", "route geometry",
-                                 f"routes {prev_tr} then {tr}"))
-                    if len(w) < word_len:
-                        stack.extend((w + (i,), *internal_insert(state, i), tr)
-                                     for i in reversed(inner_corners(state)))
-                n_words += len(after)
-
-                classes_done: set = set()
-                for w, state in after.items():
-                    # the applied word, reading right to left, is u
-                    u = w[::-1]
-                    cls = _class_of(u)
-                    rep_word = min(cls)
-                    if rep_word in classes_done:
-                        continue
-                    classes_done.add(rep_word)
-                    for v in cls:
-                        other = after.get(v[::-1])
-                        if other is None:
-                            failure = (f"{t!r} v={v}", "v applies",
-                                       f"u={u} applies, v does not")
-                        elif other != state:
-                            failure = (f"{t!r} u={u} v={v}", f"{state!r}",
-                                       f"{other!r}")
-                        else:
-                            continue
-                        if len(thu_failures) < MAX_STORED_FAILURES:
-                            thu_failures.append(failure)
-
-    return (tuple(thu_failures), tuple(route_failures), n_words, n_route_pairs,
-            time.perf_counter() - t0)
+            classes_done: set = set()
+            for w, state in after.items():
+                u = w[::-1]  # the applied word, reading right to left
+                cls = _class_of(u)
+                rep_word = min(cls)
+                if rep_word in classes_done:
+                    continue
+                classes_done.add(rep_word)
+                for v in cls:
+                    other = after.get(v[::-1])
+                    if other is None:
+                        knuth.fail(f"{t!r} v={v}", "v applies",
+                                   f"u={u} applies, v does not")
+                    elif other != state:
+                        knuth.fail(f"{t!r} u={u} v={v}", f"{state!r}", f"{other!r}")
+        except Exception as exc:  # a raising kernel fails this filling only
+            for rep in (knuth, route):
+                rep.fail(repr(t), "no exception", _raised(exc))
+        knuth.instances += len(after)
+    knuth.seconds = route.seconds = time.perf_counter() - t0
+    return knuth, route
 
 
 def check_knuth_commutativity(max_size: int = 7, seed: int = 0,
                               word_len: int = 5) -> VerifyReport:
     """Knuth-equivalent order words stay valid and act identically."""
-    rep = VerifyReport("knuth-commutativity")
-    thu_failures, _route, n_words, _pairs, seconds = _thu_sweep(max_size, word_len)
-    rep.instances = n_words
-    rep.failures = list(thu_failures)
-    rep.seconds = seconds
-    return rep
+    knuth, _route = _thu_sweep(max_size, word_len)
+    return replace(knuth, failures=list(knuth.failures))  # the sweep is cached
 
 
 def check_route_geometry(max_size: int = 7, seed: int = 0,
                          word_len: int = 5) -> VerifyReport:
     """Successive bumping routes keep their expected relative positions."""
-    rep = VerifyReport("route-geometry")
-    _thu, route_failures, _n, n_pairs, seconds = _thu_sweep(max_size, word_len)
-    rep.instances = n_pairs
-    rep.failures = list(route_failures)
-    rep.seconds = seconds
-    return rep
+    _knuth, route = _thu_sweep(max_size, word_len)
+    return replace(route, failures=list(route.failures))
 
 
 def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:
     """Forward-then-inverse identity plus class preservation for all
-    shared-border pairs within the ambient bound; an instance on which the
-    forward or the inverse raises fails its round trip."""
-    rep = VerifyReport("skew-rsk")
-    t0 = time.perf_counter()
-    by_mu: dict = {}
-    for lam in partitions_up_to(max_size):
-        for mu in subpartitions(lam):
-            by_mu.setdefault(mu, []).append(lam)
-    for mu, lams in by_mu.items():
-        t_side = []
-        for lam in lams:
-            t_side.extend(packed_fillings(lam, mu + (0,) * (len(lam) - len(mu))))
-        pre_t = [(t, p_tableau_rows(reading_word(t))) for t in t_side]
-        for u in t_side:
-            order = standard_order(u)
-            w_u = p_tableau_rows(reading_word(u))
-            for t, w_t in pre_t:
-                rep.instances += 1
-                try:
-                    p, q = _forward(t, order)
-                    if p_tableau_rows(reading_word(p)) != w_t:
-                        rep.fail(f"{t!r} {u!r}", "P = T class", f"{p!r}")
-                    if p_tableau_rows(reading_word(q)) != w_u:
-                        rep.fail(f"{t!r} {u!r}", "Q = U class", f"{q!r}")
-                    t2, u2 = skew_rsk_inverse(p, q)
-                except ValueError as exc:
-                    rep.fail(f"{t!r} {u!r}", "round trip", f"raises {exc}")
-                    continue
-                if t2 != t or u2 != u:
-                    rep.fail(f"{t!r} {u!r}", "round trip", f"{t2!r} {u2!r}")
-    rep.seconds = time.perf_counter() - t0
-    return rep
+    shared-border pairs within the ambient bound."""
+    def instances():
+        by_mu: dict = {}
+        for lam in partitions_up_to(max_size):
+            for mu in subpartitions(lam):
+                by_mu.setdefault(mu, []).append(lam)
+        for mu, lams in by_mu.items():
+            t_side = [t for lam in lams
+                      for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu)))]
+            pre_t = [(t, p_tableau_rows(reading_word(t))) for t in t_side]
+            for u in t_side:
+                order = standard_order(u)
+                w_u = p_tableau_rows(reading_word(u))
+                for t, w_t in pre_t:
+                    yield t, w_t, u, order, w_u
+
+    def prop(instance):
+        t, w_t, u, order, w_u = instance
+        p, q = _forward(t, order)
+        if p_tableau_rows(reading_word(p)) != w_t:
+            yield f"{t!r} {u!r}", "P = T class", f"{p!r}"
+        if p_tableau_rows(reading_word(q)) != w_u:
+            yield f"{t!r} {u!r}", "Q = U class", f"{q!r}"
+        t2, u2 = skew_rsk_inverse(p, q)
+        if t2 != t or u2 != u:
+            yield f"{t!r} {u!r}", "round trip", f"{t2!r} {u2!r}"
+
+    return _sweep("skew-rsk", instances(), prop, lambda i: f"{i[0]!r} {i[2]!r}")
 
 
 @lru_cache(maxsize=None)
@@ -319,89 +323,81 @@ def check_lr_oracle(max_size: int = 8, seed: int = 0) -> VerifyReport:
     witnesses the symmetry bijectively.  Both sides of the product identity
     are symmetric, so they are compared in the monomial basis: on partition
     exponents alpha only, s_mu s_nu as sum_beta s_mu[beta] s_nu[alpha-beta]."""
-    rep = VerifyReport("lr-oracle")
-    t0 = time.perf_counter()
-    for a in range(max_size + 1):
-        for b in range(max_size + 1 - a):
-            n_vars = max(1, a + b)
-            alphas = [alpha + (0,) * (n_vars - len(alpha))
-                      for alpha in partitions_of(a + b)]
-            for mu in partitions_of(a):
-                for nu in partitions_of(b):
-                    rep.instances += 1
-                    expansion = schur_product(mu, nu, max_rows=n_vars)
-                    small, big = sorted((_schur_poly(mu, n_vars),
-                                         _schur_poly(nu, n_vars)), key=len)
-                    for alpha in alphas:
-                        # a negative exponent of alpha - beta misses in big
-                        lhs = sum(c * big.get(tuple(map(sub, alpha, beta)), 0)
-                                  for beta, c in small.items())
-                        rhs = sum(c * _schur_poly(lam, n_vars).get(alpha, 0)
-                                  for lam, c in expansion.items())
-                        if lhs != rhs:
-                            rep.fail(f"mu={mu} nu={nu} alpha={alpha}", lhs, rhs)
-                            break
-                    for lam, c in expansion.items():
-                        c_rev = lr_coefficient(lam, nu, mu)
-                        if c_rev != c:
-                            rep.fail(f"{lam} {mu} {nu}", c, c_rev)
-                        witnesses = enumerate_ballot(SkewShape(lam, mu), nu)
-                        image = {rho1_switching(glued_pair(t)).skew
-                                 for t in witnesses}
-                        target = set(enumerate_ballot(SkewShape(lam, nu), mu))
-                        if image != target:
-                            rep.fail(f"{lam} {mu} {nu}",
-                                     "bijection onto opposite ballot set",
-                                     f"{len(image)} vs {len(target)}")
-    rep.seconds = time.perf_counter() - t0
-    return rep
+    def instances():
+        for a in range(max_size + 1):
+            for b in range(max_size + 1 - a):
+                n_vars = max(1, a + b)
+                alphas = [alpha + (0,) * (n_vars - len(alpha))
+                          for alpha in partitions_of(a + b)]
+                for mu in partitions_of(a):
+                    for nu in partitions_of(b):
+                        yield mu, nu, n_vars, alphas
+
+    def prop(instance):
+        mu, nu, n_vars, alphas = instance
+        expansion = schur_product(mu, nu, max_rows=n_vars)
+        small, big = sorted((_schur_poly(mu, n_vars), _schur_poly(nu, n_vars)),
+                            key=len)
+        for alpha in alphas:
+            # a negative exponent of alpha - beta misses in big
+            lhs = sum(c * big.get(tuple(map(sub, alpha, beta)), 0)
+                      for beta, c in small.items())
+            rhs = sum(c * _schur_poly(lam, n_vars).get(alpha, 0)
+                      for lam, c in expansion.items())
+            if lhs != rhs:
+                yield f"mu={mu} nu={nu} alpha={alpha}", lhs, rhs
+                break
+        for lam, c in expansion.items():
+            c_rev = lr_coefficient(lam, nu, mu)
+            if c_rev != c:
+                yield f"{lam} {mu} {nu}", c, c_rev
+            witnesses = enumerate_ballot(SkewShape(lam, mu), nu)
+            image = {rho1_switching(glued_pair(t)).skew for t in witnesses}
+            target = set(enumerate_ballot(SkewShape(lam, nu), mu))
+            if image != target:
+                yield (f"{lam} {mu} {nu}", "bijection onto opposite ballot set",
+                       f"{len(image)} vs {len(target)}")
+
+    return _sweep("lr-oracle", instances(), prop, lambda i: f"mu={i[0]} nu={i[1]}")
 
 
 def check_recursion(max_size: int = 8, seed: int = 0) -> VerifyReport:
     """Staged switching stops with the expected row structure, and the
-    commutor factors through the intermediate state; a pair that raises fails."""
-    rep = VerifyReport("recursion")
-    t0 = time.perf_counter()
-    for p in lr_pairs(max_size):
-        t = p.skew
-        lam, mu = t.outer, as_partition(t.inner)
-        np1 = len(lam)
-        if np1 < 2 or not mu or len(mu) > np1 - 1:
-            continue
-        last = t.rows[-1]
-        f_word = tuple(x for x in last if x <= np1 - 1)
-        if not f_word:
-            continue
-        rep.instances += 1
-        try:
-            d, s, f_hat, big_d, q = staged_decomposition(p)
-        except ValueError as exc:
-            rep.fail(_pair_key(p), "staged decomposition", f"raises {exc}")
-            continue
+    commutor factors through the intermediate state, wherever it applies."""
+    def instances():
+        for p in lr_pairs(max_size):
+            t = p.skew
+            mu, np1 = as_partition(t.inner), len(t.outer)
+            if np1 < 2 or not mu or len(mu) > np1 - 1:
+                continue
+            f_word = tuple(x for x in t.rows[-1] if x <= np1 - 1)
+            if f_word:
+                yield p, mu, f_word
+
+    def prop(instance):
+        p, mu, f_word = instance
+        key = _pair_key(p)
+        d, s, f_hat, big_d, q = staged_decomposition(p)
         if any(x != d for x in big_d) or len(big_d) != len(f_word) - len(f_hat) \
                 or not big_d:
-            rep.fail(_pair_key(p), "D = d^{|F|-|F hat|}, nonempty",
-                     f"d={d} D={big_d} F={f_word} Fhat={f_hat}")
+            yield (key, "D = d^{|F|-|F hat|}, nonempty",
+                   f"d={d} D={big_d} F={f_word} Fhat={f_hat}")
         if any(q.rows[k] for k in range(d - 1)):
-            rep.fail(_pair_key(p), "Q empty above row d", f"{q!r}")
-        nu = tableau_content(t)
+            yield key, "Q empty above row d", f"{q!r}"
+        nu = tableau_content(p.skew)
         if p_tableau_rows(reading_word(s)) != yamanouchi_tableau(nu).rows:
-            rep.fail(_pair_key(p), "S = Y_nu class", f"{s!r}")
+            yield key, "S = Y_nu class", f"{s!r}"
         shifted = tuple((d + k,) * mu[d - 1 + k] for k in range(len(mu) - d + 1)
                         if mu[d - 1 + k])
         if p_tableau_rows(reading_word(q)) != shifted:
-            rep.fail(_pair_key(p), "Q = shifted Yamanouchi class", f"{q!r}")
+            yield key, "Q = shifted Yamanouchi class", f"{q!r}"
         full = rho1_switching(p)
-        try:
-            part = rho1_switching(glued_pair(s))
-            combined = GluedPair(part.yam, glue(part.skew, q))
-        except ValueError as exc:
-            rep.fail(_pair_key(p), _pair_key(full), f"raises {exc}")
-            continue
+        part = rho1_switching(glued_pair(s))
+        combined = GluedPair(part.yam, glue(part.skew, q))
         if combined != full:
-            rep.fail(_pair_key(p), _pair_key(full), _pair_key(combined))
-    rep.seconds = time.perf_counter() - t0
-    return rep
+            yield key, _pair_key(full), _pair_key(combined)
+
+    return _sweep("recursion", instances(), prop, lambda i: _pair_key(i[0]))
 
 
 CHECKS = {
@@ -416,11 +412,13 @@ CHECKS = {
 }
 
 
-def run_checks(names, max_size: int) -> list[VerifyReport]:
+def run_checks(names, max_size: int) -> Iterator[VerifyReport]:
+    """Raise ``ValueError`` at once on a negative size or an unknown name;
+    run the named checks lazily, as the reports are iterated."""
     if max_size < 0:
         raise ValueError(f"max_size must be at least 0, got {max_size}")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; valid names: "
                          f"{', '.join(sorted(CHECKS))}")
-    return [CHECKS[n](max_size=max_size) for n in names]
+    return (CHECKS[n](max_size=max_size) for n in names)

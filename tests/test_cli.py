@@ -120,7 +120,7 @@ def test_commute_checks_its_input_once(tmp_path, capsys, monkeypatch):
 def test_commute_propagates_internal_errors(tmp_path, capsys, monkeypatch):
     # only a failed input check is a usage error; a commutor that goes wrong
     # on valid input raises
-    monkeypatch.setattr(commutor, "switching", lambda u, v, *a: (v, u))
+    monkeypatch.setattr(commutor, "switching", lambda u, v, *a, **k: (v, u))
     f = tmp_path / "t.txt"
     f.write_text(T_TEXT)
     with pytest.raises(ValueError, match="did not produce the Yamanouchi"):
@@ -187,6 +187,42 @@ def test_verify_deterministic(capsys):
     b = run(capsys, "verify", "--max-size", "3", "--checks", "confluence")
     strip = lambda s: [l.split("time=")[0] for l in s.splitlines()]
     assert a[0] == b[0] == 0 and strip(a[1]) == strip(b[1])
+
+
+def test_verify_reports_a_raising_check_as_a_failure(capsys, monkeypatch):
+    # admitting every switch makes switching raise on some ballot pairs and
+    # break confluence on 65 instances: both checks report FAIL (exit 1)
+    # with their true failure counts, where 50 are stored
+    monkeypatch.setattr(commutor, "_admissible", lambda *args: True)
+    code, out, err = run(capsys, "verify", "--max-size", "4",
+                         "--checks", "involution,confluence")
+    lines = [line for line in out.splitlines() if not line.startswith("    ")]
+    assert code == 1 and err == ""
+    assert [line.split()[:2] for line in lines] == [["involution", "FAIL"],
+                                                    ["confluence", "FAIL"]]
+    assert "failures=65" in lines[1]
+    assert "raises ValueError: switching did not produce" in out
+
+
+def test_verify_and_golden_print_json_lines(capsys, monkeypatch):
+    code, out, _ = run(capsys, "--format", "json", "golden")
+    results = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and len(results) == 7
+    assert all(r["passed"] and r["messages"] == [] for r in results)
+    monkeypatch.setattr(commutor, "_admissible", lambda *args: True)
+    code, out, _ = run(capsys, "--format", "json", "verify", "--max-size", "4",
+                       "--checks", "involution,confluence")
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and [r["name"] for r in reports] == ["involution",
+                                                          "confluence"]
+    confluence = reports[1]
+    assert set(confluence) == {"name", "passed", "instances", "failures",
+                               "seconds", "first_failures"}
+    assert (confluence["passed"], confluence["instances"],
+            confluence["failures"]) == (False, 341, 65)
+    assert len(confluence["first_failures"]) == 5
+    assert set(confluence["first_failures"][0]) == {"instance", "expected",
+                                                    "actual"}
 
 
 def test_seed_is_not_an_option(capsys):

@@ -1,5 +1,7 @@
 from bisect import bisect_left, bisect_right
 
+import pytest
+
 from lrcommute import commutor, insertion, schur, verify
 from lrcommute.commutor import SwitchSite
 from lrcommute.verify import (_thu_sweep, check_confluence,
@@ -159,3 +161,48 @@ def test_lr_oracle_flags_a_broken_count(monkeypatch):
     # the coefficient of s_mu s_nu and that of the expansion
     assert rep.failures == [
         ("mu=(2, 1) nu=(2, 1) alpha=(3, 2, 1, 0, 0, 0)", "6", "7")]
+
+
+def _raising_at_row_3(kernel, row_of):
+    def broken(*args):
+        if row_of(*args) == 3:
+            raise RuntimeError("broken at row 3")
+        return kernel(*args)
+    return broken
+
+
+@pytest.mark.parametrize("name, kernel, instances, failures", [
+    ("involution", "switch", 57, 3),
+    ("coincidence", "insert", 57, 5),
+    ("confluence", "switch", 341, 6),
+    ("skew-rsk", "insert", 3430, 658),
+    ("lr-oracle", "switch", 38, 3),
+    ("recursion", "switch", 18, 3),
+    # the shared walk counts the words and route pairs it reaches: each of
+    # the 114 packed fillings meets row 3 within 5 steps, fails once in both
+    # reports and stops there, short of 13,557 words and 4,146 route pairs
+    ("knuth-commutativity", "insert", 691, 114),
+    ("route-geometry", "insert", 130, 114),
+])
+def test_a_raising_kernel_fails_its_instances_not_the_sweep(
+        monkeypatch, name, kernel, instances, failures):
+    # a switch or an insertion at row 3 raises: each instance (or filling,
+    # for the shared walk) that meets it fails, with the exception's type
+    # and message, and the sweep goes on to the next one
+    if kernel == "switch":
+        monkeypatch.setattr(commutor, "_admissible", _raising_at_row_3(
+            commutor._admissible, lambda cells, cu, cv: cu[0]))
+    else:
+        broken = _raising_at_row_3(insertion._insert_inplace,
+                                   lambda outer, inner, rows, i: i)
+        monkeypatch.setattr(insertion, "_insert_inplace", broken)
+        monkeypatch.setattr(commutor, "_insert_inplace", broken)
+    _thu_sweep.cache_clear()
+    try:
+        rep = verify.CHECKS[name](max_size=4)
+    finally:
+        _thu_sweep.cache_clear()
+    assert rep.instances == instances and rep.failure_count == failures
+    assert {actual for _key, _expected, actual in rep.failures} == {
+        "raises RuntimeError: broken at row 3"}
+    assert len({key for key, _expected, _actual in rep.failures}) == min(failures, 50)
