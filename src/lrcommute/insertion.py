@@ -6,12 +6,18 @@ bumped entry into the rows below; it grows the inner and outer borders by one
 box each without changing the multiset of entries.  Both directions run in
 place on parallel mutable lists (outer, inner, rows): ``_insert_inplace``
 makes the move and ``_uninsert_inplace`` undoes it from the cell it created.
-The forward correspondence (T, U) -> (P, Q) inserts T at the rows of U's
-cells in standard order (``tableaux.standard_order``) through
-``order_word_steps``; the inverse undoes the moves in reverse standard order
-of Q.  A created cell ends its row of P, and a vacated one its row of the
-inner border, so Q's rows fill left to right as U's entries create cells,
-and U's rows right to left as Q's entries vacate them.
+
+Skew RSK has one kernel per direction on the same lists.  The forward kernel
+``_forward_inplace`` takes (T, U) to (P, Q): it inserts T at the rows of U's
+cells in standard order (a ``tableaux.standard_order`` list) and returns Q's
+rows.  The inverse kernel ``_inverse_inplace`` undoes the moves in reverse
+standard order of Q and returns U's rows.  A created cell ends its row of P,
+and a vacated one its row of the inner border, so Q's rows fill left to right
+as U's entries create cells, and U's rows right to left as Q's entries vacate
+them.  The public ``skew_rsk_forward`` and ``skew_rsk_inverse`` (like
+``internal_insert`` and ``order_word_steps`` for the basic move) copy their
+arguments into lists, run the kernel and freeze the result; the skew-rsk
+sweep runs the kernels on its own lists and freezes nothing that passes.
 """
 
 from __future__ import annotations
@@ -78,7 +84,12 @@ def inner_corners(t: SkewTableau) -> list[int]:
     to one past the last that have an inner corner, meaning row 1 and every
     row whose inner border is shorter than the one above, so that the cell
     just right of it, filled or blank, can join the inner border."""
-    inner = t.inner
+    return _corners(t.inner)
+
+
+def _corners(inner) -> list[int]:
+    """``inner_corners`` of any filling with this inner border, a list or a
+    tuple padded with zeros to the outer border's length."""
     n = len(inner)
     out = []
     for i in range(1, n + 2):
@@ -93,8 +104,8 @@ def _insert_inplace(outer: list, inner: list, rows: list, i: int) -> InsertionTr
     if i < 1 or i > n + 1:
         raise ValueError(f"row {i} is not an inner corner")
     mu_i = inner[i - 1] if i <= n else 0
-    # the corner rule of inner_corners, written out in both because a
-    # helper called once per row makes inner_corners about 50% slower
+    # the corner rule of _corners, written out in both because a helper
+    # called once per row makes _corners about 50% slower
     if i > 1 and inner[i - 2] <= mu_i:
         raise ValueError(f"row {i} is not an inner corner")
     lam_i = outer[i - 1] if i <= n else 0
@@ -227,15 +238,32 @@ def extended_insert(p: GluedPair, i: int) -> GluedPair:
     return glued_pair(internal_insert(p.skew, i)[0])
 
 
-def _forward(t: SkewTableau, order):
-    """(P, Q): insert t at the rows of the cells of order, a
-    ``standard_order`` list, recording each entry in Q at the created cell."""
-    # the companion word: rows in reverse order, as words apply right to left
-    p, traces = order_word_steps(t, [c[0] for _x, c in reversed(order)])
-    q_rows: list[list[int]] = [[] for _ in p.outer]
-    for (x, _c), tr in zip(order, traces):
-        q_rows[tr.created[0] - 1].append(x)
-    return p, _freeze(p.outer, t.outer + (0,) * (len(p.outer) - len(t.outer)), q_rows)
+def _forward_inplace(outer: list, inner: list, rows: list, order) -> list[list[int]]:
+    """Skew RSK forward on parallel mutable lists holding T: insert at the
+    rows of the cells of order, U's ``standard_order`` list, leaving P in
+    the lists; return Q's rows, each entry of U at the row of the cell its
+    step created.  Q's inner border is T's outer one."""
+    q_rows: list[list[int]] = [[] for _ in outer]
+    for x, (r, _c) in order:
+        r = _insert_inplace(outer, inner, rows, r).created[0]
+        if r > len(q_rows):  # the step opened a new bottom row
+            q_rows.append([])
+        q_rows[r - 1].append(x)
+    return q_rows
+
+
+def _inverse_inplace(outer: list, inner: list, rows: list, order) -> list[list[int]]:
+    """Skew RSK inverse on parallel mutable lists holding P: undo the
+    insertions that created the cells of order, Q's ``standard_order`` list,
+    last first, leaving T in the lists; return U's rows, each entry of Q at
+    the row of the cell its step vacated.  U's outer border is P's inner
+    one and its inner border T's."""
+    u_rows: list[list[int]] = [[] for x in inner if x]
+    for x, cell in reversed(order):
+        u_rows[_uninsert_inplace(outer, inner, rows, cell)[0] - 1].append(x)
+    for r in u_rows:
+        r.reverse()
+    return u_rows
 
 
 def skew_rsk_forward(t: SkewTableau, u: SkewTableau) -> tuple[SkewTableau, SkewTableau]:
@@ -247,7 +275,11 @@ def skew_rsk_forward(t: SkewTableau, u: SkewTableau) -> tuple[SkewTableau, SkewT
     if as_partition(t.inner) != as_partition(u.inner):
         raise ValueError(
             f"inner borders differ: {as_partition(t.inner)} vs {as_partition(u.inner)}")
-    return _forward(t, standard_order(u))
+    outer, inner = list(t.outer), list(t.inner)
+    rows = [list(r) for r in t.rows]
+    q_rows = _forward_inplace(outer, inner, rows, standard_order(u))
+    p = _freeze(outer, inner, rows)
+    return p, _freeze(p.outer, t.outer + (0,) * (len(p.outer) - len(t.outer)), q_rows)
 
 
 def skew_rsk_inverse(p: SkewTableau, q: SkewTableau) -> tuple[SkewTableau, SkewTableau]:
@@ -258,9 +290,6 @@ def skew_rsk_inverse(p: SkewTableau, q: SkewTableau) -> tuple[SkewTableau, SkewT
     outer, inner = list(p.outer), list(p.inner)
     rows = [list(r) for r in p.rows]
     mu = as_partition(p.inner)
-    u_rows: list[list[int]] = [[] for _ in mu]
-    for x, cell in reversed(standard_order(q)):
-        u_rows[_uninsert_inplace(outer, inner, rows, cell)[0] - 1].append(x)
+    u_rows = _inverse_inplace(outer, inner, rows, standard_order(q))
     t = _freeze(outer, inner, rows)
-    return t, _freeze(mu, (t.inner + (0,) * len(mu))[:len(mu)],
-                      [r[::-1] for r in u_rows])
+    return t, _freeze(mu, (t.inner + (0,) * len(mu))[:len(mu)], u_rows)

@@ -244,7 +244,14 @@ def tableau_content(t: SkewTableau) -> tuple[int, ...]:
 def standard_order(t: SkewTableau) -> list[tuple[int, Cell]]:
     """The (entry, cell) pairs of t sorted by entry, then column, then row:
     the order in which standardization numbers the cells."""
-    return sorted(((x, c) for c, x in t.cells()),
+    return _standard_order(t.inner, t.rows)
+
+
+def _standard_order(inner, rows) -> list[tuple[int, Cell]]:
+    """``standard_order`` of the filling with these inner border and rows,
+    lists or tuples."""
+    return sorted(((x, (k + 1, inner[k] + j + 1))
+                   for k, row in enumerate(rows) for j, x in enumerate(row)),
                   key=lambda e: (e[0], e[1][1], e[1][0]))
 
 

@@ -20,20 +20,22 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 from operator import sub
 from typing import Iterator
 
+from . import insertion
 from .commutor import (TwoColorTableau, _infuse, _split_cells, _terminals,
                        rho1_internal, rho1_scratch, rho1_switching,
                        staged_decomposition)
-from .insertion import (GluedPair, _forward, glued_pair, inner_corners,
-                        internal_insert, skew_rsk_inverse)
+from .insertion import (GluedPair, _corners, _forward_inplace, _freeze,
+                        _inverse_inplace, glued_pair)
 from .knuth import knuth_class, p_tableau_rows
 from .schur import lr_coefficient, schur_polynomial, schur_product
-from .tableaux import (SkewShape, SkewTableau, as_partition, enumerate_ballot,
-                       enumerate_ssyt, glue, partitions_of, reading_word,
-                       standard_order, subpartitions, tableau_content,
-                       yamanouchi_tableau)
+from .tableaux import (SkewShape, SkewTableau, _standard_order, as_partition,
+                       enumerate_ballot, enumerate_ssyt, glue, partitions_of,
+                       reading_word, standard_order, subpartitions,
+                       tableau_content, yamanouchi_tableau)
 
 MAX_STORED_FAILURES = 50
 
@@ -212,38 +214,56 @@ def _class_of(word):
 @lru_cache(maxsize=None)
 def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport]:
     """For each packed filling t, one walk applies every valid order word of
-    length up to word_len once, keeping the state it reaches and checking
-    successive bumping routes; then every member of each Knuth class met must
-    be a walked word (``inner_corners`` lists exactly the insertable rows)
-    reaching the same state.
+    length up to word_len once; then every member of each Knuth class met
+    must be a walked word reaching the same state.
+
+    The walk keeps one mutable copy of t and goes depth first.  At each row
+    that ``_corners`` lists (exactly the insertable rows), it inserts in
+    place, stores a tuple snapshot of the state, checks the route against
+    the one before, walks on, and backtracks by reverse-bumping from the
+    created cell, which must give back the vacated one.  States are frozen
+    only to print a failure.
 
     Returns the knuth-commutativity report over the words walked and the
     route-geometry report over the route pairs met, both timed by the sweep.
-    A filling whose walk raises fails in both; its later words go uncounted."""
+    A filling whose walk raises, or whose backtrack gives back another cell,
+    fails once in both and stops there: the words and route pairs reached
+    before that count, the later ones do not."""
     knuth = VerifyReport("knuth-commutativity")
     route = VerifyReport("route-geometry")
+    # read from the module at each sweep, so a kernel replaced there is the
+    # one walked
+    insert, uninsert = insertion._insert_inplace, insertion._uninsert_inplace
+
+    def walk(w, prev_tr):
+        """Apply each valid letter after w to the current filling's lists,
+        walk on from there, and undo it."""
+        for i in _corners(inner):
+            tr = insert(outer, inner, rows, i)
+            v = w + (i,)
+            after[v] = (tuple(outer), tuple(inner), tuple(map(tuple, rows)))
+            if prev_tr is not None and prev_tr.route and tr.route:
+                route.instances += 1
+                if not _route_pair_ok(w[-1], prev_tr, i, tr):
+                    route.fail(f"{t!r} word={v}", "route geometry",
+                               f"routes {prev_tr} then {tr}")
+            if len(v) < word_len:
+                walk(v, tr)
+            back = uninsert(outer, inner, rows, tr.created)
+            if back != tr.vacated:
+                raise ValueError(f"undoing word {v} gives back {back}, "
+                                 f"not the vacated {tr.vacated}")
+
     t0 = time.perf_counter()
     fillings = (t for lam in partitions_up_to(max_size) for mu in subpartitions(lam)
                 for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu))))
     for t in fillings:
+        outer, inner, rows = list(t.outer), list(t.inner), [list(r) for r in t.rows]
         # after[w]: the state reached by inserting at rows w[0], w[1], ... in
         # turn, filled in depth-first preorder
         after: dict = {}
         try:
-            stack = [((i,), *internal_insert(t, i), None)
-                     for i in reversed(inner_corners(t))]
-            while stack:
-                w, state, tr, prev_tr = stack.pop()
-                after[w] = state
-                if prev_tr is not None and prev_tr.route and tr.route:
-                    route.instances += 1
-                    if not _route_pair_ok(w[-2], prev_tr, w[-1], tr):
-                        route.fail(f"{t!r} word={w}", "route geometry",
-                                   f"routes {prev_tr} then {tr}")
-                if len(w) < word_len:
-                    stack.extend((w + (i,), *internal_insert(state, i), tr)
-                                 for i in reversed(inner_corners(state)))
-
+            walk((), None)
             classes_done: set = set()
             for w, state in after.items():
                 u = w[::-1]  # the applied word, reading right to left
@@ -258,7 +278,8 @@ def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport
                         knuth.fail(f"{t!r} v={v}", "v applies",
                                    f"u={u} applies, v does not")
                     elif other != state:
-                        knuth.fail(f"{t!r} u={u} v={v}", f"{state!r}", f"{other!r}")
+                        knuth.fail(f"{t!r} u={u} v={v}", f"{_freeze(*state)!r}",
+                                   f"{_freeze(*other)!r}")
         except Exception as exc:  # a raising kernel fails this filling only
             for rep in (knuth, route):
                 rep.fail(repr(t), "no exception", _raised(exc))
@@ -283,34 +304,43 @@ def check_route_geometry(max_size: int = 7, seed: int = 0,
 
 def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:
     """Forward-then-inverse identity plus class preservation for all
-    shared-border pairs within the ambient bound."""
+    shared-border pairs within the ambient bound.  Each pair runs the two
+    kernels on one copy of t's lists and freezes only to report a failure."""
     def instances():
         by_mu: dict = {}
         for lam in partitions_up_to(max_size):
             for mu in subpartitions(lam):
                 by_mu.setdefault(mu, []).append(lam)
         for mu, lams in by_mu.items():
-            t_side = [t for lam in lams
-                      for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu)))]
-            pre_t = [(t, p_tableau_rows(reading_word(t))) for t in t_side]
-            for u in t_side:
-                order = standard_order(u)
-                w_u = p_tableau_rows(reading_word(u))
-                for t, w_t in pre_t:
-                    yield t, w_t, u, order, w_u
+            # each filling with its P-tableau rows, standard order and lists
+            side = [(t, p_tableau_rows(reading_word(t)), standard_order(t),
+                     (list(t.outer), list(t.inner), [list(r) for r in t.rows]))
+                    for lam in lams
+                    for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu)))]
+            for u_side in side:
+                for t_side in side:
+                    yield t_side, u_side
 
     def prop(instance):
-        t, w_t, u, order, w_u = instance
-        p, q = _forward(t, order)
-        if p_tableau_rows(reading_word(p)) != w_t:
-            yield f"{t!r} {u!r}", "P = T class", f"{p!r}"
-        if p_tableau_rows(reading_word(q)) != w_u:
-            yield f"{t!r} {u!r}", "Q = U class", f"{q!r}"
-        t2, u2 = skew_rsk_inverse(p, q)
-        if t2 != t or u2 != u:
+        (t, w_t, _, (t_outer, t_inner, t_rows)), (u, w_u, order, u_lists) = instance
+        outer, inner, rows = t_outer[:], t_inner[:], [r[:] for r in t_rows]
+        q_rows = _forward_inplace(outer, inner, rows, order)
+        q_inner = t.outer + (0,) * (len(outer) - len(t.outer))
+        if p_tableau_rows(chain.from_iterable(reversed(rows))) != w_t:
+            yield f"{t!r} {u!r}", "P = T class", f"{_freeze(outer, inner, rows)!r}"
+        if p_tableau_rows(chain.from_iterable(reversed(q_rows))) != w_u:
+            yield f"{t!r} {u!r}", "Q = U class", f"{_freeze(outer, q_inner, q_rows)!r}"
+        # Q's standard order comes from Q's own cells, not the forward steps
+        u_rows = _inverse_inplace(outer, inner, rows, _standard_order(q_inner, q_rows))
+        # with T back, U's rows fix its borders: its inner border is T's, and
+        # its outer one T's inner border plus one cell per entry of a row
+        if outer != t_outer or inner != t_inner or rows != t_rows or u_rows != u_lists[2]:
+            t2 = _freeze(outer, inner, rows)
+            n = len(u.outer)  # P's inner border: the forward steps vacate u's cells
+            u2 = _freeze(u.outer, (t2.inner + (0,) * n)[:n], u_rows)
             yield f"{t!r} {u!r}", "round trip", f"{t2!r} {u2!r}"
 
-    return _sweep("skew-rsk", instances(), prop, lambda i: f"{i[0]!r} {i[2]!r}")
+    return _sweep("skew-rsk", instances(), prop, lambda i: f"{i[0][0]!r} {i[1][0]!r}")
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,10 @@ def test_route_geometry_reports_the_shared_sweep_time():
 
 def test_knuth_sweep_flags_a_broken_bump(monkeypatch):
     # bumping the leftmost entry >= x instead of > x breaks the insertion,
-    # and both checks that read the sweep must report it
+    # and both checks that read the sweep must report it; the walk
+    # backtracks by the reverse bump, which cannot undo some broken bumps
+    # and raises there, so it stops short of the 6,384 words it reaches
+    # unbroken
     monkeypatch.setattr(insertion, "bisect_right", bisect_left)
     _thu_sweep.cache_clear()
     try:
@@ -28,8 +31,20 @@ def test_knuth_sweep_flags_a_broken_bump(monkeypatch):
         route = check_route_geometry(max_size=5, word_len=3)
     finally:
         _thu_sweep.cache_clear()
-    assert knuth.instances == 6384 and not knuth.passed
+    assert knuth.instances == 4796 and not knuth.passed
     assert not route.passed
+
+
+def test_knuth_sweep_flags_a_broken_reverse_bump(monkeypatch):
+    # reverse-bumping the rightmost entry <= x instead of < x breaks the
+    # walk's backtracking, which must fail the sweep
+    monkeypatch.setattr(insertion, "bisect_left", bisect_right)
+    _thu_sweep.cache_clear()
+    try:
+        knuth = check_knuth_commutativity(max_size=5, word_len=3)
+    finally:
+        _thu_sweep.cache_clear()
+    assert not knuth.passed
 
 
 def test_skew_rsk_flags_a_broken_reverse_bump(monkeypatch):
@@ -180,9 +195,11 @@ def _raising_at_row_3(kernel, row_of):
     ("recursion", "switch", 18, 3),
     # the shared walk counts the words and route pairs it reaches: each of
     # the 114 packed fillings meets row 3 within 5 steps, fails once in both
-    # reports and stops there, short of 13,557 words and 4,146 route pairs
-    ("knuth-commutativity", "insert", 691, 114),
-    ("route-geometry", "insert", 130, 114),
+    # reports and stops there, short of 13,557 words and 4,146 route pairs;
+    # the walk inserts lazily, depth first, so the counts are those met in
+    # preorder before the first insertion at row 3
+    ("knuth-commutativity", "insert", 983, 114),
+    ("route-geometry", "insert", 212, 114),
 ])
 def test_a_raising_kernel_fails_its_instances_not_the_sweep(
         monkeypatch, name, kernel, instances, failures):
