@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import golden as golden_mod
 from . import verify as verify_mod
@@ -215,7 +215,10 @@ def cmd_golden(args) -> int:
     return 1 if failed else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls."""
     ap = argparse.ArgumentParser(
         prog="lrcommute",
         description="Littlewood-Richardson commutor toolkit: switching, "

@@ -11,7 +11,8 @@ checking the route claim on every row block.
 ``switching`` states each switch order once.  Greedy and random run the site
 engine ``_switch``: each colour class stays a valid filling at every switch
 (Benkart-Sottile-Stroomer), so a switch is tested only on the order
-relations it creates.  ``_terminals`` walks every order of such switches,
+relations it creates, and after each swap only the sites that read its two
+cells are tested again.  ``_terminals`` walks every order of such switches,
 for the confluence sweep.  Infusion (reverse standard order, Thomas-Yong) and
 staged switching (``staged_decomposition``: one Yamanouchi row at a time,
 bottom-up, on one board) slide by jeu de taquin in ``_infuse``.
@@ -20,6 +21,7 @@ bottom-up, on one board) slide by jeu de taquin in ``_infuse``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from typing import Callable, Iterator, NamedTuple
 
 from .insertion import (GluedPair, InsertionTrace, _freeze, _insert_inplace,
@@ -30,6 +32,7 @@ from .tableaux import (Cell, SkewTableau, as_partition, is_ballot_tableau,
 
 STRATEGIES = ("greedy", "infusion", "random")
 _TOP = float("inf")
+_OFF = (0, "")  # a cell off the board, of neither colour
 
 
 class SwitchSite(NamedTuple):
@@ -131,23 +134,25 @@ def _admissible(cells, cu, cv):
             and _nearest(cells, r, c, 0, 1, "v", _TOP) >= b)
 
 
-def _find_sites(cells):
-    sites = []
-    for (r, c), (val, col) in cells.items():
-        if col != "u":
-            continue
-        for cv in ((r, c + 1), (r + 1, c)):
-            e = cells.get(cv)
-            if e is not None and e[1] == "v" and _admissible(cells, (r, c), cv):
-                sites.append(SwitchSite((r, c), cv))
-    sites.sort()
-    return sites
+def _edges(cells) -> Iterator[tuple[Cell, Cell]]:
+    """Every candidate switch: a u-cell and a v-cell east or south of it."""
+    for (r, c), (_x, color) in cells.items():
+        if color == "u":
+            for cv in ((r, c + 1), (r + 1, c)):
+                if cells.get(cv, _OFF)[1] == "v":
+                    yield (r, c), cv
+
+
+def _find_sites(cells) -> list[tuple[Cell, Cell]]:
+    """The admissible candidate switches, as (cu, cv), sorted."""
+    return sorted([(cu, cv) for cu, cv in _edges(cells)
+                   if _admissible(cells, cu, cv)])
 
 
 def switch_sites(t: TwoColorTableau) -> list[SwitchSite]:
     """All admissible switches, sorted row-major by the u-cell, horizontal
     before vertical."""
-    return _find_sites(t.cells)
+    return [SwitchSite(cu, cv) for cu, cv in _find_sites(t.cells)]
 
 
 def apply_switch(t: TwoColorTableau, s: SwitchSite) -> TwoColorTableau:
@@ -197,21 +202,54 @@ def _switch(board: dict, rng: random.Random | None = None,
             on_frame: Callable | None = None) -> dict:
     """Switch a copy of the board, a ``TwoColorTableau.cells`` dict, at the
     first site row-major (greedy) or one drawn by ``rng`` until none remains;
-    returns the terminal board."""
+    returns the terminal board.
+
+    The sites stay live, sorted as ``_find_sites`` lists them, instead of
+    being rescanned.  A swap changes only its two cells: it drops the
+    candidate edges at them and adds their new ones, then re-tests the edges
+    that read them.  An east edge at u-cell (r, c) reads only columns c and
+    c + 1, a south one only rows r and r + 1 (``_nearest`` walks along one
+    line), so those are the east edges in columns c1 - 1 to c2 and the south
+    edges in rows r1 - 1 to r2."""
     cells = dict(board)
-    while sites := _find_sites(cells):
-        site = rng.choice(sites) if rng else sites[0]
-        _swap(cells, site.cell_u, site.cell_v)
+    edges = {(cu, cv): _admissible(cells, cu, cv) for cu, cv in _edges(cells)}
+    sites = sorted(e for e, ok in edges.items() if ok)
+    while sites:
+        cu, cv = rng.choice(sites) if rng else sites[0]
+        _swap(cells, cu, cv)
         if on_frame is not None:
-            on_frame(site, dict(cells))
+            on_frame(SwitchSite(cu, cv), dict(cells))
+        # cu, a u-cell, and cv, a v-cell, traded colours: the edges out of
+        # cu and into cv go, those into cu and out of cv may come
+        (r1, c1), (r2, c2) = cu, cv
+        for e in ((cu, (r1, c1 + 1)), (cu, (r1 + 1, c1)),
+                  ((r2, c2 - 1), cv), ((r2 - 1, c2), cv)):
+            if edges.pop(e, False):
+                del sites[bisect_left(sites, e)]
+        for w in ((r1, c1 - 1), (r1 - 1, c1)):
+            if cells.get(w, _OFF)[1] == "u":
+                edges[w, cu] = None  # tested below
+        for e in ((r2, c2 + 1), (r2 + 1, c2)):
+            if cells.get(e, _OFF)[1] == "v":
+                edges[cv, e] = None
+        rows, cols = (r1 - 1, r1, r2), (c1 - 1, c1, c2)
+        for e, was in edges.items():
+            eu, ev = e
+            if ((eu[0] in rows) if ev[0] > eu[0] else (eu[1] in cols)) and \
+                    (ok := _admissible(cells, eu, ev)) != was:
+                edges[e] = ok
+                if ok:
+                    insort(sites, e)
+                elif was:
+                    del sites[bisect_left(sites, e)]
     return cells
 
 
 def _successors(cells: dict) -> Iterator[dict]:
     """Each board one admissible switch away, in site order."""
-    for site in _find_sites(cells):
+    for cu, cv in _find_sites(cells):
         nxt = dict(cells)
-        _swap(nxt, site.cell_u, site.cell_v)
+        _swap(nxt, cu, cv)
         yield nxt
 
 

@@ -208,7 +208,8 @@ def _route_pair_ok(first_row, first_tr, second_row, second_tr):
 
 @lru_cache(maxsize=None)
 def _class_of(word):
-    return tuple(knuth_class(word, 100000))
+    """The Knuth class of word, sorted: its least member comes first."""
+    return tuple(sorted(knuth_class(word, 100000)))
 
 
 @lru_cache(maxsize=None)
@@ -268,10 +269,9 @@ def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport
             for w, state in after.items():
                 u = w[::-1]  # the applied word, reading right to left
                 cls = _class_of(u)
-                rep_word = min(cls)
-                if rep_word in classes_done:
+                if cls[0] in classes_done:
                     continue
-                classes_done.add(rep_word)
+                classes_done.add(cls[0])
                 for v in cls:
                     other = after.get(v[::-1])
                     if other is None:

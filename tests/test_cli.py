@@ -6,7 +6,8 @@ import pytest
 
 from lrcommute import cli, commutor, insertion
 from lrcommute.golden import run_golden
-from lrcommute.tableaux import SkewTableau, from_json_dict, to_json_dict
+from lrcommute.tableaux import (SkewTableau, from_json_dict, to_json_dict,
+                               to_text)
 
 T_TEXT = ". . 1 1\n. 1 2\n2 3"
 T = SkewTableau((4, 3, 2), (2, 1, 0), [(1, 1), (1, 2), (2, 3)])
@@ -147,6 +148,27 @@ def test_commute_trace(tmp_path, capsys):
     assert [from_json_dict(after_block[k + 1])
             for k in range(len(data["scratch_frames"]))] == \
         [from_json_dict(d) for d in data["scratch_frames"]]
+
+
+def test_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; each call still reads only its
+    # own options
+    assert cli.build_parser() is cli.build_parser()
+    f = tmp_path / "t.txt"
+    f.write_text(T_TEXT)
+    first = run(capsys, "--format", "json", "commute", str(f), "--method",
+                "internal", "--trace")
+    second = run(capsys, "commute", str(f), "--method", "infusion")
+    third = run(capsys, "--format", "json", "commute", str(f), "--trace")
+    pair, frames = first[1].splitlines()
+    skew = from_json_dict(json.loads(pair)["skew"])
+    assert first[0] == 0 and all("op" in fr for fr in json.loads(frames))
+    assert second == (0, to_text(skew) + "\n", "")
+    pair, frames = third[1].splitlines()
+    assert third[0] == 0 and from_json_dict(json.loads(pair)["skew"]) == skew
+    assert all("switch" in fr for fr in json.loads(frames))
+    assert run(capsys, "--format", "json", "commute", str(f), "--method",
+               "internal", "--trace") == first
 
 
 def test_commute_deep_column(monkeypatch, capsys):

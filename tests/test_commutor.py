@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from lrcommute import commutor
+from lrcommute import cli, commutor
 from lrcommute.commutor import (SwitchSite, TwoColorTableau, _split_cells,
                                 _switch, _terminals, apply_switch, chi_append,
                                 gt_order_word, nu_hat,
@@ -12,7 +13,7 @@ from lrcommute.insertion import GluedPair, glued_pair
 from lrcommute.knuth import p_tableau_rows
 from lrcommute.tableaux import (EMPTY, SkewTableau, empty_of_shape, glue,
                                 reading_word, subpartitions, tableau_content,
-                                yamanouchi_tableau)
+                                to_json_dict, yamanouchi_tableau)
 from lrcommute.verify import lr_pairs, packed_fillings, partitions_up_to
 
 T_RUNNING = SkewTableau((6, 5, 5, 4, 3), (4, 3, 2, 1, 0),
@@ -185,6 +186,89 @@ def test_every_random_order_ends_on_a_searched_terminal():
         ends = {frozenset(b.items()) for b in _terminals(board)}
         for k in range(20):
             assert frozenset(_switch(board, random.Random(k)).items()) in ends
+
+
+def _rescanned_switching(u, v, strategy="greedy", seed=0, on_frame=None):
+    """``switching`` by greedy or random switches, rescanning the sites at
+    every step: the reference for the live site set."""
+    tc = TwoColorTableau.from_pair(u, v)
+    rng = random.Random(seed) if strategy == "random" else None
+    while sites := switch_sites(tc):
+        site = rng.choice(sites) if rng else sites[0]
+        tc = apply_switch(tc, site)
+        if on_frame is not None:
+            on_frame(site, dict(tc.cells))
+    return _split_cells(tc.outer, tc.inner, tc.cells)
+
+
+def _frames(switch, u, v, *args):
+    frames = []
+    end = switch(u, v, *args, on_frame=lambda *frame: frames.append(frame))
+    return frames, end
+
+
+def test_live_site_set_equals_a_rescan():
+    # greedy takes the same first site and each seeded random order draws
+    # from the same sorted list, so every frame matches the rescan's
+    for p in lr_pairs(6):
+        for args in [("greedy",)] + [("random", k) for k in range(20)]:
+            assert _frames(switching, p.yam, p.skew, *args) == \
+                _frames(_rescanned_switching, p.yam, p.skew, *args)
+
+
+def _disconnected_pair(seed: int, letters: int, max_letter: int,
+                       cut: float = 0.3) -> GluedPair:
+    """A ballot pair whose rows share no column.  A random Yamanouchi word,
+    reversed, is the skew member's reading word; it is cut into rows at each
+    descent and, with probability ``cut``, at each other gap, and each row
+    sits right of every row below it.  ``cut=1`` gives the staircase: one
+    letter a row over a staircase border."""
+    rng = random.Random(seed)
+    counts = [0] * (max_letter + 1)
+    word = []
+    for _ in range(letters):
+        x = rng.choice([k for k in range(1, max_letter + 1)
+                        if k == 1 or counts[k - 1] > counts[k]])
+        counts[x] += 1
+        word.append(x)
+    word.reverse()
+    runs = [[word[0]]]  # bottom row first
+    for a, b in zip(word, word[1:]):
+        if b < a or rng.random() < cut:
+            runs.append([b])
+        else:
+            runs[-1].append(b)
+    inner = [sum(map(len, runs[:k])) for k in range(len(runs))][::-1]
+    rows = runs[::-1]
+    outer = [i + len(row) for i, row in zip(inner, rows)]
+    return glued_pair(SkewTableau(outer, inner, rows))
+
+
+def test_commute_trace_of_the_live_site_set_is_the_rescans(tmp_path, capsys,
+                                                           monkeypatch):
+    staircase = _disconnected_pair(0, 20, 4, cut=1)
+    assert staircase.skew.inner == tuple(range(19, -1, -1))
+    f = tmp_path / "staircase.json"
+    f.write_text(json.dumps(to_json_dict(staircase.skew)))
+    argv = ["--format", "json", "commute", str(f), "--trace"]
+    assert cli.main(argv) == 0
+    live = capsys.readouterr().out
+    assert len(json.loads(live.splitlines()[1])) > 100
+    monkeypatch.setattr(commutor, "switching", _rescanned_switching)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == live
+
+
+def test_greedy_matches_infusion_and_insertion_beyond_desk_scale():
+    # the N=40 staircase (820 boxes) and ten seeded pairs of 30-100 boxes
+    pairs = [_disconnected_pair(seed, 12 + seed % 5, 2 + seed % 3)
+             for seed in range(10)]
+    assert all(30 <= sum(p.skew.outer) <= 100 for p in pairs)
+    pairs.append(_disconnected_pair(0, 40, 4, cut=1))
+    for p in pairs:
+        image = rho1_internal(p)
+        assert rho1_switching(p) == rho1_switching(p, "infusion") == image
+        assert rho1_switching(image) == p
 
 
 def _infusion_frames(u, v):
