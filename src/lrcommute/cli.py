@@ -19,7 +19,7 @@ from .insertion import (GluedPair, NotBallotPair, _freeze, glued_pair,
 from .knuth import rsk
 from .schur import lr_coefficient, schur_product
 from .tableaux import (SkewTableau, as_partition, from_json_dict, from_text,
-                       json_ints, to_json_dict, to_text)
+                       json_ints, read_json, to_json_dict, to_text)
 
 
 class UsageError(Exception):
@@ -42,7 +42,7 @@ def parse_tableau(text: str) -> SkewTableau:
         return SkewTableau((), (), ())
     try:
         if text.startswith("{"):
-            return from_json_dict(json.loads(text))
+            return read_json(text, from_json_dict)
         return from_text(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse tableau: {exc}")
@@ -51,7 +51,7 @@ def parse_tableau(text: str) -> SkewTableau:
 def parse_partition(text: str):
     try:
         if text.strip().startswith("["):
-            return as_partition(json_ints(json.loads(text)))
+            return as_partition(read_json(text, json_ints))
         if text.strip() in ("", "0", "()"):
             return ()
         return as_partition(int(x) for x in text.split(","))
@@ -63,7 +63,7 @@ def parse_word(text: str):
     text = text.strip()
     try:
         if text.startswith("["):
-            return json_ints(json.loads(text))
+            return read_json(text, json_ints)
         if "," in text:
             return tuple(int(x) for x in text.split(","))
         return tuple(int(ch) for ch in text)

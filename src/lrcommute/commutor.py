@@ -24,8 +24,8 @@ import random
 from bisect import bisect_left, insort
 from typing import Callable, Iterator, NamedTuple
 
-from .insertion import (GluedPair, InsertionTrace, _freeze, _insert_inplace,
-                        _require_lr_pair, glued_pair)
+from .insertion import (GluedPair, InsertionTrace, _append_inplace, _freeze,
+                        _insert_inplace, _require_lr_pair, _thaw, glued_pair)
 from .tableaux import (Cell, SkewTableau, as_partition, is_ballot_tableau,
                        skew_shape, standard_order, tableau_content,
                        yamanouchi_tableau)
@@ -364,41 +364,11 @@ def staged_decomposition(p: GluedPair) -> StagedDecomposition:
     return StagedDecomposition(d, s, f_hat, q.rows[n], q)
 
 
-def _append_inplace(outer: list, inner: list, rows: list, i: int) -> None:
-    """Append one letter i at the end of row i (a new last row when i is one
-    past it) on parallel mutable lists.  Only the new cell is checked, against
-    what it can break: the partition shape, its left neighbour and the cell
-    above it."""
-    n = len(outer)
-    if not 1 <= i <= n + 1:
-        raise ValueError(f"row {i} out of range for appending")
-    row = rows[i - 1] if i <= n else []
-    col = (outer[i - 1] if i <= n else 0) + 1
-    why = None
-    if i > 1 and outer[i - 2] < col:
-        why = f"row {i} would outgrow row {i - 1}"
-    elif row and row[-1] > i:
-        why = f"row {i} not weakly increasing"
-    elif i > 1 and inner[i - 2] < col and rows[i - 2][col - 1 - inner[i - 2]] >= i:
-        why = f"column {col} not strictly increasing at row {i}"
-    if why:
-        raise ValueError(f"appending {i} to row {i} breaks the tableau: {why}")
-    if i > n:
-        outer.append(1)
-        inner.append(0)
-        rows.append([i])
-    else:
-        outer[i - 1] = col
-        row.append(i)
-
-
 def chi_append(p: GluedPair, i: int) -> GluedPair:
     """Append one letter i at the end of row i of the skew member."""
-    t = p.skew
-    outer, inner = list(t.outer), list(t.inner)
-    rows = [list(r) for r in t.rows]
-    _append_inplace(outer, inner, rows, i)
-    return GluedPair(p.yam, _freeze(outer, inner, rows))
+    inner, rows = _thaw(p.skew)
+    _append_inplace(inner, rows, i)
+    return GluedPair(p.yam, _freeze(inner, rows))
 
 
 def nu_hat(t: SkewTableau) -> tuple[int, ...]:
@@ -449,24 +419,23 @@ def run_row_program(t: SkewTableau,
     """Run ``row_program(t)`` from the empty tableau; returns the skew member
     of the commutor image.
 
-    The state is kept in parallel mutable lists (outer, inner, rows) and
-    frozen once at the end.  After each step, ``on_step(step, trace, state)``
+    The state is kept in parallel mutable (inner, rows) lists and frozen
+    once at the end.  After each step, ``on_step(step, trace, state)``
     receives the step, its insertion trace (None for an append) and the live
     lists, which a callback that keeps them must copy.
     """
-    outer: list[int] = []
     inner: list[int] = []
     rows: list[list[int]] = []
-    state = (outer, inner, rows)
+    state = (inner, rows)
     for step in row_program(t):
         if step.op == "insert":
-            trace = _insert_inplace(outer, inner, rows, step.i)
+            trace = _insert_inplace(inner, rows, step.i)
         else:
             trace = None
-            _append_inplace(outer, inner, rows, step.i)
+            _append_inplace(inner, rows, step.i)
         if on_step is not None:
             on_step(step, trace, state)
-    return _freeze(outer, inner, rows)
+    return _freeze(inner, rows)
 
 
 def _assert_route_claim(traces: list[InsertionTrace], row: int):

@@ -4,8 +4,9 @@ correspondence.
 The basic move vacates the inner corner of a row and Schensted-inserts the
 bumped entry into the rows below; it grows the inner and outer borders by one
 box each without changing the multiset of entries.  Both directions run in
-place on parallel mutable lists (outer, inner, rows): ``_insert_inplace``
-makes the move and ``_uninsert_inplace`` undoes it from the cell it created.
+place on parallel mutable (inner, rows) lists, from which ``_freeze`` derives
+the outer border: ``_insert_inplace`` makes the move and ``_uninsert_inplace``
+undoes it from the cell it created.
 
 Skew RSK has one kernel per direction on the same lists.  The forward kernel
 ``_forward_inplace`` takes (T, U) to (P, Q): it inserts T at the rows of U's
@@ -15,9 +16,9 @@ standard order of Q and returns U's rows.  A created cell ends its row of P,
 and a vacated one its row of the inner border, so Q's rows fill left to right
 as U's entries create cells, and U's rows right to left as Q's entries vacate
 them.  The public ``skew_rsk_forward`` and ``skew_rsk_inverse`` (like
-``internal_insert`` and ``order_word_steps`` for the basic move) copy their
-arguments into lists, run the kernel and freeze the result; the skew-rsk
-sweep runs the kernels on its own lists and freezes nothing that passes.
+``internal_insert`` and ``order_word_steps`` for the basic move) thaw their
+arguments, run the kernel and freeze the result; the skew-rsk sweep runs the
+kernels on its own lists and freezes nothing that passes.
 """
 
 from __future__ import annotations
@@ -98,9 +99,9 @@ def _corners(inner) -> list[int]:
     return out
 
 
-def _insert_inplace(outer: list, inner: list, rows: list, i: int) -> InsertionTrace:
+def _insert_inplace(inner: list, rows: list, i: int) -> InsertionTrace:
     """Internal insertion at row i on parallel mutable lists."""
-    n = len(outer)
+    n = len(inner)
     if i < 1 or i > n + 1:
         raise ValueError(f"row {i} is not an inner corner")
     mu_i = inner[i - 1] if i <= n else 0
@@ -108,17 +109,15 @@ def _insert_inplace(outer: list, inner: list, rows: list, i: int) -> InsertionTr
     # called once per row makes _corners about 50% slower
     if i > 1 and inner[i - 2] <= mu_i:
         raise ValueError(f"row {i} is not an inner corner")
-    lam_i = outer[i - 1] if i <= n else 0
     cell = (i, mu_i + 1)
-    if lam_i > mu_i:
+    if i <= n and rows[i - 1]:
         # filled corner: bump and reinsert below
         x = rows[i - 1].pop(0)
         inner[i - 1] += 1
         route = [cell]
         k = i  # 0-based index of the next row
         while True:
-            if k == len(outer):
-                outer.append(1)
+            if k == n:
                 inner.append(0)
                 rows.append([x])
                 route.append((k + 1, 1))
@@ -127,7 +126,6 @@ def _insert_inplace(outer: list, inner: list, rows: list, i: int) -> InsertionTr
             j = bisect_right(row, x)
             if j == len(row):
                 row.append(x)
-                outer[k] += 1
                 route.append((k + 1, inner[k] + len(row)))
                 break
             row[j], x = x, row[j]
@@ -135,43 +133,35 @@ def _insert_inplace(outer: list, inner: list, rows: list, i: int) -> InsertionTr
             k += 1
         return InsertionTrace(cell, tuple(route), route[-1])
     # blank corner: adjoin the cell to both borders
-    if i == n + 1:
-        outer.append(1)
-        inner.append(1)
+    if i > n:
+        inner.append(0)
         rows.append([])
-    else:
-        inner[i - 1] += 1
-        outer[i - 1] += 1
+    inner[i - 1] += 1
     return InsertionTrace(cell, (), cell)
 
 
-def _uninsert_inplace(outer: list, inner: list, rows: list, cell: Cell) -> Cell:
+def _uninsert_inplace(inner: list, rows: list, cell: Cell) -> Cell:
     """Undo, on parallel mutable lists, the internal insertion that created
     cell: take it off the borders, reverse-bump its entry (if filled) up the
     rows above, and return the inner cell the insertion vacated."""
     r, c = cell
     if c <= inner[r - 1]:
         # blank cell: take it off both borders
-        if not (inner[r - 1] == c and outer[r - 1] == c):
+        if not (inner[r - 1] == c and not rows[r - 1]):
             raise ValueError(f"cell ({r}, {c}) is not a removable blank box")
-        if r == len(outer) and c == 1:
-            outer.pop()
+        inner[r - 1] -= 1
+        if r == len(inner) and not inner[r - 1]:
             inner.pop()
             rows.pop()
-        else:
-            inner[r - 1] -= 1
-            outer[r - 1] -= 1
         return cell
     # filled cell: take it off the outer border and reverse-bump upwards
-    if c != outer[r - 1] or (r < len(outer) and outer[r] >= c):
+    if c != inner[r - 1] + len(rows[r - 1]) or (
+            r < len(rows) and inner[r] + len(rows[r]) >= c):
         raise ValueError(f"cell ({r}, {c}) is not a removable outer box")
     x = rows[r - 1].pop()
-    if r == len(outer) and not rows[r - 1] and inner[r - 1] == 0:
-        outer.pop()
+    if r == len(rows) and not rows[r - 1] and inner[r - 1] == 0:
         inner.pop()
         rows.pop()
-    else:
-        outer[r - 1] -= 1
     k = r - 2  # 0-based index of the next row up
     while True:
         if k < 0:
@@ -189,9 +179,42 @@ def _uninsert_inplace(outer: list, inner: list, rows: list, cell: Cell) -> Cell:
         k -= 1
 
 
-def _freeze(outer, inner, rows) -> SkewTableau:
-    return SkewTableau._fast(tuple(outer), tuple(inner),
-                             tuple(tuple(r) for r in rows))
+def _append_inplace(inner: list, rows: list, i: int) -> None:
+    """Append one letter i at the end of row i (a new last row when i is one
+    past it) on parallel mutable lists.  Only the new cell is checked, against
+    what it can break: the partition shape, its left neighbour and the cell
+    above it."""
+    n = len(inner)
+    if not 1 <= i <= n + 1:
+        raise ValueError(f"row {i} out of range for appending")
+    row = rows[i - 1] if i <= n else []
+    col = (inner[i - 1] if i <= n else 0) + len(row) + 1
+    why = None
+    if i > 1 and inner[i - 2] + len(rows[i - 2]) < col:
+        why = f"row {i} would outgrow row {i - 1}"
+    elif row and row[-1] > i:
+        why = f"row {i} not weakly increasing"
+    elif i > 1 and inner[i - 2] < col and rows[i - 2][col - 1 - inner[i - 2]] >= i:
+        why = f"column {col} not strictly increasing at row {i}"
+    if why:
+        raise ValueError(f"appending {i} to row {i} breaks the tableau: {why}")
+    if i > n:
+        inner.append(0)
+        rows.append([i])
+    else:
+        row.append(i)
+
+
+def _thaw(t: SkewTableau) -> tuple[list[int], list[list[int]]]:
+    """The in-place kernels' (inner, rows) lists holding t."""
+    return list(t.inner), [list(r) for r in t.rows]
+
+
+def _freeze(inner, rows) -> SkewTableau:
+    """The tableau that (inner, rows) lists hold, unvalidated."""
+    rows = tuple(tuple(r) for r in rows)
+    return SkewTableau._fast(tuple(i + len(r) for i, r in zip(inner, rows)),
+                             tuple(inner), rows)
 
 
 def internal_insert(t: SkewTableau, i: int) -> tuple[SkewTableau, InsertionTrace]:
@@ -201,25 +224,23 @@ def internal_insert(t: SkewTableau, i: int) -> tuple[SkewTableau, InsertionTrace
     at row i+1, the route ending at one new outer box.  Blank corner: adjoin
     the blank cell to both borders.
     """
-    outer, inner = list(t.outer), list(t.inner)
-    rows = [list(r) for r in t.rows]
-    trace = _insert_inplace(outer, inner, rows, i)
-    return _freeze(outer, inner, rows), trace
+    inner, rows = _thaw(t)
+    trace = _insert_inplace(inner, rows, i)
+    return _freeze(inner, rows), trace
 
 
 def order_word_steps(t: SkewTableau, word) -> tuple[SkewTableau, list[InsertionTrace]]:
     """Apply the order word (rightmost letter first); returns result and the
     per-step traces in application order."""
-    outer, inner = list(t.outer), list(t.inner)
-    rows = [list(r) for r in t.rows]
+    inner, rows = _thaw(t)
     traces = []
     for step, i in enumerate(reversed(tuple(word)), start=1):
         try:
-            traces.append(_insert_inplace(outer, inner, rows, i))
+            traces.append(_insert_inplace(inner, rows, i))
         except ValueError:
             raise ValueError(
                 f"step {step}: row {i} is not an inner corner") from None
-    return _freeze(outer, inner, rows), traces
+    return _freeze(inner, rows), traces
 
 
 def apply_order_word(t: SkewTableau, word) -> SkewTableau:
@@ -238,21 +259,21 @@ def extended_insert(p: GluedPair, i: int) -> GluedPair:
     return glued_pair(internal_insert(p.skew, i)[0])
 
 
-def _forward_inplace(outer: list, inner: list, rows: list, order) -> list[list[int]]:
+def _forward_inplace(inner: list, rows: list, order) -> list[list[int]]:
     """Skew RSK forward on parallel mutable lists holding T: insert at the
     rows of the cells of order, U's ``standard_order`` list, leaving P in
     the lists; return Q's rows, each entry of U at the row of the cell its
     step created.  Q's inner border is T's outer one."""
-    q_rows: list[list[int]] = [[] for _ in outer]
+    q_rows: list[list[int]] = [[] for _ in rows]
     for x, (r, _c) in order:
-        r = _insert_inplace(outer, inner, rows, r).created[0]
+        r = _insert_inplace(inner, rows, r).created[0]
         if r > len(q_rows):  # the step opened a new bottom row
             q_rows.append([])
         q_rows[r - 1].append(x)
     return q_rows
 
 
-def _inverse_inplace(outer: list, inner: list, rows: list, order) -> list[list[int]]:
+def _inverse_inplace(inner: list, rows: list, order) -> list[list[int]]:
     """Skew RSK inverse on parallel mutable lists holding P: undo the
     insertions that created the cells of order, Q's ``standard_order`` list,
     last first, leaving T in the lists; return U's rows, each entry of Q at
@@ -260,7 +281,7 @@ def _inverse_inplace(outer: list, inner: list, rows: list, order) -> list[list[i
     one and its inner border T's."""
     u_rows: list[list[int]] = [[] for x in inner if x]
     for x, cell in reversed(order):
-        u_rows[_uninsert_inplace(outer, inner, rows, cell)[0] - 1].append(x)
+        u_rows[_uninsert_inplace(inner, rows, cell)[0] - 1].append(x)
     for r in u_rows:
         r.reverse()
     return u_rows
@@ -275,11 +296,10 @@ def skew_rsk_forward(t: SkewTableau, u: SkewTableau) -> tuple[SkewTableau, SkewT
     if as_partition(t.inner) != as_partition(u.inner):
         raise ValueError(
             f"inner borders differ: {as_partition(t.inner)} vs {as_partition(u.inner)}")
-    outer, inner = list(t.outer), list(t.inner)
-    rows = [list(r) for r in t.rows]
-    q_rows = _forward_inplace(outer, inner, rows, standard_order(u))
-    p = _freeze(outer, inner, rows)
-    return p, _freeze(p.outer, t.outer + (0,) * (len(p.outer) - len(t.outer)), q_rows)
+    inner, rows = _thaw(t)
+    q_rows = _forward_inplace(inner, rows, standard_order(u))
+    return (_freeze(inner, rows),
+            _freeze(t.outer + (0,) * (len(rows) - len(t.outer)), q_rows))
 
 
 def skew_rsk_inverse(p: SkewTableau, q: SkewTableau) -> tuple[SkewTableau, SkewTableau]:
@@ -287,9 +307,7 @@ def skew_rsk_inverse(p: SkewTableau, q: SkewTableau) -> tuple[SkewTableau, SkewT
     standard order of Q; returns (T, U)."""
     if p.outer != q.outer:
         raise ValueError("P and Q must share their outer border")
-    outer, inner = list(p.outer), list(p.inner)
-    rows = [list(r) for r in p.rows]
-    mu = as_partition(p.inner)
-    u_rows = _inverse_inplace(outer, inner, rows, standard_order(q))
-    t = _freeze(outer, inner, rows)
-    return t, _freeze(mu, (t.inner + (0,) * len(mu))[:len(mu)], u_rows)
+    inner, rows = _thaw(p)
+    u_rows = _inverse_inplace(inner, rows, standard_order(q))
+    n = len(u_rows)
+    return _freeze(inner, rows), _freeze((inner + [0] * n)[:n], u_rows)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .insertion import _freeze
+from .insertion import _freeze, _thaw
 from .tableaux import SkewTableau
 
 Word = tuple[int, ...]
@@ -45,9 +45,9 @@ def schensted_insert(p: SkewTableau, x: int) -> tuple[SkewTableau, tuple[int, in
         raise ValueError("schensted_insert needs a normal-shape tableau")
     if x < 1:
         raise ValueError(f"letter {x} < 1")
-    rows = [list(r) for r in p.rows]
+    rows = _thaw(p)[1]
     cell = _insert_rows(rows, x)
-    return _freeze(map(len, rows), [0] * len(rows), rows), cell
+    return _freeze([0] * len(rows), rows), cell
 
 
 def rsk(word) -> RskPair:
@@ -61,8 +61,8 @@ def rsk(word) -> RskPair:
         if r > len(q_rows):
             q_rows.append([])
         q_rows[r - 1].append(i + 1)
-    shape, inner = [len(r) for r in p_rows], [0] * len(p_rows)
-    return RskPair(_freeze(shape, inner, p_rows), _freeze(shape, inner, q_rows))
+    inner = [0] * len(p_rows)
+    return RskPair(_freeze(inner, p_rows), _freeze(inner, q_rows))
 
 
 def p_tableau_rows(word) -> tuple[tuple[int, ...], ...]:

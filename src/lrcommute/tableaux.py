@@ -437,8 +437,16 @@ def to_json(t: SkewTableau) -> str:
     return json.dumps(to_json_dict(t))
 
 
+def read_json(s: str, read):
+    """read(json.loads(s)); JSON nested too deeply raises ValueError."""
+    try:
+        return read(json.loads(s))
+    except RecursionError:  # in decoding, or in showing a value in an error
+        raise ValueError("JSON nested too deeply") from None
+
+
 def from_json(s: str) -> SkewTableau:
-    return from_json_dict(json.loads(s))
+    return read_json(s, from_json_dict)
 
 
 def to_text(t: SkewTableau) -> str:

@@ -11,8 +11,8 @@ its instances; it records each (instance, expected, actual) that ``prop``
 yields, and an ``Exception`` that ``prop`` raises as that instance's failure
 (``key(instance)``, ``raises <Type>: <message>``), and goes on.  Knuth
 commutativity and route geometry share one walk (``_thu_sweep``) that does
-the same per filling.  A report counts every failure and stores the first
-``MAX_STORED_FAILURES``.
+the same per filling.  A raising instance generator fails its check once.  A
+report counts every failure and stores the first ``MAX_STORED_FAILURES``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .commutor import (TwoColorTableau, _infuse, _split_cells, _terminals,
                        rho1_internal, rho1_scratch, rho1_switching,
                        staged_decomposition)
 from .insertion import (GluedPair, _corners, _forward_inplace, _freeze,
-                        _inverse_inplace, glued_pair)
+                        _inverse_inplace, _thaw, glued_pair)
 from .knuth import knuth_class, p_tableau_rows
 from .schur import lr_coefficient, schur_polynomial, schur_product
 from .tableaux import (SkewShape, SkewTableau, _standard_order, as_partition,
@@ -95,11 +95,20 @@ def _raised(exc: Exception) -> str:
     return f"raises {type(exc).__name__}: {exc}"
 
 
+def _guarded(instances, *reports):
+    """instances, up to a raise, which fails each report once and ends them."""
+    try:
+        yield from instances
+    except Exception as exc:  # a raising generator ends its check only
+        for rep in reports:
+            rep.fail("instance generator", "no exception", _raised(exc))
+
+
 def _sweep(name: str, instances, prop, key) -> VerifyReport:
     """One check's report (see the module docstring)."""
     rep = VerifyReport(name)
     t0 = time.perf_counter()
-    for instance in instances:
+    for instance in _guarded(instances, rep):
         rep.instances += 1
         try:
             for failure in prop(instance):
@@ -240,9 +249,9 @@ def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport
         """Apply each valid letter after w to the current filling's lists,
         walk on from there, and undo it."""
         for i in _corners(inner):
-            tr = insert(outer, inner, rows, i)
+            tr = insert(inner, rows, i)
             v = w + (i,)
-            after[v] = (tuple(outer), tuple(inner), tuple(map(tuple, rows)))
+            after[v] = (tuple(inner), tuple(map(tuple, rows)))
             if prev_tr is not None and prev_tr.route and tr.route:
                 route.instances += 1
                 if not _route_pair_ok(w[-1], prev_tr, i, tr):
@@ -250,7 +259,7 @@ def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport
                                f"routes {prev_tr} then {tr}")
             if len(v) < word_len:
                 walk(v, tr)
-            back = uninsert(outer, inner, rows, tr.created)
+            back = uninsert(inner, rows, tr.created)
             if back != tr.vacated:
                 raise ValueError(f"undoing word {v} gives back {back}, "
                                  f"not the vacated {tr.vacated}")
@@ -258,8 +267,8 @@ def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport
     t0 = time.perf_counter()
     fillings = (t for lam in partitions_up_to(max_size) for mu in subpartitions(lam)
                 for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu))))
-    for t in fillings:
-        outer, inner, rows = list(t.outer), list(t.inner), [list(r) for r in t.rows]
+    for t in _guarded(fillings, knuth, route):
+        inner, rows = _thaw(t)
         # after[w]: the state reached by inserting at rows w[0], w[1], ... in
         # turn, filled in depth-first preorder
         after: dict = {}
@@ -313,8 +322,7 @@ def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:
                 by_mu.setdefault(mu, []).append(lam)
         for mu, lams in by_mu.items():
             # each filling with its P-tableau rows, standard order and lists
-            side = [(t, p_tableau_rows(reading_word(t)), standard_order(t),
-                     (list(t.outer), list(t.inner), [list(r) for r in t.rows]))
+            side = [(t, p_tableau_rows(reading_word(t)), standard_order(t), _thaw(t))
                     for lam in lams
                     for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu)))]
             for u_side in side:
@@ -322,23 +330,19 @@ def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:
                     yield t_side, u_side
 
     def prop(instance):
-        (t, w_t, _, (t_outer, t_inner, t_rows)), (u, w_u, order, u_lists) = instance
-        outer, inner, rows = t_outer[:], t_inner[:], [r[:] for r in t_rows]
-        q_rows = _forward_inplace(outer, inner, rows, order)
-        q_inner = t.outer + (0,) * (len(outer) - len(t.outer))
+        (t, w_t, _, (t_inner, t_rows)), (u, w_u, order, (_, u_rows_want)) = instance
+        inner, rows = t_inner[:], [r[:] for r in t_rows]
+        q_rows = _forward_inplace(inner, rows, order)
+        q_inner = t.outer + (0,) * (len(rows) - len(t.outer))
         if p_tableau_rows(chain.from_iterable(reversed(rows))) != w_t:
-            yield f"{t!r} {u!r}", "P = T class", f"{_freeze(outer, inner, rows)!r}"
+            yield f"{t!r} {u!r}", "P = T class", f"{_freeze(inner, rows)!r}"
         if p_tableau_rows(chain.from_iterable(reversed(q_rows))) != w_u:
-            yield f"{t!r} {u!r}", "Q = U class", f"{_freeze(outer, q_inner, q_rows)!r}"
+            yield f"{t!r} {u!r}", "Q = U class", f"{_freeze(q_inner, q_rows)!r}"
         # Q's standard order comes from Q's own cells, not the forward steps
-        u_rows = _inverse_inplace(outer, inner, rows, _standard_order(q_inner, q_rows))
-        # with T back, U's rows fix its borders: its inner border is T's, and
-        # its outer one T's inner border plus one cell per entry of a row
-        if outer != t_outer or inner != t_inner or rows != t_rows or u_rows != u_lists[2]:
-            t2 = _freeze(outer, inner, rows)
-            n = len(u.outer)  # P's inner border: the forward steps vacate u's cells
-            u2 = _freeze(u.outer, (t2.inner + (0,) * n)[:n], u_rows)
-            yield f"{t!r} {u!r}", "round trip", f"{t2!r} {u2!r}"
+        u_rows = _inverse_inplace(inner, rows, _standard_order(q_inner, q_rows))
+        if inner != t_inner or rows != t_rows or u_rows != u_rows_want:
+            u2 = _freeze((inner + [0] * len(u_rows))[:len(u_rows)], u_rows)
+            yield f"{t!r} {u!r}", "round trip", f"{_freeze(inner, rows)!r} {u2!r}"
 
     return _sweep("skew-rsk", instances(), prop, lambda i: f"{i[0][0]!r} {i[1][0]!r}")
 

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from lrcommute import cli, commutor, insertion
+from lrcommute import cli, commutor, insertion, verify
 from lrcommute.golden import run_golden
 from lrcommute.tableaux import (SkewTableau, from_json_dict, to_json_dict,
                                to_text)
@@ -226,6 +226,43 @@ def test_verify_reports_a_raising_check_as_a_failure(capsys, monkeypatch):
     assert "raises ValueError: switching did not produce" in out
 
 
+def _raising_at_3_boxes(fn, size_of):
+    def broken(*args):
+        if size_of(*args) == 3:
+            raise RuntimeError("broken at 3 boxes")
+        return fn(*args)
+    return broken
+
+
+@pytest.mark.parametrize("name, size_of, checks", [
+    ("enumerate_ballot", lambda shape, nu: shape.size,
+     ["involution", "skew-rsk"]),
+    # the shared Knuth/route walk, then a check that reads no packed filling
+    ("packed_fillings", lambda lam, mu: sum(lam) - sum(mu),
+     ["knuth-commutativity", "route-geometry", "involution"]),
+], ids=["ballot-pairs", "packed-fillings"])
+def test_verify_reports_a_raising_instance_generator(capsys, monkeypatch,
+                                                     name, size_of, checks):
+    # a generator that raises part way fails its check once, with the
+    # exception, and ends it; the next check still runs (exit 1)
+    monkeypatch.setattr(verify, name,
+                        _raising_at_3_boxes(getattr(verify, name), size_of))
+    verify._thu_sweep.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "--max-size", "4",
+                             "--checks", ",".join(checks))
+    finally:
+        verify._thu_sweep.cache_clear()
+    reports = [line.split() for line in out.splitlines()
+               if not line.startswith("    ")]
+    assert code == 1 and err == ""
+    assert [r[:2] for r in reports] == [[c, "FAIL"] for c in checks[:-1]] + [
+        [checks[-1], "pass"]]
+    assert all(r[3] == "failures=1" for r in reports[:-1])
+    assert out.count("('instance generator', 'no exception', "
+                     "'raises RuntimeError: broken at 3 boxes')") == len(checks) - 1
+
+
 def test_verify_and_golden_print_json_lines(capsys, monkeypatch):
     code, out, _ = run(capsys, "--format", "json", "golden")
     results = [json.loads(line) for line in out.splitlines()]
@@ -314,3 +351,20 @@ def test_json_input_needs_integers(monkeypatch, capsys, stdin, argv, reason):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "cannot parse" in err and reason in err
+
+
+DEEP = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["commute", "-"], ["insert", "-", "1"], ["rsk", DEEP],
+    ["lr-coeff", DEEP, "1", "1"], ["schur-product", DEEP, "1"],
+], ids=["commute", "insert", "rsk", "lr-coeff", "schur-product"])
+def test_deeply_nested_json_is_a_usage_error(monkeypatch, capsys, argv):
+    # nesting too deep for the JSON decoder is a parse error (exit 2) that
+    # says so, never a RecursionError (exit 1, "verification failed")
+    nest = "[" * 100000 + "]" * 100000
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"outer": ' + nest + "}"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "cannot parse" in err and "JSON nested too deeply" in err

@@ -1,6 +1,7 @@
 import json
 from importlib import resources
 
+from lrcommute import commutor
 from lrcommute.golden import RUNNERS, run_golden
 
 
@@ -21,3 +22,12 @@ def test_corruption_is_detected_with_diff():
     res = run_golden(["insertion-words"], data_override={"insertion-words": data})[0]
     assert not res.passed
     assert any("expected" in m and "actual" in m for m in res.messages)
+
+
+def test_admitting_every_switch_fails_the_switching_examples(monkeypatch):
+    # the searches stop at their cap of states instead of exhausting boards
+    # that every switch now reaches; the four examples that switch fail
+    monkeypatch.setattr(commutor, "_admissible", lambda *args: True)
+    failed = [res.name for res in run_golden() if not res.passed]
+    assert failed == ["switch-sequence", "staged-switching", "row-recursion",
+                      "factored-commutor"]

@@ -90,13 +90,10 @@ def test_internal_insert_shape_accounting():
 def test_uninsert_undoes_insert():
     for t in small_tableaux(6):
         for i in inner_corners(t):
-            outer, inner = list(t.outer), list(t.inner)
-            rows = [list(r) for r in t.rows]
-            trace = _insert_inplace(outer, inner, rows, i)
-            assert _uninsert_inplace(outer, inner, rows,
-                                     trace.created) == trace.vacated
-            assert (outer, inner, rows) == (list(t.outer), list(t.inner),
-                                            [list(r) for r in t.rows])
+            inner, rows = list(t.inner), [list(r) for r in t.rows]
+            trace = _insert_inplace(inner, rows, i)
+            assert _uninsert_inplace(inner, rows, trace.created) == trace.vacated
+            assert (inner, rows) == (list(t.inner), [list(r) for r in t.rows])
 
 
 def test_internal_insert_preserves_knuth_and_ballot():
@@ -227,7 +224,7 @@ def test_skew_rsk_round_trip_small():
 
 
 def _lists(t):
-    return list(t.outer), list(t.inner), [list(r) for r in t.rows]
+    return list(t.inner), [list(r) for r in t.rows]
 
 
 def test_skew_rsk_kernels_match_the_public_functions():
@@ -244,9 +241,9 @@ def test_skew_rsk_kernels_match_the_public_functions():
             for t in side:
                 pairs += 1
                 p, q = skew_rsk_forward(t, u)
-                outer, inner, rows = _lists(t)
-                q_rows = _forward_inplace(outer, inner, rows, standard_order(u))
-                assert (outer, inner, rows) == _lists(p), (t, u)
+                inner, rows = _lists(t)
+                q_rows = _forward_inplace(inner, rows, standard_order(u))
+                assert (inner, rows) == _lists(p), (t, u)
                 assert q_rows == [list(r) for r in q.rows], (t, u)
     assert pairs == 3430
     # the inverse, on every shared-outer pair: the pairs that do not invert
@@ -257,17 +254,17 @@ def test_skew_rsk_kernels_match_the_public_functions():
                 for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu)))]
         for p in side:
             for q in side:
-                outer, inner, rows = _lists(p)
+                inner, rows = _lists(p)
                 try:
                     t, u = skew_rsk_inverse(p, q)
                 except ValueError as exc:
                     assert str(exc) == "reverse bump ran past the first row"
                     with pytest.raises(ValueError, match=f"^{exc}$"):
-                        _inverse_inplace(outer, inner, rows, standard_order(q))
+                        _inverse_inplace(inner, rows, standard_order(q))
                     continue
                 inverted += 1
-                u_rows = _inverse_inplace(outer, inner, rows, standard_order(q))
-                assert (outer, inner, rows) == _lists(t), (p, q)
+                u_rows = _inverse_inplace(inner, rows, standard_order(q))
+                assert (inner, rows) == _lists(t), (p, q)
                 assert u_rows == [list(r) for r in u.rows], (p, q)
     assert inverted == 286
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -247,6 +248,17 @@ def test_json_round_trip_examples():
     d = json.loads(to_json(T_BALLOT))
     assert d == {"outer": [4, 3, 2], "inner": [2, 1, 0],
                  "rows": [[1, 1], [1, 2], [2, 3]]}
+
+
+def test_from_json_rejects_deep_nesting():
+    # past the decoder's recursion limit, and just inside it, where showing
+    # the bad value in the error message recurses too: ValueError either way
+    limit = sys.getrecursionlimit()
+    for depth in [*range(limit - 100, limit + 1), 100000]:
+        with pytest.raises(ValueError):
+            from_json('{"outer": ' + "[" * depth + "]" * depth + "}")
+    with pytest.raises(ValueError, match="^JSON nested too deeply$"):
+        from_json("[" * 100000 + "]" * 100000)
 
 
 def test_text_round_trip_exhaustive():

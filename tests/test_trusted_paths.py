@@ -3,12 +3,15 @@
 here as their oracle: it must accept each of them and build the very same
 tableau, normalised borders included."""
 
-from lrcommute.commutor import STRATEGIES, switching
-from lrcommute.insertion import skew_rsk_forward, skew_rsk_inverse
+from lrcommute.commutor import (STRATEGIES, chi_append, rho1_internal,
+                                rho1_scratch, switching)
+from lrcommute.insertion import (extended_insert, inner_corners,
+                                 internal_insert, order_word_steps,
+                                 skew_rsk_forward, skew_rsk_inverse)
 from lrcommute.knuth import rsk
 from lrcommute.tableaux import (SkewShape, SkewTableau, enumerate_ballot,
                                 enumerate_ssyt, partitions_of, subpartitions)
-from lrcommute.verify import packed_fillings, partitions_up_to
+from lrcommute.verify import lr_pairs, packed_fillings, partitions_up_to
 
 
 def assert_valid(*tableaux):
@@ -76,3 +79,43 @@ def test_rsk_outputs_pass_validation():
         words = [w + (x,) for w in words for x in (1, 2, 3)]
         for w in words:
             assert_valid(*rsk(w))
+
+
+def test_internal_insertion_outputs_pass_validation():
+    # every insertion at an inner corner, and every order word of two
+    # letters, applied to each packed filling
+    words = 0
+    for lam in partitions_up_to(5):
+        for mu in subpartitions(lam):
+            for t in fillings(lam, mu):
+                for i in inner_corners(t):
+                    once, _trace = internal_insert(t, i)
+                    assert_valid(once)
+                    for j in inner_corners(once):
+                        words += 1
+                        assert_valid(order_word_steps(t, (j, i))[0])
+    assert words == 1603
+
+
+def test_glued_pair_operators_pass_validation():
+    appended = inserted = 0
+    for p in lr_pairs(5):
+        for i in range(1, len(p.skew.rows) + 2):
+            try:
+                q = chi_append(p, i)
+            except ValueError:
+                continue
+            appended += 1
+            assert_valid(*q)
+        for i in inner_corners(p.skew):
+            inserted += 1
+            assert_valid(*extended_insert(p, i))
+    assert (appended, inserted) == (347, 268)
+
+
+def test_commutor_outputs_pass_validation():
+    pairs = 0
+    for p in lr_pairs(6):
+        pairs += 1
+        assert_valid(*rho1_internal(p), *rho1_scratch(p))
+    assert pairs == 295

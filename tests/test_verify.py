@@ -211,7 +211,7 @@ def test_a_raising_kernel_fails_its_instances_not_the_sweep(
             commutor._admissible, lambda cells, cu, cv: cu[0]))
     else:
         broken = _raising_at_row_3(insertion._insert_inplace,
-                                   lambda outer, inner, rows, i: i)
+                                   lambda inner, rows, i: i)
         monkeypatch.setattr(insertion, "_insert_inplace", broken)
         monkeypatch.setattr(commutor, "_insert_inplace", broken)
     _thu_sweep.cache_clear()
