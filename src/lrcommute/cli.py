@@ -18,8 +18,8 @@ from .insertion import (GluedPair, NotBallotPair, _freeze, glued_pair,
                         order_word_steps)
 from .knuth import rsk
 from .schur import lr_coefficient, schur_product
-from .tableaux import (SkewTableau, as_partition, from_json_dict, from_text,
-                       json_ints, read_json, to_json_dict, to_text)
+from .tableaux import (SkewTableau, as_partition, brief, from_json_dict,
+                       from_text, json_ints, read_json, to_json_dict, to_text)
 
 
 class UsageError(Exception):
@@ -56,7 +56,7 @@ def parse_partition(text: str):
             return ()
         return as_partition(int(x) for x in text.split(","))
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"cannot parse partition {text!r}: {exc}")
+        raise UsageError(f"cannot parse partition {brief(text)!r}: {exc}")
 
 
 def parse_word(text: str):
@@ -68,7 +68,7 @@ def parse_word(text: str):
             return tuple(int(x) for x in text.split(","))
         return tuple(int(ch) for ch in text)
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"cannot parse word {text!r}: {exc}")
+        raise UsageError(f"cannot parse word {brief(text)!r}: {exc}")
 
 
 def emit_tableau(t: SkewTableau, fmt: str) -> str:
@@ -186,6 +186,7 @@ def cmd_verify(args) -> int:
                      for f in rep.failures[:5]]
             print(json.dumps({"name": rep.name, "passed": rep.passed,
                               "instances": rep.instances,
+                              "digest": f"{rep.digest:016x}",
                               "failures": rep.failure_count,
                               "seconds": rep.seconds, "first_failures": shown}))
         else:

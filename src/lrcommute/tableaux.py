@@ -14,15 +14,23 @@ from typing import Iterable, Iterator, NamedTuple
 
 Cell = tuple[int, int]
 
+QUOTED_CHARS = 60
+
+
+def brief(text: str) -> str:
+    """text, or its first QUOTED_CHARS characters and "...": an error
+    message quotes at most that much of a bad value."""
+    return text if len(text) <= QUOTED_CHARS else text[:QUOTED_CHARS] + "..."
+
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Validate a weakly decreasing nonnegative sequence; strip trailing zeros."""
     p = tuple(index(x) for x in parts)
     for a, b in zip(p, p[1:]):
         if a < b:
-            raise ValueError(f"not weakly decreasing: {p}")
+            raise ValueError(f"not weakly decreasing: {brief(str(p))}")
     if p and p[-1] < 0:
-        raise ValueError(f"negative part in {p}")
+        raise ValueError(f"negative part in {brief(str(p))}")
     while p and p[-1] == 0:
         p = p[:-1]
     return p
@@ -402,18 +410,29 @@ def to_json_dict(t: SkewTableau) -> dict:
             "rows": [list(r) for r in t.rows]}
 
 
+def _shown(value) -> str:
+    """A decoded JSON value in JSON, cut by ``brief``.  Only the part shown
+    is encoded, so a deep or long value costs no more to show."""
+    shown = ""
+    for chunk in json.JSONEncoder().iterencode(value):
+        shown += chunk
+        if len(shown) > QUOTED_CHARS:
+            break
+    return brief(shown)
+
+
 def json_ints(value) -> tuple[int, ...]:
     """A decoded JSON array of integers as a tuple.  Anything else raises
     ValueError, so floats and booleans are never truncated to integers."""
     if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise ValueError(f"expected an array of integers, got {json.dumps(value)}")
+        raise ValueError(f"expected an array of integers, got {_shown(value)}")
     return tuple(value)
 
 
 def _json_rows(value) -> list[tuple[int, ...]]:
     if not isinstance(value, list):
         raise ValueError("expected an array of arrays of integers, "
-                         f"got {json.dumps(value)}")
+                         f"got {_shown(value)}")
     return [json_ints(r) for r in value]
 
 
@@ -428,6 +447,9 @@ def _json_field(d: dict, name: str, read):
 
 
 def from_json_dict(d: dict) -> SkewTableau:
+    if not isinstance(d, dict):
+        raise ValueError("expected an object with the fields outer, inner and "
+                         f"rows, got {_shown(d)}")
     return SkewTableau(_json_field(d, "outer", json_ints),
                        _json_field(d, "inner", json_ints),
                        _json_field(d, "rows", _json_rows))
@@ -441,7 +463,7 @@ def read_json(s: str, read):
     """read(json.loads(s)); JSON nested too deeply raises ValueError."""
     try:
         return read(json.loads(s))
-    except RecursionError:  # in decoding, or in showing a value in an error
+    except RecursionError:  # in decoding
         raise ValueError("JSON nested too deeply") from None
 
 

@@ -6,30 +6,40 @@ occupying an initial segment of the alphabet); any semistandard filling is
 order-isomorphic to a packed one and all the checked operations depend only
 on that order type, so the sweeps cover every alphabet.
 
-The driver ``_sweep(name, instances, prop, key)`` times a check and counts
-its instances; it records each (instance, expected, actual) that ``prop``
-yields, and an ``Exception`` that ``prop`` raises as that instance's failure
-(``key(instance)``, ``raises <Type>: <message>``), and goes on.  Knuth
-commutativity and route geometry share one walk (``_thu_sweep``) that does
-the same per filling.  A raising instance generator fails its check once.  A
-report counts every failure and stores the first ``MAX_STORED_FAILURES``.
+``_sweep(name, instances, prop, key, ident)`` times a check and
+counts its instances; it records each (instance, expected, actual) that
+``prop`` yields, and an ``Exception`` that ``prop`` raises as that instance's
+failure (``key(instance)``, ``raises <Type>: <message>``), and goes on.  The
+skew RSK round trip and the shared Knuth commutativity / route geometry walk
+(``_thu_sweep``) run instead on one depth-first insert-and-backtrack walker,
+``_walk``, over one mutable copy of each filling; a raising insertion fails
+every instance below it, and the walk goes on.  A raising instance generator
+fails its check once.  A report counts every failure and stores the first
+``MAX_STORED_FAILURES``.
+
+A report's ``digest`` pins its instance set, not only its size: the sum,
+modulo 2**64, of a 64-bit hash of each instance.  A filling is hashed once
+(``_hash_tableau``, blake2b over its integers) where the sweep holds it, and
+a pair of hashes combines by ``_pair``; the sum does not depend on the order
+in which a sweep meets its instances.
 """
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterator
 
 from . import insertion
 from .commutor import (TwoColorTableau, _infuse, _split_cells, _terminals,
                        rho1_internal, rho1_scratch, rho1_switching,
                        staged_decomposition)
-from .insertion import (GluedPair, _corners, _forward_inplace, _freeze,
-                        _inverse_inplace, _thaw, glued_pair)
+from .insertion import (GluedPair, _corners, _freeze, _inverse_inplace, _thaw,
+                        glued_pair)
 from .knuth import knuth_class, p_tableau_rows
 from .schur import lr_coefficient, schur_polynomial, schur_product
 from .tableaux import (SkewShape, SkewTableau, _standard_order, as_partition,
@@ -38,6 +48,54 @@ from .tableaux import (SkewShape, SkewTableau, _standard_order, as_partition,
                        tableau_content, yamanouchi_tableau)
 
 MAX_STORED_FAILURES = 50
+_MASK = (1 << 64) - 1
+_PAIR_MUL = 0x9E3779B97F4A7C15  # odd, so _pair is one-to-one in each argument
+
+
+def _hash_ints(ints) -> int:
+    """A stable 64-bit hash of a sequence of integers (unlike ``hash``,
+    which is salted for strings and differs between Python versions)."""
+    # hashlib's own blake2b, imported here because only the sweeps hash, and
+    # from _blake2 because hashlib would load OpenSSL as well (3.5 MB)
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
+    data = struct.pack(f"<{len(ints)}q", *ints)
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
+
+
+def _hash_tableau(t: SkewTableau) -> int:
+    """``_hash_ints`` of t's borders and rows, each led by its length."""
+    ints = [len(t.outer), *t.outer, len(t.inner), *t.inner]
+    for r in t.rows:
+        ints.append(len(r))
+        ints.extend(r)
+    return _hash_ints(ints)
+
+
+class _Memo(dict):
+    """f(key) for each key looked up, computed once.  A lookup costs one
+    dict access, and the Knuth walk makes one per word."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
+
+
+# a sweep meets the same few words and partitions many times
+_seq_hash = _Memo(_hash_ints).__getitem__
+
+
+def _pair(a: int, b: int) -> int:
+    """The hash of an instance made of two parts hashed a and b: linear in
+    each, so a sum over pairs sharing a is ``_pair(n * a, sum of the b's)``,
+    and not symmetric, so (a, b) and (b, a) hash apart."""
+    return (a * _PAIR_MUL + b) & _MASK
 
 
 @dataclass
@@ -47,10 +105,16 @@ class VerifyReport:
     failures: list = field(default_factory=list)
     seconds: float = 0.0
     failure_count: int = 0
+    digest: int = 0
 
     @property
     def passed(self) -> bool:
         return not self.failure_count
+
+    def count(self, h: int, n: int = 1):
+        """Count n instances whose hashes sum to h."""
+        self.instances += n
+        self.digest = (self.digest + h) & _MASK
 
     def fail(self, instance, expected, actual):
         self.failure_count += 1
@@ -91,6 +155,10 @@ def _pair_key(p: GluedPair) -> str:
     return f"{p.skew.outer}/{p.skew.inner} rows={p.skew.rows}"
 
 
+def _pair_hash(p: GluedPair) -> int:
+    return _hash_tableau(p.skew)  # the Yamanouchi member follows from it
+
+
 def _raised(exc: Exception) -> str:
     return f"raises {type(exc).__name__}: {exc}"
 
@@ -104,12 +172,13 @@ def _guarded(instances, *reports):
             rep.fail("instance generator", "no exception", _raised(exc))
 
 
-def _sweep(name: str, instances, prop, key) -> VerifyReport:
-    """One check's report (see the module docstring)."""
+def _sweep(name: str, instances, prop, key, ident) -> VerifyReport:
+    """One check's report (see the module docstring); ident(instance) is the
+    instance's hash."""
     rep = VerifyReport(name)
     t0 = time.perf_counter()
     for instance in _guarded(instances, rep):
-        rep.instances += 1
+        rep.count(ident(instance))
         try:
             for failure in prop(instance):
                 rep.fail(*failure)
@@ -130,7 +199,7 @@ def check_involution(max_size: int = 8, seed: int = 0) -> VerifyReport:
             if back != p:
                 yield f"{name}: {_pair_key(p)}", _pair_key(p), _pair_key(back)
 
-    return _sweep("involution", lr_pairs(max_size), prop, _pair_key)
+    return _sweep("involution", lr_pairs(max_size), prop, _pair_key, _pair_hash)
 
 
 def check_coincidence(max_size: int = 8, seed: int = 0) -> VerifyReport:
@@ -142,24 +211,33 @@ def check_coincidence(max_size: int = 8, seed: int = 0) -> VerifyReport:
         if not (a == b == c):
             yield _pair_key(p), _pair_key(a), f"{_pair_key(b)} / {_pair_key(c)}"
 
-    return _sweep("coincidence", lr_pairs(max_size), prop, _pair_key)
+    return _sweep("coincidence", lr_pairs(max_size), prop, _pair_key, _pair_hash)
 
 
 def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
     """Every order of admissible switches, and infusion, ends on greedy's
     terminal board, and greedy's (S, H) stay Knuth equivalent to (V, U)."""
+    hashed: dict = {}  # each filling is hashed once
+
+    def fillings(outer, inner):
+        """The packed fillings of outer/inner, each with its hash."""
+        key = outer, inner + (0,) * (len(outer) - len(inner))
+        if key not in hashed:
+            hashed[key] = [(t, _hash_tableau(t)) for t in packed_fillings(*key)]
+        return hashed[key]
+
     def instances():
         for gamma in partitions_up_to(max_size):
             for lam in subpartitions(gamma):
-                vs = packed_fillings(gamma, lam + (0,) * (len(gamma) - len(lam)))
+                vs = fillings(gamma, lam)
                 for mu in subpartitions(lam):
-                    for u in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu))):
+                    for u, h_u in fillings(lam, mu):
                         infusion = [c for _x, c in reversed(standard_order(u))]
-                        for v in vs:
-                            yield u, v, infusion
+                        for v, h_v in vs:
+                            yield u, v, infusion, _pair(h_u, h_v)
 
     def prop(instance):
-        u, v, infusion = instance
+        u, v, infusion, _h = instance
         if u.size == 0 or v.size == 0:
             return  # no switch can ever apply
         board = TwoColorTableau.from_pair(u, v)
@@ -179,13 +257,74 @@ def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
         if alt is not None:
             yield f"order: {u!r} {v!r}", end, alt
 
-    return _sweep("confluence", instances(), prop, lambda i: f"{i[0]!r} {i[1]!r}")
+    return _sweep("confluence", instances(), prop, lambda i: f"{i[0]!r} {i[1]!r}",
+                  itemgetter(3))
+
+
+# --- the depth-first insertion walk ----------------------------------------
+
+def _snapshot(inner, rows) -> tuple:
+    """A copy of the lists, which the kernels leave alone."""
+    return [*inner], list(map(list, rows))
+
+
+def _walk(inner: list, rows: list, root, steps, enter, on_raise, on_undo):
+    """Walk a tree of internal insertions depth first on one mutable
+    (inner, rows) state, from the one the lists hold.
+
+    From each node the walk inserts at each row i of ``steps(node)`` in
+    turn.  ``trail`` holds the traces of the insertions from the root, the
+    new one last, and ``enter(node, i, trail)`` reads the state reached in
+    the lists, leaving it as it is, and returns the node to walk on from, or
+    None.  Then the walk backtracks by reverse-bumping from the created
+    cell, which must give back the vacated cell and node's state: the walk
+    keeps a snapshot of each node it walks on from.
+
+    An insertion that raises calls ``on_raise(node, i, actual)``; a
+    backtrack that raises, or gives back another cell or state, calls
+    ``on_undo(node, i, expected, actual)``.  Either way the lists are reset
+    to node's snapshot and the walk goes on.  The kernels are read from
+    ``insertion`` at each walk, so a kernel replaced there is the one
+    walked."""
+    insert, uninsert = insertion._insert_inplace, insertion._uninsert_inplace
+    trail: list = []
+
+    def restore(state):
+        inner[:] = state[0]
+        rows[:] = map(list, state[1])
+
+    def walk(node, state):
+        for i in steps(node):
+            try:
+                tr = insert(inner, rows, i)
+            except Exception as exc:  # a raising kernel fails its subtree only
+                restore(state)
+                on_raise(node, i, _raised(exc))
+                continue
+            trail.append(tr)
+            child = enter(node, i, trail)
+            if child is not None:  # _snapshot, inlined: one per node walked on from
+                walk(child, ([*inner], list(map(list, rows))))
+            trail.pop()
+            try:
+                back = uninsert(inner, rows, tr.created)
+            except Exception as exc:
+                restore(state)
+                on_undo(node, i, "no exception", _raised(exc))
+                continue
+            if back != tr.vacated or inner != state[0] or rows != state[1]:
+                actual = (f"undoing {tr.created} gives back {back}, "
+                          f"{_freeze(inner, rows)!r}")
+                restore(state)
+                on_undo(node, i, f"{tr.vacated}, {_freeze(*state)!r}", actual)
+
+    walk(root, _snapshot(inner, rows))
 
 
 # --- th:U and route geometry share one sweep ------------------------------
 
 def _strictly_left(r1, r2):
-    cols1 = dict((c[0], c[1]) for c in r1)
+    cols1 = dict(r1)  # a route meets each row at most once
     for row, col in r2:
         if row in cols1 and not cols1[row] < col:
             return False
@@ -193,7 +332,7 @@ def _strictly_left(r1, r2):
 
 
 def _weakly_left(r1, r2):
-    cols2 = dict((c[0], c[1]) for c in r2)
+    cols2 = dict(r2)
     for row, col in r1:
         if row in cols2 and not col <= cols2[row]:
             return False
@@ -215,84 +354,118 @@ def _route_pair_ok(first_row, first_tr, second_row, second_tr):
             and bp[1] <= b[1] and bp[0] > b[0])
 
 
-@lru_cache(maxsize=None)
-def _class_of(word):
-    """The Knuth class of word, sorted: its least member comes first."""
-    return tuple(sorted(knuth_class(word, 100000)))
+def _class_walked(w) -> tuple | None:
+    """The Knuth class of the order word that walked word w applies (w
+    reversed), as walked words, in one order for every member; None when w
+    is alone in it, with nothing to compare."""
+    cls = tuple(sorted(v[::-1] for v in knuth_class(w[::-1], 100000)))
+    return cls if len(cls) > 1 else None
+
+
+_walked_class = _Memo(_class_walked).__getitem__
+_corners_of = _Memo(_corners).__getitem__  # of an inner border tuple
+
+
+def _words_from(inner, w, word_len: int):
+    """w and every valid word that extends it to at most word_len letters,
+    where inner is the inner border that w reaches: which words are valid
+    depends on nothing else."""
+    yield w
+    if len(w) < word_len:
+        for i in _corners(inner):
+            yield from _words_from(_grown(inner, i), w + (i,), word_len)
+
+
+def _grown(inner, i: int) -> tuple:
+    """The inner border after an insertion at row i, which vacates the cell
+    just right of row i's inner border."""
+    inner = tuple(inner)
+    grown = (inner[i - 1] if i <= len(inner) else 0) + 1
+    return inner[:i - 1] + (grown,) + inner[i:]
 
 
 @lru_cache(maxsize=None)
 def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport]:
-    """For each packed filling t, one walk applies every valid order word of
-    length up to word_len once; then every member of each Knuth class met
-    must be a walked word reaching the same state.
+    """For each packed filling t, one ``_walk`` applies every valid order
+    word of length up to word_len once; then every member of each Knuth
+    class met must be a walked word reaching the same state.  Each insertion
+    whose route and the one before are both non-blank makes a route pair,
+    whose relative position is checked.
 
-    The walk keeps one mutable copy of t and goes depth first.  At each row
-    that ``_corners`` lists (exactly the insertable rows), it inserts in
-    place, stores a tuple snapshot of the state, checks the route against
-    the one before, walks on, and backtracks by reverse-bumping from the
-    created cell, which must give back the vacated one.  States are frozen
-    only to print a failure.
+    Knuth equivalence is generated by the elementary relations on three
+    adjacent letters, and each insertion grows the filling by one box.  So
+    if every order word of length 3 acts like its whole Knuth class at every
+    filling of at most N boxes, then every word of length L acts like its
+    class at every filling of at most N - L + 3 boxes: ``_thu_sweep(N, 3)``
+    covers every Knuth claim of ``_thu_sweep(N - L + 3, L)``.
 
-    Returns the knuth-commutativity report over the words walked and the
+    Returns the knuth-commutativity report over the words and the
     route-geometry report over the route pairs met, both timed by the sweep.
-    A filling whose walk raises, or whose backtrack gives back another cell,
-    fails once in both and stops there: the words and route pairs reached
-    before that count, the later ones do not."""
+    An insertion that raises fails its word and each word below it in
+    knuth-commutativity, and fails once in route-geometry, whose route pairs
+    below it cannot be known.  A backtrack that raises or restores another
+    state fails its word in knuth-commutativity.  The walk goes on."""
     knuth = VerifyReport("knuth-commutativity")
     route = VerifyReport("route-geometry")
-    # read from the module at each sweep, so a kernel replaced there is the
-    # one walked
-    insert, uninsert = insertion._insert_inplace, insertion._uninsert_inplace
-
-    def walk(w, prev_tr):
-        """Apply each valid letter after w to the current filling's lists,
-        walk on from there, and undo it."""
-        for i in _corners(inner):
-            tr = insert(inner, rows, i)
-            v = w + (i,)
-            after[v] = (tuple(inner), tuple(map(tuple, rows)))
-            if prev_tr is not None and prev_tr.route and tr.route:
-                route.instances += 1
-                if not _route_pair_ok(w[-1], prev_tr, i, tr):
-                    route.fail(f"{t!r} word={v}", "route geometry",
-                               f"routes {prev_tr} then {tr}")
-            if len(v) < word_len:
-                walk(v, tr)
-            back = uninsert(inner, rows, tr.created)
-            if back != tr.vacated:
-                raise ValueError(f"undoing word {v} gives back {back}, "
-                                 f"not the vacated {tr.vacated}")
-
     t0 = time.perf_counter()
     fillings = (t for lam in partitions_up_to(max_size) for mu in subpartitions(lam)
                 for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu))))
     for t in _guarded(fillings, knuth, route):
         inner, rows = _thaw(t)
-        # after[w]: the state reached by inserting at rows w[0], w[1], ... in
-        # turn, filled in depth-first preorder
-        after: dict = {}
+        # a walked word w inserts at rows w[0], w[1], ... in turn: it applies
+        # the order word w[::-1], which the failures show
+        words: list = []  # in depth-first preorder
+        failed: set = set()  # the words at or below a raising insertion
+        pairs: list = []  # the word ending each route pair met
+        # first[c]: the first word walked in class c, with the state it reached
+        first: dict = {}
+
+        def enter(w, i, trail):
+            v = w + (i,)
+            words.append(v)
+            tr = trail[-1]
+            if w and tr.route:
+                prev_tr = trail[-2]
+                if prev_tr.route:
+                    pairs.append(v)
+                    if not _route_pair_ok(w[-1], prev_tr, i, tr):
+                        route.fail(f"{t!r} word={v}", "route geometry",
+                                   f"routes {prev_tr} then {tr}")
+            cls = _walked_class(v)
+            if cls is not None:
+                u = first.get(cls[0])
+                if u is None:
+                    first[cls[0]] = v, _snapshot(inner, rows)
+                elif inner != u[1][0] or rows != u[1][1]:
+                    knuth.fail(f"{t!r} u={u[0][::-1]} v={v[::-1]}",
+                               f"{_freeze(*u[1])!r}", f"{_freeze(inner, rows)!r}")
+            return v if len(v) < word_len else None
+
+        def on_raise(w, i, actual):
+            route.fail(f"{t!r} word={w + (i,)}", "no exception", actual)
+            for v in _words_from(_grown(inner, i), w + (i,), word_len):
+                failed.add(v)
+                knuth.fail(f"{t!r} word={v}", "no exception", actual)
+
+        def on_undo(w, i, expected, actual):
+            knuth.fail(f"{t!r} word={w + (i,)}", expected, actual)
+
         try:
-            walk((), None)
-            classes_done: set = set()
-            for w, state in after.items():
-                u = w[::-1]  # the applied word, reading right to left
-                cls = _class_of(u)
-                if cls[0] in classes_done:
-                    continue
-                classes_done.add(cls[0])
-                for v in cls:
-                    other = after.get(v[::-1])
-                    if other is None:
-                        knuth.fail(f"{t!r} v={v}", "v applies",
-                                   f"u={u} applies, v does not")
-                    elif other != state:
-                        knuth.fail(f"{t!r} u={u} v={v}", f"{_freeze(*state)!r}",
-                                   f"{_freeze(*other)!r}")
-        except Exception as exc:  # a raising kernel fails this filling only
+            _walk(inner, rows, (), lambda _w: _corners_of(tuple(inner)), enter,
+                  on_raise, on_undo)
+            walked = set(words)
+            for u, _state in first.values():
+                for v in _walked_class(u):
+                    if v not in walked and v not in failed:  # a word fails once
+                        knuth.fail(f"{t!r} v={v[::-1]}", "v applies",
+                                   f"u={u[::-1]} applies, v does not")
+        except Exception as exc:  # outside the kernels: fails this filling
             for rep in (knuth, route):
                 rep.fail(repr(t), "no exception", _raised(exc))
-        knuth.instances += len(after)
+        h_t = _hash_tableau(t)
+        for rep, ws in ((knuth, [*words, *failed]), (route, pairs)):
+            # the sum of _pair(h_t, hash of w) over the words
+            rep.count(_pair(len(ws) * h_t, sum(map(_seq_hash, ws))), len(ws))
     knuth.seconds = route.seconds = time.perf_counter() - t0
     return knuth, route
 
@@ -311,40 +484,151 @@ def check_route_geometry(max_size: int = 7, seed: int = 0,
     return replace(route, failures=list(route.failures))
 
 
+class _Trie:
+    """A node of a trie of fillings keyed by the rows of their standard
+    order: the indices of the fillings whose rows end here, the sum of their
+    hashes, and the child reached by each next row."""
+    __slots__ = ("ends", "ends_hash", "children")
+
+    def __init__(self):
+        self.ends: list[int] = []
+        self.ends_hash = 0
+        self.children: dict[int, _Trie] = {}
+
+    def below(self):
+        """The ends at this node and at every node under it."""
+        yield from self.ends
+        for child in self.children.values():
+            yield from child.below()
+
+
+def _skew_rsk_sides(max_size: int):
+    """For each inner border, the side of its packed fillings, each with its
+    P-tableau rows, standard order and hash, and the side's trie."""
+    by_mu: dict = {}
+    for lam in partitions_up_to(max_size):
+        for mu in subpartitions(lam):
+            by_mu.setdefault(mu, []).append(lam)
+    for mu, lams in by_mu.items():
+        side = [(t, p_tableau_rows(reading_word(t)), standard_order(t),
+                 _hash_tableau(t))
+                for lam in lams
+                for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu)))]
+        trie = _Trie()
+        for j, (_u, _w, order, h) in enumerate(side):
+            node = trie
+            for _x, (r, _c) in order:
+                node = node.children.setdefault(r, _Trie())
+            node.ends.append(j)
+            node.ends_hash += h
+        yield side, trie
+
+
 def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:
-    """Forward-then-inverse identity plus class preservation for all
-    shared-border pairs within the ambient bound.  Each pair runs the two
-    kernels on one copy of t's lists and freezes only to report a failure."""
-    def instances():
-        by_mu: dict = {}
-        for lam in partitions_up_to(max_size):
-            for mu in subpartitions(lam):
-                by_mu.setdefault(mu, []).append(lam)
-        for mu, lams in by_mu.items():
-            # each filling with its P-tableau rows, standard order and lists
-            side = [(t, p_tableau_rows(reading_word(t)), standard_order(t), _thaw(t))
-                    for lam in lams
-                    for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu)))]
-            for u_side in side:
-                for t_side in side:
-                    yield t_side, u_side
+    """Forward-then-inverse identity plus class preservation for all pairs
+    (T, U) that share their inner border, within the ambient bound.
 
-    def prop(instance):
-        (t, w_t, _, (t_inner, t_rows)), (u, w_u, order, (_, u_rows_want)) = instance
-        inner, rows = t_inner[:], [r[:] for r in t_rows]
-        q_rows = _forward_inplace(inner, rows, order)
+    The forward steps of (T, U) insert T at the rows of U's standard order,
+    so pairs whose row sequences share a prefix share its steps.  For each
+    inner border a trie holds the U's by that row sequence, and for each T
+    one ``_walk`` inserts along the trie's edges on one copy of T's lists:
+    each prefix once.  At a node where U's end, P's class is tested once;
+    for each U there, Q's rows are built from the created cells and Q's
+    class is tested.  The inverse undoes the cells of Q's standard order,
+    computed from Q's own cells, last first.  Where they are the created
+    cells, as the correspondence has it, the inverse is exactly the walk's
+    backtracking from that node, which must give back each vacated cell and
+    state; elsewhere the inverse runs on a copy.  A tableau is frozen only
+    to report a failure.  A raise at a node fails each instance below it
+    once, and the walk goes on."""
+    rep = VerifyReport("skew-rsk")
+    t0 = time.perf_counter()
+    for side, trie in _guarded(_skew_rsk_sides(max_size), rep):
+        # a side meets few distinct P and Q; the memos end with the side
+        memos = _Memo(_reading_class).__getitem__, _Memo(_order_cells).__getitem__
+        for t, w_t, _order, h_t in side:
+            _skew_rsk_walk(rep, t, w_t, h_t, side, trie, memos)
+    rep.seconds = time.perf_counter() - t0
+    return rep
+
+
+def _reading_class(rows: tuple) -> tuple:
+    """The P-tableau rows of the reading word of a filling with these rows:
+    its Knuth class."""
+    return p_tableau_rows(chain.from_iterable(reversed(rows)))
+
+
+def _order_cells(q: tuple) -> tuple:
+    """The cells of ``_standard_order(*q)``, in that order."""
+    return tuple(c for _x, c in _standard_order(*q))
+
+
+def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, trie: _Trie, memos):
+    """Every instance (t, U) of one side, on one walk of its trie; memos are
+    the side's ``_reading_class`` and ``_order_cells``."""
+    reading_class, order_cells = memos
+    inner, rows = _thaw(t)
+    settled: set = set()  # the U's whose round trip failed, or ran on a copy
+
+    def at(node, trail):
+        """The tests of the U's that end at node, with P in the lists."""
+        ends = node.ends
+        rep.count(_pair(len(ends) * h_t, node.ends_hash), len(ends))
         q_inner = t.outer + (0,) * (len(rows) - len(t.outer))
-        if p_tableau_rows(chain.from_iterable(reversed(rows))) != w_t:
-            yield f"{t!r} {u!r}", "P = T class", f"{_freeze(inner, rows)!r}"
-        if p_tableau_rows(chain.from_iterable(reversed(q_rows))) != w_u:
-            yield f"{t!r} {u!r}", "Q = U class", f"{_freeze(q_inner, q_rows)!r}"
-        # Q's standard order comes from Q's own cells, not the forward steps
-        u_rows = _inverse_inplace(inner, rows, _standard_order(q_inner, q_rows))
-        if inner != t_inner or rows != t_rows or u_rows != u_rows_want:
-            u2 = _freeze((inner + [0] * len(u_rows))[:len(u_rows)], u_rows)
-            yield f"{t!r} {u!r}", "round trip", f"{_freeze(inner, rows)!r} {u2!r}"
+        created = tuple(tr.created for tr in trail)
+        p_class = None
+        for j in ends:
+            u, w_u, order, _h = side[j]
+            try:
+                if p_class is None:  # once per node, unless it raises
+                    p_class = reading_class(tuple(map(tuple, rows)))
+                if p_class != w_t:
+                    rep.fail(f"{t!r} {u!r}", "P = T class",
+                             f"{_freeze(inner, rows)!r}")
+                q: list[list[int]] = [[] for _ in rows]
+                for (x, _c), (r, _c2) in zip(order, created):
+                    q[r - 1].append(x)
+                q_rows = tuple(map(tuple, q))
+                if reading_class(q_rows) != w_u:
+                    rep.fail(f"{t!r} {u!r}", "Q = U class",
+                             f"{_freeze(q_inner, q_rows)!r}")
+                # Q's standard order comes from Q's own cells
+                if order_cells((q_inner, q_rows)) != created:
+                    # the inverse does not retrace the walk: run it on a copy
+                    settled.add(j)
+                    p_inner, p_rows = _snapshot(inner, rows)
+                    u_rows = _inverse_inplace(p_inner, p_rows,
+                                              _standard_order(q_inner, q_rows))
+                    if (p_inner, p_rows) != _thaw(t) or u_rows != _thaw(u)[1]:
+                        n = len(u_rows)
+                        u2 = _freeze((p_inner + [0] * n)[:n], u_rows)
+                        rep.fail(f"{t!r} {u!r}", "round trip",
+                                 f"{_freeze(p_inner, p_rows)!r} {u2!r}")
+            except Exception as exc:  # a raising kernel fails this U only
+                settled.add(j)
+                rep.fail(f"{t!r} {u!r}", "no exception", _raised(exc))
 
-    return _sweep("skew-rsk", instances(), prop, lambda i: f"{i[0][0]!r} {i[1][0]!r}")
+    def enter(node, i, trail):
+        child = node.children[i]
+        if child.ends:
+            at(child, trail)
+        return child if child.children else None
+
+    def on_raise(node, i, actual):
+        for j in node.children[i].below():
+            rep.count(_pair(h_t, side[j][3]))
+            rep.fail(f"{t!r} {side[j][0]!r}", "no exception", actual)
+
+    def on_undo(node, i, expected, actual):
+        # the inverse of each U below runs through this backtrack
+        for j in node.children[i].below():
+            if j not in settled:
+                settled.add(j)
+                rep.fail(f"{t!r} {side[j][0]!r}", expected, actual)
+
+    if trie.ends:  # the U's with no boxes
+        at(trie, [])
+    _walk(inner, rows, trie, lambda node: node.children, enter, on_raise, on_undo)
 
 
 @lru_cache(maxsize=None)
@@ -392,7 +676,8 @@ def check_lr_oracle(max_size: int = 8, seed: int = 0) -> VerifyReport:
                 yield (f"{lam} {mu} {nu}", "bijection onto opposite ballot set",
                        f"{len(image)} vs {len(target)}")
 
-    return _sweep("lr-oracle", instances(), prop, lambda i: f"mu={i[0]} nu={i[1]}")
+    return _sweep("lr-oracle", instances(), prop, lambda i: f"mu={i[0]} nu={i[1]}",
+                  lambda i: _pair(_seq_hash(i[0]), _seq_hash(i[1])))
 
 
 def check_recursion(max_size: int = 8, seed: int = 0) -> VerifyReport:
@@ -431,7 +716,8 @@ def check_recursion(max_size: int = 8, seed: int = 0) -> VerifyReport:
         if combined != full:
             yield key, _pair_key(full), _pair_key(combined)
 
-    return _sweep("recursion", instances(), prop, lambda i: _pair_key(i[0]))
+    return _sweep("recursion", instances(), prop, lambda i: _pair_key(i[0]),
+                  lambda i: _pair_hash(i[0]))
 
 
 CHECKS = {

@@ -14,11 +14,13 @@ from lrcommute.verify import (check_coincidence, check_confluence,
                               check_route_geometry, check_skew_rsk)
 
 
-def _report(rep, instances, max_seconds=None):
+def _report(rep, instances, digest, max_seconds=None):
     # the instance counts pin the sweeps: a refactor that walks fewer (or
-    # more) instances is not the same check
+    # more) instances is not the same check; the digests pin the instance
+    # sets, so one that walks as many but others is not the same check either
     print(rep.line())
     assert rep.instances == instances
+    assert rep.digest == digest, hex(rep.digest)
     assert rep.passed, rep.failures[:5]
     if max_seconds is not None:
         assert rep.seconds < max_seconds, (
@@ -38,32 +40,36 @@ def test_criterion_1_golden_examples():
 
 
 def test_criterion_2_involution():
-    _report(check_involution(max_size=8), 1351, max_seconds=120)
+    _report(check_involution(max_size=8), 1351, 0x7c3e940ed39260dc,
+            max_seconds=120)
 
 
 def test_criterion_3_commutor_coincidence():
-    _report(check_coincidence(max_size=8), 1351)
+    _report(check_coincidence(max_size=8), 1351, 0x7c3e940ed39260dc)
 
 
 def test_criterion_4_strategy_confluence():
-    _report(check_confluence(max_size=8), 209293)
+    _report(check_confluence(max_size=8), 209293, 0x9943dc2910926ca6)
 
 
 def test_criterion_5_knuth_commutativity():
-    _report(check_knuth_commutativity(max_size=7, word_len=5), 982678)
+    _report(check_knuth_commutativity(max_size=7, word_len=5), 982678,
+            0x239308aa350d7f30)
 
 
 def test_criterion_6_skew_rsk_bijection():
-    _report(check_skew_rsk(max_size=6), 778783)
+    _report(check_skew_rsk(max_size=6), 778783, 0x8789b0c92015a828)
 
 
 def test_criterion_7_route_geometry():
-    _report(check_route_geometry(max_size=7, word_len=5), 628894)
+    _report(check_route_geometry(max_size=7, word_len=5), 628894,
+            0xe38b859f4fcf56c6)
 
 
 def test_criterion_8_lr_rule_vs_polynomial_oracle():
-    _report(check_lr_oracle(max_size=8), 434, max_seconds=300)
+    _report(check_lr_oracle(max_size=8), 434, 0xaadb70aa6bb4668c,
+            max_seconds=300)
 
 
 def test_criterion_9_recursion_structure():
-    _report(check_recursion(max_size=8), 769)
+    _report(check_recursion(max_size=8), 769, 0x0c80e9bfe8337ce6)

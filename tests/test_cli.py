@@ -275,10 +275,13 @@ def test_verify_and_golden_print_json_lines(capsys, monkeypatch):
     assert code == 1 and [r["name"] for r in reports] == ["involution",
                                                           "confluence"]
     confluence = reports[1]
-    assert set(confluence) == {"name", "passed", "instances", "failures",
-                               "seconds", "first_failures"}
+    assert set(confluence) == {"name", "passed", "instances", "digest",
+                               "failures", "seconds", "first_failures"}
     assert (confluence["passed"], confluence["instances"],
             confluence["failures"]) == (False, 341, 65)
+    # the digest pins the instances walked, which the broken switch leaves
+    # as they are
+    assert confluence["digest"] == "6df3b69372ed681d"
     assert len(confluence["first_failures"]) == 5
     assert set(confluence["first_failures"][0]) == {"instance", "expected",
                                                     "actual"}
@@ -368,3 +371,22 @@ def test_deeply_nested_json_is_a_usage_error(monkeypatch, capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "cannot parse" in err and "JSON nested too deeply" in err
+
+
+@pytest.mark.parametrize("argv, stdin, reason", [
+    (["rsk", DEEP], "", "JSON nested too deeply"),
+    (["lr-coeff", DEEP, "1", "1"], "", "JSON nested too deeply"),
+    (["schur-product", "1," * 3000 + "2", "1"], "", "not weakly decreasing"),
+    (["insert", "-", "1," * 5000 + "x"], T_TEXT, "invalid literal"),
+    (["commute", "-"], '{"outer": ' + "[" * 500 + "]" * 500 + "}",
+     "outer: expected an array of integers, got [[[["),
+], ids=["rsk-deep", "lr-coeff-deep", "schur-product-long", "insert-long",
+        "commute-deep-field"])
+def test_usage_errors_quote_a_bounded_prefix(monkeypatch, capsys, argv, stdin,
+                                             reason):
+    # an error states its reason but quotes only the first characters of a
+    # long or deep argument: one short line, however big the input
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "cannot parse" in err and reason in err
+    assert len(err) < 200 and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -9,6 +10,7 @@ from lrcommute.tableaux import (EMPTY, SkewShape, SkewTableau, as_partition,
                                 companion_word, content, empty_of_shape,
                                 enumerate_ballot, enumerate_ssyt, from_json,
                                 from_text, glue, is_ballot, is_ballot_tableau,
+                                json_ints,
                                 partitions_of, reading_word, restrict_rows,
                                 skew_shape, standardize, subpartitions,
                                 tableau_content, to_json, to_text,
@@ -259,6 +261,27 @@ def test_from_json_rejects_deep_nesting():
             from_json('{"outer": ' + "[" * depth + "]" * depth + "}")
     with pytest.raises(ValueError, match="^JSON nested too deeply$"):
         from_json("[" * 100000 + "]" * 100000)
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1]", '"rows"'])
+def test_from_json_needs_an_object(text):
+    # valid JSON that is not an object is a ValueError that says so, like a
+    # bad field, not a TypeError from looking a field up in it
+    with pytest.raises(ValueError, match="^expected an object with the fields "
+                       f"outer, inner and rows, got {re.escape(text)}$"):
+        from_json(text)
+
+
+def test_json_errors_quote_a_bounded_prefix():
+    # a long or deep bad value is shown by its first characters only
+    deep: list = []
+    for _ in range(500):
+        deep = [deep]
+    for value in ([[1]] * 100000, deep):
+        with pytest.raises(ValueError, match=r"^expected an array of integers, "
+                           r"got \[\[.*\.\.\.$") as exc:
+            json_ints(value)
+        assert len(str(exc.value)) < 100
 
 
 def test_text_round_trip_exhaustive():

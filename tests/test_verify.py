@@ -1,4 +1,5 @@
 from bisect import bisect_left, bisect_right
+from collections import Counter
 
 import pytest
 
@@ -18,33 +19,49 @@ def test_route_geometry_reports_the_shared_sweep_time():
     assert route.seconds == knuth.seconds > 0
 
 
-def test_knuth_sweep_flags_a_broken_bump(monkeypatch):
-    # bumping the leftmost entry >= x instead of > x breaks the insertion,
-    # and both checks that read the sweep must report it; the walk
-    # backtracks by the reverse bump, which cannot undo some broken bumps
-    # and raises there, so it stops short of the 6,384 words it reaches
-    # unbroken
-    monkeypatch.setattr(insertion, "bisect_right", bisect_left)
+# (max_size, word_len, words, route pairs) of small shared walks; by the
+# length-3 reduction in _thu_sweep's docstring, (6, 3) covers every Knuth
+# claim that (4, 5) checks
+SMALL_WALKS = [(5, 3, 6384, 3280), (6, 3, 26599, 16311), (4, 5, 13557, 4146)]
+
+
+def _small_walks():
+    """The (knuth, route) reports of each walk in SMALL_WALKS, walked afresh
+    with the kernels as they are now."""
     _thu_sweep.cache_clear()
     try:
-        knuth = check_knuth_commutativity(max_size=5, word_len=3)
-        route = check_route_geometry(max_size=5, word_len=3)
+        return [(_thu_sweep(max_size, word_len), counts)
+                for max_size, word_len, *counts in SMALL_WALKS]
     finally:
         _thu_sweep.cache_clear()
-    assert knuth.instances == 4796 and not knuth.passed
-    assert not route.passed
+
+
+@pytest.mark.parametrize("max_size, word_len, words, pairs", SMALL_WALKS[1:])
+def test_knuth_sweep_by_generators_at_small_sizes(max_size, word_len, words,
+                                                  pairs):
+    knuth, route = _thu_sweep(max_size, word_len)
+    assert (knuth.instances, route.instances) == (words, pairs)
+    assert knuth.passed and route.passed
+
+
+def test_knuth_sweep_flags_a_broken_bump(monkeypatch):
+    # bumping the leftmost entry >= x instead of > x breaks the insertion,
+    # and both checks that read the sweep must report it at every small
+    # size; the walk backtracks by the reverse bump, which cannot undo some
+    # broken bumps and raises there: that word fails, the walk goes on, and
+    # every word is still walked and counted
+    monkeypatch.setattr(insertion, "bisect_right", bisect_left)
+    for (knuth, route), (words, _pairs) in _small_walks():
+        assert knuth.instances == words and not knuth.passed
+        assert not route.passed
 
 
 def test_knuth_sweep_flags_a_broken_reverse_bump(monkeypatch):
     # reverse-bumping the rightmost entry <= x instead of < x breaks the
-    # walk's backtracking, which must fail the sweep
+    # walk's backtracking, which must fail the sweep at every small size
     monkeypatch.setattr(insertion, "bisect_left", bisect_right)
-    _thu_sweep.cache_clear()
-    try:
-        knuth = check_knuth_commutativity(max_size=5, word_len=3)
-    finally:
-        _thu_sweep.cache_clear()
-    assert not knuth.passed
+    for (knuth, _route), (words, _pairs) in _small_walks():
+        assert knuth.instances == words and not knuth.passed
 
 
 def test_skew_rsk_flags_a_broken_reverse_bump(monkeypatch):
@@ -56,6 +73,28 @@ def test_skew_rsk_flags_a_broken_reverse_bump(monkeypatch):
     assert rep.instances == 3430 and not rep.passed
     # each stored failure names its own instance
     assert len({key for key, _expected, _actual in rep.failures}) == 50
+
+
+def test_skew_rsk_inserts_each_prefix_once(monkeypatch):
+    # a cost record that machine noise cannot move: each T inserts along each
+    # edge of the trie of its side's standard-order row sequences once, and
+    # backtracks along it once (a forward and an inverse run per instance
+    # would make 10,664 of each)
+    calls = Counter()
+
+    def counted(name):
+        kernel = getattr(insertion, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return counting
+
+    for name in ("_insert_inplace", "_uninsert_inplace"):
+        monkeypatch.setattr(insertion, name, counted(name))
+    rep = check_skew_rsk(max_size=4)
+    assert rep.instances == 3430 and rep.passed
+    assert calls == {"_insert_inplace": 1466, "_uninsert_inplace": 1466}
 
 
 def test_confluence_flags_a_broken_switch(monkeypatch):
@@ -193,19 +232,18 @@ def _raising_at_row_3(kernel, row_of):
     ("skew-rsk", "insert", 3430, 658),
     ("lr-oracle", "switch", 38, 3),
     ("recursion", "switch", 18, 3),
-    # the shared walk counts the words and route pairs it reaches: each of
-    # the 114 packed fillings meets row 3 within 5 steps, fails once in both
-    # reports and stops there, short of 13,557 words and 4,146 route pairs;
-    # the walk inserts lazily, depth first, so the counts are those met in
-    # preorder before the first insertion at row 3
-    ("knuth-commutativity", "insert", 983, 114),
-    ("route-geometry", "insert", 212, 114),
+    # in the shared walk, each of the 1,680 insertions at row 3 fails its
+    # word once in route-geometry, and in knuth-commutativity its word and
+    # the words below it (the valid words depend only on the inner border):
+    # 9,115 of the 13,557 words fail; the 985 route pairs counted are those
+    # met, as the pairs below a raise cannot be known
+    ("knuth-commutativity", "insert", 13557, 9115),
+    ("route-geometry", "insert", 985, 1680),
 ])
 def test_a_raising_kernel_fails_its_instances_not_the_sweep(
         monkeypatch, name, kernel, instances, failures):
-    # a switch or an insertion at row 3 raises: each instance (or filling,
-    # for the shared walk) that meets it fails, with the exception's type
-    # and message, and the sweep goes on to the next one
+    # a switch or an insertion at row 3 raises: each instance that meets it
+    # fails, with the exception's type and message, and the sweep goes on
     if kernel == "switch":
         monkeypatch.setattr(commutor, "_admissible", _raising_at_row_3(
             commutor._admissible, lambda cells, cu, cv: cu[0]))
