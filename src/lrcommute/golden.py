@@ -57,7 +57,10 @@ def _cells(entries) -> dict:
     return {(r, c): (val, color) for r, c, val, color in entries}
 
 
-def _reachable(start, target, cap=20000) -> bool:
+_SEARCH_CAP = 20000  # states a reachability search may visit
+
+
+def _reachable(start, target) -> bool:
     """Best-first search through admissible switches from one two-color state
     to another; exhaustive on the fixtures, which reach at most 15,666 states."""
     def dist(cells):
@@ -66,7 +69,7 @@ def _reachable(start, target, cap=20000) -> bool:
     seen = {frozenset(start.items())}
     heap = [(dist(start), 0, start)]
     tick = 0
-    while heap and len(seen) < cap:
+    while heap and len(seen) < _SEARCH_CAP:
         d, _, cells = heapq.heappop(heap)
         if d == 0:
             return True
@@ -236,9 +239,8 @@ RUNNERS = {
 }
 
 
-def run_golden(ids=None, data_override: dict | None = None) -> list[GoldenResult]:
-    """Replay the selected examples (all by default); ``data_override`` maps
-    an example id to replacement fixture data, for testing the harness."""
+def run_golden(ids=None) -> list[GoldenResult]:
+    """Replay the selected examples (all by default)."""
     if ids is None:
         ids = list(RUNNERS)
     results = []
@@ -247,7 +249,7 @@ def run_golden(ids=None, data_override: dict | None = None) -> list[GoldenResult
             raise ValueError(f"unknown example {name!r}; valid ids: "
                              f"{', '.join(RUNNERS)}")
         fname, fn = RUNNERS[name]
-        data = (data_override or {}).get(name) or _load(fname)
+        data = _load(fname)
         res = GoldenResult(name)
         try:
             fn(res, data)

@@ -8,17 +8,10 @@ place on parallel mutable (inner, rows) lists, from which ``_freeze`` derives
 the outer border: ``_insert_inplace`` makes the move and ``_uninsert_inplace``
 undoes it from the cell it created.
 
-Skew RSK has one kernel per direction on the same lists.  The forward kernel
-``_forward_inplace`` takes (T, U) to (P, Q): it inserts T at the rows of U's
-cells in standard order (a ``tableaux.standard_order`` list) and returns Q's
-rows.  The inverse kernel ``_inverse_inplace`` undoes the moves in reverse
-standard order of Q and returns U's rows.  A created cell ends its row of P,
-and a vacated one its row of the inner border, so Q's rows fill left to right
-as U's entries create cells, and U's rows right to left as Q's entries vacate
-them.  The public ``skew_rsk_forward`` and ``skew_rsk_inverse`` (like
-``internal_insert`` and ``order_word_steps`` for the basic move) thaw their
-arguments, run the kernel and freeze the result; the skew-rsk sweep runs the
-kernels on its own lists and freezes nothing that passes.
+Skew RSK inserts T at the rows of U's cells in standard order, and its
+inverse undoes the cells of Q's standard order, last first; ``_rows_at``
+records Q from the created cells and U from the vacated ones.  The public
+functions thaw their arguments, run the moves and freeze the result.
 """
 
 from __future__ import annotations
@@ -259,32 +252,14 @@ def extended_insert(p: GluedPair, i: int) -> GluedPair:
     return glued_pair(internal_insert(p.skew, i)[0])
 
 
-def _forward_inplace(inner: list, rows: list, order) -> list[list[int]]:
-    """Skew RSK forward on parallel mutable lists holding T: insert at the
-    rows of the cells of order, U's ``standard_order`` list, leaving P in
-    the lists; return Q's rows, each entry of U at the row of the cell its
-    step created.  Q's inner border is T's outer one."""
-    q_rows: list[list[int]] = [[] for _ in rows]
-    for x, (r, _c) in order:
-        r = _insert_inplace(inner, rows, r).created[0]
-        if r > len(q_rows):  # the step opened a new bottom row
-            q_rows.append([])
-        q_rows[r - 1].append(x)
-    return q_rows
-
-
-def _inverse_inplace(inner: list, rows: list, order) -> list[list[int]]:
-    """Skew RSK inverse on parallel mutable lists holding P: undo the
-    insertions that created the cells of order, Q's ``standard_order`` list,
-    last first, leaving T in the lists; return U's rows, each entry of Q at
-    the row of the cell its step vacated.  U's outer border is P's inner
-    one and its inner border T's."""
-    u_rows: list[list[int]] = [[] for x in inner if x]
-    for x, cell in reversed(order):
-        u_rows[_uninsert_inplace(inner, rows, cell)[0] - 1].append(x)
-    for r in u_rows:
-        r.reverse()
-    return u_rows
+def _rows_at(order, cells, n: int) -> list[list[int]]:
+    """n rows holding each entry of order, a ``standard_order`` list, at the
+    row of the matching cell of cells; a created cell ends its row of P, and
+    a vacated one its row of the inner border, so each row fills in order."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for (x, _c), (r, _c2) in zip(order, cells):
+        rows[r - 1].append(x)
+    return rows
 
 
 def skew_rsk_forward(t: SkewTableau, u: SkewTableau) -> tuple[SkewTableau, SkewTableau]:
@@ -297,9 +272,11 @@ def skew_rsk_forward(t: SkewTableau, u: SkewTableau) -> tuple[SkewTableau, SkewT
         raise ValueError(
             f"inner borders differ: {as_partition(t.inner)} vs {as_partition(u.inner)}")
     inner, rows = _thaw(t)
-    q_rows = _forward_inplace(inner, rows, standard_order(u))
+    order = standard_order(u)
+    created = [_insert_inplace(inner, rows, r).created for _x, (r, _c) in order]
     return (_freeze(inner, rows),
-            _freeze(t.outer + (0,) * (len(rows) - len(t.outer)), q_rows))
+            _freeze(t.outer + (0,) * (len(rows) - len(t.outer)),
+                    _rows_at(order, created, len(rows))))
 
 
 def skew_rsk_inverse(p: SkewTableau, q: SkewTableau) -> tuple[SkewTableau, SkewTableau]:
@@ -308,6 +285,8 @@ def skew_rsk_inverse(p: SkewTableau, q: SkewTableau) -> tuple[SkewTableau, SkewT
     if p.outer != q.outer:
         raise ValueError("P and Q must share their outer border")
     inner, rows = _thaw(p)
-    u_rows = _inverse_inplace(inner, rows, standard_order(q))
-    n = len(u_rows)
-    return _freeze(inner, rows), _freeze((inner + [0] * n)[:n], u_rows)
+    order = standard_order(q)
+    n = len(as_partition(inner))  # U's outer border is P's inner one
+    vacated = [_uninsert_inplace(inner, rows, c) for _x, c in reversed(order)]
+    return (_freeze(inner, rows),
+            _freeze((inner + [0] * n)[:n], _rows_at(order, vacated[::-1], n)))

@@ -38,8 +38,7 @@ from . import insertion
 from .commutor import (TwoColorTableau, _infuse, _split_cells, _terminals,
                        rho1_internal, rho1_scratch, rho1_switching,
                        staged_decomposition)
-from .insertion import (GluedPair, _corners, _freeze, _inverse_inplace, _thaw,
-                        glued_pair)
+from .insertion import GluedPair, _corners, _freeze, _rows_at, _thaw, glued_pair
 from .knuth import knuth_class, p_tableau_rows
 from .schur import lr_coefficient, schur_polynomial, schur_product
 from .tableaux import (SkewShape, SkewTableau, _standard_order, as_partition,
@@ -217,34 +216,37 @@ def check_coincidence(max_size: int = 8, seed: int = 0) -> VerifyReport:
 def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
     """Every order of admissible switches, and infusion, ends on greedy's
     terminal board, and greedy's (S, H) stay Knuth equivalent to (V, U)."""
-    hashed: dict = {}  # each filling is hashed once
+    cached: dict = {}  # each filling is read once per check
 
     def fillings(outer, inner):
-        """The packed fillings of outer/inner, each with its hash."""
+        """The packed fillings of outer/inner, each with its hash, its
+        infusion order (its cells in reverse standard order) and its Knuth
+        class (the P-tableau rows of its reading word)."""
         key = outer, inner + (0,) * (len(outer) - len(inner))
-        if key not in hashed:
-            hashed[key] = [(t, _hash_tableau(t)) for t in packed_fillings(*key)]
-        return hashed[key]
+        if key not in cached:
+            cached[key] = [(t, _hash_tableau(t),
+                            [c for _x, c in reversed(standard_order(t))],
+                            p_tableau_rows(reading_word(t)))
+                           for t in packed_fillings(*key)]
+        return cached[key]
 
     def instances():
         for gamma in partitions_up_to(max_size):
             for lam in subpartitions(gamma):
                 vs = fillings(gamma, lam)
                 for mu in subpartitions(lam):
-                    for u, h_u in fillings(lam, mu):
-                        infusion = [c for _x, c in reversed(standard_order(u))]
-                        for v, h_v in vs:
-                            yield u, v, infusion, _pair(h_u, h_v)
+                    for u, h_u, infusion, p_u in fillings(lam, mu):
+                        for v, h_v, _infusion, p_v in vs:
+                            yield u, v, _pair(h_u, h_v), infusion, (p_v, p_u)
 
     def prop(instance):
-        u, v, infusion, _h = instance
+        u, v, _h, infusion, want = instance
         if u.size == 0 or v.size == 0:
             return  # no switch can ever apply
         board = TwoColorTableau.from_pair(u, v)
         ends = _terminals(board.cells)
         end = next(ends)  # greedy's board
         s, h = _split_cells(board.outer, board.inner, end)
-        want = tuple(p_tableau_rows(reading_word(t)) for t in (v, u))
         got = tuple(p_tableau_rows(reading_word(t)) for t in (s, h))
         if got != want:
             left = " and ".join(m for m, g, w in zip("SH", got, want) if g != w)
@@ -258,7 +260,7 @@ def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
             yield f"order: {u!r} {v!r}", end, alt
 
     return _sweep("confluence", instances(), prop, lambda i: f"{i[0]!r} {i[1]!r}",
-                  itemgetter(3))
+                  itemgetter(2))
 
 
 # --- the depth-first insertion walk ----------------------------------------
@@ -376,6 +378,13 @@ def _words_from(inner, w, word_len: int):
             yield from _words_from(_grown(inner, i), w + (i,), word_len)
 
 
+def _border_words(inner, word_len: int) -> tuple[frozenset, int]:
+    """The valid words of 1 to word_len letters at this inner border, and
+    the sum of their hashes."""
+    words = frozenset(_words_from(inner, (), word_len)) - {()}
+    return words, sum(map(_seq_hash, words))
+
+
 def _grown(inner, i: int) -> tuple:
     """The inner border after an insertion at row i, which vacates the cell
     just right of row i's inner border."""
@@ -387,8 +396,8 @@ def _grown(inner, i: int) -> tuple:
 @lru_cache(maxsize=None)
 def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport]:
     """For each packed filling t, one ``_walk`` applies every valid order
-    word of length up to word_len once; then every member of each Knuth
-    class met must be a walked word reaching the same state.  Each insertion
+    word of length up to word_len once; every member of each Knuth class
+    met must be a valid word too, and reach the same state.  Each insertion
     whose route and the one before are both non-blank makes a route pair,
     whose relative position is checked.
 
@@ -399,7 +408,9 @@ def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport
     class at every filling of at most N - L + 3 boxes: ``_thu_sweep(N, 3)``
     covers every Knuth claim of ``_thu_sweep(N - L + 3, L)``.
 
-    Returns the knuth-commutativity report over the words and the
+    Returns the knuth-commutativity report over the valid words of each
+    filling's inner border, on which alone they depend (so a filling that
+    fails outside the kernels still counts all of them), and the
     route-geometry report over the route pairs met, both timed by the sweep.
     An insertion that raises fails its word and each word below it in
     knuth-commutativity, and fails once in route-geometry, whose route pairs
@@ -408,21 +419,20 @@ def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport
     knuth = VerifyReport("knuth-commutativity")
     route = VerifyReport("route-geometry")
     t0 = time.perf_counter()
+    valid = _Memo(lambda inner: _border_words(inner, word_len)).__getitem__
     fillings = (t for lam in partitions_up_to(max_size) for mu in subpartitions(lam)
                 for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu))))
     for t in _guarded(fillings, knuth, route):
         inner, rows = _thaw(t)
+        words, words_hash = valid(t.inner)
         # a walked word w inserts at rows w[0], w[1], ... in turn: it applies
         # the order word w[::-1], which the failures show
-        words: list = []  # in depth-first preorder
-        failed: set = set()  # the words at or below a raising insertion
         pairs: list = []  # the word ending each route pair met
         # first[c]: the first word walked in class c, with the state it reached
         first: dict = {}
 
         def enter(w, i, trail):
             v = w + (i,)
-            words.append(v)
             tr = trail[-1]
             if w and tr.route:
                 prev_tr = trail[-2]
@@ -444,7 +454,6 @@ def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport
         def on_raise(w, i, actual):
             route.fail(f"{t!r} word={w + (i,)}", "no exception", actual)
             for v in _words_from(_grown(inner, i), w + (i,), word_len):
-                failed.add(v)
                 knuth.fail(f"{t!r} word={v}", "no exception", actual)
 
         def on_undo(w, i, expected, actual):
@@ -453,19 +462,19 @@ def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport
         try:
             _walk(inner, rows, (), lambda _w: _corners_of(tuple(inner)), enter,
                   on_raise, on_undo)
-            walked = set(words)
             for u, _state in first.values():
                 for v in _walked_class(u):
-                    if v not in walked and v not in failed:  # a word fails once
+                    if v not in words:
                         knuth.fail(f"{t!r} v={v[::-1]}", "v applies",
                                    f"u={u[::-1]} applies, v does not")
         except Exception as exc:  # outside the kernels: fails this filling
             for rep in (knuth, route):
                 rep.fail(repr(t), "no exception", _raised(exc))
         h_t = _hash_tableau(t)
-        for rep, ws in ((knuth, [*words, *failed]), (route, pairs)):
-            # the sum of _pair(h_t, hash of w) over the words
-            rep.count(_pair(len(ws) * h_t, sum(map(_seq_hash, ws))), len(ws))
+        # the sum of _pair(h_t, hash of w) over the words
+        knuth.count(_pair(len(words) * h_t, words_hash), len(words))
+        route.count(_pair(len(pairs) * h_t, sum(map(_seq_hash, pairs))),
+                    len(pairs))
     knuth.seconds = route.seconds = time.perf_counter() - t0
     return knuth, route
 
@@ -533,14 +542,15 @@ def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:
     inner border a trie holds the U's by that row sequence, and for each T
     one ``_walk`` inserts along the trie's edges on one copy of T's lists:
     each prefix once.  At a node where U's end, P's class is tested once;
-    for each U there, Q's rows are built from the created cells and Q's
-    class is tested.  The inverse undoes the cells of Q's standard order,
-    computed from Q's own cells, last first.  Where they are the created
-    cells, as the correspondence has it, the inverse is exactly the walk's
+    for each U there, Q's rows are built from the created cells by
+    ``skew_rsk_forward``'s own ``_rows_at``, and Q's class is tested.  The
+    inverse undoes the cells of Q's standard order, last first.  Equal
+    letters of U create cells strictly left to right (the row-bumping
+    lemma), so Q's standard order must be the order in which its cells were
+    created, or the instance fails; then the inverse is exactly the walk's
     backtracking from that node, which must give back each vacated cell and
-    state; elsewhere the inverse runs on a copy.  A tableau is frozen only
-    to report a failure.  A raise at a node fails each instance below it
-    once, and the walk goes on."""
+    state.  A tableau is frozen only to report a failure.  A raise at a node
+    fails each instance below it once, and the walk goes on."""
     rep = VerifyReport("skew-rsk")
     t0 = time.perf_counter()
     for side, trie in _guarded(_skew_rsk_sides(max_size), rep):
@@ -565,10 +575,12 @@ def _order_cells(q: tuple) -> tuple:
 
 def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, trie: _Trie, memos):
     """Every instance (t, U) of one side, on one walk of its trie; memos are
-    the side's ``_reading_class`` and ``_order_cells``."""
+    the side's ``_reading_class`` and ``_order_cells``.  Q's standard order
+    must be its cells' creation order, so that the walk's backtracking is
+    the inverse of each U."""
     reading_class, order_cells = memos
     inner, rows = _thaw(t)
-    settled: set = set()  # the U's whose round trip failed, or ran on a copy
+    settled: set = set()  # the U's whose round trip has failed
 
     def at(node, trail):
         """The tests of the U's that end at node, with P in the lists."""
@@ -585,25 +597,18 @@ def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, trie: _Trie, memos):
                 if p_class != w_t:
                     rep.fail(f"{t!r} {u!r}", "P = T class",
                              f"{_freeze(inner, rows)!r}")
-                q: list[list[int]] = [[] for _ in rows]
-                for (x, _c), (r, _c2) in zip(order, created):
-                    q[r - 1].append(x)
-                q_rows = tuple(map(tuple, q))
+                q_rows = tuple(map(tuple, _rows_at(order, created, len(rows))))
                 if reading_class(q_rows) != w_u:
                     rep.fail(f"{t!r} {u!r}", "Q = U class",
                              f"{_freeze(q_inner, q_rows)!r}")
-                # Q's standard order comes from Q's own cells
-                if order_cells((q_inner, q_rows)) != created:
-                    # the inverse does not retrace the walk: run it on a copy
+                # the creation-order claim: the inverse, which undoes Q's
+                # standard order, is then the walk's backtracking
+                cells = order_cells((q_inner, q_rows))
+                if cells != created:
                     settled.add(j)
-                    p_inner, p_rows = _snapshot(inner, rows)
-                    u_rows = _inverse_inplace(p_inner, p_rows,
-                                              _standard_order(q_inner, q_rows))
-                    if (p_inner, p_rows) != _thaw(t) or u_rows != _thaw(u)[1]:
-                        n = len(u_rows)
-                        u2 = _freeze((p_inner + [0] * n)[:n], u_rows)
-                        rep.fail(f"{t!r} {u!r}", "round trip",
-                                 f"{_freeze(p_inner, p_rows)!r} {u2!r}")
+                    rep.fail(f"{t!r} {u!r}",
+                             f"Q's standard order is the created cells {created}",
+                             f"{_freeze(q_inner, q_rows)!r} orders {cells}")
             except Exception as exc:  # a raising kernel fails this U only
                 settled.add(j)
                 rep.fail(f"{t!r} {u!r}", "no exception", _raised(exc))

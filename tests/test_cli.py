@@ -300,12 +300,13 @@ def test_golden_command_and_subset(capsys):
     assert code == 2
 
 
-def test_golden_corrupted_fixture_reports_diff():
-    from importlib import resources
+def test_golden_corrupted_fixture_reports_diff(monkeypatch):
+    from lrcommute import golden as golden_mod
     ref = resources.files("lrcommute.fixtures").joinpath("ballot_words.json")
     data = json.loads(ref.read_text())
     data["ballot_t"] = False
-    results = run_golden(["ballot-words"], data_override={"ballot-words": data})
+    monkeypatch.setattr(golden_mod, "_load", lambda name: data)
+    results = run_golden(["ballot-words"])
     assert not results[0].passed
     assert any("expected" in m for m in results[0].messages)
 

@@ -1,7 +1,7 @@
 import json
 from importlib import resources
 
-from lrcommute import commutor
+from lrcommute import commutor, golden
 from lrcommute.golden import RUNNERS, run_golden
 
 
@@ -16,10 +16,11 @@ def test_each_example_individually():
         assert res.passed, (name, res.messages)
 
 
-def test_corruption_is_detected_with_diff():
+def test_corruption_is_detected_with_diff(monkeypatch):
     data = _fixture("insertion_words.json")
     data["result"]["rows"][1] = [2]
-    res = run_golden(["insertion-words"], data_override={"insertion-words": data})[0]
+    monkeypatch.setattr(golden, "_load", lambda name: data)
+    res = run_golden(["insertion-words"])[0]
     assert not res.passed
     assert any("expected" in m and "actual" in m for m in res.messages)
 

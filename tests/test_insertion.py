@@ -1,15 +1,13 @@
 import pytest
 
-from lrcommute.insertion import (GluedPair, _forward_inplace, _insert_inplace,
-                                 _inverse_inplace, _uninsert_inplace,
+from lrcommute.insertion import (GluedPair, _insert_inplace, _uninsert_inplace,
                                  apply_order_word, extended_insert,
                                  glued_pair, inner_corners, internal_insert,
                                  is_lr_pair, lr_violation, order_word_steps,
                                  skew_rsk_forward, skew_rsk_inverse)
 from lrcommute.knuth import p_tableau_rows
 from lrcommute.tableaux import (EMPTY, SkewTableau, empty_of_shape,
-                                is_ballot_tableau, reading_word,
-                                standard_order, subpartitions,
+                                is_ballot_tableau, reading_word, subpartitions,
                                 yamanouchi_tableau)
 from lrcommute.verify import packed_fillings, partitions_up_to
 
@@ -221,52 +219,6 @@ def test_skew_rsk_round_trip_small():
                 p._validate()
                 q._validate()
                 assert skew_rsk_inverse(p, q) == (t, u)
-
-
-def _lists(t):
-    return list(t.inner), [list(r) for r in t.rows]
-
-
-def test_skew_rsk_kernels_match_the_public_functions():
-    # the kernels on copied lists leave P (or T) in the lists and return
-    # Q's (or U's) rows, exactly as the public functions freeze them
-    by_mu: dict = {}
-    for lam in partitions_up_to(4):
-        for mu in subpartitions(lam):
-            by_mu.setdefault(mu, []).extend(
-                packed_fillings(lam, mu + (0,) * (len(lam) - len(mu))))
-    pairs = 0
-    for side in by_mu.values():
-        for u in side:
-            for t in side:
-                pairs += 1
-                p, q = skew_rsk_forward(t, u)
-                inner, rows = _lists(t)
-                q_rows = _forward_inplace(inner, rows, standard_order(u))
-                assert (inner, rows) == _lists(p), (t, u)
-                assert q_rows == [list(r) for r in q.rows], (t, u)
-    assert pairs == 3430
-    # the inverse, on every shared-outer pair: the pairs that do not invert
-    # raise the public function's message
-    inverted = 0
-    for lam in partitions_up_to(4):
-        side = [t for mu in subpartitions(lam)
-                for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu)))]
-        for p in side:
-            for q in side:
-                inner, rows = _lists(p)
-                try:
-                    t, u = skew_rsk_inverse(p, q)
-                except ValueError as exc:
-                    assert str(exc) == "reverse bump ran past the first row"
-                    with pytest.raises(ValueError, match=f"^{exc}$"):
-                        _inverse_inplace(inner, rows, standard_order(q))
-                    continue
-                inverted += 1
-                u_rows = _inverse_inplace(inner, rows, standard_order(q))
-                assert (inner, rows) == _lists(t), (p, q)
-                assert u_rows == [list(r) for r in u.rows], (p, q)
-    assert inverted == 286
 
 
 def test_skew_rsk_inverse_rejects_malformed():

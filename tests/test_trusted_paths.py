@@ -35,19 +35,22 @@ def test_skew_rsk_outputs_pass_validation():
                 pairs += 1
                 assert_valid(*skew_rsk_forward(t, u))
     assert pairs == 3430
-    # the inverse, on every shared-outer pair that it inverts
-    inverted = 0
+    # the inverse, on every shared-outer pair that it inverts; on the others
+    # it raises one message
+    inverted = not_inverted = 0
     for lam in partitions_up_to(4):
         side = [t for mu in subpartitions(lam) for t in fillings(lam, mu)]
         for p in side:
             for q in side:
                 try:
                     t, u = skew_rsk_inverse(p, q)
-                except ValueError:
+                except ValueError as exc:
+                    assert str(exc) == "reverse bump ran past the first row", (p, q)
+                    not_inverted += 1
                     continue
                 inverted += 1
                 assert_valid(t, u)
-    assert inverted == 286
+    assert (inverted, not_inverted) == (286, 1538)
 
 
 def test_switching_outputs_pass_validation():

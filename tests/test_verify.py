@@ -25,13 +25,13 @@ def test_route_geometry_reports_the_shared_sweep_time():
 SMALL_WALKS = [(5, 3, 6384, 3280), (6, 3, 26599, 16311), (4, 5, 13557, 4146)]
 
 
-def _small_walks():
-    """The (knuth, route) reports of each walk in SMALL_WALKS, walked afresh
-    with the kernels as they are now."""
+def _small_walks(walks=SMALL_WALKS):
+    """The (knuth, route) reports of each walk in walks, walked afresh with
+    the kernels as they are now."""
     _thu_sweep.cache_clear()
     try:
         return [(_thu_sweep(max_size, word_len), counts)
-                for max_size, word_len, *counts in SMALL_WALKS]
+                for max_size, word_len, *counts in walks]
     finally:
         _thu_sweep.cache_clear()
 
@@ -75,11 +75,8 @@ def test_skew_rsk_flags_a_broken_reverse_bump(monkeypatch):
     assert len({key for key, _expected, _actual in rep.failures}) == 50
 
 
-def test_skew_rsk_inserts_each_prefix_once(monkeypatch):
-    # a cost record that machine noise cannot move: each T inserts along each
-    # edge of the trie of its side's standard-order row sequences once, and
-    # backtracks along it once (a forward and an inverse run per instance
-    # would make 10,664 of each)
+def _counting_kernels(monkeypatch):
+    """Count the calls of the insertion kernels from here on."""
     calls = Counter()
 
     def counted(name):
@@ -92,9 +89,48 @@ def test_skew_rsk_inserts_each_prefix_once(monkeypatch):
 
     for name in ("_insert_inplace", "_uninsert_inplace"):
         monkeypatch.setattr(insertion, name, counted(name))
+    return calls
+
+
+def test_skew_rsk_inserts_each_prefix_once(monkeypatch):
+    # a cost record that machine noise cannot move: each T inserts along each
+    # edge of the trie of its side's standard-order row sequences once, and
+    # backtracks along it once (a forward and an inverse run per instance
+    # would make 10,664 of each)
+    calls = _counting_kernels(monkeypatch)
     rep = check_skew_rsk(max_size=4)
     assert rep.instances == 3430 and rep.passed
     assert calls == {"_insert_inplace": 1466, "_uninsert_inplace": 1466}
+
+
+@pytest.mark.parametrize("max_size, word_len, words",
+                         [walk[:3] for walk in SMALL_WALKS[1:]])
+def test_knuth_walk_inserts_each_word_once(monkeypatch, max_size, word_len,
+                                           words):
+    # a cost record that machine noise cannot move: the shared walk inserts
+    # and backtracks once per valid word, and no more
+    calls = _counting_kernels(monkeypatch)
+    [((knuth, _route), _counts)] = _small_walks([(max_size, word_len)])
+    assert knuth.instances == words and knuth.passed
+    assert calls == {"_insert_inplace": words, "_uninsert_inplace": words}
+
+
+def test_skew_rsk_needs_q_to_number_the_created_cells(monkeypatch):
+    # the round trip is the walk's own backtracking only where Q's standard
+    # order is the order of the created cells; an order that swaps the first
+    # two cells breaks that claim on every U of two or more boxes, each of
+    # which fails once, and the sweep still walks every instance
+    order_cells = verify._order_cells
+
+    def swapped(q):
+        cells = order_cells(q)
+        return cells[1:2] + cells[:1] + cells[2:]
+
+    monkeypatch.setattr(verify, "_order_cells", swapped)
+    rep = check_skew_rsk(max_size=4)
+    assert rep.instances == 3430 and rep.failure_count == 3141
+    assert all(expected.startswith("Q's standard order is the created cells ")
+               for _key, expected, _actual in rep.failures)
 
 
 def test_confluence_flags_a_broken_switch(monkeypatch):
