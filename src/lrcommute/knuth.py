@@ -1,7 +1,8 @@
 """Words under Knuth relations: RSK, equivalence testing, class exploration.
 
-Equivalence is decided by comparing RSK insertion tableaux; the elementary
-moves and breadth-first class search exist as an independent oracle.
+Equivalence is decided by comparing RSK insertion tableaux.  The elementary
+moves generate it: the Knuth commutativity sweep makes one move per word.
+The breadth-first class search is an independent oracle, for the tests only.
 """
 
 from __future__ import annotations

@@ -11,11 +11,13 @@ counts its instances; it records each (instance, expected, actual) that
 ``prop`` yields, and an ``Exception`` that ``prop`` raises as that instance's
 failure (``key(instance)``, ``raises <Type>: <message>``), and goes on.  The
 skew RSK round trip and the shared Knuth commutativity / route geometry walk
-(``_thu_sweep``) run instead on one depth-first insert-and-backtrack walker,
-``_walk``, over one mutable copy of each filling; a raising insertion fails
-every instance below it, and the walk goes on.  A raising instance generator
-fails its check once.  A report counts every failure and stores the first
-``MAX_STORED_FAILURES``.
+(``_thu_sweep``) go through their fillings by inner border, and run instead on
+one depth-first insert-and-backtrack walker, ``_walk``, over one mutable copy
+of each filling and the valid words of its inner border: a U's row sequence
+is such a word, and each word is checked against the one its elementary
+Knuth move makes.  A raising insertion fails every instance below it, and the
+walk goes on.  A raising instance generator fails its check once.  A report
+counts every failure and stores the first ``MAX_STORED_FAILURES``.
 
 A report's ``digest`` pins its instance set, not only its size: the sum,
 modulo 2**64, of a 64-bit hash of each instance.  A filling is hashed once
@@ -39,7 +41,7 @@ from .commutor import (TwoColorTableau, _infuse, _split_cells, _terminals,
                        rho1_internal, rho1_scratch, rho1_switching,
                        staged_decomposition)
 from .insertion import GluedPair, _corners, _freeze, _rows_at, _thaw, glued_pair
-from .knuth import knuth_class, p_tableau_rows
+from .knuth import elementary_moves, p_tableau_rows
 from .schur import lr_coefficient, schur_polynomial, schur_product
 from .tableaux import (SkewShape, SkewTableau, _standard_order, as_partition,
                        enumerate_ballot, enumerate_ssyt, glue, partitions_of,
@@ -270,22 +272,23 @@ def _snapshot(inner, rows) -> tuple:
     return [*inner], list(map(list, rows))
 
 
-def _walk(inner: list, rows: list, root, steps, enter, on_raise, on_undo):
-    """Walk a tree of internal insertions depth first on one mutable
-    (inner, rows) state, from the one the lists hold.
+def _walk(inner: list, rows: list, depth: int, enter, on_raise, on_undo):
+    """Walk the valid words of the lists' inner border, up to depth letters
+    (none at depth 0), depth first on one mutable (inner, rows) state.
 
-    From each node the walk inserts at each row i of ``steps(node)`` in
-    turn.  ``trail`` holds the traces of the insertions from the root, the
-    new one last, and ``enter(node, i, trail)`` reads the state reached in
-    the lists, leaving it as it is, and returns the node to walk on from, or
-    None.  Then the walk backtracks by reverse-bumping from the created
-    cell, which must give back the vacated cell and node's state: the walk
+    A node is a walked word w, and its children are the rows i of
+    ``_corners_of`` the inner border it reaches.  ``trail`` holds the traces
+    of the insertions from the root, the new one last; ``enter(v, trail)``,
+    with v = w + (i,), reads the state reached in the lists, leaving it as
+    it is.  Then the walk backtracks by reverse-bumping from the created
+    cell, which must give back the vacated cell and w's state: the walk
     keeps a snapshot of each node it walks on from.
 
-    An insertion that raises calls ``on_raise(node, i, actual)``; a
-    backtrack that raises, or gives back another cell or state, calls
-    ``on_undo(node, i, expected, actual)``.  Either way the lists are reset
-    to node's snapshot and the walk goes on.  The kernels are read from
+    An insertion that raises calls ``on_raise(words, actual)``; a backtrack
+    that raises, or gives back another cell or state, calls
+    ``on_undo(words, expected, actual)``, where words iterates over v and
+    then the valid words that extend it.  Either way the lists are reset to
+    w's snapshot and the walk goes on.  The kernels are read from
     ``insertion`` at each walk, so a kernel replaced there is the one
     walked."""
     insert, uninsert = insertion._insert_inplace, insertion._uninsert_inplace
@@ -295,32 +298,50 @@ def _walk(inner: list, rows: list, root, steps, enter, on_raise, on_undo):
         inner[:] = state[0]
         rows[:] = map(list, state[1])
 
-    def walk(node, state):
-        for i in steps(node):
+    def below(state, v):
+        return _words_from(_grown(state[0], v[-1]), v, depth)
+
+    def walk(w, state):
+        for i in _corners_of(tuple(inner)):
+            v = w + (i,)
             try:
                 tr = insert(inner, rows, i)
             except Exception as exc:  # a raising kernel fails its subtree only
                 restore(state)
-                on_raise(node, i, _raised(exc))
+                on_raise(below(state, v), _raised(exc))
                 continue
             trail.append(tr)
-            child = enter(node, i, trail)
-            if child is not None:  # _snapshot, inlined: one per node walked on from
-                walk(child, ([*inner], list(map(list, rows))))
+            enter(v, trail)
+            if len(v) < depth:  # _snapshot, inlined: one per node walked on from
+                walk(v, ([*inner], list(map(list, rows))))
             trail.pop()
             try:
                 back = uninsert(inner, rows, tr.created)
             except Exception as exc:
                 restore(state)
-                on_undo(node, i, "no exception", _raised(exc))
+                on_undo(below(state, v), "no exception", _raised(exc))
                 continue
             if back != tr.vacated or inner != state[0] or rows != state[1]:
                 actual = (f"undoing {tr.created} gives back {back}, "
                           f"{_freeze(inner, rows)!r}")
                 restore(state)
-                on_undo(node, i, f"{tr.vacated}, {_freeze(*state)!r}", actual)
+                on_undo(below(state, v), f"{tr.vacated}, {_freeze(*state)!r}",
+                        actual)
 
-    walk(root, _snapshot(inner, rows))
+    if depth > 0:
+        walk((), _snapshot(inner, rows))
+
+
+def _fillings_by_border(max_size: int):
+    """Each inner border mu of at most max_size boxes, with the packed
+    fillings of at most max_size boxes inside it, each with its hash."""
+    outers: dict = {}
+    for lam in partitions_up_to(max_size):
+        for mu in subpartitions(lam):
+            outers.setdefault(mu, []).append(lam)
+    for mu, lams in outers.items():
+        yield mu, [(t, _hash_tableau(t)) for lam in lams
+                   for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu)))]
 
 
 # --- th:U and route geometry share one sweep ------------------------------
@@ -356,15 +377,6 @@ def _route_pair_ok(first_row, first_tr, second_row, second_tr):
             and bp[1] <= b[1] and bp[0] > b[0])
 
 
-def _class_walked(w) -> tuple | None:
-    """The Knuth class of the order word that walked word w applies (w
-    reversed), as walked words, in one order for every member; None when w
-    is alone in it, with nothing to compare."""
-    cls = tuple(sorted(v[::-1] for v in knuth_class(w[::-1], 100000)))
-    return cls if len(cls) > 1 else None
-
-
-_walked_class = _Memo(_class_walked).__getitem__
 _corners_of = _Memo(_corners).__getitem__  # of an inner border tuple
 
 
@@ -378,11 +390,23 @@ def _words_from(inner, w, word_len: int):
             yield from _words_from(_grown(inner, i), w + (i,), word_len)
 
 
-def _border_words(inner, word_len: int) -> tuple[frozenset, int]:
-    """The valid words of 1 to word_len letters at this inner border, and
-    the sum of their hashes."""
+def _border_words(inner, word_len: int) -> tuple[int, int, dict, list]:
+    """The number of valid words of 1 to word_len letters at this inner
+    border and the sum of their hashes; and each word's partner, the word
+    made by the elementary Knuth move on its last three letters (its order
+    word's first three), if any: a dict of the valid partners and a list of
+    (word, partner) for the others.  Three letters admit at most one move,
+    and making it twice gives them back."""
     words = frozenset(_words_from(inner, (), word_len)) - {()}
-    return words, sum(map(_seq_hash, words))
+    partners, unpaired = {}, []
+    for v in words:
+        for m in elementary_moves(v[:-4:-1]):
+            p = v[:-3] + m[::-1]
+            if p in words:
+                partners[v] = p
+            else:
+                unpaired.append((v, p))
+    return len(words), sum(map(_seq_hash, words)), partners, unpaired
 
 
 def _grown(inner, i: int) -> tuple:
@@ -396,17 +420,24 @@ def _grown(inner, i: int) -> tuple:
 @lru_cache(maxsize=None)
 def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport]:
     """For each packed filling t, one ``_walk`` applies every valid order
-    word of length up to word_len once; every member of each Knuth class
-    met must be a valid word too, and reach the same state.  Each insertion
-    whose route and the one before are both non-blank makes a route pair,
-    whose relative position is checked.
+    word of length up to word_len once.  A word whose first three letters
+    (the last three walked) admit an elementary Knuth move has a partner,
+    the word that move makes, which must be valid too and reach the same
+    state.  Each insertion whose route and the one before are both
+    non-blank makes a route pair, whose relative position is checked.
 
     Knuth equivalence is generated by the elementary relations on three
-    adjacent letters, and each insertion grows the filling by one box.  So
-    if every order word of length 3 acts like its whole Knuth class at every
-    filling of at most N boxes, then every word of length L acts like its
-    class at every filling of at most N - L + 3 boxes: ``_thu_sweep(N, 3)``
-    covers every Knuth claim of ``_thu_sweep(N - L + 3, L)``.
+    adjacent letters, so the partners cover each word's whole class: a move
+    anywhere else in an order word is the move on the first three letters
+    of one of its suffixes, which the walk applies first, as a shorter
+    walked word, and equal states stay equal under the same later
+    insertions.  Which partners are valid depends only on the inner border,
+    so ``_border_words`` tests that once per border.  And each insertion
+    grows the filling by one box, so if every order word of length 3 acts
+    like its whole Knuth class at every filling of at most N boxes, then
+    every word of length L acts like its class at every filling of at most
+    N - L + 3 boxes: ``_thu_sweep(N, 3)`` covers every Knuth claim of
+    ``_thu_sweep(N - L + 3, L)``.
 
     Returns the knuth-commutativity report over the valid words of each
     filling's inner border, on which alone they depend (so a filling that
@@ -419,62 +450,54 @@ def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport
     knuth = VerifyReport("knuth-commutativity")
     route = VerifyReport("route-geometry")
     t0 = time.perf_counter()
-    valid = _Memo(lambda inner: _border_words(inner, word_len)).__getitem__
-    fillings = (t for lam in partitions_up_to(max_size) for mu in subpartitions(lam)
-                for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu))))
-    for t in _guarded(fillings, knuth, route):
-        inner, rows = _thaw(t)
-        words, words_hash = valid(t.inner)
-        # a walked word w inserts at rows w[0], w[1], ... in turn: it applies
-        # the order word w[::-1], which the failures show
-        pairs: list = []  # the word ending each route pair met
-        # first[c]: the first word walked in class c, with the state it reached
-        first: dict = {}
+    for mu, fillings in _guarded(_fillings_by_border(max_size), knuth, route):
+        n_words, words_hash, partners, unpaired = _border_words(mu, word_len)
+        for t, h_t in fillings:
+            inner, rows = _thaw(t)
+            # a walked word w inserts at rows w[0], w[1], ... in turn: it
+            # applies the order word w[::-1], which the failures show
+            pairs: list = []  # the word ending each route pair met
+            waiting: dict = {}  # each word met before its partner: its state
 
-        def enter(w, i, trail):
-            v = w + (i,)
-            tr = trail[-1]
-            if w and tr.route:
-                prev_tr = trail[-2]
-                if prev_tr.route:
-                    pairs.append(v)
-                    if not _route_pair_ok(w[-1], prev_tr, i, tr):
-                        route.fail(f"{t!r} word={v}", "route geometry",
-                                   f"routes {prev_tr} then {tr}")
-            cls = _walked_class(v)
-            if cls is not None:
-                u = first.get(cls[0])
-                if u is None:
-                    first[cls[0]] = v, _snapshot(inner, rows)
-                elif inner != u[1][0] or rows != u[1][1]:
-                    knuth.fail(f"{t!r} u={u[0][::-1]} v={v[::-1]}",
-                               f"{_freeze(*u[1])!r}", f"{_freeze(inner, rows)!r}")
-            return v if len(v) < word_len else None
+            def enter(v, trail):
+                tr = trail[-1]
+                if len(v) > 1 and tr.route:
+                    prev_tr = trail[-2]
+                    if prev_tr.route:
+                        pairs.append(v)
+                        if not _route_pair_ok(v[-2], prev_tr, v[-1], tr):
+                            route.fail(f"{t!r} word={v}", "route geometry",
+                                       f"routes {prev_tr} then {tr}")
+                p = partners.get(v)
+                if p is not None:
+                    u = waiting.pop(p, None)
+                    if u is None:
+                        waiting[v] = _snapshot(inner, rows)
+                    elif inner != u[0] or rows != u[1]:
+                        knuth.fail(f"{t!r} u={p[::-1]} v={v[::-1]}",
+                                   f"{_freeze(*u)!r}", f"{_freeze(inner, rows)!r}")
 
-        def on_raise(w, i, actual):
-            route.fail(f"{t!r} word={w + (i,)}", "no exception", actual)
-            for v in _words_from(_grown(inner, i), w + (i,), word_len):
-                knuth.fail(f"{t!r} word={v}", "no exception", actual)
+            def on_raise(words, actual):
+                words = list(words)  # the word that raised, first
+                route.fail(f"{t!r} word={words[0]}", "no exception", actual)
+                for v in words:
+                    knuth.fail(f"{t!r} word={v}", "no exception", actual)
 
-        def on_undo(w, i, expected, actual):
-            knuth.fail(f"{t!r} word={w + (i,)}", expected, actual)
+            def on_undo(words, expected, actual):
+                knuth.fail(f"{t!r} word={next(words)}", expected, actual)
 
-        try:
-            _walk(inner, rows, (), lambda _w: _corners_of(tuple(inner)), enter,
-                  on_raise, on_undo)
-            for u, _state in first.values():
-                for v in _walked_class(u):
-                    if v not in words:
-                        knuth.fail(f"{t!r} v={v[::-1]}", "v applies",
-                                   f"u={u[::-1]} applies, v does not")
-        except Exception as exc:  # outside the kernels: fails this filling
-            for rep in (knuth, route):
-                rep.fail(repr(t), "no exception", _raised(exc))
-        h_t = _hash_tableau(t)
-        # the sum of _pair(h_t, hash of w) over the words
-        knuth.count(_pair(len(words) * h_t, words_hash), len(words))
-        route.count(_pair(len(pairs) * h_t, sum(map(_seq_hash, pairs))),
-                    len(pairs))
+            try:
+                _walk(inner, rows, word_len, enter, on_raise, on_undo)
+            except Exception as exc:  # outside the kernels: fails this filling
+                for rep in (knuth, route):
+                    rep.fail(repr(t), "no exception", _raised(exc))
+            for u, v in unpaired:
+                knuth.fail(f"{t!r} v={v[::-1]}", "v applies",
+                           f"u={u[::-1]} applies, v does not")
+            # the sum of _pair(h_t, hash of w) over the words
+            knuth.count(_pair(n_words * h_t, words_hash), n_words)
+            route.count(_pair(len(pairs) * h_t, sum(map(_seq_hash, pairs))),
+                        len(pairs))
     knuth.seconds = route.seconds = time.perf_counter() - t0
     return knuth, route
 
@@ -493,71 +516,41 @@ def check_route_geometry(max_size: int = 7, seed: int = 0,
     return replace(route, failures=list(route.failures))
 
 
-class _Trie:
-    """A node of a trie of fillings keyed by the rows of their standard
-    order: the indices of the fillings whose rows end here, the sum of their
-    hashes, and the child reached by each next row."""
-    __slots__ = ("ends", "ends_hash", "children")
-
-    def __init__(self):
-        self.ends: list[int] = []
-        self.ends_hash = 0
-        self.children: dict[int, _Trie] = {}
-
-    def below(self):
-        """The ends at this node and at every node under it."""
-        yield from self.ends
-        for child in self.children.values():
-            yield from child.below()
-
-
-def _skew_rsk_sides(max_size: int):
-    """For each inner border, the side of its packed fillings, each with its
-    P-tableau rows, standard order and hash, and the side's trie."""
-    by_mu: dict = {}
-    for lam in partitions_up_to(max_size):
-        for mu in subpartitions(lam):
-            by_mu.setdefault(mu, []).append(lam)
-    for mu, lams in by_mu.items():
-        side = [(t, p_tableau_rows(reading_word(t)), standard_order(t),
-                 _hash_tableau(t))
-                for lam in lams
-                for t in packed_fillings(lam, mu + (0,) * (len(lam) - len(mu)))]
-        trie = _Trie()
-        for j, (_u, _w, order, h) in enumerate(side):
-            node = trie
-            for _x, (r, _c) in order:
-                node = node.children.setdefault(r, _Trie())
-            node.ends.append(j)
-            node.ends_hash += h
-        yield side, trie
-
-
 def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:
     """Forward-then-inverse identity plus class preservation for all pairs
     (T, U) that share their inner border, within the ambient bound.
 
     The forward steps of (T, U) insert T at the rows of U's standard order,
-    so pairs whose row sequences share a prefix share its steps.  For each
-    inner border a trie holds the U's by that row sequence, and for each T
-    one ``_walk`` inserts along the trie's edges on one copy of T's lists:
-    each prefix once.  At a node where U's end, P's class is tested once;
-    for each U there, Q's rows are built from the created cells by
-    ``skew_rsk_forward``'s own ``_rows_at``, and Q's class is tested.  The
-    inverse undoes the cells of Q's standard order, last first.  Equal
-    letters of U create cells strictly left to right (the row-bumping
-    lemma), so Q's standard order must be the order in which its cells were
-    created, or the instance fails; then the inverse is exactly the walk's
-    backtracking from that node, which must give back each vacated cell and
-    state.  A tableau is frozen only to report a failure.  A raise at a node
-    fails each instance below it once, and the walk goes on."""
+    so pairs whose row sequences share a prefix share its steps.  A U's row
+    sequence is a valid word of its inner border mu, and each valid word of
+    at most max_size - |mu| letters is the row sequence of the standard
+    filling it grows, a packed U: so one ``_walk`` of that depth per T, on
+    one copy of T's lists, inserts each prefix once and meets each U at its
+    row sequence.  There P's class is tested once; for each U, Q's rows are
+    built from the created cells by ``skew_rsk_forward``'s own
+    ``_rows_at``, and Q's class is tested.  The inverse undoes the cells of
+    Q's standard order, last first.  Equal letters of U create cells
+    strictly left to right (the row-bumping lemma), so Q's standard order
+    must be the order in which its cells were created, or the instance
+    fails; then the inverse is exactly the walk's backtracking from that
+    word, which must give back each vacated cell and state.  A tableau is
+    frozen only to report a failure.  A raise at a word fails each instance
+    below it once, and the walk goes on."""
     rep = VerifyReport("skew-rsk")
     t0 = time.perf_counter()
-    for side, trie in _guarded(_skew_rsk_sides(max_size), rep):
+    for mu, fillings in _guarded(_fillings_by_border(max_size), rep):
+        side = [(t, p_tableau_rows(reading_word(t)), standard_order(t), h)
+                for t, h in fillings]
+        ends: dict = {}  # row sequence -> [the U's indices in side, hash sum]
+        for j, (_u, _w, order, h) in enumerate(side):
+            entry = ends.setdefault(tuple(r for _x, (r, _c) in order), [[], 0])
+            entry[0].append(j)
+            entry[1] += h
         # a side meets few distinct P and Q; the memos end with the side
         memos = _Memo(_reading_class).__getitem__, _Memo(_order_cells).__getitem__
         for t, w_t, _order, h_t in side:
-            _skew_rsk_walk(rep, t, w_t, h_t, side, trie, memos)
+            _skew_rsk_walk(rep, t, w_t, h_t, side, ends, max_size - sum(mu),
+                           memos)
     rep.seconds = time.perf_counter() - t0
     return rep
 
@@ -573,8 +566,10 @@ def _order_cells(q: tuple) -> tuple:
     return tuple(c for _x, c in _standard_order(*q))
 
 
-def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, trie: _Trie, memos):
-    """Every instance (t, U) of one side, on one walk of its trie; memos are
+def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, ends: dict,
+                   depth: int, memos):
+    """Every instance (t, U) of one side, on one ``_walk`` of the given
+    depth; ends maps a row sequence to the U's that have it, and memos are
     the side's ``_reading_class`` and ``_order_cells``.  Q's standard order
     must be its cells' creation order, so that the walk's backtracking is
     the inverse of each U."""
@@ -582,17 +577,16 @@ def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, trie: _Trie, memos):
     inner, rows = _thaw(t)
     settled: set = set()  # the U's whose round trip has failed
 
-    def at(node, trail):
-        """The tests of the U's that end at node, with P in the lists."""
-        ends = node.ends
-        rep.count(_pair(len(ends) * h_t, node.ends_hash), len(ends))
+    def at(js, ends_hash, trail):
+        """The tests of the U's js, which end here, with P in the lists."""
+        rep.count(_pair(len(js) * h_t, ends_hash), len(js))
         q_inner = t.outer + (0,) * (len(rows) - len(t.outer))
         created = tuple(tr.created for tr in trail)
         p_class = None
-        for j in ends:
+        for j in js:
             u, w_u, order, _h = side[j]
             try:
-                if p_class is None:  # once per node, unless it raises
+                if p_class is None:  # once per word, unless it raises
                     p_class = reading_class(tuple(map(tuple, rows)))
                 if p_class != w_t:
                     rep.fail(f"{t!r} {u!r}", "P = T class",
@@ -613,27 +607,29 @@ def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, trie: _Trie, memos):
                 settled.add(j)
                 rep.fail(f"{t!r} {u!r}", "no exception", _raised(exc))
 
-    def enter(node, i, trail):
-        child = node.children[i]
-        if child.ends:
-            at(child, trail)
-        return child if child.children else None
+    def under(words):  # the U's whose row sequence is one of words
+        return (j for v in words if v in ends for j in ends[v][0])
 
-    def on_raise(node, i, actual):
-        for j in node.children[i].below():
+    def enter(v, trail):
+        entry = ends.get(v)
+        if entry:
+            at(*entry, trail)
+
+    def on_raise(words, actual):
+        for j in under(words):
             rep.count(_pair(h_t, side[j][3]))
             rep.fail(f"{t!r} {side[j][0]!r}", "no exception", actual)
 
-    def on_undo(node, i, expected, actual):
+    def on_undo(words, expected, actual):
         # the inverse of each U below runs through this backtrack
-        for j in node.children[i].below():
+        for j in under(words):
             if j not in settled:
                 settled.add(j)
                 rep.fail(f"{t!r} {side[j][0]!r}", expected, actual)
 
-    if trie.ends:  # the U's with no boxes
-        at(trie, [])
-    _walk(inner, rows, trie, lambda node: node.children, enter, on_raise, on_undo)
+    if () in ends:  # the U's with no boxes
+        at(*ends[()], [])
+    _walk(inner, rows, depth, enter, on_raise, on_undo)
 
 
 @lru_cache(maxsize=None)

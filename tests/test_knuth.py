@@ -60,6 +60,17 @@ def test_elementary_moves_examples():
     assert elementary_moves((1, 3, 2)) == [(3, 1, 2)]
 
 
+def test_three_letters_admit_at_most_one_move_which_undoes_itself():
+    # the Knuth sweep compares each order word with the word made by the
+    # move on its first three letters, which needs that move to be unique
+    # and to give the word back when made twice
+    for w in product(range(1, 6), repeat=3):
+        moves = elementary_moves(w)
+        assert len(moves) <= 1, w
+        for m in moves:
+            assert elementary_moves(m) == [w], (w, m)
+
+
 def test_elementary_moves_preserve_class():
     for w in product((1, 2, 3), repeat=5):
         for m in elementary_moves(w):

@@ -56,6 +56,23 @@ def test_knuth_sweep_flags_a_broken_bump(monkeypatch):
         assert not route.passed
 
 
+@pytest.mark.parametrize("max_size, word_len, fillings", [(6, 3, 535),
+                                                         (4, 5, 34)])
+def test_knuth_comparison_flags_a_broken_bump_on_its_own(
+        monkeypatch, max_size, word_len, fillings):
+    # a broken bump also fails the sweep through the raises and the undoes,
+    # so the state comparison is pinned apart from them: the fillings where
+    # a word and its partner (the word one elementary Knuth move away) reach
+    # different states are those where some Knuth class walked from the
+    # filling splits
+    monkeypatch.setattr(insertion, "bisect_right", bisect_left)
+    monkeypatch.setattr(verify, "MAX_STORED_FAILURES", 10**6)
+    [((knuth, _route), _counts)] = _small_walks([(max_size, word_len)])
+    compared = {key.split(" u=")[0] for key, _expected, _actual in knuth.failures
+                if " u=" in key}
+    assert len(compared) == fillings
+
+
 def test_knuth_sweep_flags_a_broken_reverse_bump(monkeypatch):
     # reverse-bumping the rightmost entry <= x instead of < x breaks the
     # walk's backtracking, which must fail the sweep at every small size
