@@ -2,8 +2,9 @@
 
 Skew semistandard tableaux, Knuth equivalence, internal row insertion with
 the empty-matrix-word skew RSK correspondence, the switching involution and
-its internal-insertion realisation as a row program, LR coefficients with an
-exact polynomial oracle, and exhaustive desk-scale verification sweeps.
+its internal-insertion realisation as a row program, LR coefficients by the
+row-by-row rule with an exact tableau-count oracle, and exhaustive desk-scale
+verification sweeps.
 """
 
 from .tableaux import (EMPTY, SkewShape, SkewTableau, as_partition,

@@ -32,7 +32,7 @@ import struct
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from operator import itemgetter, sub
 from typing import Iterator
 
@@ -42,7 +42,7 @@ from .commutor import (TwoColorTableau, _infuse, _split_cells, _terminals,
                        staged_decomposition)
 from .insertion import GluedPair, _corners, _freeze, _rows_at, _thaw, glued_pair
 from .knuth import elementary_moves, p_tableau_rows
-from .schur import lr_coefficient, schur_polynomial, schur_product
+from .schur import _kostka_counter, lr_coefficient, schur_product
 from .tableaux import (SkewShape, SkewTableau, _standard_order, as_partition,
                        enumerate_ballot, enumerate_ssyt, glue, partitions_of,
                        reading_word, standard_order, subpartitions,
@@ -632,16 +632,22 @@ def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, ends: dict,
     _walk(inner, rows, depth, enter, on_raise, on_undo)
 
 
-@lru_cache(maxsize=None)
-def _schur_poly(lam, n_vars):
-    return schur_polynomial(lam, n_vars)
+def _content(exponent) -> tuple[int, ...]:
+    """The partition an exponent sorts to, zeros dropped."""
+    return tuple(sorted(filter(None, exponent), reverse=True))
 
 
 def check_lr_oracle(max_size: int = 8, seed: int = 0) -> VerifyReport:
-    """Ballot-tableau counts match the polynomial product, and the commutor
-    witnesses the symmetry bijectively.  Both sides of the product identity
-    are symmetric, so they are compared in the monomial basis: on partition
-    exponents alpha only, s_mu s_nu as sum_beta s_mu[beta] s_nu[alpha-beta]."""
+    """The LR rule's counts match the product of Schur polynomials, and the
+    commutor witnesses the symmetry bijectively.  Both sides of the product
+    identity are symmetric, so they are compared in the monomial basis, on
+    partition exponents alpha only, where s_lam has the Kostka number
+    K(lam, sort(beta)) at x^beta: s_mu s_nu has the sum over beta <= alpha,
+    |beta| = |mu|, of K(mu, sort(beta)) K(nu, sort(alpha - beta)), and the
+    expansion has sum_lam c_lam K(lam, alpha).  Each count must equal the
+    reverse count c^lam_{nu,mu} and the number of its ballot witnesses."""
+    kostka = _kostka_counter()
+
     def instances():
         for a in range(max_size + 1):
             for b in range(max_size + 1 - a):
@@ -655,13 +661,13 @@ def check_lr_oracle(max_size: int = 8, seed: int = 0) -> VerifyReport:
     def prop(instance):
         mu, nu, n_vars, alphas = instance
         expansion = schur_product(mu, nu, max_rows=n_vars)
-        small, big = sorted((_schur_poly(mu, n_vars), _schur_poly(nu, n_vars)),
-                            key=len)
+        size = sum(mu)
         for alpha in alphas:
-            # a negative exponent of alpha - beta misses in big
-            lhs = sum(c * big.get(tuple(map(sub, alpha, beta)), 0)
-                      for beta, c in small.items())
-            rhs = sum(c * _schur_poly(lam, n_vars).get(alpha, 0)
+            lhs = sum(kostka(mu, _content(beta))
+                      * kostka(nu, _content(map(sub, alpha, beta)))
+                      for beta in product(*(range(x + 1) for x in alpha))
+                      if sum(beta) == size)
+            rhs = sum(c * kostka(lam, _content(alpha))
                       for lam, c in expansion.items())
             if lhs != rhs:
                 yield f"mu={mu} nu={nu} alpha={alpha}", lhs, rhs
@@ -671,6 +677,8 @@ def check_lr_oracle(max_size: int = 8, seed: int = 0) -> VerifyReport:
             if c_rev != c:
                 yield f"{lam} {mu} {nu}", c, c_rev
             witnesses = enumerate_ballot(SkewShape(lam, mu), nu)
+            if len(witnesses) != c:
+                yield f"{lam} {mu} {nu}", f"{c} ballot tableaux", len(witnesses)
             image = {rho1_switching(glued_pair(t)).skew for t in witnesses}
             target = set(enumerate_ballot(SkewShape(lam, nu), mu))
             if image != target:

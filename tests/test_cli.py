@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from importlib import resources
@@ -48,6 +49,14 @@ def test_schur_product_command(capsys):
     assert code == 0
     assert json.loads(out) == [{"shape": [1, 1], "coeff": 1},
                                {"shape": [2], "coeff": 1}]
+
+
+def test_schur_product_command_output_is_pinned(capsys):
+    # the text output of the staircase product, as ballot enumeration gave it
+    code, out, _ = run(capsys, "schur-product", "5,4,3,2,1", "5,4,3,2,1")
+    assert code == 0 and out.count("\n") == 1433
+    assert hashlib.md5(out.encode()).hexdigest() == \
+        "51b0320f0089cb56554a785d85252208"
 
 
 def test_schur_product_command_deep_column(capsys):

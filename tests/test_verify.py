@@ -248,26 +248,46 @@ def test_recursion_records_the_pairs_that_raise(monkeypatch):
     assert len(raised) == 53
 
 
+def _one_too_many(counts):
+    """counts with every coefficient of at least 2 one too many."""
+    def broken(*args):
+        return {lam: c + 1 if c >= 2 else c
+                for lam, c in counts(*args).items()}
+    return broken
+
+
 def test_lr_oracle_flags_a_broken_count(monkeypatch):
-    # every count of at least 2 is one too many on both count paths, so the
-    # forward and reverse counts still agree and the witness sets are
-    # untouched: only the polynomial identity can see the error
+    # every count of at least 2 is one too many on both count paths: the
+    # rule, which gives the forward and the reverse counts, and the witness
+    # lists, which repeat their first tableau; the two counts still agree,
+    # both match the witnesses, and the witness sets are untouched, so only
+    # the polynomial identity can see the error
     rep = check_lr_oracle(max_size=6)
     assert rep.instances == 139 and rep.passed
-    count = schur.lr_coefficient
+    ballot = verify.enumerate_ballot
 
-    def broken(lam, mu, nu):
-        c = count(lam, mu, nu)
-        return c + 1 if c >= 2 else c
+    def padded(shape, nu):
+        witnesses = ballot(shape, nu)
+        return witnesses + witnesses[:1] if len(witnesses) >= 2 else witnesses
 
-    monkeypatch.setattr(schur, "lr_coefficient", broken)
-    monkeypatch.setattr(verify, "lr_coefficient", broken)
+    monkeypatch.setattr(schur, "_lr_counts", _one_too_many(schur._lr_counts))
+    monkeypatch.setattr(verify, "enumerate_ballot", padded)
     rep = check_lr_oracle(max_size=6)
     assert rep.instances == 139 and not rep.passed
     # one failure per (mu, nu) instance: the first differing exponent, with
     # the coefficient of s_mu s_nu and that of the expansion
     assert rep.failures == [
         ("mu=(2, 1) nu=(2, 1) alpha=(3, 2, 1, 0, 0, 0)", "6", "7")]
+
+
+def test_lr_oracle_counts_the_witnesses(monkeypatch):
+    # a broken rule alone, with the witness lists intact, fails the witness
+    # count of c^(3,2,1)_{(2,1),(2,1)} as well as the polynomial identity
+    monkeypatch.setattr(schur, "_lr_counts", _one_too_many(schur._lr_counts))
+    rep = check_lr_oracle(max_size=6)
+    assert rep.instances == 139 and rep.failures == [
+        ("mu=(2, 1) nu=(2, 1) alpha=(3, 2, 1, 0, 0, 0)", "6", "7"),
+        ("(3, 2, 1) (2, 1) (2, 1)", "3 ballot tableaux", "2")]
 
 
 def _raising_at_row_3(kernel, row_of):
