@@ -1,15 +1,15 @@
 """The Littlewood-Richardson commutor, two independent ways.
 
-``rho1_switching`` moves a ballot pair through itself by local switches (with
-pluggable switch orders, including a jeu-de-taquin "infusion" order).  The
-second way is a row program: ``row_program`` lists, row block by row block,
-the internal row insertions and row appends that build the image from the
-empty tableau, and ``run_row_program`` executes them in place.
+``rho1_switching`` moves a ballot pair through itself by local switches, in
+greedy order or in the jeu-de-taquin "infusion" order.  The second way is a
+row program: ``row_program`` lists, row block by row block, the internal row
+insertions and row appends that build the image from the empty tableau, and
+``run_row_program`` executes them in place.
 ``rho1_internal`` and ``rho1_scratch`` are that one run, the former also
 checking the route claim on every row block.
 
-``switching`` states each switch order once.  Greedy and random run the site
-engine ``_switch``: each colour class stays a valid filling at every switch
+``switching`` states each switch order once.  Greedy runs the site engine
+``_switch``: each colour class stays a valid filling at every switch
 (Benkart-Sottile-Stroomer), so a switch is tested only on the order
 relations it creates, and after each swap only the sites that read its two
 cells are tested again.  ``_terminals`` walks every order of such switches,
@@ -20,7 +20,6 @@ bottom-up, on one board) slide by jeu de taquin in ``_infuse``.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, insort
 from typing import Callable, Iterator, NamedTuple
 
@@ -30,7 +29,7 @@ from .tableaux import (Cell, SkewTableau, as_partition, is_ballot_tableau,
                        skew_shape, standard_order, tableau_content,
                        yamanouchi_tableau)
 
-STRATEGIES = ("greedy", "infusion", "random")
+STRATEGIES = ("greedy", "infusion")
 _TOP = float("inf")
 _OFF = (0, "")  # a cell off the board, of neither colour
 
@@ -198,11 +197,9 @@ def _split_cells(outer, inner, cells):
             SkewTableau._fast(outer, tuple(sigma), tuple(h_rows)))
 
 
-def _switch(board: dict, rng: random.Random | None = None,
-            on_frame: Callable | None = None) -> dict:
+def _switch(board: dict, on_frame: Callable | None = None) -> dict:
     """Switch a copy of the board, a ``TwoColorTableau.cells`` dict, at the
-    first site row-major (greedy) or one drawn by ``rng`` until none remains;
-    returns the terminal board.
+    first site row-major until none remains; returns the terminal board.
 
     The sites stay live, sorted as ``_find_sites`` lists them, instead of
     being rescanned.  A swap changes only its two cells: it drops the
@@ -215,7 +212,7 @@ def _switch(board: dict, rng: random.Random | None = None,
     edges = {(cu, cv): _admissible(cells, cu, cv) for cu, cv in _edges(cells)}
     sites = sorted(e for e, ok in edges.items() if ok)
     while sites:
-        cu, cv = rng.choice(sites) if rng else sites[0]
+        cu, cv = sites[0]
         _swap(cells, cu, cv)
         if on_frame is not None:
             on_frame(SwitchSite(cu, cv), dict(cells))
@@ -297,16 +294,16 @@ def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
               on_frame: Callable | None = None) -> tuple[SkewTableau, SkewTableau]:
     """Switch v through u until no switch applies; returns (S, H) with
     S Knuth-equivalent to v and H to u, on the same union shape: the pair's
-    board goes through ``_switch`` (greedy, random) or ``_infuse`` in reverse
-    standard order of u (infusion), its terminal board through ``_split_cells``."""
+    board goes through ``_switch`` (greedy) or ``_infuse`` in reverse standard
+    order of u (infusion), its terminal board through ``_split_cells``.
+    ``seed`` is unused; ``perfbench/tracer.py`` still passes it."""
     tc = TwoColorTableau.from_pair(u, v)
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     if strategy == "infusion":
         end = _infuse(tc.cells, [c for _x, c in reversed(standard_order(u))], on_frame)
     else:
-        rng = random.Random(seed) if strategy == "random" else None
-        end = _switch(tc.cells, rng, on_frame)
+        end = _switch(tc.cells, on_frame)
     return _split_cells(tc.outer, tc.inner, end)
 
 

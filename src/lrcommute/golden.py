@@ -12,12 +12,11 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .commutor import (TwoColorTableau, _successors, chi_append,
-                       gt_order_word, nu_hat, rho1_internal, rho1_scratch,
-                       rho1_switching, run_row_program, staged_decomposition,
-                       switch_sites, switching)
-from .insertion import (GluedPair, _freeze, apply_order_word, extended_insert,
-                        glued_pair)
+from .commutor import (TwoColorTableau, _successors, gt_order_word, nu_hat,
+                       rho1_internal, rho1_scratch, rho1_switching,
+                       run_row_program, staged_decomposition, switch_sites,
+                       switching)
+from .insertion import GluedPair, _freeze, apply_order_word, glued_pair
 from .knuth import knuth_equivalent
 from .tableaux import (EMPTY, SkewTableau, as_partition, companion_word,
                        content, from_json_dict, glue, is_ballot, reading_word,
@@ -110,8 +109,8 @@ def _run_switch_sequence(res: GoldenResult, data: dict):
         ok = _reachable(frames[k], frames[k + 1])
         res.check(f"frame {k + 1} -> {k + 2} by switches", True, ok)
     res.check("first frame admits a switch", True, bool(switch_sites(start)))
-    for strategy in ("greedy", "infusion", "random"):
-        s, h = switching(u, v, strategy=strategy, seed=1)
+    for strategy in ("greedy", "infusion"):
+        s, h = switching(u, v, strategy=strategy)
         res.check(f"terminal S ({strategy})", from_json_dict(data["terminal_s"]), s)
         res.check(f"terminal H ({strategy})", from_json_dict(data["terminal_h"]), h)
 
@@ -169,37 +168,34 @@ def _run_row_recursion(res: GoldenResult, data: dict):
               yamanouchi_tableau(tuple(data["nu"])).outer,
               apply_order_word(EMPTY, word).outer)
 
-    # flat scratch construction, one displayed frame per row block
-    after_block = {}
+    # one run of the row program: each row block's operators, named as in
+    # the paper (phibar inserts, chi appends), and the state after each
+    blocks: dict = {}
 
     def on_step(step, _trace, state):
-        after_block[step.row] = _freeze(*state)
+        op = "phibar" if step.op == "insert" else "chi"
+        blocks.setdefault(step.row, []).append(([op, step.i], _freeze(*state)))
 
     run_row_program(t, on_step)
     for k in range(len(t.outer)):
         res.check(f"scratch frame {k + 1}", from_json_dict(data["scratch_frames"][k]),
-                  after_block[k + 1])
+                  blocks[k + 1][-1][1])
 
-    # level by level: switching result, operator frames, recursion result
-    state = GluedPair(EMPTY, EMPTY)
+    # level by level: operators, frames, recursion result, switching, internal
     for level in data["rho_levels"]:
         k = level["k"]
-        _rest, topk = restrict_rows(t, k)
-        sub_pair = glued_pair(topk)
-        for step, frame in zip(level["steps"], level["frames"]):
-            op, i = step
-            if op == "phibar":
-                state = extended_insert(state, i)
-            else:
-                state = chi_append(state, i)
+        steps, states = zip(*blocks[k])
+        res.check(f"rho^({k}) operators", level["steps"], list(steps))
+        for (op, i), frame, state in zip(level["steps"], level["frames"], states):
             if frame is not None:
                 res.check(f"rho^({k}) frame after {op}_{i}",
-                          from_json_dict(frame), state.skew)
+                          from_json_dict(frame), state)
         expected = glued_pair(from_json_dict(level["result"]))
-        res.check(f"rho^({k}) recursion result", expected, state)
+        res.check(f"rho^({k}) recursion result", expected, glued_pair(states[-1]))
+        sub_pair = glued_pair(restrict_rows(t, k)[1])
         res.check(f"rho^({k}) switching", expected, rho1_switching(sub_pair))
         res.check(f"rho^({k}) internal", expected, rho1_internal(sub_pair))
-    res.check("rho^(5) scratch", state, rho1_scratch(glued_pair(t)))
+    res.check(f"rho^({k}) scratch", expected, rho1_scratch(glued_pair(t)))
 
 
 def _run_factored_commutor(res: GoldenResult, data: dict):

@@ -11,7 +11,7 @@ as chains of horizontal strips, and ``schur_polynomial`` lists them.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import product
 from operator import sub
 
@@ -98,7 +98,7 @@ def _kostka_counter():
     """A memoised K(lam, kappa), for partitions: the number of semistandard
     tableaux of shape lam and content kappa, counted as chains of horizontal
     strips, the last letter's taken off first (one level per part of kappa)."""
-    @lru_cache(maxsize=None)
+    @cache
     def kostka(lam, kappa):
         if len(lam) > len(kappa):  # a column longer than the alphabet
             return 0

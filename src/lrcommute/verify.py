@@ -31,7 +31,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache
 from itertools import chain, product
 from operator import itemgetter, sub
 from typing import Iterator
@@ -75,21 +75,8 @@ def _hash_tableau(t: SkewTableau) -> int:
     return _hash_ints(ints)
 
 
-class _Memo(dict):
-    """f(key) for each key looked up, computed once.  A lookup costs one
-    dict access, and the Knuth walk makes one per word."""
-
-    def __init__(self, f):
-        super().__init__()
-        self.f = f
-
-    def __missing__(self, key):
-        value = self[key] = self.f(key)
-        return value
-
-
 # a sweep meets the same few words and partitions many times
-_seq_hash = _Memo(_hash_ints).__getitem__
+_seq_hash = cache(_hash_ints)
 
 
 def _pair(a: int, b: int) -> int:
@@ -133,7 +120,7 @@ def partitions_up_to(n):
         yield from partitions_of(k)
 
 
-@lru_cache(maxsize=None)
+@cache
 def packed_fillings(outer, inner) -> tuple[SkewTableau, ...]:
     """Semistandard fillings whose letters form an initial segment 1..k."""
     shape = SkewShape(outer, inner)
@@ -218,19 +205,15 @@ def check_coincidence(max_size: int = 8, seed: int = 0) -> VerifyReport:
 def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
     """Every order of admissible switches, and infusion, ends on greedy's
     terminal board, and greedy's (S, H) stay Knuth equivalent to (V, U)."""
-    cached: dict = {}  # each filling is read once per check
-
+    @cache  # each filling is read once per check
     def fillings(outer, inner):
         """The packed fillings of outer/inner, each with its hash, its
         infusion order (its cells in reverse standard order) and its Knuth
         class (the P-tableau rows of its reading word)."""
-        key = outer, inner + (0,) * (len(outer) - len(inner))
-        if key not in cached:
-            cached[key] = [(t, _hash_tableau(t),
-                            [c for _x, c in reversed(standard_order(t))],
-                            p_tableau_rows(reading_word(t)))
-                           for t in packed_fillings(*key)]
-        return cached[key]
+        inner += (0,) * (len(outer) - len(inner))
+        return [(t, _hash_tableau(t), [c for _x, c in reversed(standard_order(t))],
+                 p_tableau_rows(reading_word(t)))
+                for t in packed_fillings(outer, inner)]
 
     def instances():
         for gamma in partitions_up_to(max_size):
@@ -277,7 +260,7 @@ def _walk(inner: list, rows: list, depth: int, enter, on_raise, on_undo):
     (none at depth 0), depth first on one mutable (inner, rows) state.
 
     A node is a walked word w, and its children are the rows i of
-    ``_corners_of`` the inner border it reaches.  ``trail`` holds the traces
+    ``_corners`` of the inner border it reaches.  ``trail`` holds the traces
     of the insertions from the root, the new one last; ``enter(v, trail)``,
     with v = w + (i,), reads the state reached in the lists, leaving it as
     it is.  Then the walk backtracks by reverse-bumping from the created
@@ -302,7 +285,7 @@ def _walk(inner: list, rows: list, depth: int, enter, on_raise, on_undo):
         return _words_from(_grown(state[0], v[-1]), v, depth)
 
     def walk(w, state):
-        for i in _corners_of(tuple(inner)):
+        for i in _corners(inner):
             v = w + (i,)
             try:
                 tr = insert(inner, rows, i)
@@ -330,6 +313,7 @@ def _walk(inner: list, rows: list, depth: int, enter, on_raise, on_undo):
 
     if depth > 0:
         walk((), _snapshot(inner, rows))
+    del walk  # it holds itself: free the callbacks now, not in a gc cycle pass
 
 
 def _fillings_by_border(max_size: int):
@@ -377,9 +361,6 @@ def _route_pair_ok(first_row, first_tr, second_row, second_tr):
             and bp[1] <= b[1] and bp[0] > b[0])
 
 
-_corners_of = _Memo(_corners).__getitem__  # of an inner border tuple
-
-
 def _words_from(inner, w, word_len: int):
     """w and every valid word that extends it to at most word_len letters,
     where inner is the inner border that w reaches: which words are valid
@@ -417,7 +398,7 @@ def _grown(inner, i: int) -> tuple:
     return inner[:i - 1] + (grown,) + inner[i:]
 
 
-@lru_cache(maxsize=None)
+@cache
 def _thu_sweep(max_size: int, word_len: int) -> tuple[VerifyReport, VerifyReport]:
     """For each packed filling t, one ``_walk`` applies every valid order
     word of length up to word_len once.  A word whose first three letters
@@ -547,7 +528,7 @@ def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:
             entry[0].append(j)
             entry[1] += h
         # a side meets few distinct P and Q; the memos end with the side
-        memos = _Memo(_reading_class).__getitem__, _Memo(_order_cells).__getitem__
+        memos = cache(_reading_class), cache(_order_cells)
         for t, w_t, _order, h_t in side:
             _skew_rsk_walk(rep, t, w_t, h_t, side, ends, max_size - sum(mu),
                            memos)

@@ -1,7 +1,11 @@
 import hashlib
 import io
 import json
+import subprocess
+import sys
+import textwrap
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +303,32 @@ def test_verify_and_golden_print_json_lines(capsys, monkeypatch):
 def test_seed_is_not_an_option(capsys):
     code, _out, err = run(capsys, "--seed", "5", "verify")
     assert code == 2 and "usage" in err
+
+
+def test_perfbench_tracer_runs_the_traced_calls(tmp_path):
+    # perfbench/tracer.py passes seed= to switching and to the checks, and
+    # its sweep reads packed_fillings' cache_info; its wrappers never come
+    # off, so it runs in an interpreter of its own
+    f = tmp_path / "t.txt"
+    f.write_text(T_TEXT)
+    root = Path(__file__).resolve().parents[1]
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path[:0] = [{str(root / "src")!r}, {str(root / "perfbench")!r}]
+        from tracer import Tracer
+        Tracer().install()
+        from lrcommute import cli, verify
+        for method in ("switching", "internal", "scratch", "infusion"):
+            argv = ["--format", "json", "commute", {str(f)!r}, "--method", method]
+            assert cli.main(argv) == 0
+        assert verify.check_confluence(max_size=3, seed=1).passed
+        assert verify.packed_fillings.cache_info().misses > 0
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()  # one commuted pair per method, equal
+    assert len(lines) == 4 and len(set(lines)) == 1
 
 
 def test_golden_command_and_subset(capsys):

@@ -108,7 +108,7 @@ def test_switching_never_runs_the_state_check(monkeypatch):
     monkeypatch.setattr(TwoColorTableau, "__init__", refuse)
     tc = TwoColorTableau.from_pair(SW_U, SW_V)
     apply_switch(tc, switch_sites(tc)[0])
-    for strategy in ("greedy", "infusion", "random"):
+    for strategy in ("greedy", "infusion"):
         switching(SW_U, SW_V, strategy)
 
 
@@ -149,6 +149,12 @@ def test_switching_validates_extension():
         switching(SW_U, SW_V, strategy="sideways")
     with pytest.raises(ValueError):
         switching(SW_U, SW_V, strategy="seeded-random")
+    # the orders are greedy and infusion, and the seed changes nothing
+    with pytest.raises(ValueError, match=r"one of \('greedy', 'infusion'\)"):
+        switching(SW_U, SW_V, strategy="random")
+    assert switching(SW_U, SW_V, seed=5) == switching(SW_U, SW_V)
+    assert _frames(switching, SW_U, SW_V, "greedy", 5) == \
+        _frames(switching, SW_U, SW_V, "greedy")
 
 
 def test_terminals_branch_only_where_a_step_has_a_choice(monkeypatch):
@@ -180,21 +186,12 @@ def test_terminals_branch_only_where_a_step_has_a_choice(monkeypatch):
                      SkewTableau((2,), (1,), [(1,)]))]
 
 
-def test_every_random_order_ends_on_a_searched_terminal():
-    for p in lr_pairs(6):
-        board = TwoColorTableau.from_pair(p.yam, p.skew).cells
-        ends = {frozenset(b.items()) for b in _terminals(board)}
-        for k in range(20):
-            assert frozenset(_switch(board, random.Random(k)).items()) in ends
-
-
-def _rescanned_switching(u, v, strategy="greedy", seed=0, on_frame=None):
-    """``switching`` by greedy or random switches, rescanning the sites at
-    every step: the reference for the live site set."""
+def _rescanned_switching(u, v, strategy="greedy", on_frame=None):
+    """``switching`` in greedy order, rescanning the sites at every step:
+    the reference for the live site set."""
     tc = TwoColorTableau.from_pair(u, v)
-    rng = random.Random(seed) if strategy == "random" else None
     while sites := switch_sites(tc):
-        site = rng.choice(sites) if rng else sites[0]
+        site = sites[0]
         tc = apply_switch(tc, site)
         if on_frame is not None:
             on_frame(site, dict(tc.cells))
@@ -207,13 +204,33 @@ def _frames(switch, u, v, *args):
     return frames, end
 
 
+def _packed_pairs(max_size: int):
+    """Every pair (u, v) of non-empty packed fillings, v extending u, of at
+    most max_size boxes with u's inner border: general pairs, not only
+    ballot ones."""
+    def fillings(outer, inner):
+        return packed_fillings(outer, inner + (0,) * (len(outer) - len(inner)))
+
+    for gamma in partitions_up_to(max_size):
+        for lam in subpartitions(gamma):
+            for mu in subpartitions(lam):
+                for u in fillings(lam, mu):
+                    for v in fillings(gamma, lam):
+                        if u.size and v.size:
+                            yield u, v
+
+
 def test_live_site_set_equals_a_rescan():
-    # greedy takes the same first site and each seeded random order draws
-    # from the same sorted list, so every frame matches the rescan's
-    for p in lr_pairs(6):
-        for args in [("greedy",)] + [("random", k) for k in range(20)]:
-            assert _frames(switching, p.yam, p.skew, *args) == \
-                _frames(_rescanned_switching, p.yam, p.skew, *args)
+    # the live site set takes the rescan's first site at every step, so
+    # every frame and the terminal board match it
+    pairs = list(_packed_pairs(6))
+    assert len(pairs) == 4250
+    n_frames = 0
+    for u, v in pairs:
+        frames, end = _frames(switching, u, v)
+        assert (frames, end) == _frames(_rescanned_switching, u, v)
+        n_frames += len(frames)
+    assert n_frames == 11094
 
 
 def _disconnected_pair(seed: int, letters: int, max_letter: int,
@@ -260,11 +277,15 @@ def test_commute_trace_of_the_live_site_set_is_the_rescans(tmp_path, capsys,
 
 
 def test_greedy_matches_infusion_and_insertion_beyond_desk_scale():
-    # the N=40 staircase (820 boxes) and ten seeded pairs of 30-100 boxes
+    # the N=40 staircase (820 boxes), ten seeded pairs of 30-100 boxes and
+    # one deep two-column pair
     pairs = [_disconnected_pair(seed, 12 + seed % 5, 2 + seed % 3)
              for seed in range(10)]
     assert all(30 <= sum(p.skew.outer) <= 100 for p in pairs)
     pairs.append(_disconnected_pair(0, 40, 4, cut=1))
+    # 1..60 down column 2 over the inner border 1^60
+    pairs.append(glued_pair(SkewTableau((2,) * 60, (1,) * 60,
+                                        [(i,) for i in range(1, 61)])))
     for p in pairs:
         image = rho1_internal(p)
         assert rho1_switching(p) == rho1_switching(p, "infusion") == image
