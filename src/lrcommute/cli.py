@@ -30,9 +30,9 @@ def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
 
 

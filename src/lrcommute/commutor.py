@@ -8,19 +8,24 @@ insertions and row appends that build the image from the empty tableau, and
 ``rho1_internal`` and ``rho1_scratch`` are that one run, the former also
 checking the route claim on every row block.
 
-``switching`` states each switch order once.  Greedy runs the site engine
-``_switch``: each colour class stays a valid filling at every switch
-(Benkart-Sottile-Stroomer), so a switch is tested only on the order
-relations it creates, and after each swap only the sites that read its two
-cells are tested again.  ``_terminals`` walks every order of such switches,
-for the confluence sweep.  Infusion (reverse standard order, Thomas-Yong) and
-staged switching (``staged_decomposition``: one Yamanouchi row at a time,
-bottom-up, on one board) slide by jeu de taquin in ``_infuse``.
+Every switch order runs on one flat board: a list (a tuple once frozen) of
+signed values over the shape's cells in row-major order, u-letters positive
+and v-letters negative, then a sentinel 0.  Its ``_Geometry`` holds each
+cell's four neighbours, the sentinel past the edge.  ``_admissible`` is the
+one site test: each colour class stays a valid filling at every switch
+(Benkart-Sottile-Stroomer), so only the order relations a switch creates
+are tested.  Greedy runs ``_switch``, which keeps the sorted sites live and
+re-tests only those on the lines a swap changed; ``_terminals`` walks every
+order, for the confluence sweep.  Infusion (reverse standard order,
+Thomas-Yong) and staged switching (``staged_decomposition``: one Yamanouchi
+row at a time, bottom-up) slide by jeu de taquin in ``_infuse``.  The
+public ``TwoColorTableau`` holds a board as a dict of cells.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from itertools import zip_longest
 from typing import Callable, Iterator, NamedTuple
 
 from .insertion import (GluedPair, InsertionTrace, _append_inplace, _freeze,
@@ -30,8 +35,6 @@ from .tableaux import (Cell, SkewTableau, as_partition, is_ballot_tableau,
                        yamanouchi_tableau)
 
 STRATEGIES = ("greedy", "infusion")
-_TOP = float("inf")
-_OFF = (0, "")  # a cell off the board, of neither colour
 
 
 class SwitchSite(NamedTuple):
@@ -58,8 +61,10 @@ class TwoColorTableau:
         if set(self.cells) != {(r, c) for r in range(1, len(o) + 1)
                                for c in range(pad[r - 1] + 1, o[r - 1] + 1)}:
             raise ValueError(f"cells do not fill the board {o}/{i}")
-        # row-major; nw: the largest u and v values weakly northwest of a cell
+        # row-major; nw: the largest u and v values weakly northwest of a
+        # cell; above: the last value of each colour met in each column
         nw: dict = {}
+        above: dict = {}
         for (r, c), e in sorted(self.cells.items()):
             if not (type(e) is tuple and len(e) == 2 and type(e[0]) is int
                     and e[0] >= 1 and e[1] in ("u", "v")):
@@ -69,11 +74,12 @@ class TwoColorTableau:
             m = [max(x, y) for x, y in zip(nw.get((r - 1, c), (0, 0)),
                                            nw.get((r, c - 1), (0, 0)))]
             k = "uv".index(color)
-            if m[k] > value or _nearest(self.cells, r, c, -1, 0, color, 0) >= value:
+            if m[k] > value or above.get((c, color), 0) >= value:
                 raise ValueError(f"colour class {color} is not a valid filling "
                                  f"at cell {(r, c)}")
             m[k] = value
             nw[r, c] = m
+            above[c, color] = value
 
     @classmethod
     def _fast(cls, outer: tuple, inner: tuple, cells: dict):
@@ -84,11 +90,8 @@ class TwoColorTableau:
 
     @classmethod
     def from_pair(cls, u: SkewTableau, v: SkewTableau) -> "TwoColorTableau":
-        if as_partition(v.inner) != u.outer:
-            raise ValueError("v does not extend u")
-        cells = {cell: (val, "u") for cell, val in u.cells()}
-        cells.update((cell, (val, "v")) for cell, val in v.cells())
-        return cls._fast(v.outer, as_partition(u.inner), cells)
+        g = _geometry(v.outer, u.inner)
+        return cls._fast(v.outer, as_partition(u.inner), _cells_of(g, _board(u, v)))
 
     def __eq__(self, other):
         if not isinstance(other, TwoColorTableau):
@@ -103,92 +106,167 @@ class TwoColorTableau:
         return f"TwoColorTableau({self.outer}/{self.inner}, {len(self.cells)} cells)"
 
 
-def _nearest(cells, r, c, dr, dc, color, off):
-    """The first ``color`` value stepping from (r, c) by (dr, dc), or ``off``
-    past the board's edge (a skew shape: its rows and columns have no gaps)."""
-    while True:
-        r += dr
-        c += dc
-        e = cells.get((r, c))
-        if e is None:
-            return off
-        if e[1] == color:
-            return e[0]
+class _Geometry(NamedTuple):
+    """The board outer/inner (padded), its cells numbered row-major from 0:
+    row k starts at ``starts[k]``; ``starts[-1]`` is the sentinel.  ``north[i]``
+    and the others are the cells next to cell i, the sentinel past the edge."""
+    outer: tuple
+    inner: tuple
+    starts: list
+    north: list
+    south: list
+    west: list
+    east: list
 
 
-def _admissible(cells, cu, cv):
-    """Whether swapping u-letter a at cu with v-letter b east or south of it
-    keeps both colour classes valid.  The state is valid, so only the order
-    relations the swap creates are tested, each against the nearest cell of
-    its sorted class: east, a's and b's new columns; south, a's new row left
-    of it and b's new row right of it."""
-    a, b = cells[cu][0], cells[cv][0]
-    r, c = cu
-    if cv[1] > c:
-        return (_nearest(cells, r, c + 1, -1, 0, "u", 0) < a
-                < _nearest(cells, r, c + 1, 1, 0, "u", _TOP)
-                and _nearest(cells, r, c, -1, 0, "v", 0) < b
-                < _nearest(cells, r, c, 1, 0, "v", _TOP))
-    return (_nearest(cells, r + 1, c, 0, -1, "u", 0) <= a
-            and _nearest(cells, r, c, 0, 1, "v", _TOP) >= b)
+def _geometry(outer, inner) -> _Geometry:
+    """The geometry of the skew shape outer/inner, in O(cells)."""
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    starts = [0]
+    for a, b in zip(inner, outer):
+        starts.append(starts[-1] + b - a)
+    n = starts[-1]  # the arrays run to the sentinel, whose entries no walk reads
+    north, south = [n] * (n + 1), [n] * (n + 1)
+    west, east = list(range(-1, n)), list(range(1, n + 2))
+    for k in starts:  # each row's first cell and the last of the row before
+        west[k] = east[k - 1] = n
+    for k in range(1, len(outer)):
+        # the m columns right of inner[k - 1] meet rows k - 1 and k: all of
+        # row k - 1 from its first cell, row k from the cell under that one
+        top, bot = starts[k - 1], starts[k] + inner[k - 1] - inner[k]
+        m = max(outer[k] - inner[k - 1], 0)
+        north[bot:bot + m] = range(top, top + m)
+        south[top:top + m] = range(bot, bot + m)
+    return _Geometry(tuple(outer), inner, starts, north, south, west, east)
 
 
-def _edges(cells) -> Iterator[tuple[Cell, Cell]]:
-    """Every candidate switch: a u-cell and a v-cell east or south of it."""
-    for (r, c), (_x, color) in cells.items():
-        if color == "u":
-            for cv in ((r, c + 1), (r + 1, c)):
-                if cells.get(cv, _OFF)[1] == "v":
-                    yield (r, c), cv
+def _index(g: _Geometry, cell: Cell) -> int:
+    r, c = cell
+    return g.starts[r - 1] + c - 1 - g.inner[r - 1]
 
 
-def _find_sites(cells) -> list[tuple[Cell, Cell]]:
-    """The admissible candidate switches, as (cu, cv), sorted."""
-    return sorted([(cu, cv) for cu, cv in _edges(cells)
-                   if _admissible(cells, cu, cv)])
+def _cell(g: _Geometry, i: int) -> Cell:
+    r = bisect_right(g.starts, i)  # empty rows share their start with the next
+    return r, i - g.starts[r - 1] + g.inner[r - 1] + 1
+
+
+def _board(u: SkewTableau, v: SkewTableau) -> list:
+    """The board of a pair, v extending u: each row holds u's letters, then
+    v's negated."""
+    if as_partition(v.inner) != u.outer:
+        raise ValueError("v does not extend u")
+    return [x for ru, rv in zip_longest(u.rows, v.rows, fillvalue=())
+            for x in (*ru, *[-y for y in rv])] + [0]
+
+
+def _board_of(g: _Geometry, cells: dict) -> list:
+    """The board of ``TwoColorTableau.cells``."""
+    board = [0] * (g.starts[-1] + 1)
+    for cell, (x, color) in cells.items():
+        board[_index(g, cell)] = x if color == "u" else -x
+    return board
+
+
+def _cells_of(g: _Geometry, board) -> dict:
+    """The ``TwoColorTableau.cells`` of a board."""
+    return {(r, c): (x, "u") if x > 0 else (-x, "v")
+            for r, (a, b, s) in enumerate(zip(g.inner, g.outer, g.starts), 1)
+            for c, x in zip(range(a + 1, b + 1), board[s:s + b - a])}
+
+
+def _admissible(g: _Geometry, board, iu: int, iv: int) -> bool:
+    """Whether swapping u-letter a at cell iu with v-letter b east or south of
+    it keeps both colour classes valid.  The state is valid, so only the
+    order relations the swap creates are tested, each against the nearest
+    cell of its class: east, in a's and b's new columns; south, in a's new
+    row left of it and b's right of it."""
+    a, nb = board[iu], board[iv]  # nb = -b
+    if iv != g.east[iu]:
+        west, east = g.west, g.east
+        j = west[iv]
+        while board[j] < 0:
+            j = west[j]
+        if board[j] > a:  # a u-letter left of a's new cell is larger
+            return False
+        j = east[iu]
+        while board[j] > 0:
+            j = east[j]
+        return not nb < board[j] < 0  # nor a v-letter right of b's smaller
+    north, south = g.north, g.south
+    j = north[iv]
+    while board[j] < 0:
+        j = north[j]
+    if board[j] >= a:  # a's new column: the u-letter above is smaller
+        return False
+    j = south[iv]
+    while board[j] < 0:
+        j = south[j]
+    if 0 < board[j] <= a:  # and the one below larger
+        return False
+    j = north[iu]
+    while board[j] > 0:
+        j = north[j]
+    if board[j] <= nb:  # b's new column: the v-letter above is smaller
+        return False
+    j = south[iu]
+    while board[j] > 0:
+        j = south[j]
+    return not nb <= board[j] < 0  # and the one below larger
+
+
+def _find_sites(g: _Geometry, board) -> list[tuple[int, int]]:
+    """The admissible switches (iu, iv), a u-cell and a v-cell east or south
+    of it, sorted: row-major by the u-cell, east before south."""
+    sites = []
+    for iu, (x, e, s) in enumerate(zip(board, g.east, g.south)):
+        if x > 0:
+            if board[e] < 0 and _admissible(g, board, iu, e):
+                sites.append((iu, e))
+            if board[s] < 0 and _admissible(g, board, iu, s):
+                sites.append((iu, s))
+    return sites
 
 
 def switch_sites(t: TwoColorTableau) -> list[SwitchSite]:
     """All admissible switches, sorted row-major by the u-cell, horizontal
     before vertical."""
-    return [SwitchSite(cu, cv) for cu, cv in _find_sites(t.cells)]
+    g = _geometry(t.outer, t.inner)
+    return [SwitchSite(_cell(g, iu), _cell(g, iv))
+            for iu, iv in _find_sites(g, _board_of(g, t.cells))]
 
 
 def apply_switch(t: TwoColorTableau, s: SwitchSite) -> TwoColorTableau:
     """Interchange the letters at an admissible site."""
+    cu, cv = s
+    if cv not in ((cu[0], cu[1] + 1), (cu[0] + 1, cu[1])):
+        raise ValueError(f"cells {cu} and {cv} are not adjacent")
     cells = dict(t.cells)
-    if s.cell_v not in ((s.cell_u[0], s.cell_u[1] + 1),
-                        (s.cell_u[0] + 1, s.cell_u[1])):
-        raise ValueError(f"cells {s.cell_u} and {s.cell_v} are not adjacent")
-    if (s.cell_u not in cells or s.cell_v not in cells
-            or cells[s.cell_u][1] != "u" or cells[s.cell_v][1] != "v"
-            or not _admissible(cells, s.cell_u, s.cell_v)):
+    if cells.get(cu, (0, ""))[1] != "u" or cells.get(cv, (0, ""))[1] != "v":
         raise ValueError(f"site {s} is not admissible")
-    _swap(cells, s.cell_u, s.cell_v)
+    g = _geometry(t.outer, t.inner)
+    if not _admissible(g, _board_of(g, cells), _index(g, cu), _index(g, cv)):
+        raise ValueError(f"site {s} is not admissible")
+    cells[cu], cells[cv] = cells[cv], cells[cu]
     return TwoColorTableau._fast(t.outer, t.inner, cells)
 
 
-def _swap(cells, cu, cv):
-    vu, ucol = cells[cu]
-    vv, vcol = cells[cv]
-    cells[cu] = (vv, vcol)
-    cells[cv] = (vu, ucol)
-
-
-def _split_cells(outer, inner, cells):
-    """Split a terminal board into (S, H) row by row, checking only that each
-    row holds its v-letters before its u-letters and that these end at a
-    partition sigma: ``_admissible`` keeps each colour class semistandard."""
-    pad = inner + (0,) * (len(outer) - len(inner))
+def _split_cells(g: _Geometry, board, inner) -> tuple[SkewTableau, SkewTableau]:
+    """Split a terminal board into (S, H) row by row, right of the border
+    ``inner``, checking only that each row holds its v-letters before its
+    u-letters and that these end at a partition sigma: ``_admissible`` keeps
+    each colour class semistandard."""
+    outer, starts = g.outer, g.starts
+    pad = tuple(inner) + (0,) * (len(outer) - len(inner))
     sigma, s_rows, h_rows = [], [], []
-    for r, (a, b) in enumerate(zip(pad, outer), start=1):
-        row = [cells[r, c] for c in range(a + 1, b + 1)]
-        k = sum(color == "v" for _x, color in row)
-        if any(color == "u" for _x, color in row[:k]):
-            raise ValueError(f"switching did not separate the members in row {r}")
+    for r, (a, own) in enumerate(zip(pad, g.inner)):
+        row = board[starts[r] + a - own:starts[r + 1]]
+        s = tuple([-x for x in row if x < 0])
+        k = len(s)
+        if k and max(row[:k]) > 0:
+            raise ValueError(f"switching did not separate the members in row {r + 1}")
         sigma.append(a + k)
-        s_rows.append(tuple(x for x, _color in row[:k]))
-        h_rows.append(tuple(x for x, _color in row[k:]))
+        s_rows.append(s)
+        h_rows.append(tuple(row[k:]))
     try:
         mid = as_partition(sigma)
     except ValueError as exc:
@@ -197,96 +275,125 @@ def _split_cells(outer, inner, cells):
             SkewTableau._fast(outer, tuple(sigma), tuple(h_rows)))
 
 
-def _switch(board: dict, on_frame: Callable | None = None) -> dict:
-    """Switch a copy of the board, a ``TwoColorTableau.cells`` dict, at the
-    first site row-major until none remains; returns the terminal board.
+def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
+    """Switch a copy of the board at the first site row-major until none
+    remains; returns the terminal board.
 
     The sites stay live, sorted as ``_find_sites`` lists them, instead of
     being rescanned.  A swap changes only its two cells: it drops the
-    candidate edges at them and adds their new ones, then re-tests the edges
-    that read them.  An east edge at u-cell (r, c) reads only columns c and
-    c + 1, a south one only rows r and r + 1 (``_nearest`` walks along one
-    line), so those are the east edges in columns c1 - 1 to c2 and the south
-    edges in rows r1 - 1 to r2."""
-    cells = dict(board)
-    edges = {(cu, cv): _admissible(cells, cu, cv) for cu, cv in _edges(cells)}
-    sites = sorted(e for e, ok in edges.items() if ok)
-    while sites:
-        cu, cv = sites[0]
-        _swap(cells, cu, cv)
-        if on_frame is not None:
-            on_frame(SwitchSite(cu, cv), dict(cells))
-        # cu, a u-cell, and cv, a v-cell, traded colours: the edges out of
-        # cu and into cv go, those into cu and out of cv may come
-        (r1, c1), (r2, c2) = cu, cv
-        for e in ((cu, (r1, c1 + 1)), (cu, (r1 + 1, c1)),
-                  ((r2, c2 - 1), cv), ((r2 - 1, c2), cv)):
-            if edges.pop(e, False):
-                del sites[bisect_left(sites, e)]
-        for w in ((r1, c1 - 1), (r1 - 1, c1)):
-            if cells.get(w, _OFF)[1] == "u":
-                edges[w, cu] = None  # tested below
-        for e in ((r2, c2 + 1), (r2 + 1, c2)):
-            if cells.get(e, _OFF)[1] == "v":
-                edges[cv, e] = None
-        rows, cols = (r1 - 1, r1, r2), (c1 - 1, c1, c2)
-        for e, was in edges.items():
-            eu, ev = e
-            if ((eu[0] in rows) if ev[0] > eu[0] else (eu[1] in cols)) and \
-                    (ok := _admissible(cells, eu, ev)) != was:
-                edges[e] = ok
-                if ok:
+    candidate edges at them and tests their new ones at once.  Of the other
+    edges it re-tests those whose walks cross a line whose values changed.
+    An east edge at u-cell (r, c) walks only columns c and c + 1, a south
+    one only rows r + 1 and r.  An east swap trades two letters within row
+    r, so each walk along a row meets the same values as before: only the
+    east edges in columns c - 1 to c + 1 are re-tested.  After a south swap,
+    by the same argument, only the south edges in rows r - 1 to r + 1."""
+    board = list(board)
+    east, south, west, north = g.east, g.south, g.west, g.north
+    # edge 2i is the u-cell i and the v-cell east of it, 2i + 1 the one
+    # south: edges sort as _find_sites lists sites
+    ok = [False] * (2 * len(board))  # admissible, by edge
+    # the candidate edges on each line: east ones by their u-cell's column,
+    # south ones by its row
+    cols = [set() for _ in range(max(g.outer, default=0) + 2)]
+    rows = [set() for _ in range(len(g.outer) + 2)]
+    sites: list = []
+    retest = [e for iu, x in enumerate(board) if x > 0
+              for e, iv in ((2 * iu, east[iu]), (2 * iu + 1, south[iu])) if board[iv] < 0]
+    for e in retest:
+        r, c = _cell(g, e >> 1)
+        (rows[r] if e & 1 else cols[c]).add(e)
+    while True:
+        for e in retest:
+            iu = e >> 1
+            now = _admissible(g, board, iu, south[iu] if e & 1 else east[iu])
+            if now != ok[e]:
+                ok[e] = now
+                if now:
                     insort(sites, e)
-                elif was:
+                else:
                     del sites[bisect_left(sites, e)]
-    return cells
+        if not sites:
+            return board
+        e = sites[0]
+        iu = e >> 1
+        iv = south[iu] if e & 1 else east[iu]
+        board[iu], board[iv] = board[iv], board[iu]
+        if on_frame is not None:
+            on_frame(SwitchSite(_cell(g, iu), _cell(g, iv)), _cells_of(g, board))
+        # iu, at (r, c), now holds a v-letter and iv a u-letter: the edges
+        # out of iu and into iv go, those into iu and out of iv may come
+        r, c = _cell(g, iu)
+        r2, c2 = (r + 1, c) if e & 1 else (r, c + 1)
+        for d, line in ((2 * iu, cols[c]), (2 * iu + 1, rows[r]),
+                        (2 * west[iv], cols[c2 - 1]), (2 * north[iv] + 1, rows[r2 - 1])):
+            line.discard(d)
+            if ok[d]:
+                ok[d] = False
+                del sites[bisect_left(sites, d)]
+        new = [(d, line) for d, line, here in (
+            (2 * west[iu], cols[c - 1], board[west[iu]] > 0),
+            (2 * north[iu] + 1, rows[r - 1], board[north[iu]] > 0),
+            (2 * iv, cols[c2], board[east[iv]] < 0),
+            (2 * iv + 1, rows[r2], board[south[iv]] < 0)) if here]
+        for d, line in new:
+            line.add(d)
+        lines, k = (rows, r) if e & 1 else (cols, c)
+        retest = [d for line in lines[k - 1:k + 2] for d in line]
+        retest += [d for d, _line in new if (d ^ e) & 1]  # the other direction
 
 
-def _successors(cells: dict) -> Iterator[dict]:
+def _successors(g: _Geometry, board) -> list[tuple]:
     """Each board one admissible switch away, in site order."""
-    for cu, cv in _find_sites(cells):
-        nxt = dict(cells)
-        _swap(nxt, cu, cv)
-        yield nxt
+    out = []
+    for iu, iv in _find_sites(g, board):
+        nxt = list(board)
+        nxt[iu], nxt[iv] = nxt[iv], nxt[iu]
+        out.append(tuple(nxt))
+    return out
 
 
-def _terminals(board: dict) -> Iterator[dict]:
+def _terminals(g: _Geometry, board) -> Iterator[tuple]:
     """Every terminal board reachable by admissible switches, once each: depth
     first over a seen set, sites in order.  Each switch moves a v-letter one
     step northwest, so greedy's path meets no seen state: its board is first."""
-    seen = {frozenset(board.items())}
+    board = tuple(board)
+    seen = {board}
     stack = [board]
     while stack:
-        cells = stack.pop()
-        nxt = list(_successors(cells))
+        board = stack.pop()
+        nxt = _successors(g, board)
         if not nxt:
-            yield cells
+            yield board
         for b in reversed(nxt):
-            key = frozenset(b.items())
-            if key not in seen:
-                seen.add(key)
+            if b not in seen:
+                seen.add(b)
                 stack.append(b)
 
 
-def _infuse(board: dict, order, on_frame: Callable | None = None) -> dict:
+def _infuse(g: _Geometry, board, order, on_frame: Callable | None = None) -> list:
     """Slide the u-letters at the cells of ``order`` one at a time by jeu de
     taquin, on a copy of the board: each trades places with the smaller of
     its east and south v-neighbours, the south one on ties, until it has
     neither.  Such a move is always an admissible switch, so none is tested."""
-    cells = dict(board)
-    for r, c in order:
+    board = list(board)
+    east, south = g.east, g.south
+    for cell in order:
+        i = _index(g, cell)
         while True:
-            # the v-values south and east; _TOP off the board or at a u-letter
-            south, east = (e[0] if e and e[1] == "v" else _TOP
-                           for e in (cells.get((r + 1, c)), cells.get((r, c + 1))))
-            if south == east == _TOP:
+            # v-letters are negative: of two, the smaller letter is larger
+            s, e = south[i], east[i]
+            if board[s] < 0 and (board[s] >= board[e] or board[e] >= 0):
+                j = s
+            elif board[e] < 0:
+                j = e
+            else:
                 break
-            cv = (r + 1, c) if south <= east else (r, c + 1)
-            _swap(cells, (r, c), cv)
+            board[i], board[j] = board[j], board[i]
             if on_frame is not None:
-                on_frame(SwitchSite((r, c), cv), dict(cells))
-            r, c = cv
-    return cells
+                on_frame(SwitchSite(_cell(g, i), _cell(g, j)), _cells_of(g, board))
+            i = j
+    return board
 
 
 def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
@@ -296,15 +403,18 @@ def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
     S Knuth-equivalent to v and H to u, on the same union shape: the pair's
     board goes through ``_switch`` (greedy) or ``_infuse`` in reverse standard
     order of u (infusion), its terminal board through ``_split_cells``.
-    ``seed`` is unused; ``perfbench/tracer.py`` still passes it."""
-    tc = TwoColorTableau.from_pair(u, v)
+    ``on_frame(site, cells)`` sees each switch and the ``TwoColorTableau``
+    cells after it.  ``seed`` is unused; ``perfbench/tracer.py`` still
+    passes it."""
+    board = _board(u, v)
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
+    g = _geometry(v.outer, u.inner)
     if strategy == "infusion":
-        end = _infuse(tc.cells, [c for _x, c in reversed(standard_order(u))], on_frame)
+        end = _infuse(g, board, [c for _x, c in reversed(standard_order(u))], on_frame)
     else:
-        end = _switch(tc.cells, on_frame)
-    return _split_cells(tc.outer, tc.inner, end)
+        end = _switch(g, board, on_frame)
+    return _split_cells(g, end, g.inner)
 
 
 def rho1_switching(p: GluedPair, strategy: str = "greedy",
@@ -348,15 +458,17 @@ def staged_decomposition(p: GluedPair) -> StagedDecomposition:
     if len(f_word) + nu_last != len(last) or not f_word:
         raise ValueError("last row must be a nonempty word over [n] followed "
                          "by largest letters")
-    board = TwoColorTableau.from_pair(p.yam, t).cells
+    g = _geometry(lam, p.yam.inner)
+    board = _board(p.yam, t)
     for d in range(len(mu), 0, -1):
-        board = _infuse(board, [(d, c) for c in range(mu[d - 1], 0, -1)])
-        # the slid letters fill lam/sigma, which ends each row it meets
-        if board[np1, lam[n]][1] == "u":
+        board = _infuse(g, board, [(d, c) for c in range(mu[d - 1], 0, -1)])
+        # the slid letters fill lam/sigma, which ends each row it meets: the
+        # board's last cell, (n + 1, lam[n]), holds one once any does
+        if board[g.starts[-1] - 1] > 0:
             break
     else:
         raise ValueError("no lifted letter reached the last row")
-    s, q = _split_cells(lam, mu[:d - 1], board)
+    s, q = _split_cells(g, board, mu[:d - 1])
     f_hat = tuple(x for x in s.rows[n] if x <= n) if len(s.rows) == np1 else ()
     return StagedDecomposition(d, s, f_hat, q.rows[n], q)
 

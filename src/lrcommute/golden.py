@@ -12,7 +12,8 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .commutor import (TwoColorTableau, _successors, gt_order_word, nu_hat,
+from .commutor import (TwoColorTableau, _board, _board_of, _geometry,
+                       _successors, gt_order_word, nu_hat,
                        rho1_internal, rho1_scratch, rho1_switching,
                        run_row_program, staged_decomposition, switch_sites,
                        switching)
@@ -59,23 +60,24 @@ def _cells(entries) -> dict:
 _SEARCH_CAP = 20000  # states a reachability search may visit
 
 
-def _reachable(start, target) -> bool:
-    """Best-first search through admissible switches from one two-color state
-    to another; exhaustive on the fixtures, which reach at most 15,666 states."""
-    def dist(cells):
-        return sum(1 for k, v in target.items() if cells.get(k) != v)
+def _reachable(g, start, target) -> bool:
+    """Best-first search through admissible switches from one board of
+    geometry g to another; exhaustive on the fixtures, which reach at most
+    15,666 states."""
+    def dist(board):
+        return sum(x != y for x, y in zip(board, target))
 
-    seen = {frozenset(start.items())}
+    start = tuple(start)
+    seen = {start}
     heap = [(dist(start), 0, start)]
     tick = 0
     while heap and len(seen) < _SEARCH_CAP:
-        d, _, cells = heapq.heappop(heap)
+        d, _, board = heapq.heappop(heap)
         if d == 0:
             return True
-        for nxt in _successors(cells):
-            key = frozenset(nxt.items())
-            if key not in seen:
-                seen.add(key)
+        for nxt in _successors(g, board):
+            if nxt not in seen:
+                seen.add(nxt)
                 tick += 1
                 heapq.heappush(heap, (dist(nxt), tick, nxt))
     return False
@@ -105,8 +107,10 @@ def _run_switch_sequence(res: GoldenResult, data: dict):
     u, v = from_json_dict(data["u"]), from_json_dict(data["v"])
     start = TwoColorTableau.from_pair(u, v)
     res.check("first frame", frames[0], start.cells)
+    g = _geometry(v.outer, u.inner)
+    boards = [_board_of(g, f) for f in frames]
     for k in range(len(frames) - 1):
-        ok = _reachable(frames[k], frames[k + 1])
+        ok = _reachable(g, boards[k], boards[k + 1])
         res.check(f"frame {k + 1} -> {k + 2} by switches", True, ok)
     res.check("first frame admits a switch", True, bool(switch_sites(start)))
     for strategy in ("greedy", "infusion"):
@@ -138,11 +142,12 @@ def _run_staged_switching(res: GoldenResult, data: dict):
     res.check("a: D", tuple(a["big_d"]), sd.big_d)
     res.check("a: S", from_json_dict(a["s"]), sd.s)
     res.check("a: Q", from_json_dict(a["q"]), sd.q)
-    start = TwoColorTableau.from_pair(pair_a.yam, pair_a.skew).cells
-    mid = _cells(a["frame_mid"])
-    final = _cells(a["frame_final"])
-    res.check("a: mid frame reachable", True, _reachable(start, mid))
-    res.check("a: final frame reachable from mid", True, _reachable(mid, final))
+    g = _geometry(pair_a.skew.outer, pair_a.yam.inner)
+    start = _board(pair_a.yam, pair_a.skew)
+    mid = _board_of(g, _cells(a["frame_mid"]))
+    final = _board_of(g, _cells(a["frame_final"]))
+    res.check("a: mid frame reachable", True, _reachable(g, start, mid))
+    res.check("a: final frame reachable from mid", True, _reachable(g, mid, final))
 
     b = data["b"]
     pair_b = glued_pair(from_json_dict(b["t"]))
@@ -153,9 +158,10 @@ def _run_staged_switching(res: GoldenResult, data: dict):
     res.check("b: X", tuple(b["x"]), sdb.q.rows[-1][len(tuple(a["big_d"])):])
     res.check("b: S", from_json_dict(b["s"]), sdb.s)
     res.check("b: Q", from_json_dict(b["q"]), sdb.q)
-    start_b = TwoColorTableau.from_pair(pair_b.yam, pair_b.skew).cells
+    g = _geometry(pair_b.skew.outer, pair_b.yam.inner)
     res.check("b: final frame reachable", True,
-              _reachable(start_b, _cells(b["frame_final"])))
+              _reachable(g, _board(pair_b.yam, pair_b.skew),
+                         _board_of(g, _cells(b["frame_final"]))))
 
 
 def _run_row_recursion(res: GoldenResult, data: dict):

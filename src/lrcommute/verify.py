@@ -37,8 +37,8 @@ from operator import itemgetter, sub
 from typing import Iterator
 
 from . import insertion
-from .commutor import (TwoColorTableau, _infuse, _split_cells, _terminals,
-                       rho1_internal, rho1_scratch, rho1_switching,
+from .commutor import (_board, _cells_of, _geometry, _infuse, _split_cells,
+                       _terminals, rho1_internal, rho1_scratch, rho1_switching,
                        staged_decomposition)
 from .insertion import GluedPair, _corners, _freeze, _rows_at, _thaw, glued_pair
 from .knuth import elementary_moves, p_tableau_rows
@@ -220,29 +220,30 @@ def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
             for lam in subpartitions(gamma):
                 vs = fillings(gamma, lam)
                 for mu in subpartitions(lam):
+                    g = _geometry(gamma, mu)
                     for u, h_u, infusion, p_u in fillings(lam, mu):
                         for v, h_v, _infusion, p_v in vs:
-                            yield u, v, _pair(h_u, h_v), infusion, (p_v, p_u)
+                            yield u, v, _pair(h_u, h_v), infusion, (p_v, p_u), g
 
     def prop(instance):
-        u, v, _h, infusion, want = instance
+        u, v, _h, infusion, want, g = instance
         if u.size == 0 or v.size == 0:
             return  # no switch can ever apply
-        board = TwoColorTableau.from_pair(u, v)
-        ends = _terminals(board.cells)
+        board = _board(u, v)
+        ends = _terminals(g, board)
         end = next(ends)  # greedy's board
-        s, h = _split_cells(board.outer, board.inner, end)
+        s, h = _split_cells(g, end, g.inner)
         got = tuple(p_tableau_rows(reading_word(t)) for t in (s, h))
         if got != want:
-            left = " and ".join(m for m, g, w in zip("SH", got, want) if g != w)
+            left = " and ".join(m for m, x, w in zip("SH", got, want) if x != w)
             yield (f"knuth: {u!r} {v!r}", f"P(V), P(U) = {want}",
                    f"{left} left its class: P(S), P(H) = {got}")
-        alt = _infuse(board.cells, infusion)
+        alt = tuple(_infuse(g, board, infusion))
         if alt != end:
-            yield f"infusion: {u!r} {v!r}", end, alt
+            yield f"infusion: {u!r} {v!r}", _cells_of(g, end), _cells_of(g, alt)
         alt = next((b for b in ends if b != end), None)
         if alt is not None:
-            yield f"order: {u!r} {v!r}", end, alt
+            yield f"order: {u!r} {v!r}", _cells_of(g, end), _cells_of(g, alt)
 
     return _sweep("confluence", instances(), prop, lambda i: f"{i[0]!r} {i[1]!r}",
                   itemgetter(2))

@@ -366,6 +366,16 @@ def test_golden_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("argv", [["commute"], ["insert", "1"]])
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, argv):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(b"\xff 1\n")
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot read {f}: 'utf-8' codec can't decode byte "
+                   "0xff in position 0: invalid start byte\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
     code, out, err = run(capsys, "verify", "--max-size", "-3")

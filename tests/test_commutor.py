@@ -4,7 +4,8 @@ import random
 import pytest
 
 from lrcommute import cli, commutor
-from lrcommute.commutor import (SwitchSite, TwoColorTableau, _split_cells,
+from lrcommute.commutor import (SwitchSite, TwoColorTableau, _board,
+                                _board_of, _cells_of, _geometry, _split_cells,
                                 _switch, _terminals, apply_switch, chi_append,
                                 gt_order_word, nu_hat,
                                 rho1_internal, rho1_scratch, rho1_switching,
@@ -25,6 +26,24 @@ T_STAGED = SkewTableau((9, 7, 6, 5), (6, 4, 0, 0),
 
 SW_U = SkewTableau((3, 3), (), [(1, 1, 1), (2, 2, 2)])
 SW_V = SkewTableau((4, 3, 3), (3, 3, 0), [(1,), (), (1, 2, 2)])
+
+
+def test_geometry_steps_to_each_neighbour_or_to_the_sentinel():
+    # the cells of every skew shape of at most 7 boxes, numbered row-major
+    for gamma in partitions_up_to(7):
+        for mu in subpartitions(gamma):
+            g = _geometry(gamma, mu)
+            pad = mu + (0,) * (len(gamma) - len(mu))
+            cells = [(r, c) for r, (a, b) in enumerate(zip(pad, gamma), 1)
+                     for c in range(a + 1, b + 1)]
+            index = {cell: i for i, cell in enumerate(cells)}
+            assert g.starts[-1] == len(cells)
+            assert [commutor._cell(g, i) for i in range(len(cells))] == cells
+            assert [commutor._index(g, cell) for cell in cells] == list(index.values())
+            for step, (dr, dc) in ((g.north, (-1, 0)), (g.south, (1, 0)),
+                                   (g.west, (0, -1)), (g.east, (0, 1))):
+                assert step[:len(cells)] == [index.get((r + dr, c + dc), len(cells))
+                                             for r, c in cells]
 
 
 def test_switch_sites_examples():
@@ -118,10 +137,9 @@ def test_apply_switch():
     out = apply_switch(tc, site)
     assert out.cells[(2, 2)] == (2, "v")
     assert out.cells[(3, 2)] == (2, "u")
-    # raw re-interchange restores the original cells
-    from lrcommute.commutor import _swap
+    # re-interchanging the two entries restores the original cells
     cells = dict(out.cells)
-    _swap(cells, site.cell_u, site.cell_v)
+    cells[site.cell_u], cells[site.cell_v] = cells[site.cell_v], cells[site.cell_u]
     assert cells == tc.cells
     with pytest.raises(ValueError):
         apply_switch(tc, SwitchSite((1, 1), (2, 1)))  # both letters from u
@@ -161,15 +179,15 @@ def test_terminals_branch_only_where_a_step_has_a_choice(monkeypatch):
     reads = []
     find = commutor._find_sites
     monkeypatch.setattr(commutor, "_find_sites",
-                        lambda cells: reads.append(1) or find(cells))
+                        lambda *board: reads.append(1) or find(*board))
 
     def search(u, v):
         """(greedy's frames, site-list reads of the search, its terminals)"""
         frames = []
         switching(u, v, on_frame=lambda *frame: frames.append(frame))
-        tc = TwoColorTableau.from_pair(u, v)
+        g = _geometry(v.outer, u.inner)
         reads.clear()
-        ends = [_split_cells(tc.outer, tc.inner, b) for b in _terminals(tc.cells)]
+        ends = [_split_cells(g, b, g.inner) for b in _terminals(g, _board(u, v))]
         return len(frames), len(reads), ends
 
     # a choice: the search leaves greedy's path, and every order ends on
@@ -195,7 +213,8 @@ def _rescanned_switching(u, v, strategy="greedy", on_frame=None):
         tc = apply_switch(tc, site)
         if on_frame is not None:
             on_frame(site, dict(tc.cells))
-    return _split_cells(tc.outer, tc.inner, tc.cells)
+    g = _geometry(tc.outer, tc.inner)
+    return _split_cells(g, _board_of(g, tc.cells), g.inner)
 
 
 def _frames(switch, u, v, *args):
@@ -276,16 +295,60 @@ def test_commute_trace_of_the_live_site_set_is_the_rescans(tmp_path, capsys,
     assert capsys.readouterr().out == live
 
 
-def test_greedy_matches_infusion_and_insertion_beyond_desk_scale():
-    # the N=40 staircase (820 boxes), ten seeded pairs of 30-100 boxes and
-    # one deep two-column pair
+def _seeded_pairs():
+    """Ten seeded pairs of 30-100 boxes."""
     pairs = [_disconnected_pair(seed, 12 + seed % 5, 2 + seed % 3)
              for seed in range(10)]
     assert all(30 <= sum(p.skew.outer) <= 100 for p in pairs)
+    return pairs
+
+
+def test_live_site_set_equals_a_rescan_beyond_desk_scale():
+    # greedy re-tests east edges after an east swap and south edges after a
+    # south one; past the packed pairs its frames and terminal board still
+    # match the rescan's, on the seeded pairs, their images and the N=20
+    # staircase
+    pairs = _seeded_pairs() + [_disconnected_pair(0, 20, 4, cut=1)]
+    n_frames = 0
+    for p in pairs + [rho1_internal(p) for p in pairs]:
+        frames, end = _frames(switching, p.yam, p.skew)
+        assert (frames, end) == _frames(_rescanned_switching, p.yam, p.skew)
+        n_frames += len(frames)
+    assert n_frames == 2504
+
+
+def _counting_site_tests(monkeypatch):
+    """Count the calls of the site test from here on."""
+    calls = [0]
+    admissible = commutor._admissible
+
+    def counting(*args):
+        calls[0] += 1
+        return admissible(*args)
+
+    monkeypatch.setattr(commutor, "_admissible", counting)
+    return calls
+
+
+def test_greedy_tests_only_the_sites_a_swap_can_change(monkeypatch):
+    # a cost record that machine noise cannot move: greedy on the N=20
+    # staircase makes 1,350 site tests (1,756 when every swap re-tested the
+    # east and the south edges of the lines it touched)
+    staircase = _disconnected_pair(0, 20, 4, cut=1)
+    calls = _counting_site_tests(monkeypatch)
+    switching(staircase.yam, staircase.skew)
+    assert calls == [1350]
+
+
+def test_greedy_matches_infusion_and_insertion_beyond_desk_scale():
+    # the N=40 staircase (820 boxes), ten seeded pairs of 30-100 boxes and
+    # two deep two-column pairs
+    pairs = _seeded_pairs()
     pairs.append(_disconnected_pair(0, 40, 4, cut=1))
-    # 1..60 down column 2 over the inner border 1^60
-    pairs.append(glued_pair(SkewTableau((2,) * 60, (1,) * 60,
-                                        [(i,) for i in range(1, 61)])))
+    # 1..n down column 2 over the inner border 1^n
+    pairs += [glued_pair(SkewTableau((2,) * n, (1,) * n,
+                                     [(i,) for i in range(1, n + 1)]))
+              for n in (60, 200)]
     for p in pairs:
         image = rho1_internal(p)
         assert rho1_switching(p) == rho1_switching(p, "infusion") == image
@@ -301,12 +364,13 @@ def _infusion_frames(u, v):
 def test_infusion_slides_by_admissible_switches_to_greedys_board():
     pairs = [(SW_U, SW_V)] + [(p.yam, p.skew) for p in lr_pairs(6)]
     for u, v in pairs:
-        previous = tc = TwoColorTableau.from_pair(u, v)
+        previous = TwoColorTableau.from_pair(u, v)
         for site, cells in _infusion_frames(u, v):
             assert site in switch_sites(previous)
             previous = apply_switch(previous, site)
             assert previous.cells == cells
-        assert previous.cells == _switch(tc.cells)
+        g = _geometry(v.outer, u.inner)
+        assert previous.cells == _cells_of(g, _switch(g, _board(u, v)))
 
 
 def test_infusion_slides_the_largest_letter_first():
@@ -325,7 +389,7 @@ def test_infusion_and_staged_switching_never_read_the_site_list(monkeypatch):
     expected = switching(SW_U, SW_V)
     expected_sd = staged_decomposition(glued_pair(T_STAGED))
 
-    def refuse(cells):
+    def refuse(*board):
         raise AssertionError("the site list was read")
 
     monkeypatch.setattr(commutor, "_find_sites", refuse)
@@ -334,15 +398,15 @@ def test_infusion_and_staged_switching_never_read_the_site_list(monkeypatch):
 
 
 def test_split_cells_rejects_unswitched_members():
-    tc = TwoColorTableau.from_pair(SW_U, SW_V)
+    g = _geometry(SW_V.outer, SW_U.inner)
     with pytest.raises(ValueError, match="did not separate"):
-        _split_cells(tc.outer, tc.inner, tc.cells)
+        _split_cells(g, _board(SW_U, SW_V), g.inner)
     # v-cells under the u-cells: the v-region (0, 2) is not a partition
     u = SkewTableau((2,), (), [(1, 1)])
     v = SkewTableau((2, 2), (2,), [(), (2, 2)])
-    tc = TwoColorTableau.from_pair(u, v)
+    g = _geometry(v.outer, u.inner)
     with pytest.raises(ValueError, match="did not separate.*not weakly decreasing"):
-        _split_cells(tc.outer, tc.inner, tc.cells)
+        _split_cells(g, _board(u, v), g.inner)
 
 
 def test_rho1_switching_running_example():

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import sys
@@ -102,11 +103,41 @@ def test_companion_word_standardisation_invariant():
             assert companion_word(t) == companion_word(standardize(t))
 
 
+def _standard_tableaux(shape) -> list[SkewTableau]:
+    """Every standard filling of the shape, built entry by entry: entry k
+    goes at the end of any row whose filled border it may extend."""
+    outer, inner = shape
+    found = []
+
+    def fill(border, rows, k):
+        if k > shape.size:
+            found.append(SkewTableau(outer, inner, rows))
+        for r, (b, o) in enumerate(zip(border, outer)):
+            if b < o and (r == 0 or border[r - 1] > b):
+                fill(border[:r] + (b + 1,) + border[r + 1:],
+                     rows[:r] + (rows[r] + (k,),) + rows[r + 1:], k + 1)
+
+    fill(inner, ((),) * len(outer), 1)
+    return found
+
+
+@functools.cache
+def _standard_count(outer, inner) -> int:
+    """The number of standard fillings of outer/inner (borders of one
+    length): the largest entry sits in a corner of outer."""
+    if outer == inner:
+        return 1
+    return sum(_standard_count(outer[:r] + (o - 1,) + outer[r + 1:], inner)
+               for r, o in enumerate(outer)
+               if o > inner[r] and (r + 1 == len(outer) or outer[r + 1] < o))
+
+
 def test_companion_word_injective_on_standard_tableaux():
     for shape in all_shapes(8):
-        n = shape.size
-        standard = [t for t in enumerate_ssyt(shape, max(1, n))
-                    if len(set(reading_word(t))) == n]
+        standard = _standard_tableaux(shape)
+        assert len(standard) == _standard_count(*shape)
+        assert all(sorted(reading_word(t)) == list(range(1, shape.size + 1))
+                   for t in standard)
         assert len({companion_word(t) for t in standard}) == len(standard)
 
 

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from lrcommute import commutor, insertion, schur, verify
-from lrcommute.commutor import SwitchSite
 from lrcommute.verify import (_thu_sweep, check_confluence,
                               check_knuth_commutativity, check_lr_oracle,
                               check_recursion, check_route_geometry,
@@ -121,6 +120,23 @@ def test_skew_rsk_inserts_each_prefix_once(monkeypatch):
     assert calls == {"_insert_inplace": 1466, "_uninsert_inplace": 1466}
 
 
+def test_confluence_lists_each_states_sites_once(monkeypatch):
+    # a cost record that machine noise cannot move: the every-order search
+    # tests each candidate switch of each state it meets once, 2,583 site
+    # tests at size 5, as on the dict boards of the earlier engine
+    calls = Counter()
+    admissible = commutor._admissible
+
+    def counting(*args):
+        calls["_admissible"] += 1
+        return admissible(*args)
+
+    monkeypatch.setattr(commutor, "_admissible", counting)
+    rep = check_confluence(max_size=5)
+    assert rep.instances == 1569 and rep.passed
+    assert calls == {"_admissible": 2583}
+
+
 @pytest.mark.parametrize("max_size, word_len, words",
                          [walk[:3] for walk in SMALL_WALKS[1:]])
 def test_knuth_walk_inserts_each_word_once(monkeypatch, max_size, word_len,
@@ -184,14 +200,14 @@ def test_confluence_compares_the_alternative_orders_as_boards(monkeypatch):
     # the failure without splitting it
     find = commutor._find_sites
 
-    def with_a_bad_site(cells):
-        sites = find(cells)
+    def with_a_bad_site(g, board):
+        sites = find(g, board)
         if len(sites) > 1:
-            board = sorted(cells.items())
-            sites += [SwitchSite(cu, cv) for cu, (_x, a) in board if a == "u"
-                      for cv, (_y, b) in board if b == "v"
-                      and cv[0] >= cu[0] and cv[1] >= cu[1]
-                      and SwitchSite(cu, cv) not in sites][:1]
+            cell = [commutor._cell(g, i) for i in range(len(board) - 1)]
+            sites += [(iu, iv) for iu, a in enumerate(board) if a > 0
+                      for iv, b in enumerate(board) if b < 0
+                      and cell[iv][0] >= cell[iu][0] and cell[iv][1] >= cell[iu][1]
+                      and (iu, iv) not in sites][:1]
         return sites
 
     monkeypatch.setattr(commutor, "_find_sites", with_a_bad_site)
@@ -207,7 +223,7 @@ def test_confluence_flags_an_unslid_infusion(monkeypatch):
     # 125 with both members non-empty (u = (2)/(1) under v = (2, 1)/(2), say,
     # admits no switch)
     monkeypatch.setattr(verify, "_infuse",
-                        lambda board, order, on_frame=None: dict(board))
+                        lambda g, board, order, on_frame=None: list(board))
     monkeypatch.setattr(verify, "MAX_STORED_FAILURES", 10**6)
     rep = check_confluence(max_size=4)
     assert rep.instances == 341 and len(rep.failures) == 113
@@ -239,19 +255,22 @@ def test_recursion_records_the_pairs_that_raise(monkeypatch):
     # a slide that takes the east neighbour on ties breaks staged switching,
     # which then raises on some pairs: each such pair fails, and the sweep
     # still walks every pair
-    def infuse_east_on_ties(board, order, on_frame=None):
-        cells = dict(board)
-        for r, c in order:
+    def infuse_east_on_ties(g, board, order, on_frame=None):
+        board = list(board)
+        for cell in order:
+            i = commutor._index(g, cell)
             while True:
-                south, east = (e[0] if e and e[1] == "v" else commutor._TOP
-                               for e in (cells.get((r + 1, c)),
-                                         cells.get((r, c + 1))))
-                if south == east == commutor._TOP:
+                # v-letters are negative: of two, the smaller letter is larger
+                s, e = g.south[i], g.east[i]
+                if board[e] < 0 and (board[e] >= board[s] or board[s] >= 0):
+                    j = e
+                elif board[s] < 0:
+                    j = s
+                else:
                     break
-                cv = (r + 1, c) if south < east else (r, c + 1)
-                commutor._swap(cells, (r, c), cv)
-                r, c = cv
-        return cells
+                board[i], board[j] = board[j], board[i]
+                i = j
+        return board
 
     assert check_recursion(max_size=6).passed
     monkeypatch.setattr(commutor, "_infuse", infuse_east_on_ties)
@@ -334,7 +353,7 @@ def test_a_raising_kernel_fails_its_instances_not_the_sweep(
     # fails, with the exception's type and message, and the sweep goes on
     if kernel == "switch":
         monkeypatch.setattr(commutor, "_admissible", _raising_at_row_3(
-            commutor._admissible, lambda cells, cu, cv: cu[0]))
+            commutor._admissible, lambda g, board, iu, iv: commutor._cell(g, iu)[0]))
     else:
         broken = _raising_at_row_3(insertion._insert_inplace,
                                    lambda inner, rows, i: i)
