@@ -237,15 +237,9 @@ def switch_sites(t: TwoColorTableau) -> list[SwitchSite]:
 
 def apply_switch(t: TwoColorTableau, s: SwitchSite) -> TwoColorTableau:
     """Interchange the letters at an admissible site."""
-    cu, cv = s
-    if cv not in ((cu[0], cu[1] + 1), (cu[0] + 1, cu[1])):
-        raise ValueError(f"cells {cu} and {cv} are not adjacent")
-    cells = dict(t.cells)
-    if cells.get(cu, (0, ""))[1] != "u" or cells.get(cv, (0, ""))[1] != "v":
+    if s not in switch_sites(t):
         raise ValueError(f"site {s} is not admissible")
-    g = _geometry(t.outer, t.inner)
-    if not _admissible(g, _board_of(g, cells), _index(g, cu), _index(g, cv)):
-        raise ValueError(f"site {s} is not admissible")
+    (cu, cv), cells = s, dict(t.cells)
     cells[cu], cells[cv] = cells[cv], cells[cu]
     return TwoColorTableau._fast(t.outer, t.inner, cells)
 
