@@ -174,6 +174,19 @@ def _cells_of(g: _Geometry, board) -> dict:
             for c, x in zip(range(a + 1, b + 1), board[s:s + b - a])}
 
 
+def _framer(g: _Geometry, board, on_frame: Callable) -> Callable:
+    """``frame(i, j)``, to call after each swap of cells i and j of the
+    board: it passes ``on_frame`` the site and a copy of the board's cells,
+    kept in step by the swaps."""
+    cells = _cells_of(g, board)
+
+    def frame(i, j):
+        site = SwitchSite(_cell(g, i), _cell(g, j))
+        cells[site.cell_u], cells[site.cell_v] = cells[site.cell_v], cells[site.cell_u]
+        on_frame(site, dict(cells))
+    return frame
+
+
 def _admissible(g: _Geometry, board, iu: int, iv: int) -> bool:
     """Whether swapping u-letter a at cell iu with v-letter b east or south of
     it keeps both colour classes valid.  The state is valid, so only the
@@ -292,6 +305,7 @@ def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
     cols = [set() for _ in range(max(g.outer, default=0) + 2)]
     rows = [set() for _ in range(len(g.outer) + 2)]
     sites: list = []
+    frame = on_frame and _framer(g, board, on_frame)
     retest = [e for iu, x in enumerate(board) if x > 0
               for e, iv in ((2 * iu, east[iu]), (2 * iu + 1, south[iu])) if board[iv] < 0]
     for e in retest:
@@ -313,8 +327,8 @@ def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
         iu = e >> 1
         iv = south[iu] if e & 1 else east[iu]
         board[iu], board[iv] = board[iv], board[iu]
-        if on_frame is not None:
-            on_frame(SwitchSite(_cell(g, iu), _cell(g, iv)), _cells_of(g, board))
+        if frame:
+            frame(iu, iv)
         # iu, at (r, c), now holds a v-letter and iv a u-letter: the edges
         # out of iu and into iv go, those into iu and out of iv may come
         r, c = _cell(g, iu)
@@ -372,6 +386,7 @@ def _infuse(g: _Geometry, board, order, on_frame: Callable | None = None) -> lis
     neither.  Such a move is always an admissible switch, so none is tested."""
     board = list(board)
     east, south = g.east, g.south
+    frame = on_frame and _framer(g, board, on_frame)
     for cell in order:
         i = _index(g, cell)
         while True:
@@ -384,8 +399,8 @@ def _infuse(g: _Geometry, board, order, on_frame: Callable | None = None) -> lis
             else:
                 break
             board[i], board[j] = board[j], board[i]
-            if on_frame is not None:
-                on_frame(SwitchSite(_cell(g, i), _cell(g, j)), _cells_of(g, board))
+            if frame:
+                frame(i, j)
             i = j
     return board
 

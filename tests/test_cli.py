@@ -366,14 +366,21 @@ def test_golden_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("argv", [["commute"], ["insert", "1"]])
-def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv", [["commute", "FILE"], ["insert", "FILE", "1"],
+                                  ["commute", "-"]])
+def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    # a file is read as UTF-8, and so is stdin under a UTF-8 locale, whose
+    # decoder is strict
     f = tmp_path / "latin1.txt"
     f.write_bytes(b"\xff 1\n")
-    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(f.read_bytes()),
+                                                      encoding="utf-8"))
+    argv = [str(f) if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == (f"error: cannot read {f}: 'utf-8' codec can't decode byte "
-                   "0xff in position 0: invalid start byte\n")
+    assert err == (f"error: cannot read {argv[1]}: 'utf-8' codec can't decode "
+                   "byte 0xff in position 0: invalid start byte\n")
 
 
 def test_usage_error_exit_code(capsys):
