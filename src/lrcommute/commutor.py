@@ -90,8 +90,9 @@ class TwoColorTableau:
 
     @classmethod
     def from_pair(cls, u: SkewTableau, v: SkewTableau) -> "TwoColorTableau":
-        g = _geometry(v.outer, u.inner)
-        return cls._fast(v.outer, as_partition(u.inner), _cells_of(g, _board(u, v)))
+        board = _board(u, v)
+        return cls._fast(v.outer, as_partition(u.inner),
+                         _cells_of(_geometry(v.outer, u.inner), board))
 
     def __eq__(self, other):
         if not isinstance(other, TwoColorTableau):
