@@ -231,13 +231,13 @@ def _admissible(g: _Geometry, board, iu: int, iv: int) -> bool:
 def _find_sites(g: _Geometry, board) -> list[tuple[int, int]]:
     """The admissible switches (iu, iv), a u-cell and a v-cell east or south
     of it, sorted: row-major by the u-cell, east before south."""
-    sites = []
-    for iu, (x, e, s) in enumerate(zip(board, g.east, g.south)):
+    east, south, sites = g.east, g.south, []
+    for iu, x in enumerate(board):
         if x > 0:
-            if board[e] < 0 and _admissible(g, board, iu, e):
-                sites.append((iu, e))
-            if board[s] < 0 and _admissible(g, board, iu, s):
-                sites.append((iu, s))
+            if board[east[iu]] < 0 and _admissible(g, board, iu, east[iu]):
+                sites.append((iu, east[iu]))
+            if board[south[iu]] < 0 and _admissible(g, board, iu, south[iu]):
+                sites.append((iu, south[iu]))
     return sites
 
 
