@@ -4,9 +4,9 @@
 greedy order or in the jeu-de-taquin "infusion" order.  The second way is a
 row program: ``row_program`` lists, row block by row block, the internal row
 insertions and row appends that build the image from the empty tableau, and
-``run_row_program`` executes them in place.
+``run_row_program`` executes them in place, a block's appends as one run.
 ``rho1_internal`` and ``rho1_scratch`` are that one run, the former also
-checking the route claim on every row block.
+checking the route claim on every row block against the traces it keeps.
 
 Every switch order runs on one flat board: a list (a tuple once frozen) of
 signed values over the shape's cells in row-major order, u-letters positive
@@ -127,8 +127,10 @@ def _geometry(outer, inner) -> _Geometry:
     for a, b in zip(inner, outer):
         starts.append(starts[-1] + b - a)
     n = starts[-1]  # the arrays run to the sentinel, whose entries no walk reads
+    # every array holds the int objects of idx, where idx[j + 1] == j
+    idx = list(range(-1, n + 2))
     north, south = [n] * (n + 1), [n] * (n + 1)
-    west, east = list(range(-1, n)), list(range(1, n + 2))
+    west, east = idx[:n + 1], idx[2:]
     for k in starts:  # each row's first cell and the last of the row before
         west[k] = east[k - 1] = n
     for k in range(1, len(outer)):
@@ -136,8 +138,8 @@ def _geometry(outer, inner) -> _Geometry:
         # row k - 1 from its first cell, row k from the cell under that one
         top, bot = starts[k - 1], starts[k] + inner[k - 1] - inner[k]
         m = max(outer[k] - inner[k - 1], 0)
-        north[bot:bot + m] = range(top, top + m)
-        south[top:top + m] = range(bot, bot + m)
+        north[bot:bot + m] = idx[top + 1:top + 1 + m]
+        south[top:top + m] = idx[bot + 1:bot + 1 + m]
     return _Geometry(tuple(outer), inner, starts, north, south, west, east)
 
 
@@ -516,21 +518,50 @@ class RowStep(NamedTuple):
     i: int
 
 
-def row_program(t: SkewTableau) -> Iterator[RowStep]:
-    """The operator program of a ballot tableau, one block per row: for row
-    n, insert its h_n letters n, insert its letters below n right to left,
-    then append n once per inner cell of row n."""
+def _blocks(t: SkewTableau) -> Iterator[tuple[int, list[int], int]]:
+    """The row program's blocks, one per row n: (n, the rows it inserts at,
+    how many n's it appends).  Block n inserts its h_n letters n, then its
+    letters below n right to left, then appends n per inner cell of row n."""
     for k, row in enumerate(t.rows):
         n = k + 1
         if row and row[-1] > n:
             raise ValueError(f"row {n} holds a letter above {n}")
         v_word = [x for x in row if x < n]
-        for _ in range(len(row) - len(v_word)):
-            yield RowStep(n, "insert", n)
-        for x in reversed(v_word):
-            yield RowStep(n, "insert", x)
-        for _ in range(t.inner[k]):
+        yield n, [n] * (len(row) - len(v_word)) + v_word[::-1], t.inner[k]
+
+
+def row_program(t: SkewTableau) -> Iterator[RowStep]:
+    """The operator program of a ballot tableau, one block per row (see
+    ``_blocks``), letter by letter."""
+    for n, word, appends in _blocks(t):
+        for i in word:
+            yield RowStep(n, "insert", i)
+        for _ in range(appends):
             yield RowStep(n, "append", n)
+
+
+def _run_blocks(t: SkewTableau, on_step: Callable | None = None):
+    """``run_row_program``, also returning each block's row and the traces
+    of its row-word insertions (its letters below the row)."""
+    inner: list[int] = []
+    rows: list[list[int]] = []
+    state = (inner, rows)
+    routes = []
+    for n, word, appends in _blocks(t):
+        traces = []
+        for i in word:
+            trace = _insert_inplace(inner, rows, i)
+            if i < n:
+                traces.append(trace)
+            if on_step is not None:
+                on_step(RowStep(n, "insert", i), trace, state)
+        run = appends if on_step is None else 1
+        for _ in range(0, appends, run or 1):
+            _append_inplace(inner, rows, n, run)
+            if on_step is not None:
+                on_step(RowStep(n, "append", n), None, state)
+        routes.append((n, traces))
+    return _freeze(inner, rows), routes
 
 
 def run_row_program(t: SkewTableau,
@@ -539,22 +570,13 @@ def run_row_program(t: SkewTableau,
     of the commutor image.
 
     The state is kept in parallel mutable (inner, rows) lists and frozen
-    once at the end.  After each step, ``on_step(step, trace, state)``
-    receives the step, its insertion trace (None for an append) and the live
-    lists, which a callback that keeps them must copy.
+    once at the end.  Each insertion is one kernel call; a block's appends
+    are one run, checked once.  Given ``on_step``, steps run one at a time:
+    after each, ``on_step(step, trace, state)`` receives the ``RowStep``,
+    its insertion trace (None for an append) and the live lists, which a
+    callback that keeps them must copy.
     """
-    inner: list[int] = []
-    rows: list[list[int]] = []
-    state = (inner, rows)
-    for step in row_program(t):
-        if step.op == "insert":
-            trace = _insert_inplace(inner, rows, step.i)
-        else:
-            trace = None
-            _append_inplace(inner, rows, step.i)
-        if on_step is not None:
-            on_step(step, trace, state)
-    return _freeze(inner, rows)
+    return _run_blocks(t, on_step)[0]
 
 
 def _assert_route_claim(traces: list[InsertionTrace], row: int):
@@ -576,17 +598,8 @@ def rho1_internal(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
     """The commutor by the row program, checking the route claim on every
     row block; ``on_step`` is passed to ``run_row_program``."""
     _require_lr_pair(p)
-    by_row: dict[int, list[InsertionTrace]] = {}
-
-    def file_route(step: RowStep, trace, state):
-        # the row-word insertions of a block are its letters below the row
-        if step.op == "insert" and step.i < step.row:
-            by_row.setdefault(step.row, []).append(trace)
-        if on_step is not None:
-            on_step(step, trace, state)
-
-    skew = run_row_program(p.skew, file_route)
-    for row, traces in by_row.items():
+    skew, routes = _run_blocks(p.skew, on_step)
+    for row, traces in routes:
         _assert_route_claim(traces, row)
     return glued_pair(skew)
 

@@ -172,16 +172,17 @@ def _uninsert_inplace(inner: list, rows: list, cell: Cell) -> Cell:
         k -= 1
 
 
-def _append_inplace(inner: list, rows: list, i: int) -> None:
-    """Append one letter i at the end of row i (a new last row when i is one
-    past it) on parallel mutable lists.  Only the new cell is checked, against
-    what it can break: the partition shape, its left neighbour and the cell
-    above it."""
+def _append_inplace(inner: list, rows: list, i: int, count: int = 1) -> None:
+    """Append a run of ``count`` letters i at the end of row i (a new last
+    row when i is one past it) on parallel mutable lists.  The run is
+    checked once, against what it can break: the partition shape at its
+    last new cell, weak increase at its first, and the column under its
+    last, since row i - 1 weakly increases."""
     n = len(inner)
     if not 1 <= i <= n + 1:
         raise ValueError(f"row {i} out of range for appending")
     row = rows[i - 1] if i <= n else []
-    col = (inner[i - 1] if i <= n else 0) + len(row) + 1
+    col = (inner[i - 1] if i <= n else 0) + len(row) + count
     why = None
     if i > 1 and inner[i - 2] + len(rows[i - 2]) < col:
         why = f"row {i} would outgrow row {i - 1}"
@@ -193,9 +194,9 @@ def _append_inplace(inner: list, rows: list, i: int) -> None:
         raise ValueError(f"appending {i} to row {i} breaks the tableau: {why}")
     if i > n:
         inner.append(0)
-        rows.append([i])
+        rows.append([i] * count)
     else:
-        row.append(i)
+        row += [i] * count
 
 
 def _thaw(t: SkewTableau) -> tuple[list[int], list[list[int]]]:

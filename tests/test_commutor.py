@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -9,8 +10,10 @@ from lrcommute.commutor import (SwitchSite, TwoColorTableau, _board,
                                 _switch, _terminals, apply_switch, chi_append,
                                 gt_order_word, nu_hat,
                                 rho1_internal, rho1_scratch, rho1_switching,
+                                row_program, run_row_program,
                                 staged_decomposition, switch_sites, switching)
-from lrcommute.insertion import GluedPair, glued_pair
+from lrcommute.insertion import (GluedPair, _append_inplace, _freeze,
+                                 _insert_inplace, glued_pair)
 from lrcommute.knuth import p_tableau_rows
 from lrcommute.tableaux import (EMPTY, SkewTableau, empty_of_shape, glue,
                                 reading_word, subpartitions, tableau_content,
@@ -512,6 +515,81 @@ def test_rho1_scratch_normal_shape():
     out = rho1_scratch(p)
     assert out.yam == yamanouchi_tableau(nu)
     assert out.skew == empty_of_shape(nu)
+
+
+def _per_letter_run(t, on_step=None):
+    # the reference executor: row_program's steps through the kernels one
+    # at a time, one append call per letter
+    inner, rows = [], []
+    state = (inner, rows)
+    for step in row_program(t):
+        if step.op == "insert":
+            trace = _insert_inplace(inner, rows, step.i)
+        else:
+            trace = None
+            _append_inplace(inner, rows, step.i)
+        if on_step is not None:
+            on_step(step, trace, state)
+    return _freeze(inner, rows)
+
+
+def _observed(run, t):
+    seen = []
+    end = run(t, lambda step, trace, state: seen.append((step, trace, _freeze(*state))))
+    return seen, end
+
+
+def test_block_executor_matches_the_per_letter_run():
+    pairs = list(lr_pairs(7)) + _seeded_pairs()
+    for p in pairs + [rho1_switching(p) for p in pairs]:
+        assert run_row_program(p.skew) == _per_letter_run(p.skew)
+        assert _observed(run_row_program, p.skew) == _observed(_per_letter_run, p.skew)
+
+
+def _lowering(kernel, k):
+    # the kernel, except that the trace of its k-th call (from 0) ends a
+    # row lower
+    calls = itertools.count()
+
+    def insert(inner, rows, i):
+        trace = kernel(inner, rows, i)
+        if next(calls) == k:
+            r, c = trace.created
+            trace = trace._replace(created=(r + 1, c))
+        return trace
+    return insert
+
+
+def test_rho1_internal_checks_the_route_of_every_block(monkeypatch):
+    pair = glued_pair(T_RUNNING)
+    expected = rho1_scratch(pair)
+    inserts = [s for s in row_program(T_RUNNING) if s.op == "insert"]
+    # the call number of each block's last row-word insertion
+    last = {s.row: k for k, s in enumerate(inserts) if s.i < s.row}
+    assert sorted(last) == [2, 3, 4, 5]
+    kernel = commutor._insert_inplace
+    for row, k in last.items():
+        monkeypatch.setattr(commutor, "_insert_inplace", _lowering(kernel, k))
+        with pytest.raises(ValueError, match=f"bumping route ended in row "
+                                             f"{row + 1}, expected {row}"):
+            rho1_internal(pair)
+        monkeypatch.setattr(commutor, "_insert_inplace", _lowering(kernel, k))
+        assert rho1_scratch(pair) == expected
+
+
+def test_scratch_appends_once_per_row_with_an_inner_part(monkeypatch):
+    # a count that machine noise cannot move: over lr_pairs(6), rho1_scratch
+    # calls the append kernel once per row with a nonzero inner part, 507
+    # times; letter by letter it made one call per inner cell, 773
+    calls = []
+    append = commutor._append_inplace
+    monkeypatch.setattr(commutor, "_append_inplace",
+                        lambda *args: calls.append(1) or append(*args))
+    pairs = list(lr_pairs(6))
+    for p in pairs:
+        rho1_scratch(p)
+    assert sum(sum(p.skew.inner) for p in pairs) == 773
+    assert len(calls) == sum(1 for p in pairs for m in p.skew.inner if m) == 507
 
 
 def test_rho1_final_example_gluing():

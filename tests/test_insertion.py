@@ -1,6 +1,7 @@
 import pytest
 
-from lrcommute.insertion import (GluedPair, _insert_inplace, _uninsert_inplace,
+from lrcommute.insertion import (GluedPair, _append_inplace, _insert_inplace,
+                                 _uninsert_inplace,
                                  apply_order_word, extended_insert,
                                  glued_pair, inner_corners, internal_insert,
                                  is_lr_pair, lr_violation, order_word_steps,
@@ -92,6 +93,40 @@ def test_uninsert_undoes_insert():
             trace = _insert_inplace(inner, rows, i)
             assert _uninsert_inplace(inner, rows, trace.created) == trace.vacated
             assert (inner, rows) == (list(t.inner), [list(r) for r in t.rows])
+
+
+def _append_one_at_a_time(inner, rows, i, count):
+    for _ in range(count):
+        _append_inplace(inner, rows, i)
+
+
+@pytest.mark.parametrize("inner, rows, i, count, why", [
+    # the last cell outgrows row i - 1 by one, in row 2 and in a new row 3
+    ([0, 0], [[1, 1, 1], [2]], 2, 3, "row 2 would outgrow row 1"),
+    ([1, 0], [[1, 1], [2, 2]], 3, 3, "row 3 would outgrow row 2"),
+    # the last cell meets an entry >= i above it, under no border and one
+    ([0, 0], [[1, 1, 2], [2]], 2, 2, "column 3 not strictly increasing at row 2"),
+    ([1, 1], [[1, 1, 2], [2]], 2, 2, "column 4 not strictly increasing at row 2"),
+    # the first cell breaks weak increase
+    ([0, 0], [[1, 1, 1, 1], [3]], 2, 2, "row 2 not weakly increasing"),
+])
+def test_an_append_run_checks_its_first_and_last_cells(inner, rows, i, count, why):
+    # a run is checked once, and says what appending letter by letter says
+    message = f"appending {i} to row {i} breaks the tableau: {why}"
+    for append in (_append_inplace, _append_one_at_a_time):
+        state = (list(inner), [list(r) for r in rows])
+        with pytest.raises(ValueError) as exc:
+            append(*state, i, count)
+        assert str(exc.value) == message
+    # the run one cell shorter is accepted, as it is letter by letter
+    if why.endswith("weakly increasing"):
+        return
+    run = (list(inner), [list(r) for r in rows])
+    _append_inplace(*run, i, count - 1)
+    one_at_a_time = (list(inner), [list(r) for r in rows])
+    _append_one_at_a_time(*one_at_a_time, i, count - 1)
+    assert run == one_at_a_time
+    assert run[1][i - 1][-(count - 1):] == [i] * (count - 1)
 
 
 def test_internal_insert_preserves_knuth_and_ballot():
