@@ -596,7 +596,7 @@ def _assert_route_claim(traces: list[InsertionTrace], row: int):
 
 def rho1_internal(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
     """The commutor by the row program, checking the route claim on every
-    row block; ``on_step`` is passed to ``run_row_program``."""
+    row block; ``on_step`` is as for ``run_row_program``."""
     _require_lr_pair(p)
     skew, routes = _run_blocks(p.skew, on_step)
     for row, traces in routes:
