@@ -14,8 +14,8 @@ and v-letters negative, then a sentinel 0.  Its ``_Geometry`` holds each
 cell's four neighbours, the sentinel past the edge.  ``_admissible`` is the
 one site test: each colour class stays a valid filling at every switch
 (Benkart-Sottile-Stroomer), so only the order relations a switch creates
-are tested.  Greedy runs ``_switch``, which keeps the sorted sites live and
-re-tests only those on the lines a swap changed; ``_terminals`` walks every
+are tested.  Greedy runs ``_switch``, which tests each edge a swap may have
+changed only once it comes first on a heap; ``_terminals`` walks every
 order, for the confluence sweep.  Infusion (reverse standard order,
 Thomas-Yong) and staged switching (``staged_decomposition``: one Yamanouchi
 row at a time, bottom-up) slide by jeu de taquin in ``_infuse``.  The
@@ -24,7 +24,8 @@ public ``TwoColorTableau`` holds a board as a dict of cells.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
+from heapq import heappop, heappush
 from itertools import zip_longest
 from typing import Callable, Iterator, NamedTuple
 
@@ -289,69 +290,78 @@ def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
     """Switch a copy of the board at the first site row-major until none
     remains; returns the terminal board.
 
-    The sites stay live, sorted as ``_find_sites`` lists them, instead of
-    being rescanned.  A swap changes only its two cells: it drops the
-    candidate edges at them and tests their new ones at once.  Of the other
-    edges it re-tests those whose walks cross a line whose values changed.
-    An east edge at u-cell (r, c) walks only columns c and c + 1, a south
-    one only rows r + 1 and r.  An east swap trades two letters within row
-    r, so each walk along a row meets the same values as before: only the
-    east edges in columns c - 1 to c + 1 are re-tested.  After a south swap,
-    by the same argument, only the south edges in rows r - 1 to r + 1."""
+    Each candidate edge is in state 0 (not a site, or tested inadmissible
+    since), 1 (to test) or 2 (a known site).  Those in state 1 or 2 are on a
+    heap, and the first that tests admissible is the next site.  A swap drops
+    the edges at its two cells and marks to test its new ones and the old
+    ones whose walks cross a line whose values changed.  An east edge at
+    u-cell (r, c) walks only columns c and c + 1, a south one only rows r + 1
+    and r.  An east swap trades two letters within row r, so no walk along a
+    row meets new values: it marks the east edges in columns c - 1 to c + 1;
+    a south swap, the south edges in rows r - 1 to r + 1.  So every admissible
+    edge is on the heap in state 1 or 2, and one in state 0 is inadmissible,
+    as nothing it reads has changed: the frames are a rescan's."""
     board = list(board)
     east, south, west, north = g.east, g.south, g.west, g.north
-    # edge 2i is the u-cell i and the v-cell east of it, 2i + 1 the one
-    # south: edges sort as _find_sites lists sites
-    ok = [False] * (2 * len(board))  # admissible, by edge
-    # the candidate edges on each line: east ones by their u-cell's column,
-    # south ones by its row
-    cols = [set() for _ in range(max(g.outer, default=0) + 2)]
+    # each cell's row and column, 1-based, sharing int objects as _geometry's
+    idx = list(range(max(g.outer, default=0) + 2))
+    row, col = [], []
+    for r, (a, b) in enumerate(zip(g.inner, g.outer), 1):
+        row += [r] * (b - a)
+        col += idx[a + 1:b + 1]
+    # the candidate edges: east ones by their u-cell's column, south by row
+    cols = [set() for _ in idx]
     rows = [set() for _ in range(len(g.outer) + 2)]
-    sites: list = []
+    # edge 2i is the u-cell i and the v-cell east of it, 2i + 1 the one
+    # south: edges sort as _find_sites lists sites, so this list is a heap
+    heap = [e for iu, x in enumerate(board) if x > 0
+            for e, iv in ((2 * iu, east[iu]), (2 * iu + 1, south[iu])) if board[iv] < 0]
+    state = bytearray(2 * len(board))  # by edge, as above
+    for e in heap:
+        state[e] = 1
+        (rows[row[e >> 1]] if e & 1 else cols[col[e >> 1]]).add(e)
     frame = on_frame and _framer(g, board, on_frame)
-    retest = [e for iu, x in enumerate(board) if x > 0
-              for e, iv in ((2 * iu, east[iu]), (2 * iu + 1, south[iu])) if board[iv] < 0]
-    for e in retest:
-        r, c = _cell(g, e >> 1)
-        (rows[r] if e & 1 else cols[c]).add(e)
     while True:
-        for e in retest:
+        while heap:
+            e = heap[0]
             iu = e >> 1
-            now = _admissible(g, board, iu, south[iu] if e & 1 else east[iu])
-            if now != ok[e]:
-                ok[e] = now
-                if now:
-                    insort(sites, e)
-                else:
-                    del sites[bisect_left(sites, e)]
-        if not sites:
+            iv = south[iu] if e & 1 else east[iu]
+            if state[e] == 1:
+                state[e] = 2 * _admissible(g, board, iu, iv)
+            if state[e]:
+                break
+            heappop(heap)
+        else:
             return board
-        e = sites[0]
-        iu = e >> 1
-        iv = south[iu] if e & 1 else east[iu]
         board[iu], board[iv] = board[iv], board[iu]
         if frame:
             frame(iu, iv)
-        # iu, at (r, c), now holds a v-letter and iv a u-letter: the edges
-        # out of iu and into iv go, those into iu and out of iv may come
-        r, c = _cell(g, iu)
-        r2, c2 = (r + 1, c) if e & 1 else (r, c + 1)
-        for d, line in ((2 * iu, cols[c]), (2 * iu + 1, rows[r]),
-                        (2 * west[iv], cols[c2 - 1]), (2 * north[iv] + 1, rows[r2 - 1])):
-            line.discard(d)
-            if ok[d]:
-                ok[d] = False
-                del sites[bisect_left(sites, d)]
-        new = [(d, line) for d, line, here in (
-            (2 * west[iu], cols[c - 1], board[west[iu]] > 0),
-            (2 * north[iu] + 1, rows[r - 1], board[north[iu]] > 0),
-            (2 * iv, cols[c2], board[east[iv]] < 0),
-            (2 * iv + 1, rows[r2], board[south[iv]] < 0)) if here]
-        for d, line in new:
-            line.add(d)
+        # iu now holds a v-letter, iv a u-letter: edges out of iu, into iv go
+        r, c = row[iu], col[iu]
+        wu, nu, wv, nv = west[iu], north[iu], west[iv], north[iv]
+        state[2 * iu] = state[2 * iu + 1] = state[2 * wv] = state[2 * nv + 1] = 0
+        cols[c].discard(2 * iu)
+        rows[r].discard(2 * iu + 1)
+        cols[col[iv] - 1].discard(2 * wv)
+        rows[row[iv] - 1].discard(2 * nv + 1)
         lines, k = (rows, r) if e & 1 else (cols, c)
-        retest = [d for line in lines[k - 1:k + 2] for d in line]
-        retest += [d for d, _line in new if (d ^ e) & 1]  # the other direction
+        marked = [*lines[k - 1], *lines[k], *lines[k + 1]]
+        if board[wu] > 0:
+            cols[c - 1].add(2 * wu)
+            marked.append(2 * wu)
+        if board[nu] > 0:
+            rows[r - 1].add(2 * nu + 1)
+            marked.append(2 * nu + 1)
+        if board[east[iv]] < 0:
+            cols[col[iv]].add(2 * iv)
+            marked.append(2 * iv)
+        if board[south[iv]] < 0:
+            rows[row[iv]].add(2 * iv + 1)
+            marked.append(2 * iv + 1)
+        for d in marked:
+            if not state[d]:
+                heappush(heap, d)
+            state[d] = 1
 
 
 def _successors(g: _Geometry, board) -> list[tuple]:

@@ -6,8 +6,9 @@ import pytest
 
 from lrcommute import cli, commutor
 from lrcommute.commutor import (SwitchSite, TwoColorTableau, _board,
-                                _board_of, _cells_of, _geometry, _split_cells,
-                                _switch, _terminals, apply_switch, chi_append,
+                                _board_of, _cells_of, _find_sites, _geometry,
+                                _split_cells, _switch, _terminals,
+                                apply_switch, chi_append,
                                 gt_order_word, nu_hat,
                                 rho1_internal, rho1_scratch, rho1_switching,
                                 row_program, run_row_program,
@@ -320,32 +321,83 @@ def test_live_site_set_equals_a_rescan_beyond_desk_scale():
     assert n_frames == 2504
 
 
-def test_greedy_tests_only_the_sites_a_swap_can_change(monkeypatch):
-    # a cost record that machine noise cannot move: greedy on the N=20
-    # staircase makes 1,350 site tests (1,756 when every swap re-tested the
-    # east and the south edges of the lines it touched)
-    staircase = _disconnected_pair(0, 20, 4, cut=1)
+def _deep_pair(n: int) -> GluedPair:
+    """The deep two-column pair: 1..n down column 2 over the inner border
+    1^n."""
+    return glued_pair(SkewTableau((2,) * n, (1,) * n,
+                                  [(i,) for i in range(1, n + 1)]))
+
+
+def _site_tests(monkeypatch, p: GluedPair) -> int:
     calls = []
     admissible = commutor._admissible
     monkeypatch.setattr(commutor, "_admissible",
                         lambda *args: calls.append(1) or admissible(*args))
-    switching(staircase.yam, staircase.skew)
-    assert len(calls) == 1350
+    switching(p.yam, p.skew)
+    monkeypatch.setattr(commutor, "_admissible", admissible)
+    return len(calls)
+
+
+def test_greedy_tests_only_the_sites_a_swap_can_change(monkeypatch):
+    # a cost record that machine noise cannot move: greedy on the N=20
+    # staircase makes 830 site tests (1,350 when every swap re-tested the
+    # marked edges at once, 1,756 when it re-tested the east and the south
+    # edges of the lines it touched)
+    staircase = _disconnected_pair(0, 20, 4, cut=1)
+    assert _site_tests(monkeypatch, staircase) == 830
+    # the deep pairs test 2n - 1 sites (1,889 and 20,299 when every swap
+    # re-tested the marked edges at once)
+    assert [_site_tests(monkeypatch, _deep_pair(n)) for n in (60, 200)] == [119, 399]
 
 
 def test_greedy_matches_infusion_and_insertion_beyond_desk_scale():
     # the N=40 staircase (820 boxes), ten seeded pairs of 30-100 boxes and
-    # two deep two-column pairs
+    # four deep two-column pairs
     pairs = _seeded_pairs()
     pairs.append(_disconnected_pair(0, 40, 4, cut=1))
-    # 1..n down column 2 over the inner border 1^n
-    pairs += [glued_pair(SkewTableau((2,) * n, (1,) * n,
-                                     [(i,) for i in range(1, n + 1)]))
-              for n in (60, 200)]
+    pairs += [_deep_pair(n) for n in (60, 200, 400, 1500)]
     for p in pairs:
         image = rho1_internal(p)
         assert rho1_switching(p) == rho1_switching(p, "infusion") == image
         assert rho1_switching(image) == p
+
+
+def test_greedy_on_a_board_with_no_site_returns_an_equal_copy():
+    # the empty board, a terminal board and a lone member admit no switch
+    g = _geometry(SW_V.outer, SW_U.inner)
+    lone = yamanouchi_tableau((2, 1)), empty_of_shape((2, 1))
+    frames = []
+    for g, board in ((_geometry((), ()), [0]),
+                     (g, _switch(g, _board(SW_U, SW_V))),
+                     (_geometry((2, 1), ()), _board(*lone))):
+        assert _find_sites(g, board) == []
+        end = _switch(g, board, lambda *frame: frames.append(frame))
+        assert end == board and end is not board and frames == []
+
+
+def test_greedy_never_mutates_the_board_it_is_given():
+    pairs = [(SW_U, SW_V)] + [(p.yam, p.skew) for p in
+                              (_deep_pair(20), _disconnected_pair(0, 20, 4, cut=1))]
+    for u, v in pairs:
+        g = _geometry(v.outer, u.inner)
+        board = _board(u, v)
+        given = list(board)
+        end = _switch(g, board)
+        assert board == given and end != board
+        assert _switch(g, tuple(board)) == end
+
+
+def test_commute_trace_of_a_deep_pair_is_the_rescans(tmp_path, capsys,
+                                                     monkeypatch):
+    f = tmp_path / "deep.json"
+    f.write_text(json.dumps(to_json_dict(_deep_pair(60).skew)))
+    argv = ["--format", "json", "commute", str(f), "--trace"]
+    assert cli.main(argv) == 0
+    live = capsys.readouterr().out
+    assert len(json.loads(live.splitlines()[1])) == 60  # one swap a row
+    monkeypatch.setattr(commutor, "switching", _rescanned_switching)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == live
 
 
 def _infusion_frames(u, v):
