@@ -290,16 +290,16 @@ def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
     """Switch a copy of the board at the first site row-major until none
     remains; returns the terminal board.
 
-    Each candidate edge is in state 0 (not a site, or tested inadmissible
-    since), 1 (to test) or 2 (a known site).  Those in state 1 or 2 are on a
-    heap, and the first that tests admissible is the next site.  A swap drops
-    the edges at its two cells and marks to test its new ones and the old
-    ones whose walks cross a line whose values changed.  An east edge at
+    Each candidate edge is in state 1 (to test) or 0 (not a site, or tested
+    inadmissible since).  Those in state 1 are on a heap, among stale entries
+    in state 0, and the first that tests admissible is the next site.  A swap
+    drops the edges at its two cells and marks to test its new ones and the
+    old ones whose walks cross a line whose values changed.  An east edge at
     u-cell (r, c) walks only columns c and c + 1, a south one only rows r + 1
     and r.  An east swap trades two letters within row r, so no walk along a
     row meets new values: it marks the east edges in columns c - 1 to c + 1;
     a south swap, the south edges in rows r - 1 to r + 1.  So every admissible
-    edge is on the heap in state 1 or 2, and one in state 0 is inadmissible,
+    edge is on the heap in state 1, and one in state 0 is inadmissible,
     as nothing it reads has changed: the frames are a rescan's."""
     board = list(board)
     east, south, west, north = g.east, g.south, g.west, g.north
@@ -326,10 +326,9 @@ def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
             e = heap[0]
             iu = e >> 1
             iv = south[iu] if e & 1 else east[iu]
-            if state[e] == 1:
-                state[e] = 2 * _admissible(g, board, iu, iv)
-            if state[e]:
+            if state[e] and _admissible(g, board, iu, iv):
                 break
+            state[e] = 0
             heappop(heap)
         else:
             return board

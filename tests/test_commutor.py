@@ -284,21 +284,6 @@ def _disconnected_pair(seed: int, letters: int, max_letter: int,
     return glued_pair(SkewTableau(outer, inner, rows))
 
 
-def test_commute_trace_of_the_live_site_set_is_the_rescans(tmp_path, capsys,
-                                                           monkeypatch):
-    staircase = _disconnected_pair(0, 20, 4, cut=1)
-    assert staircase.skew.inner == tuple(range(19, -1, -1))
-    f = tmp_path / "staircase.json"
-    f.write_text(json.dumps(to_json_dict(staircase.skew)))
-    argv = ["--format", "json", "commute", str(f), "--trace"]
-    assert cli.main(argv) == 0
-    live = capsys.readouterr().out
-    assert len(json.loads(live.splitlines()[1])) > 100
-    monkeypatch.setattr(commutor, "switching", _rescanned_switching)
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == live
-
-
 def _seeded_pairs():
     """Ten seeded pairs of 30-100 boxes."""
     pairs = [_disconnected_pair(seed, 12 + seed % 5, 2 + seed % 3)
@@ -387,17 +372,22 @@ def test_greedy_never_mutates_the_board_it_is_given():
         assert _switch(g, tuple(board)) == end
 
 
-def test_commute_trace_of_a_deep_pair_is_the_rescans(tmp_path, capsys,
-                                                     monkeypatch):
-    f = tmp_path / "deep.json"
-    f.write_text(json.dumps(to_json_dict(_deep_pair(60).skew)))
-    argv = ["--format", "json", "commute", str(f), "--trace"]
-    assert cli.main(argv) == 0
-    live = capsys.readouterr().out
-    assert len(json.loads(live.splitlines()[1])) == 60  # one swap a row
-    monkeypatch.setattr(commutor, "switching", _rescanned_switching)
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == live
+def test_commute_trace_of_the_live_site_set_is_the_rescans(tmp_path, capsys,
+                                                           monkeypatch):
+    # the N=20 staircase and the deep pair at n=60, one swap a row
+    staircase = _disconnected_pair(0, 20, 4, cut=1)
+    assert staircase.skew.inner == tuple(range(19, -1, -1))
+    for p, swaps in ((staircase, 308), (_deep_pair(60), 60)):
+        f = tmp_path / "pair.json"
+        f.write_text(json.dumps(to_json_dict(p.skew)))
+        argv = ["--format", "json", "commute", str(f), "--trace"]
+        with monkeypatch.context() as m:
+            assert cli.main(argv) == 0
+            live = capsys.readouterr().out
+            assert len(json.loads(live.splitlines()[1])) == swaps
+            m.setattr(commutor, "switching", _rescanned_switching)
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == live
 
 
 def _infusion_frames(u, v):

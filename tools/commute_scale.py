@@ -1,19 +1,20 @@
 """The ``lrcommute commute`` latency record: every method on inputs of
 growing size.
 
-    python3 tools/commute_scale.py [--runs 3] [--out BENCH_commute_scale.json]
+    python3 tools/commute_scale.py [--out BENCH_commute_scale.json]
 
 Run it from a source checkout with pytest installed: it puts ``src/`` and
 ``tests/`` on the path.
 Each (input, method) runs in a fresh interpreter, one process at a time:
 the child times ``cli.main(["--format", "json", "commute", FILE, "--method",
 METHOD])`` (parse, commute and print, not the import) and reports its peak
-RSS (``ru_maxrss``).  The inputs are the deep two-column pairs and the
+RSS (``VmHWM`` of ``/proc/self/status``, so Linux only: a spawned child's
+``ru_maxrss`` also counts its parent's RSS at the spawn).  The inputs are the deep two-column pairs and the
 disconnected-block pairs of ``tests/test_commutor.py`` (staircases cut at
 every letter, and seed-1 blocks of letters up to 6 cut with probability
 0.3), up to 800-letter blocks, to keep memory small.  Greedy switching is
 stopped at 60 s and then skipped on every larger input.  The record holds,
-per method, the best time over ``--runs`` runs and the peak RSS on each
+per method, the best time over ``RUNS`` runs and the peak RSS on each
 input, whether all four methods printed the same image, and the log-log
 slope of time against boxes.  It is a record, not a gate.
 """
@@ -35,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("switching", "infusion", "internal", "scratch")
 GREEDY_LIMIT_S = 60
+RUNS = 3
 
 
 def inputs() -> dict[str, dict]:
@@ -55,8 +57,6 @@ def inputs() -> dict[str, dict]:
 
 def child(method: str, path: str):
     """Time one ``commute`` call in this interpreter and print the result."""
-    import resource
-
     from lrcommute import cli
 
     stdout, sys.stdout = sys.stdout, io.StringIO()
@@ -67,7 +67,9 @@ def child(method: str, path: str):
         out = sys.stdout.getvalue()
     finally:
         sys.stdout = stdout
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    with open("/proc/self/status") as status:
+        rss_mb = next(int(line.split()[1]) for line in status
+                      if line.startswith("VmHWM:")) / 1024
     print(json.dumps({"code": code, "s": seconds, "rss_mb": rss_mb,
                       "sha256": hashlib.sha256(out.encode()).hexdigest()}))
 
@@ -97,7 +99,6 @@ def slope(points: list[tuple[int, float]]) -> float | None:
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--out", default=str(ROOT / "BENCH_commute_scale.json"))
     ap.add_argument("--child", nargs=2, metavar=("METHOD", "FILE"),
                     help=argparse.SUPPRESS)
@@ -120,7 +121,7 @@ def main(argv=None):
                     continue
                 timeout = GREEDY_LIMIT_S if method == "switching" else None
                 results = []
-                for _ in range(args.runs):
+                for _ in range(RUNS):
                     result = run_child(method, path, timeout)
                     if result is None:
                         break
@@ -142,11 +143,10 @@ def main(argv=None):
     record = {
         "what": "lrcommute commute latency by method on inputs of growing "
                 "size: each (input, method) in a fresh interpreter, one at a "
-                "time; s is the best cli.main time over the runs, rss_mb the "
-                "peak ru_maxrss of the child",
-        "command": "python3 tools/commute_scale.py --runs " + str(args.runs),
+                f"time; s is the best cli.main time over {RUNS} runs, rss_mb "
+                "the child's peak RSS (VmHWM)",
+        "command": "python3 tools/commute_scale.py",
         "python": sys.version.split()[0],
-        "runs": args.runs,
         "inputs": rows,
         "loglog_slope": {m: None if s is None else round(s, 3)
                          for m, s in slopes.items()},
