@@ -9,9 +9,10 @@ insertions and row appends that build the image from the empty tableau, and
 checking the route claim on every row block against the traces it keeps.
 
 Every switch order runs on one flat board: a list (a tuple once frozen) of
-signed values over the shape's cells in row-major order, u-letters positive
-and v-letters negative, then a sentinel 0.  Its ``_Geometry`` holds each
-cell's four neighbours, the sentinel past the edge.  ``_admissible`` is the
+signed values, a 0, then each row's cells, u-letters positive and v-letters
+negative, each row closed by a 0.  So a cell's west and east neighbours are
+the indices next to it, a 0 past the row's end, and its ``_Geometry`` holds
+the north and south ones, index 0 past the edge.  ``_admissible`` is the
 one site test: each colour class stays a valid filling at every switch
 (Benkart-Sottile-Stroomer), so only the order relations a switch creates
 are tested.  Greedy runs ``_switch``, which tests each edge a swap may have
@@ -109,39 +110,36 @@ class TwoColorTableau:
 
 
 class _Geometry(NamedTuple):
-    """The board outer/inner (padded), its cells numbered row-major from 0:
-    row k starts at ``starts[k]``; ``starts[-1]`` is the sentinel.  ``north[i]``
-    and the others are the cells next to cell i, the sentinel past the edge."""
+    """The board outer/inner (padded): index 0 holds a 0, row k's cells run
+    from ``starts[k]``, each row followed by a 0, and ``starts[-1]`` is the
+    board's length.  So cell i's west and east neighbours are i - 1 and
+    i + 1, or a 0; ``north[i]`` and ``south[i]`` are the cells above and
+    below it, or 0."""
     outer: tuple
     inner: tuple
     starts: list
     north: list
     south: list
-    west: list
-    east: list
 
 
 def _geometry(outer, inner) -> _Geometry:
     """The geometry of the skew shape outer/inner, in O(cells)."""
     inner = tuple(inner) + (0,) * (len(outer) - len(inner))
-    starts = [0]
+    starts = [1]
     for a, b in zip(inner, outer):
-        starts.append(starts[-1] + b - a)
-    n = starts[-1]  # the arrays run to the sentinel, whose entries no walk reads
-    # every array holds the int objects of idx, where idx[j + 1] == j
-    idx = list(range(-1, n + 2))
-    north, south = [n] * (n + 1), [n] * (n + 1)
-    west, east = idx[:n + 1], idx[2:]
-    for k in starts:  # each row's first cell and the last of the row before
-        west[k] = east[k - 1] = n
+        starts.append(starts[-1] + b - a + 1)
+    n = starts[-1]
+    # both arrays hold the int objects of idx; the 0s' entries no walk reads
+    idx = list(range(n))
+    north, south = [0] * n, [0] * n
     for k in range(1, len(outer)):
         # the m columns right of inner[k - 1] meet rows k - 1 and k: all of
         # row k - 1 from its first cell, row k from the cell under that one
         top, bot = starts[k - 1], starts[k] + inner[k - 1] - inner[k]
         m = max(outer[k] - inner[k - 1], 0)
-        north[bot:bot + m] = idx[top + 1:top + 1 + m]
-        south[top:top + m] = idx[bot + 1:bot + 1 + m]
-    return _Geometry(tuple(outer), inner, starts, north, south, west, east)
+        north[bot:bot + m] = idx[top:top + m]
+        south[top:top + m] = idx[bot:bot + m]
+    return _Geometry(tuple(outer), inner, starts, north, south)
 
 
 def _index(g: _Geometry, cell: Cell) -> int:
@@ -150,22 +148,22 @@ def _index(g: _Geometry, cell: Cell) -> int:
 
 
 def _cell(g: _Geometry, i: int) -> Cell:
-    r = bisect_right(g.starts, i)  # empty rows share their start with the next
+    r = bisect_right(g.starts, i)
     return r, i - g.starts[r - 1] + g.inner[r - 1] + 1
 
 
 def _board(u: SkewTableau, v: SkewTableau) -> list:
     """The board of a pair, v extending u: each row holds u's letters, then
-    v's negated."""
+    v's negated, then a 0."""
     if as_partition(v.inner) != u.outer:
         raise ValueError("v does not extend u")
-    return [x for ru, rv in zip_longest(u.rows, v.rows, fillvalue=())
-            for x in (*ru, *[-y for y in rv])] + [0]
+    return [0] + [x for ru, rv in zip_longest(u.rows, v.rows, fillvalue=())
+                  for x in (*ru, *[-y for y in rv], 0)]
 
 
 def _board_of(g: _Geometry, cells: dict) -> list:
     """The board of ``TwoColorTableau.cells``."""
-    board = [0] * (g.starts[-1] + 1)
+    board = [0] * g.starts[-1]
     for cell, (x, color) in cells.items():
         board[_index(g, cell)] = x if color == "u" else -x
     return board
@@ -198,16 +196,15 @@ def _admissible(g: _Geometry, board, iu: int, iv: int) -> bool:
     cell of its class: east, in a's and b's new columns; south, in a's new
     row left of it and b's right of it."""
     a, nb = board[iu], board[iv]  # nb = -b
-    if iv != g.east[iu]:
-        west, east = g.west, g.east
-        j = west[iv]
+    if iv != iu + 1:
+        j = iv - 1
         while board[j] < 0:
-            j = west[j]
+            j -= 1
         if board[j] > a:  # a u-letter left of a's new cell is larger
             return False
-        j = east[iu]
+        j = iu + 1
         while board[j] > 0:
-            j = east[j]
+            j += 1
         return not nb < board[j] < 0  # nor a v-letter right of b's smaller
     north, south = g.north, g.south
     j = north[iv]
@@ -234,11 +231,11 @@ def _admissible(g: _Geometry, board, iu: int, iv: int) -> bool:
 def _find_sites(g: _Geometry, board) -> list[tuple[int, int]]:
     """The admissible switches (iu, iv), a u-cell and a v-cell east or south
     of it, sorted: row-major by the u-cell, east before south."""
-    east, south, sites = g.east, g.south, []
+    south, sites = g.south, []
     for iu, x in enumerate(board):
         if x > 0:
-            if board[east[iu]] < 0 and _admissible(g, board, iu, east[iu]):
-                sites.append((iu, east[iu]))
+            if board[iu + 1] < 0 and _admissible(g, board, iu, iu + 1):
+                sites.append((iu, iu + 1))
             if board[south[iu]] < 0 and _admissible(g, board, iu, south[iu]):
                 sites.append((iu, south[iu]))
     return sites
@@ -270,7 +267,7 @@ def _split_cells(g: _Geometry, board, inner) -> tuple[SkewTableau, SkewTableau]:
     pad = tuple(inner) + (0,) * (len(outer) - len(inner))
     sigma, s_rows, h_rows = [], [], []
     for r, (a, own) in enumerate(zip(pad, g.inner)):
-        row = board[starts[r] + a - own:starts[r + 1]]
+        row = board[starts[r] + a - own:starts[r + 1] - 1]
         s = tuple([-x for x in row if x < 0])
         k = len(s)
         if k and max(row[:k]) > 0:
@@ -302,20 +299,21 @@ def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
     edge is on the heap in state 1, and one in state 0 is inadmissible,
     as nothing it reads has changed: the frames are a rescan's."""
     board = list(board)
-    east, south, west, north = g.east, g.south, g.west, g.north
+    south, north = g.south, g.north
     # each cell's row and column, 1-based, sharing int objects as _geometry's
+    # (and some row and column for each 0, which no edge reads)
     idx = list(range(max(g.outer, default=0) + 2))
-    row, col = [], []
+    row, col = [0], [0]
     for r, (a, b) in enumerate(zip(g.inner, g.outer), 1):
-        row += [r] * (b - a)
-        col += idx[a + 1:b + 1]
+        row += [r] * (b - a + 1)
+        col += idx[a + 1:b + 2]
     # the candidate edges: east ones by their u-cell's column, south by row
     cols = [set() for _ in idx]
     rows = [set() for _ in range(len(g.outer) + 2)]
     # edge 2i is the u-cell i and the v-cell east of it, 2i + 1 the one
     # south: edges sort as _find_sites lists sites, so this list is a heap
     heap = [e for iu, x in enumerate(board) if x > 0
-            for e, iv in ((2 * iu, east[iu]), (2 * iu + 1, south[iu])) if board[iv] < 0]
+            for e, iv in ((2 * iu, iu + 1), (2 * iu + 1, south[iu])) if board[iv] < 0]
     state = bytearray(2 * len(board))  # by edge, as above
     for e in heap:
         state[e] = 1
@@ -325,7 +323,7 @@ def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
         while heap:
             e = heap[0]
             iu = e >> 1
-            iv = south[iu] if e & 1 else east[iu]
+            iv = south[iu] if e & 1 else iu + 1
             if state[e] and _admissible(g, board, iu, iv):
                 break
             state[e] = 0
@@ -337,7 +335,7 @@ def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
             frame(iu, iv)
         # iu now holds a v-letter, iv a u-letter: edges out of iu, into iv go
         r, c = row[iu], col[iu]
-        wu, nu, wv, nv = west[iu], north[iu], west[iv], north[iv]
+        wu, nu, wv, nv = iu - 1, north[iu], iv - 1, north[iv]
         state[2 * iu] = state[2 * iu + 1] = state[2 * wv] = state[2 * nv + 1] = 0
         cols[c].discard(2 * iu)
         rows[r].discard(2 * iu + 1)
@@ -351,7 +349,7 @@ def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
         if board[nu] > 0:
             rows[r - 1].add(2 * nu + 1)
             marked.append(2 * nu + 1)
-        if board[east[iv]] < 0:
+        if board[iv + 1] < 0:
             cols[col[iv]].add(2 * iv)
             marked.append(2 * iv)
         if board[south[iv]] < 0:
@@ -397,13 +395,13 @@ def _infuse(g: _Geometry, board, order, on_frame: Callable | None = None) -> lis
     its east and south v-neighbours, the south one on ties, until it has
     neither.  Such a move is always an admissible switch, so none is tested."""
     board = list(board)
-    east, south = g.east, g.south
+    south = g.south
     frame = on_frame and _framer(g, board, on_frame)
     for cell in order:
         i = _index(g, cell)
         while True:
             # v-letters are negative: of two, the smaller letter is larger
-            s, e = south[i], east[i]
+            s, e = south[i], i + 1
             if board[s] < 0 and (board[s] >= board[e] or board[e] >= 0):
                 j = s
             elif board[e] < 0:
@@ -485,7 +483,7 @@ def staged_decomposition(p: GluedPair) -> StagedDecomposition:
         board = _infuse(g, board, [(d, c) for c in range(mu[d - 1], 0, -1)])
         # the slid letters fill lam/sigma, which ends each row it meets: the
         # board's last cell, (n + 1, lam[n]), holds one once any does
-        if board[g.starts[-1] - 1] > 0:
+        if board[g.starts[-1] - 2] > 0:
             break
     else:
         raise ValueError("no lifted letter reached the last row")

@@ -33,21 +33,45 @@ SW_V = SkewTableau((4, 3, 3), (3, 3, 0), [(1,), (), (1, 2, 2)])
 
 
 def test_geometry_steps_to_each_neighbour_or_to_the_sentinel():
-    # the cells of every skew shape of at most 7 boxes, numbered row-major
+    # every skew shape of at most 7 boxes, on a board of distinct values: a
+    # 0, then each row's cells, numbered row-major from 1, then a 0
     for gamma in partitions_up_to(7):
         for mu in subpartitions(gamma):
             g = _geometry(gamma, mu)
             pad = mu + (0,) * (len(gamma) - len(mu))
-            cells = [(r, c) for r, (a, b) in enumerate(zip(pad, gamma), 1)
-                     for c in range(a + 1, b + 1)]
-            index = {cell: i for i, cell in enumerate(cells)}
-            assert g.starts[-1] == len(cells)
-            assert [commutor._cell(g, i) for i in range(len(cells))] == cells
-            assert [commutor._index(g, cell) for cell in cells] == list(index.values())
-            for step, (dr, dc) in ((g.north, (-1, 0)), (g.south, (1, 0)),
-                                   (g.west, (0, -1)), (g.east, (0, 1))):
-                assert step[:len(cells)] == [index.get((r + dr, c + dc), len(cells))
-                                             for r, c in cells]
+            board, index, value = [0], {}, {}
+            for r, (a, b) in enumerate(zip(pad, gamma), 1):
+                for c in range(a + 1, b + 1):
+                    index[r, c] = len(board)
+                    value[r, c] = len(value) + 1
+                    board.append(value[r, c])
+                board.append(0)
+            assert g.starts[-1] == len(board)
+            assert _board_of(g, {cell: (x, "u") for cell, x in value.items()}) == board
+            assert [commutor._cell(g, i) for i in index.values()] == list(index)
+            assert [commutor._index(g, cell) for cell in index] == list(index.values())
+            for (r, c), i in index.items():
+                assert g.north[i] == index.get((r - 1, c), 0)
+                assert g.south[i] == index.get((r + 1, c), 0)
+                assert board[i - 1] == value.get((r, c - 1), 0)
+                assert board[i + 1] == value.get((r, c + 1), 0)
+
+
+def test_board_closes_each_row_with_a_0_and_round_trips_its_cells():
+    # a 0 first and after each row, nonzero values in every cell; the cells
+    # read back are the members' own, each tagged with its colour
+    for u, v in _packed_pairs(6):
+        g = _geometry(v.outer, u.inner)
+        board = _board(u, v)
+        zeros = {0, *(s - 1 for s in g.starts[1:])}
+        assert len(board) == g.starts[-1]
+        assert all((x == 0) == (i in zeros) for i, x in enumerate(board))
+        cells = _cells_of(g, board)
+        assert cells == {(r, c): (x, color) for t, color in ((u, "u"), (v, "v"))
+                         for r, (a, row) in enumerate(
+                             itertools.zip_longest(t.inner, t.rows, fillvalue=0), 1)
+                         for c, x in enumerate(row, a + 1)}
+        assert _board_of(g, cells) == board
 
 
 def test_switch_sites_examples():

@@ -261,7 +261,7 @@ def test_recursion_records_the_pairs_that_raise(monkeypatch):
             i = commutor._index(g, cell)
             while True:
                 # v-letters are negative: of two, the smaller letter is larger
-                s, e = g.south[i], g.east[i]
+                s, e = g.south[i], i + 1
                 if board[e] < 0 and (board[e] >= board[s] or board[s] >= 0):
                     j = e
                 elif board[s] < 0:
