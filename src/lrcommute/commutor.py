@@ -4,9 +4,11 @@
 greedy order or in the jeu-de-taquin "infusion" order.  The second way is a
 row program: ``row_program`` lists, row block by row block, the internal row
 insertions and row appends that build the image from the empty tableau, and
-``run_row_program`` executes them in place, a block's appends as one run.
-``rho1_internal`` and ``rho1_scratch`` are that one run, the former also
-checking the route claim on every row block against the traces it keeps.
+``run_row_program`` executes them in place, a block's blank insertions at
+its own row as one run and its appends as another.  ``rho1_internal`` and
+``rho1_scratch`` are that one run, the former also asking the kernel for the
+bumping routes of each block's row word and checking the route claim on
+them.
 
 Every switch order runs on one flat board: a list (a tuple once frozen) of
 signed values, a 0, then each row's cells, u-letters positive and v-letters
@@ -30,8 +32,8 @@ from heapq import heappop, heappush
 from itertools import zip_longest
 from typing import Callable, Iterator, NamedTuple
 
-from .insertion import (GluedPair, InsertionTrace, _append_inplace, _freeze,
-                        _insert_inplace, _require_lr_pair, _thaw, glued_pair)
+from .insertion import (GluedPair, _append_inplace, _freeze, _insert_inplace,
+                        _insert_traced, _require_lr_pair, _thaw, glued_pair)
 from .tableaux import (Cell, SkewTableau, as_partition, is_ballot_tableau,
                        skew_shape, standard_order, tableau_content,
                        yamanouchi_tableau)
@@ -525,50 +527,61 @@ class RowStep(NamedTuple):
     i: int
 
 
-def _blocks(t: SkewTableau) -> Iterator[tuple[int, list[int], int]]:
-    """The row program's blocks, one per row n: (n, the rows it inserts at,
-    how many n's it appends).  Block n inserts its h_n letters n, then its
-    letters below n right to left, then appends n per inner cell of row n."""
+def _blocks(t: SkewTableau) -> Iterator[tuple[int, int, list[int], int]]:
+    """The row program's blocks, one per row n: (n, h_n, the rows its row
+    word inserts at, how many n's it appends).  Block n inserts its h_n
+    letters n, then its row word, its letters below n right to left, then
+    appends n per inner cell of row n."""
     for k, row in enumerate(t.rows):
         n = k + 1
         if row and row[-1] > n:
             raise ValueError(f"row {n} holds a letter above {n}")
-        v_word = [x for x in row if x < n]
-        yield n, [n] * (len(row) - len(v_word)) + v_word[::-1], t.inner[k]
+        word = [x for x in reversed(row) if x < n]
+        yield n, len(row) - len(word), word, t.inner[k]
 
 
 def row_program(t: SkewTableau) -> Iterator[RowStep]:
     """The operator program of a ballot tableau, one block per row (see
     ``_blocks``), letter by letter."""
-    for n, word, appends in _blocks(t):
-        for i in word:
+    for n, h, word, appends in _blocks(t):
+        for i in [n] * h + word:
             yield RowStep(n, "insert", i)
         for _ in range(appends):
             yield RowStep(n, "append", n)
 
 
-def _run_blocks(t: SkewTableau, on_step: Callable | None = None):
-    """``run_row_program``, also returning each block's row and the traces
-    of its row-word insertions (its letters below the row)."""
+def _run_blocks(t: SkewTableau, on_step: Callable | None = None,
+                keep_routes: bool = False):
+    """``run_row_program``, also returning each block's row and the bumping
+    routes of its row-word insertions (its letters below the row), which
+    the kernel records only under ``on_step`` or ``keep_routes``: each is
+    None otherwise."""
     inner: list[int] = []
     rows: list[list[int]] = []
     state = (inner, rows)
-    routes = []
-    for n, word, appends in _blocks(t):
-        traces = []
-        for i in word:
-            trace = _insert_inplace(inner, rows, i)
-            if i < n:
-                traces.append(trace)
-            if on_step is not None:
+    blocks = []
+    for n, h, word, appends in _blocks(t):
+        routes = []
+        if on_step is None:
+            if h:
+                _insert_inplace(inner, rows, n, None, h)
+            for i in word:
+                route = [] if keep_routes else None
+                _insert_inplace(inner, rows, i, route)
+                routes.append(route)
+            if appends:
+                _append_inplace(inner, rows, n, appends)
+        else:
+            for i in [n] * h + word:
+                trace = _insert_traced(inner, rows, i)
+                if i < n:
+                    routes.append(trace.route)
                 on_step(RowStep(n, "insert", i), trace, state)
-        run = appends if on_step is None else 1
-        for _ in range(0, appends, run or 1):
-            _append_inplace(inner, rows, n, run)
-            if on_step is not None:
+            for _ in range(appends):
+                _append_inplace(inner, rows, n)
                 on_step(RowStep(n, "append", n), None, state)
-        routes.append((n, traces))
-    return _freeze(inner, rows), routes
+        blocks.append((n, routes))
+    return _freeze(inner, rows), blocks
 
 
 def run_row_program(t: SkewTableau,
@@ -577,27 +590,31 @@ def run_row_program(t: SkewTableau,
     of the commutor image.
 
     The state is kept in parallel mutable (inner, rows) lists and frozen
-    once at the end.  Each insertion is one kernel call; a block's appends
-    are one run, checked once.  Given ``on_step``, steps run one at a time:
-    after each, ``on_step(step, trace, state)`` receives the ``RowStep``,
-    its insertion trace (None for an append) and the live lists, which a
-    callback that keeps them must copy.
+    once at the end.  A block's h_n insertions at its row n, blank moves in
+    a ballot tableau, are one kernel call, as are its appends, each run
+    checked once; each letter of its row word is one more call, which
+    records no bumping route.  Given
+    ``on_step``, steps run one at a time: after each, ``on_step(step, trace,
+    state)`` receives the ``RowStep``, its ``InsertionTrace`` (None for an
+    append) and the live lists, which a callback that keeps them must copy.
     """
     return _run_blocks(t, on_step)[0]
 
 
-def _assert_route_claim(traces: list[InsertionTrace], row: int):
+def _assert_route_claim(routes: list, row: int):
+    """The route claim on one block's row-word bumping routes, each a
+    sequence of cells: none is blank, each ends in the block's row, and no
+    two share a cell."""
     seen: set[Cell] = set()
-    for tr in traces:
-        if not tr.route:
+    for route in routes:
+        if not route:
             raise ValueError("a row-word insertion was a blank move")
-        if tr.created[0] != row:
+        if route[-1][0] != row:
             raise ValueError(f"a row-word bumping route ended in row "
-                             f"{tr.created[0]}, expected {row}")
-        cells = set(tr.route)
-        if seen & cells:
+                             f"{route[-1][0]}, expected {row}")
+        if not seen.isdisjoint(route):
             raise ValueError("row-word bumping routes are not disjoint")
-        seen |= cells
+        seen.update(route)
     return True
 
 
@@ -605,9 +622,9 @@ def rho1_internal(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
     """The commutor by the row program, checking the route claim on every
     row block; ``on_step`` is as for ``run_row_program``."""
     _require_lr_pair(p)
-    skew, routes = _run_blocks(p.skew, on_step)
-    for row, traces in routes:
-        _assert_route_claim(traces, row)
+    skew, blocks = _run_blocks(p.skew, on_step, keep_routes=True)
+    for row, routes in blocks:
+        _assert_route_claim(routes, row)
     return glued_pair(skew)
 
 

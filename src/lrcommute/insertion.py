@@ -6,7 +6,10 @@ bumped entry into the rows below; it grows the inner and outer borders by one
 box each without changing the multiset of entries.  Both directions run in
 place on parallel mutable (inner, rows) lists, from which ``_freeze`` derives
 the outer border: ``_insert_inplace`` makes the move and ``_uninsert_inplace``
-undoes it from the cell it created.
+undoes it from the cell it created.  The kernel returns that cell, and adds
+the bumping route's cells only to a list its caller passes; ``_insert_traced``
+builds an ``InsertionTrace`` for the callers that hand one out.  A run of
+moves at one row is one kernel call, checked once.
 
 Skew RSK inserts T at the rows of U's cells in standard order, and its
 inverse undoes the cells of Q's standard order, last first; ``_rows_at``
@@ -92,45 +95,69 @@ def _corners(inner) -> list[int]:
     return out
 
 
-def _insert_inplace(inner: list, rows: list, i: int) -> InsertionTrace:
-    """Internal insertion at row i on parallel mutable lists."""
+def _insert_inplace(inner: list, rows: list, i: int, route: list | None = None,
+                    count: int = 1) -> Cell:
+    """Make count internal insertions at row i on parallel mutable lists;
+    returns the cell the last one created.
+
+    Each insertion vacates row i's inner corner and so grows that row's
+    inner border by one, so the run is checked once, at its last cell.  A
+    filled corner bumps its entry into the rows below, and a blank one
+    joins both borders.  Given a list, ``route`` gets the cells of each
+    bumping route in turn, vacated first and created last; a blank move
+    adds none."""
     n = len(inner)
     if i < 1 or i > n + 1:
         raise ValueError(f"row {i} is not an inner corner")
     mu_i = inner[i - 1] if i <= n else 0
     # the corner rule of _corners, written out in both because a helper
     # called once per row makes _corners about 50% slower
-    if i > 1 and inner[i - 2] <= mu_i:
+    if i > 1 and inner[i - 2] < mu_i + count:
         raise ValueError(f"row {i} is not an inner corner")
-    cell = (i, mu_i + 1)
-    if i <= n and rows[i - 1]:
-        # filled corner: bump and reinsert below
-        x = rows[i - 1].pop(0)
+    if i > n:
+        inner.append(0)
+        rows.append([])
+        n += 1
+    row = rows[i - 1]
+    while row and count:
+        # filled corner: bump its entry and reinsert it below
+        count -= 1
+        x = row.pop(0)
         inner[i - 1] += 1
-        route = [cell]
+        if route is not None:
+            route.append((i, inner[i - 1]))
         k = i  # 0-based index of the next row
         while True:
             if k == n:
                 inner.append(0)
                 rows.append([x])
-                route.append((k + 1, 1))
+                n += 1
+                created = (k + 1, 1)
                 break
-            row = rows[k]
-            j = bisect_right(row, x)
-            if j == len(row):
-                row.append(x)
-                route.append((k + 1, inner[k] + len(row)))
+            below = rows[k]
+            j = bisect_right(below, x)
+            if j == len(below):
+                below.append(x)
+                created = (k + 1, inner[k] + j + 1)
                 break
-            row[j], x = x, row[j]
-            route.append((k + 1, inner[k] + j + 1))
+            below[j], x = x, below[j]
+            if route is not None:
+                route.append((k + 1, inner[k] + j + 1))
             k += 1
-        return InsertionTrace(cell, tuple(route), route[-1])
-    # blank corner: adjoin the cell to both borders
-    if i > n:
-        inner.append(0)
-        rows.append([])
-    inner[i - 1] += 1
-    return InsertionTrace(cell, (), cell)
+        if route is not None:
+            route.append(created)
+    if count:
+        # blank corner: adjoin the cells to both borders
+        inner[i - 1] += count
+        created = (i, inner[i - 1])
+    return created
+
+
+def _insert_traced(inner: list, rows: list, i: int) -> InsertionTrace:
+    """One internal insertion at row i on the lists, and its trace."""
+    route: list[Cell] = []
+    created = _insert_inplace(inner, rows, i, route)
+    return InsertionTrace(route[0] if route else created, tuple(route), created)
 
 
 def _uninsert_inplace(inner: list, rows: list, cell: Cell) -> Cell:
@@ -219,7 +246,7 @@ def internal_insert(t: SkewTableau, i: int) -> tuple[SkewTableau, InsertionTrace
     the blank cell to both borders.
     """
     inner, rows = _thaw(t)
-    trace = _insert_inplace(inner, rows, i)
+    trace = _insert_traced(inner, rows, i)
     return _freeze(inner, rows), trace
 
 
@@ -230,7 +257,7 @@ def order_word_steps(t: SkewTableau, word) -> tuple[SkewTableau, list[InsertionT
     traces = []
     for step, i in enumerate(reversed(tuple(word)), start=1):
         try:
-            traces.append(_insert_inplace(inner, rows, i))
+            traces.append(_insert_traced(inner, rows, i))
         except ValueError:
             raise ValueError(
                 f"step {step}: row {i} is not an inner corner") from None
@@ -274,7 +301,7 @@ def skew_rsk_forward(t: SkewTableau, u: SkewTableau) -> tuple[SkewTableau, SkewT
             f"inner borders differ: {as_partition(t.inner)} vs {as_partition(u.inner)}")
     inner, rows = _thaw(t)
     order = standard_order(u)
-    created = [_insert_inplace(inner, rows, r).created for _x, (r, _c) in order]
+    created = [_insert_inplace(inner, rows, r) for _x, (r, _c) in order]
     return (_freeze(inner, rows),
             _freeze(t.outer + (0,) * (len(rows) - len(t.outer)),
                     _rows_at(order, created, len(rows))))

@@ -40,7 +40,8 @@ from . import insertion
 from .commutor import (_board, _cells_of, _geometry, _infuse, _split_cells,
                        _terminals, rho1_internal, rho1_scratch, rho1_switching,
                        staged_decomposition)
-from .insertion import GluedPair, _corners, _freeze, _rows_at, _thaw, glued_pair
+from .insertion import (GluedPair, InsertionTrace, _corners, _freeze, _rows_at,
+                        _thaw, glued_pair)
 from .knuth import elementary_moves, p_tableau_rows
 from .schur import _kostka_counter, lr_coefficient, schur_product
 from .tableaux import (SkewShape, SkewTableau, _standard_order, as_partition,
@@ -262,7 +263,8 @@ def _walk(inner: list, rows: list, depth: int, enter, on_raise, on_undo):
 
     A node is a walked word w, and its children are the rows i of
     ``_corners`` of the inner border it reaches.  ``trail`` holds the traces
-    of the insertions from the root, the new one last; ``enter(v, trail)``,
+    of the insertions from the root, the new one last, each built from the
+    cell the kernel created and the route list it filled; ``enter(v, trail)``,
     with v = w + (i,), reads the state reached in the lists, leaving it as
     it is.  Then the walk backtracks by reverse-bumping from the created
     cell, which must give back the vacated cell and w's state: the walk
@@ -288,12 +290,15 @@ def _walk(inner: list, rows: list, depth: int, enter, on_raise, on_undo):
     def walk(w, state):
         for i in _corners(inner):
             v = w + (i,)
+            route: list = []
             try:
-                tr = insert(inner, rows, i)
+                created = insert(inner, rows, i, route)
             except Exception as exc:  # a raising kernel fails its subtree only
                 restore(state)
                 on_raise(below(state, v), _raised(exc))
                 continue
+            # _insert_traced, inlined and keeping the list: one per node walked
+            tr = InsertionTrace(route[0] if route else created, route, created)
             trail.append(tr)
             enter(v, trail)
             if len(v) < depth:  # _snapshot, inlined: one per node walked on from

@@ -1,3 +1,4 @@
+from collections import Counter
 import itertools
 import json
 import random
@@ -14,11 +15,12 @@ from lrcommute.commutor import (SwitchSite, TwoColorTableau, _board,
                                 row_program, run_row_program,
                                 staged_decomposition, switch_sites, switching)
 from lrcommute.insertion import (GluedPair, _append_inplace, _freeze,
-                                 _insert_inplace, glued_pair)
+                                 _insert_traced, glued_pair)
 from lrcommute.knuth import p_tableau_rows
-from lrcommute.tableaux import (EMPTY, SkewTableau, empty_of_shape, glue,
-                                reading_word, subpartitions, tableau_content,
-                                to_json_dict, yamanouchi_tableau)
+from lrcommute.tableaux import (EMPTY, SkewShape, SkewTableau, empty_of_shape,
+                                enumerate_ssyt, glue, reading_word,
+                                subpartitions, tableau_content, to_json_dict,
+                                yamanouchi_tableau)
 from lrcommute.verify import lr_pairs, packed_fillings, partitions_up_to
 
 T_RUNNING = SkewTableau((6, 5, 5, 4, 3), (4, 3, 2, 1, 0),
@@ -585,12 +587,12 @@ def test_rho1_scratch_normal_shape():
 
 def _per_letter_run(t, on_step=None):
     # the reference executor: row_program's steps through the kernels one
-    # at a time, one append call per letter
+    # at a time, one insertion or append call per letter, each traced
     inner, rows = [], []
     state = (inner, rows)
     for step in row_program(t):
         if step.op == "insert":
-            trace = _insert_inplace(inner, rows, step.i)
+            trace = _insert_traced(inner, rows, step.i)
         else:
             trace = None
             _append_inplace(inner, rows, step.i)
@@ -605,33 +607,55 @@ def _observed(run, t):
     return seen, end
 
 
+def _outcome(run, t):
+    try:
+        return run(t)
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_block_executor_matches_the_per_letter_run():
     pairs = list(lr_pairs(7)) + _seeded_pairs()
     for p in pairs + [rho1_switching(p) for p in pairs]:
         assert run_row_program(p.skew) == _per_letter_run(p.skew)
         assert _observed(run_row_program, p.skew) == _observed(_per_letter_run, p.skew)
+    # every semistandard filling of 1 to 7 boxes with letters up to its row
+    # count, ballot or not: the same tableau, or the same error, which for
+    # 1,023 of them is a row that is no inner corner, met in a blank run
+    # or in a row word
+    errors = Counter()
+    for lam in partitions_up_to(7):
+        for mu in subpartitions(lam):
+            if sum(mu) < sum(lam):
+                shape = SkewShape(lam, mu + (0,) * (len(lam) - len(mu)))
+                for t in enumerate_ssyt(shape, len(lam)):
+                    got = _outcome(run_row_program, t)
+                    assert got == _outcome(_per_letter_run, t), t
+                    errors[isinstance(got, str) and got.endswith("inner corner")] += 1
+    assert errors == {False: 5771 - 1023, True: 1023}
 
 
 def _lowering(kernel, k):
-    # the kernel, except that the trace of its k-th call (from 0) ends a
-    # row lower
+    # the kernel, except that the route of its k-th call (from 0) given a
+    # route list ends a row lower
     calls = itertools.count()
 
-    def insert(inner, rows, i):
-        trace = kernel(inner, rows, i)
-        if next(calls) == k:
-            r, c = trace.created
-            trace = trace._replace(created=(r + 1, c))
-        return trace
+    def insert(inner, rows, i, route=None, count=1):
+        created = kernel(inner, rows, i, route, count)
+        if route is not None and next(calls) == k:
+            r, c = route[-1]
+            route[-1] = (r + 1, c)
+        return created
     return insert
 
 
 def test_rho1_internal_checks_the_route_of_every_block(monkeypatch):
     pair = glued_pair(T_RUNNING)
     expected = rho1_scratch(pair)
-    inserts = [s for s in row_program(T_RUNNING) if s.op == "insert"]
-    # the call number of each block's last row-word insertion
-    last = {s.row: k for k, s in enumerate(inserts) if s.i < s.row}
+    row_word = [s for s in row_program(T_RUNNING) if s.op == "insert" and s.i < s.row]
+    # the number of each block's last row-word insertion, the calls that
+    # are given a route list
+    last = {s.row: k for k, s in enumerate(row_word)}
     assert sorted(last) == [2, 3, 4, 5]
     kernel = commutor._insert_inplace
     for row, k in last.items():
@@ -641,6 +665,30 @@ def test_rho1_internal_checks_the_route_of_every_block(monkeypatch):
             rho1_internal(pair)
         monkeypatch.setattr(commutor, "_insert_inplace", _lowering(kernel, k))
         assert rho1_scratch(pair) == expected
+
+
+def test_scratch_inserts_once_per_blank_run_and_row_word_letter(monkeypatch):
+    # a count that machine noise cannot move: over lr_pairs(6), rho1_scratch
+    # calls the insertion kernel once per block with letters n in its row n,
+    # 343 times, and once per letter below the row, 265 times, 608 calls;
+    # letter by letter it made one call per letter, 773.  It asks for no
+    # bumping route.
+    calls = []
+    insert = commutor._insert_inplace
+
+    def counting(inner, rows, i, route=None, count=1):
+        calls.append(route)
+        return insert(inner, rows, i, route, count)
+
+    monkeypatch.setattr(commutor, "_insert_inplace", counting)
+    pairs = list(lr_pairs(6))
+    for p in pairs:
+        rho1_scratch(p)
+    rows = [(n, row) for p in pairs for n, row in enumerate(p.skew.rows, 1)]
+    assert sum(len(row) for _n, row in rows) == 773
+    assert sum(1 for n, row in rows if n in row) == 343
+    assert sum(1 for n, row in rows for x in row if x < n) == 265
+    assert len(calls) == 608 and calls == [None] * 608
 
 
 def test_scratch_appends_once_per_row_with_an_inner_part(monkeypatch):
@@ -682,16 +730,14 @@ def test_commutor_small_sweep():
 
 def test_route_claim_checker_rejects_bad_traces():
     from lrcommute.commutor import _assert_route_claim
-    from lrcommute.insertion import InsertionTrace
-    good = [InsertionTrace((1, 2), ((1, 2), (2, 2)), (2, 2)),
-            InsertionTrace((1, 3), ((1, 3), (2, 3)), (2, 3))]
+    good = [[(1, 2), (2, 2)], [(1, 3), (2, 3)]]
     assert _assert_route_claim(good, 2)
     with pytest.raises(ValueError, match="disjoint"):
         _assert_route_claim([good[0], good[0]], 2)
     with pytest.raises(ValueError, match="ended in row"):
         _assert_route_claim(good, 3)
     with pytest.raises(ValueError, match="blank"):
-        _assert_route_claim([InsertionTrace((1, 1), (), (1, 1))], 1)
+        _assert_route_claim([[]], 1)
 
 
 def test_switching_knuth_preservation_small():

@@ -1,7 +1,7 @@
 import pytest
 
-from lrcommute.insertion import (GluedPair, _append_inplace, _insert_inplace,
-                                 _uninsert_inplace,
+from lrcommute.insertion import (GluedPair, _append_inplace, _freeze,
+                                 _insert_inplace, _thaw, _uninsert_inplace,
                                  apply_order_word, extended_insert,
                                  glued_pair, inner_corners, internal_insert,
                                  is_lr_pair, lr_violation, order_word_steps,
@@ -90,9 +90,76 @@ def test_uninsert_undoes_insert():
     for t in small_tableaux(6):
         for i in inner_corners(t):
             inner, rows = list(t.inner), [list(r) for r in t.rows]
-            trace = _insert_inplace(inner, rows, i)
-            assert _uninsert_inplace(inner, rows, trace.created) == trace.vacated
+            route = []
+            created = _insert_inplace(inner, rows, i, route)
+            vacated = route[0] if route else created
+            assert _uninsert_inplace(inner, rows, created) == vacated
             assert (inner, rows) == (list(t.inner), [list(r) for r in t.rows])
+
+
+def _insert_walk(t, depth):
+    """Each valid word of 1 to depth letters on t, as (the tableau before
+    its last letter, that letter)."""
+    for i in inner_corners(t):
+        yield t, i
+        if depth > 1:
+            yield from _insert_walk(internal_insert(t, i)[0], depth - 1)
+
+
+def test_the_kernel_records_a_route_only_in_a_given_list():
+    # every valid word of up to 4 letters on the 426 packed fillings of at
+    # most 5 boxes, 17,914 words: the last letter's insertion makes the same
+    # move with a route list and without, the list is internal_insert's
+    # route, and reverse-bumping from the created cell undoes it
+    words = 0
+    for t in small_tableaux(5):
+        for s, i in _insert_walk(t, 4):
+            words += 1
+            bare = _thaw(s)
+            created = _insert_inplace(*bare, i)
+            inner, rows = _thaw(s)
+            route = []
+            assert _insert_inplace(inner, rows, i, route) == created
+            assert (inner, rows) == bare
+            out, trace = internal_insert(s, i)
+            assert route == list(trace.route) and created == trace.created
+            assert _freeze(inner, rows) == out
+            assert _uninsert_inplace(inner, rows, created) == trace.vacated
+            assert (inner, rows) == _thaw(s)
+    assert words == 17914
+
+
+def _outcome(insert, t, i, count):
+    state = _thaw(t)
+    try:
+        return insert(*state, i, count), state
+    except ValueError as exc:
+        return str(exc)
+
+
+def _as_one_run(inner, rows, i, count):
+    return _insert_inplace(inner, rows, i, None, count)
+
+
+def _one_at_a_time(inner, rows, i, count):
+    for _ in range(count):
+        created = _insert_inplace(inner, rows, i)
+    return created
+
+
+def test_a_run_of_insertions_is_checked_once_at_its_last_cell():
+    # count insertions at a row, filled or blank, as one call: the same
+    # state and last created cell as count calls, or the same error
+    kinds = set()
+    for t in small_tableaux(5):
+        for i in range(1, len(t.outer) + 3):
+            for count in (2, 3, 4):
+                run = _outcome(_as_one_run, t, i, count)
+                assert run == _outcome(_one_at_a_time, t, i, count)
+                filled = i <= len(t.rows) and bool(t.rows[i - 1])
+                kinds.add("raises" if type(run) is str else
+                          "filled" if filled else "blank")
+    assert kinds == {"raises", "filled", "blank"}
 
 
 def _append_one_at_a_time(inner, rows, i, count):

@@ -356,7 +356,7 @@ def test_a_raising_kernel_fails_its_instances_not_the_sweep(
             commutor._admissible, lambda g, board, iu, iv: commutor._cell(g, iu)[0]))
     else:
         broken = _raising_at_row_3(insertion._insert_inplace,
-                                   lambda inner, rows, i: i)
+                                   lambda inner, rows, i, *run: i)
         monkeypatch.setattr(insertion, "_insert_inplace", broken)
         monkeypatch.setattr(commutor, "_insert_inplace", broken)
     _thu_sweep.cache_clear()
