@@ -26,6 +26,21 @@ class UsageError(Exception):
     pass
 
 
+# The most inner-border cells ``commute`` and ``insert`` take.  The border is
+# the one size a short input can make huge, one JSON number, and both
+# commands allocate it; 2**22 admits the 3,200-letter blocks (3.09 M cells).
+MAX_BORDER = 1 << 22
+
+
+def check_border(t: SkewTableau) -> SkewTableau:
+    """t, if its inner border has at most ``MAX_BORDER`` cells."""
+    cells = sum(t.inner)
+    if cells > MAX_BORDER:
+        raise UsageError(f"the inner border has {cells} cells, over the limit "
+                         f"of {MAX_BORDER}")
+    return t
+
+
 def _read_input(path: str) -> str:
     try:
         if path == "-":
@@ -85,7 +100,7 @@ def _emit_pair(p: GluedPair, fmt: str) -> str:
 
 
 def cmd_commute(args) -> int:
-    skew = parse_tableau(_read_input(args.input))
+    skew = check_border(parse_tableau(_read_input(args.input)))
     frames = []
     if args.method in ("switching", "infusion"):
         def on_frame(site, cells):
@@ -115,7 +130,7 @@ def cmd_commute(args) -> int:
 
 
 def cmd_insert(args) -> int:
-    t = parse_tableau(_read_input(args.input))
+    t = check_border(parse_tableau(_read_input(args.input)))
     word = parse_word(args.word)
     try:
         result, traces = order_word_steps(t, word)

@@ -8,7 +8,7 @@ insertions and row appends that build the image from the empty tableau, and
 its own row as one run and its appends as another.  ``rho1_internal`` and
 ``rho1_scratch`` are that one run, the former also asking the kernel for the
 bumping routes of each block's row word and checking the route claim on
-them.
+them as the block ends.
 
 Every switch order runs on one flat board: a list (a tuple once frozen) of
 signed values, a 0, then each row's cells, u-letters positive and v-letters
@@ -551,22 +551,20 @@ def row_program(t: SkewTableau) -> Iterator[RowStep]:
 
 
 def _run_blocks(t: SkewTableau, on_step: Callable | None = None,
-                keep_routes: bool = False):
-    """``run_row_program``, also returning each block's row and the bumping
-    routes of its row-word insertions (its letters below the row), which
-    the kernel records only under ``on_step`` or ``keep_routes``: each is
-    None otherwise."""
+                check_routes: bool = False) -> SkewTableau:
+    """``run_row_program``; given ``check_routes``, it also checks the route
+    claim as each block ends, on the bumping routes of the block's row-word
+    insertions (its letters below the row), and then drops them."""
     inner: list[int] = []
     rows: list[list[int]] = []
     state = (inner, rows)
-    blocks = []
     for n, h, word, appends in _blocks(t):
         routes = []
         if on_step is None:
             if h:
                 _insert_inplace(inner, rows, n, None, h)
             for i in word:
-                route = [] if keep_routes else None
+                route = [] if check_routes else None
                 _insert_inplace(inner, rows, i, route)
                 routes.append(route)
             if appends:
@@ -580,8 +578,9 @@ def _run_blocks(t: SkewTableau, on_step: Callable | None = None,
             for _ in range(appends):
                 _append_inplace(inner, rows, n)
                 on_step(RowStep(n, "append", n), None, state)
-        blocks.append((n, routes))
-    return _freeze(inner, rows), blocks
+        if check_routes:
+            _assert_route_claim(routes, n)
+    return _freeze(inner, rows)
 
 
 def run_row_program(t: SkewTableau,
@@ -598,7 +597,7 @@ def run_row_program(t: SkewTableau,
     state)`` receives the ``RowStep``, its ``InsertionTrace`` (None for an
     append) and the live lists, which a callback that keeps them must copy.
     """
-    return _run_blocks(t, on_step)[0]
+    return _run_blocks(t, on_step)
 
 
 def _assert_route_claim(routes: list, row: int):
@@ -620,12 +619,9 @@ def _assert_route_claim(routes: list, row: int):
 
 def rho1_internal(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
     """The commutor by the row program, checking the route claim on every
-    row block; ``on_step`` is as for ``run_row_program``."""
+    row block as it ends; ``on_step`` is as for ``run_row_program``."""
     _require_lr_pair(p)
-    skew, blocks = _run_blocks(p.skew, on_step, keep_routes=True)
-    for row, routes in blocks:
-        _assert_route_claim(routes, row)
-    return glued_pair(skew)
+    return glued_pair(_run_blocks(p.skew, on_step, check_routes=True))
 
 
 def rho1_scratch(p: GluedPair, on_step: Callable | None = None) -> GluedPair:

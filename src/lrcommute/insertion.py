@@ -4,17 +4,20 @@ correspondence.
 The basic move vacates the inner corner of a row and Schensted-inserts the
 bumped entry into the rows below; it grows the inner and outer borders by one
 box each without changing the multiset of entries.  Both directions run in
-place on parallel mutable (inner, rows) lists, from which ``_freeze`` derives
-the outer border: ``_insert_inplace`` makes the move and ``_uninsert_inplace``
-undoes it from the cell it created.  The kernel returns that cell, and adds
-the bumping route's cells only to a list its caller passes; ``_insert_traced``
+place on parallel mutable (inner, rows) lists, each row at its full width
+with its inner cells holding 0, so a list index is a column:
+``_insert_inplace`` makes the move, writing a 0 into the corner it vacates,
+and ``_uninsert_inplace`` undoes it from the cell it created, reverse-bumping
+until it takes out a 0.  The kernel returns the created cell, and adds the
+bumping route's cells only to a list its caller passes; ``_insert_traced``
 builds an ``InsertionTrace`` for the callers that hand one out.  A run of
 moves at one row is one kernel call, checked once.
 
 Skew RSK inserts T at the rows of U's cells in standard order, and its
 inverse undoes the cells of Q's standard order, last first; ``_rows_at``
-records Q from the created cells and U from the vacated ones.  The public
-functions thaw their arguments, run the moves and freeze the result.
+records Q from the created cells and U from the vacated ones, as rows of
+entries for ``_tableau``.  The public functions thaw their arguments, run
+the moves and freeze the result.
 """
 
 from __future__ import annotations
@@ -109,23 +112,24 @@ def _insert_inplace(inner: list, rows: list, i: int, route: list | None = None,
     n = len(inner)
     if i < 1 or i > n + 1:
         raise ValueError(f"row {i} is not an inner corner")
-    mu_i = inner[i - 1] if i <= n else 0
+    a = inner[i - 1] if i <= n else 0
     # the corner rule of _corners, written out in both because a helper
     # called once per row makes _corners about 50% slower
-    if i > 1 and inner[i - 2] < mu_i + count:
+    if i > 1 and inner[i - 2] < a + count:
         raise ValueError(f"row {i} is not an inner corner")
     if i > n:
         inner.append(0)
         rows.append([])
         n += 1
     row = rows[i - 1]
-    while row and count:
-        # filled corner: bump its entry and reinsert it below
+    while a < len(row) and count:
+        # filled corner: vacate it and bump its entry into the rows below
         count -= 1
-        x = row.pop(0)
-        inner[i - 1] += 1
+        x, row[a] = row[a], 0
+        a += 1
+        inner[i - 1] = a
         if route is not None:
-            route.append((i, inner[i - 1]))
+            route.append((i, a))
         k = i  # 0-based index of the next row
         while True:
             if k == n:
@@ -135,21 +139,22 @@ def _insert_inplace(inner: list, rows: list, i: int, route: list | None = None,
                 created = (k + 1, 1)
                 break
             below = rows[k]
-            j = bisect_right(below, x)
+            j = bisect_right(below, x)  # past the blanks, which hold 0
             if j == len(below):
                 below.append(x)
-                created = (k + 1, inner[k] + j + 1)
+                created = (k + 1, j + 1)
                 break
             below[j], x = x, below[j]
             if route is not None:
-                route.append((k + 1, inner[k] + j + 1))
+                route.append((k + 1, j + 1))
             k += 1
         if route is not None:
             route.append(created)
     if count:
         # blank corner: adjoin the cells to both borders
-        inner[i - 1] += count
-        created = (i, inner[i - 1])
+        row += [0] * count
+        inner[i - 1] = len(row)
+        created = (i, len(row))
     return created
 
 
@@ -162,41 +167,26 @@ def _insert_traced(inner: list, rows: list, i: int) -> InsertionTrace:
 
 def _uninsert_inplace(inner: list, rows: list, cell: Cell) -> Cell:
     """Undo, on parallel mutable lists, the internal insertion that created
-    cell: take it off the borders, reverse-bump its entry (if filled) up the
-    rows above, and return the inner cell the insertion vacated."""
+    cell: take it off the outer border, reverse-bump its entry up the rows
+    above until it takes out the 0 that ends an inner border (at once, for a
+    blank cell), and return the inner cell the insertion vacated."""
     r, c = cell
-    if c <= inner[r - 1]:
-        # blank cell: take it off both borders
-        if not (inner[r - 1] == c and not rows[r - 1]):
-            raise ValueError(f"cell ({r}, {c}) is not a removable blank box")
-        inner[r - 1] -= 1
-        if r == len(inner) and not inner[r - 1]:
-            inner.pop()
-            rows.pop()
-        return cell
-    # filled cell: take it off the outer border and reverse-bump upwards
-    if c != inner[r - 1] + len(rows[r - 1]) or (
-            r < len(rows) and inner[r] + len(rows[r]) >= c):
+    if c != len(rows[r - 1]) or (r < len(rows) and len(rows[r]) >= c):
         raise ValueError(f"cell ({r}, {c}) is not a removable outer box")
     x = rows[r - 1].pop()
-    if r == len(rows) and not rows[r - 1] and inner[r - 1] == 0:
-        inner.pop()
-        rows.pop()
-    k = r - 2  # 0-based index of the next row up
-    while True:
+    k, j = r - 1, c - 1  # 0-based: where x came from
+    while x:
+        k -= 1
         if k < 0:
             raise ValueError("reverse bump ran past the first row")
         row = rows[k]
-        j = bisect_left(row, x) - 1  # rightmost entry strictly smaller than x
-        if j < 0:
-            # x returns to the end of the inner border of row k
-            if inner[k] == 0:
-                raise ValueError("reverse bump found no inner box to restore")
-            row.insert(0, x)
-            inner[k] -= 1
-            return (k + 1, inner[k] + 1)
+        j = bisect_left(row, x) - 1  # rightmost entry below x, filled or 0
         row[j], x = x, row[j]
-        k -= 1
+    inner[k] -= 1
+    if r == len(rows) and not rows[-1]:
+        inner.pop()
+        rows.pop()
+    return (k + 1, j + 1)
 
 
 def _append_inplace(inner: list, rows: list, i: int, count: int = 1) -> None:
@@ -209,13 +199,13 @@ def _append_inplace(inner: list, rows: list, i: int, count: int = 1) -> None:
     if not 1 <= i <= n + 1:
         raise ValueError(f"row {i} out of range for appending")
     row = rows[i - 1] if i <= n else []
-    col = (inner[i - 1] if i <= n else 0) + len(row) + count
+    col = len(row) + count
     why = None
-    if i > 1 and inner[i - 2] + len(rows[i - 2]) < col:
+    if i > 1 and len(rows[i - 2]) < col:
         why = f"row {i} would outgrow row {i - 1}"
     elif row and row[-1] > i:
         why = f"row {i} not weakly increasing"
-    elif i > 1 and inner[i - 2] < col and rows[i - 2][col - 1 - inner[i - 2]] >= i:
+    elif i > 1 and rows[i - 2][col - 1] >= i:
         why = f"column {col} not strictly increasing at row {i}"
     if why:
         raise ValueError(f"appending {i} to row {i} breaks the tableau: {why}")
@@ -227,14 +217,20 @@ def _append_inplace(inner: list, rows: list, i: int, count: int = 1) -> None:
 
 
 def _thaw(t: SkewTableau) -> tuple[list[int], list[list[int]]]:
-    """The in-place kernels' (inner, rows) lists holding t."""
-    return list(t.inner), [list(r) for r in t.rows]
+    """The in-place kernels' (inner, rows) lists holding t, blanks as 0s."""
+    return list(t.inner), [[0] * a + list(r) for a, r in zip(t.inner, t.rows)]
 
 
 def _freeze(inner, rows) -> SkewTableau:
     """The tableau that (inner, rows) lists hold, unvalidated."""
-    rows = tuple(tuple(r) for r in rows)
-    return SkewTableau._fast(tuple(i + len(r) for i, r in zip(inner, rows)),
+    return _tableau(inner, [r[a:] for a, r in zip(inner, rows)])
+
+
+def _tableau(inner, rows) -> SkewTableau:
+    """The tableau of this inner border and these rows of entries,
+    unvalidated."""
+    rows = tuple(map(tuple, rows))
+    return SkewTableau._fast(tuple(a + len(r) for a, r in zip(inner, rows)),
                              tuple(inner), rows)
 
 
@@ -303,8 +299,8 @@ def skew_rsk_forward(t: SkewTableau, u: SkewTableau) -> tuple[SkewTableau, SkewT
     order = standard_order(u)
     created = [_insert_inplace(inner, rows, r) for _x, (r, _c) in order]
     return (_freeze(inner, rows),
-            _freeze(t.outer + (0,) * (len(rows) - len(t.outer)),
-                    _rows_at(order, created, len(rows))))
+            _tableau(t.outer + (0,) * (len(rows) - len(t.outer)),
+                     _rows_at(order, created, len(rows))))
 
 
 def skew_rsk_inverse(p: SkewTableau, q: SkewTableau) -> tuple[SkewTableau, SkewTableau]:
@@ -317,4 +313,4 @@ def skew_rsk_inverse(p: SkewTableau, q: SkewTableau) -> tuple[SkewTableau, SkewT
     n = len(as_partition(inner))  # U's outer border is P's inner one
     vacated = [_uninsert_inplace(inner, rows, c) for _x, c in reversed(order)]
     return (_freeze(inner, rows),
-            _freeze((inner + [0] * n)[:n], _rows_at(order, vacated[::-1], n)))
+            _tableau((inner + [0] * n)[:n], _rows_at(order, vacated[::-1], n)))

@@ -32,7 +32,7 @@ import struct
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache
-from itertools import chain, product
+from itertools import chain, product, repeat
 from operator import itemgetter, sub
 from typing import Iterator
 
@@ -41,7 +41,7 @@ from .commutor import (_board, _cells_of, _geometry, _infuse, _split_cells,
                        _terminals, rho1_internal, rho1_scratch, rho1_switching,
                        staged_decomposition)
 from .insertion import (GluedPair, InsertionTrace, _corners, _freeze, _rows_at,
-                        _thaw, glued_pair)
+                        _tableau, _thaw, glued_pair)
 from .knuth import elementary_moves, p_tableau_rows
 from .schur import _kostka_counter, lr_coefficient, schur_product
 from .tableaux import (SkewShape, SkewTableau, _standard_order, as_partition,
@@ -574,14 +574,16 @@ def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, ends: dict,
             u, w_u, order, _h = side[j]
             try:
                 if p_class is None:  # once per word, unless it raises
-                    p_class = reading_class(tuple(map(tuple, rows)))
+                    # keyed by P's entries: each row without its blanks' 0s
+                    p_class = reading_class(
+                        tuple(map(tuple, map(filter, repeat(None), rows))))
                 if p_class != w_t:
                     rep.fail(f"{t!r} {u!r}", "P = T class",
                              f"{_freeze(inner, rows)!r}")
                 q_rows = tuple(map(tuple, _rows_at(order, created, len(rows))))
                 if reading_class(q_rows) != w_u:
                     rep.fail(f"{t!r} {u!r}", "Q = U class",
-                             f"{_freeze(q_inner, q_rows)!r}")
+                             f"{_tableau(q_inner, q_rows)!r}")
                 # the creation-order claim: the inverse, which undoes Q's
                 # standard order, is then the walk's backtracking
                 cells = order_cells((q_inner, q_rows))
@@ -589,7 +591,7 @@ def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, ends: dict,
                     settled.add(j)
                     rep.fail(f"{t!r} {u!r}",
                              f"Q's standard order is the created cells {created}",
-                             f"{_freeze(q_inner, q_rows)!r} orders {cells}")
+                             f"{_tableau(q_inner, q_rows)!r} orders {cells}")
             except Exception as exc:  # a raising kernel fails this U only
                 settled.add(j)
                 rep.fail(f"{t!r} {u!r}", "no exception", _raised(exc))

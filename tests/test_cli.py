@@ -447,3 +447,25 @@ def test_usage_errors_quote_a_bounded_prefix(monkeypatch, capsys, argv, stdin,
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "cannot parse" in err and reason in err
     assert len(err) < 200 and err.count("\n") == 1
+
+
+def test_the_border_limit_admits_its_value_and_no_more():
+    # the check alone, on bare borders: nothing is commuted or allocated
+    at = SkewTableau((cli.MAX_BORDER,), (cli.MAX_BORDER,), [()])
+    past = SkewTableau((cli.MAX_BORDER + 1,), (cli.MAX_BORDER + 1,), [()])
+    assert cli.MAX_BORDER == 2 ** 22
+    assert cli.check_border(at) is at
+    with pytest.raises(cli.UsageError, match=f"over the limit of {2 ** 22}$"):
+        cli.check_border(past)
+
+
+@pytest.mark.parametrize("argv", [["commute", "-"], ["insert", "-", "1"]],
+                         ids=["commute", "insert"])
+def test_a_huge_inner_border_is_a_usage_error(monkeypatch, capsys, argv):
+    # an eleven-digit border part once ended in a MemoryError (exit 1)
+    huge = '{"outer":[99999999999],"inner":[99999999998],"rows":[[1]]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(huge))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: the inner border has 99999999998 cells, over the "
+                   "limit of 4194304\n")

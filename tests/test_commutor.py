@@ -15,7 +15,8 @@ from lrcommute.commutor import (SwitchSite, TwoColorTableau, _board,
                                 row_program, run_row_program,
                                 staged_decomposition, switch_sites, switching)
 from lrcommute.insertion import (GluedPair, _append_inplace, _freeze,
-                                 _insert_traced, glued_pair)
+                                 _insert_traced, glued_pair, skew_rsk_forward,
+                                 skew_rsk_inverse)
 from lrcommute.knuth import p_tableau_rows
 from lrcommute.tableaux import (EMPTY, SkewShape, SkewTableau, empty_of_shape,
                                 enumerate_ssyt, glue, reading_word,
@@ -339,6 +340,13 @@ def _deep_pair(n: int) -> GluedPair:
                                   [(i,) for i in range(1, n + 1)]))
 
 
+def _wide_bumping_pair(n: int) -> GluedPair:
+    """The wide bumping pair: 1^n right of the inner border (n), over 1^n.
+    Its second block inserts n letters 1 at row 1, each vacating a filled
+    corner of a row 2n cells wide."""
+    return glued_pair(SkewTableau((2 * n, n), (n,), [(1,) * n, (1,) * n]))
+
+
 def _site_tests(monkeypatch, p: GluedPair) -> int:
     calls = []
     admissible = commutor._admissible
@@ -362,15 +370,29 @@ def test_greedy_tests_only_the_sites_a_swap_can_change(monkeypatch):
 
 
 def test_greedy_matches_infusion_and_insertion_beyond_desk_scale():
-    # the N=40 staircase (820 boxes), ten seeded pairs of 30-100 boxes and
-    # four deep two-column pairs
+    # the N=40 staircase (820 boxes), ten seeded pairs of 30-100 boxes, four
+    # deep two-column pairs and two wide bumping pairs
     pairs = _seeded_pairs()
     pairs.append(_disconnected_pair(0, 40, 4, cut=1))
     pairs += [_deep_pair(n) for n in (60, 200, 400, 1500)]
+    pairs += [_wide_bumping_pair(n) for n in (100, 1600)]
     for p in pairs:
         image = rho1_internal(p)
         assert rho1_switching(p) == rho1_switching(p, "infusion") == image
         assert rho1_switching(image) == p
+
+
+def test_skew_rsk_round_trips_the_wide_bumping_pair():
+    # U = 1^n right of (n) inserts the pair's skew member at row 1 n times,
+    # each vacating a filled corner of a row 2n cells wide and bumping its 1
+    # to the end of row 2
+    n = 40000
+    t = _wide_bumping_pair(n).skew
+    u = SkewTableau((2 * n,), (n,), [(1,) * n])
+    p, q = skew_rsk_forward(t, u)
+    assert p == SkewTableau((2 * n, 2 * n), (2 * n,), [(), (1,) * 2 * n])
+    assert q == SkewTableau((2 * n, 2 * n), (2 * n, n), [(), (1,) * n])
+    assert skew_rsk_inverse(p, q) == (t, u)
 
 
 def test_greedy_on_a_board_with_no_site_returns_an_equal_copy():

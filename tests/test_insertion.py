@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from lrcommute import insertion
 from lrcommute.insertion import (GluedPair, _append_inplace, _freeze,
                                  _insert_inplace, _thaw, _uninsert_inplace,
                                  apply_order_word, extended_insert,
@@ -10,7 +13,7 @@ from lrcommute.knuth import p_tableau_rows
 from lrcommute.tableaux import (EMPTY, SkewTableau, empty_of_shape,
                                 is_ballot_tableau, reading_word, subpartitions,
                                 yamanouchi_tableau)
-from lrcommute.verify import packed_fillings, partitions_up_to
+from lrcommute.verify import _walk, packed_fillings, partitions_up_to
 
 T_WORDS = SkewTableau((3, 2), (1, 0), [(1, 3), (2, 3)])
 RESULT_WORDS = SkewTableau((4, 3, 2, 1), (4, 2, 0, 0), [(), (3,), (1, 3), (2,)])
@@ -89,12 +92,12 @@ def test_internal_insert_shape_accounting():
 def test_uninsert_undoes_insert():
     for t in small_tableaux(6):
         for i in inner_corners(t):
-            inner, rows = list(t.inner), [list(r) for r in t.rows]
+            inner, rows = _thaw(t)
             route = []
             created = _insert_inplace(inner, rows, i, route)
             vacated = route[0] if route else created
             assert _uninsert_inplace(inner, rows, created) == vacated
-            assert (inner, rows) == (list(t.inner), [list(r) for r in t.rows])
+            assert (inner, rows) == _thaw(t)
 
 
 def _insert_walk(t, depth):
@@ -127,6 +130,34 @@ def test_the_kernel_records_a_route_only_in_a_given_list():
             assert _uninsert_inplace(inner, rows, created) == trace.vacated
             assert (inner, rows) == _thaw(s)
     assert words == 17914
+
+
+def test_the_kernels_keep_each_rows_blanks_as_its_leading_0s(monkeypatch):
+    # every insertion and every undoing on the walk of each valid word of up
+    # to 4 letters on the packed fillings of at most 5 boxes leaves row k as
+    # inner[k] 0s, then entries of at least 1
+    calls = []
+
+    def checking(kernel):
+        def run(inner, rows, *args):
+            created = kernel(inner, rows, *args)
+            assert len(inner) == len(rows)
+            for a, row in zip(inner, rows):
+                assert row[:a] == [0] * a and min(row[a:], default=1) >= 1
+            calls.append(kernel.__name__)
+            return created
+        return run
+
+    for name in ("_insert_inplace", "_uninsert_inplace"):
+        monkeypatch.setattr(insertion, name, checking(getattr(insertion, name)))
+
+    def fail(*args):
+        pytest.fail(repr(args))
+
+    for t in small_tableaux(5):
+        assert _freeze(*_thaw(t)) == t
+        _walk(*_thaw(t), 4, lambda v, trail: None, fail, fail)
+    assert Counter(calls) == {"_insert_inplace": 17914, "_uninsert_inplace": 17914}
 
 
 def _outcome(insert, t, i, count):
@@ -179,18 +210,19 @@ def _append_one_at_a_time(inner, rows, i, count):
 ])
 def test_an_append_run_checks_its_first_and_last_cells(inner, rows, i, count, why):
     # a run is checked once, and says what appending letter by letter says
+    t = SkewTableau([a + len(r) for a, r in zip(inner, rows)], inner, rows)
     message = f"appending {i} to row {i} breaks the tableau: {why}"
     for append in (_append_inplace, _append_one_at_a_time):
-        state = (list(inner), [list(r) for r in rows])
+        state = _thaw(t)
         with pytest.raises(ValueError) as exc:
             append(*state, i, count)
         assert str(exc.value) == message
     # the run one cell shorter is accepted, as it is letter by letter
     if why.endswith("weakly increasing"):
         return
-    run = (list(inner), [list(r) for r in rows])
+    run = _thaw(t)
     _append_inplace(*run, i, count - 1)
-    one_at_a_time = (list(inner), [list(r) for r in rows])
+    one_at_a_time = _thaw(t)
     _append_one_at_a_time(*one_at_a_time, i, count - 1)
     assert run == one_at_a_time
     assert run[1][i - 1][-(count - 1):] == [i] * (count - 1)

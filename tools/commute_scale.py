@@ -9,14 +9,18 @@ Each (input, method) runs in a fresh interpreter, one process at a time:
 the child times ``cli.main(["--format", "json", "commute", FILE, "--method",
 METHOD])`` (parse, commute and print, not the import) and reports its peak
 RSS (``VmHWM`` of ``/proc/self/status``, so Linux only: a spawned child's
-``ru_maxrss`` also counts its parent's RSS at the spawn).  The inputs are the deep two-column pairs and the
-disconnected-block pairs of ``tests/test_commutor.py`` (staircases cut at
-every letter, and seed-1 blocks of letters up to 6 cut with probability
-0.3), up to 800-letter blocks, to keep memory small.  Greedy switching is
-stopped at 60 s and then skipped on every larger input.  The record holds,
-per method, the best time over ``RUNS`` runs and the peak RSS on each
-input, whether all four methods printed the same image, and the log-log
-slope of time against boxes.  It is a record, not a gate.
+``ru_maxrss`` also counts its parent's RSS at the spawn).  It also reports
+the time scaled by ``perfbench/refclock.py``, whose kernel it samples while
+the call runs, so that records taken on a drifting machine compare.  The
+inputs are four families of pairs from ``tests/test_commutor.py``: the deep
+two-column pairs, two kinds of disconnected blocks (staircases cut at every
+letter, and seed-1 blocks of letters up to 6 cut with probability 0.3, up to
+800 letters, to keep memory small) and the wide bumping pairs.
+Greedy switching is stopped at 60 s and then skipped on every larger input
+of the family.  The record holds, per method, the best raw and scaled times
+over ``RUNS`` runs and the peak RSS on each input, whether all four methods
+printed the same image, and the log-log slopes of scaled time against
+boxes, over all inputs and over each family.  It is a record, not a gate.
 """
 
 from __future__ import annotations
@@ -39,38 +43,48 @@ GREEDY_LIMIT_S = 60
 RUNS = 3
 
 
-def inputs() -> dict[str, dict]:
-    """The inputs by name, as ``commute``'s JSON tableaux: the pairs of
-    ``tests/test_commutor.py``, so the record and the tests share them."""
+def inputs() -> dict[str, tuple[str, dict]]:
+    """The inputs by name, each with its family, as ``commute``'s JSON
+    tableaux: the pairs of ``tests/test_commutor.py``, so the record and the
+    tests share them."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from test_commutor import _deep_pair, _disconnected_pair
+    from test_commutor import _deep_pair, _disconnected_pair, _wide_bumping_pair
 
     from lrcommute import to_json_dict
 
-    pairs = {f"deep n={n}": _deep_pair(n) for n in (400, 1500)}
-    pairs.update({f"staircase N={n}": _disconnected_pair(0, n, 4, cut=1)
+    pairs = {f"deep n={n}": ("deep", _deep_pair(n)) for n in (400, 1500)}
+    pairs.update({f"staircase N={n}": ("staircase", _disconnected_pair(0, n, 4, cut=1))
                   for n in (40, 80, 160)})
-    pairs.update({f"blocks {n} letters": _disconnected_pair(1, n, 6)
+    pairs.update({f"blocks {n} letters": ("blocks", _disconnected_pair(1, n, 6))
                   for n in (200, 800)})
-    return {name: to_json_dict(p.skew) for name, p in pairs.items()}
+    pairs.update({f"wide bumping N={n}": ("wide bumping", _wide_bumping_pair(n))
+                  for n in (10_000, 40_000, 160_000, 640_000)})
+    return {name: (family, to_json_dict(p.skew))
+            for name, (family, p) in pairs.items()}
 
 
 def child(method: str, path: str):
     """Time one ``commute`` call in this interpreter and print the result."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import refclock
+
     from lrcommute import cli
 
     stdout, sys.stdout = sys.stdout, io.StringIO()
     try:
-        start = time.perf_counter()
-        code = cli.main(["--format", "json", "commute", path, "--method", method])
-        seconds = time.perf_counter() - start
+        with refclock.Ticker() as ticker:
+            start = time.perf_counter()
+            code = cli.main(["--format", "json", "commute", path, "--method", method])
+            seconds = time.perf_counter() - start - ticker.seconds
         out = sys.stdout.getvalue()
     finally:
         sys.stdout = stdout
     with open("/proc/self/status") as status:
         rss_mb = next(int(line.split()[1]) for line in status
                       if line.startswith("VmHWM:")) / 1024
-    print(json.dumps({"code": code, "s": seconds, "rss_mb": rss_mb,
+    print(json.dumps({"code": code, "s": seconds,
+                      "s_ref": refclock.scale(seconds, ticker.mean),
+                      "rss_mb": rss_mb,
                       "sha256": hashlib.sha256(out.encode()).hexdigest()}))
 
 
@@ -94,7 +108,7 @@ def slope(points: list[tuple[int, float]]) -> float | None:
     ys = [math.log(s) for _b, s in points]
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     sxx = sum((x - mx) ** 2 for x in xs)
-    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    return round(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx, 3)
 
 
 def main(argv=None):
@@ -106,18 +120,19 @@ def main(argv=None):
     if args.child:
         return child(*args.child)
     tables = inputs()
-    order = sorted(tables, key=lambda name: sum(tables[name]["outer"]))
-    rows, greedy_off = [], None
+    order = sorted(tables, key=lambda name: sum(tables[name][1]["outer"]))
+    rows, greedy_off = [], {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in order:
-            table = tables[name]
+            family, table = tables[name]
             path = os.path.join(tmp, "input.json")
             Path(path).write_text(json.dumps(table))
-            row = {"input": name, "boxes": sum(table["outer"])}
+            row = {"input": name, "family": family, "boxes": sum(table["outer"])}
             digests = set()
             for method in METHODS:
-                if method == "switching" and greedy_off:
-                    row[method] = {"skipped": f"past {GREEDY_LIMIT_S} s on {greedy_off}"}
+                if method == "switching" and family in greedy_off:
+                    row[method] = {"skipped": f"past {GREEDY_LIMIT_S} s on "
+                                              f"{greedy_off[family]}"}
                     continue
                 timeout = GREEDY_LIMIT_S if method == "switching" else None
                 results = []
@@ -127,32 +142,36 @@ def main(argv=None):
                         break
                     results.append(result)
                 if not results:
-                    greedy_off = name
+                    greedy_off[family] = name
                     row[method] = {"skipped": f"past {GREEDY_LIMIT_S} s"}
                     continue
                 digests.update(r["sha256"] for r in results)
                 row[method] = {"s": round(min(r["s"] for r in results), 4),
+                               "s_ref": round(min(r["s_ref"] for r in results), 4),
                                "rss_mb": round(max(r["rss_mb"] for r in results), 1),
                                "exit": sorted({r["code"] for r in results})}
-                print(f"{name:20} {method:9} {row[method]['s']:9.4f} s "
+                print(f"{name:24} {method:9} {row[method]['s']:9.4f} s "
+                      f"{row[method]['s_ref']:9.4f} ref s "
                       f"{row[method]['rss_mb']:7.1f} MB", flush=True)
             row["same_image"] = len(digests) == 1
             rows.append(row)
-    slopes = {m: slope([(r["boxes"], r[m]["s"]) for r in rows if "s" in r[m]])
-              for m in METHODS}
+    slopes = {f: {m: slope([(r["boxes"], r[m]["s_ref"]) for r in rows
+                            if f in ("all", r["family"]) and "s" in r[m]])
+                  for m in METHODS}
+              for f in ("all", *dict.fromkeys(r["family"] for r in rows))}
     record = {
         "what": "lrcommute commute latency by method on inputs of growing "
                 "size: each (input, method) in a fresh interpreter, one at a "
-                f"time; s is the best cli.main time over {RUNS} runs, rss_mb "
-                "the child's peak RSS (VmHWM)",
+                f"time; s is the best cli.main time over {RUNS} runs, s_ref "
+                "the best in reference seconds (perfbench/refclock.py), "
+                "rss_mb the child's peak RSS (VmHWM); slopes fit s_ref",
         "command": "python3 tools/commute_scale.py",
         "python": sys.version.split()[0],
         "inputs": rows,
-        "loglog_slope": {m: None if s is None else round(s, 3)
-                         for m, s in slopes.items()},
+        "loglog_slope": slopes,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    print("slopes", record["loglog_slope"])
+    print("slopes", json.dumps(slopes))
 
 
 if __name__ == "__main__":
