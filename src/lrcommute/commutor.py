@@ -7,8 +7,7 @@ insertions and row appends that build the image from the empty tableau, and
 ``run_row_program`` executes them in place, a block's blank insertions at
 its own row as one run and its appends as another.  ``rho1_internal`` and
 ``rho1_scratch`` are that one run, the former also asking the kernel for the
-bumping routes of each block's row word and checking the route claim on
-them as the block ends.
+bumping route of each row-word letter and checking the route claim on it.
 
 Every switch order runs on one flat board: a list (a tuple once frozen) of
 signed values, a 0, then each row's cells, u-letters positive and v-letters
@@ -21,8 +20,9 @@ are tested.  Greedy runs ``_switch``, which tests each edge a swap may have
 changed only once it comes first on a heap; ``_terminals`` walks every
 order, for the confluence sweep.  Infusion (reverse standard order,
 Thomas-Yong) and staged switching (``staged_decomposition``: one Yamanouchi
-row at a time, bottom-up) slide by jeu de taquin in ``_infuse``.  The
-public ``TwoColorTableau`` holds a board as a dict of cells.
+row at a time, bottom-up) slide by jeu de taquin in ``_infuse``, in board
+indices that infusion reads off the board.  The public ``TwoColorTableau``
+holds a board as a dict of cells.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from typing import Callable, Iterator, NamedTuple
 from .insertion import (GluedPair, _append_inplace, _freeze, _insert_inplace,
                         _insert_traced, _require_lr_pair, _thaw, glued_pair)
 from .tableaux import (Cell, SkewTableau, as_partition, is_ballot_tableau,
-                       skew_shape, standard_order, tableau_content,
-                       yamanouchi_tableau)
+                       skew_shape, tableau_content, yamanouchi_tableau)
 
 STRATEGIES = ("greedy", "infusion")
 
@@ -144,11 +143,6 @@ def _geometry(outer, inner) -> _Geometry:
     return _Geometry(tuple(outer), inner, starts, north, south)
 
 
-def _index(g: _Geometry, cell: Cell) -> int:
-    r, c = cell
-    return g.starts[r - 1] + c - 1 - g.inner[r - 1]
-
-
 def _cell(g: _Geometry, i: int) -> Cell:
     r = bisect_right(g.starts, i)
     return r, i - g.starts[r - 1] + g.inner[r - 1] + 1
@@ -166,8 +160,8 @@ def _board(u: SkewTableau, v: SkewTableau) -> list:
 def _board_of(g: _Geometry, cells: dict) -> list:
     """The board of ``TwoColorTableau.cells``."""
     board = [0] * g.starts[-1]
-    for cell, (x, color) in cells.items():
-        board[_index(g, cell)] = x if color == "u" else -x
+    for (r, c), (x, color) in cells.items():
+        board[g.starts[r - 1] + c - 1 - g.inner[r - 1]] = x if color == "u" else -x
     return board
 
 
@@ -391,16 +385,25 @@ def _terminals(g: _Geometry, board) -> Iterator[tuple]:
                 stack.append(b)
 
 
+def _infusion_order(g: _Geometry, board) -> list[int]:
+    """The u-letters' board indices in reverse standard order: each row right
+    to left, top to bottom, sorted stably by letter, largest first; equal
+    letters form a horizontal strip, so they stay right to left."""
+    order = [i for a, b in zip(g.starts, g.starts[1:])
+             for i in range(b - 2, a - 1, -1) if board[i] > 0]
+    order.sort(key=board.__getitem__, reverse=True)
+    return order
+
+
 def _infuse(g: _Geometry, board, order, on_frame: Callable | None = None) -> list:
-    """Slide the u-letters at the cells of ``order`` one at a time by jeu de
-    taquin, on a copy of the board: each trades places with the smaller of
+    """Slide the u-letters at the board indices ``order`` one at a time by jeu
+    de taquin, on a copy of the board: each trades places with the smaller of
     its east and south v-neighbours, the south one on ties, until it has
     neither.  Such a move is always an admissible switch, so none is tested."""
     board = list(board)
     south = g.south
     frame = on_frame and _framer(g, board, on_frame)
-    for cell in order:
-        i = _index(g, cell)
+    for i in order:
         while True:
             # v-letters are negative: of two, the smaller letter is larger
             s, e = south[i], i + 1
@@ -422,8 +425,8 @@ def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
               on_frame: Callable | None = None) -> tuple[SkewTableau, SkewTableau]:
     """Switch v through u until no switch applies; returns (S, H) with
     S Knuth-equivalent to v and H to u, on the same union shape: the pair's
-    board goes through ``_switch`` (greedy) or ``_infuse`` in reverse standard
-    order of u (infusion), its terminal board through ``_split_cells``.
+    board goes through ``_switch`` (greedy) or ``_infuse`` (infusion), its
+    terminal board through ``_split_cells``.
     ``on_frame(site, cells)`` sees each switch and the ``TwoColorTableau``
     cells after it.  ``seed`` is unused; ``perfbench/tracer.py`` still
     passes it."""
@@ -432,7 +435,7 @@ def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     g = _geometry(v.outer, u.inner)
     if strategy == "infusion":
-        end = _infuse(g, board, [c for _x, c in reversed(standard_order(u))], on_frame)
+        end = _infuse(g, board, _infusion_order(g, board), on_frame)
     else:
         end = _switch(g, board, on_frame)
     return _split_cells(g, end, g.inner)
@@ -482,7 +485,8 @@ def staged_decomposition(p: GluedPair) -> StagedDecomposition:
     g = _geometry(lam, p.yam.inner)
     board = _board(p.yam, t)
     for d in range(len(mu), 0, -1):
-        board = _infuse(g, board, [(d, c) for c in range(mu[d - 1], 0, -1)])
+        s = g.starts[d - 1]
+        board = _infuse(g, board, range(s + mu[d - 1] - 1, s - 1, -1))
         # the slid letters fill lam/sigma, which ends each row it meets: the
         # board's last cell, (n + 1, lam[n]), holds one once any does
         if board[g.starts[-1] - 2] > 0:
@@ -553,33 +557,32 @@ def row_program(t: SkewTableau) -> Iterator[RowStep]:
 def _run_blocks(t: SkewTableau, on_step: Callable | None = None,
                 check_routes: bool = False) -> SkewTableau:
     """``run_row_program``; given ``check_routes``, it also checks the route
-    claim as each block ends, on the bumping routes of the block's row-word
-    insertions (its letters below the row), and then drops them."""
+    claim on the bumping route of each row-word insertion (a letter below
+    the block's row) as it is made."""
     inner: list[int] = []
     rows: list[list[int]] = []
     state = (inner, rows)
     for n, h, word, appends in _blocks(t):
-        routes = []
+        seen: set[Cell] = set()
         if on_step is None:
             if h:
                 _insert_inplace(inner, rows, n, None, h)
             for i in word:
                 route = [] if check_routes else None
                 _insert_inplace(inner, rows, i, route)
-                routes.append(route)
+                if check_routes:
+                    _check_route(route, n, seen)
             if appends:
                 _append_inplace(inner, rows, n, appends)
         else:
             for i in [n] * h + word:
                 trace = _insert_traced(inner, rows, i)
-                if i < n:
-                    routes.append(trace.route)
+                if check_routes and i < n:
+                    _check_route(trace.route, n, seen)
                 on_step(RowStep(n, "insert", i), trace, state)
             for _ in range(appends):
                 _append_inplace(inner, rows, n)
                 on_step(RowStep(n, "append", n), None, state)
-        if check_routes:
-            _assert_route_claim(routes, n)
     return _freeze(inner, rows)
 
 
@@ -600,26 +603,23 @@ def run_row_program(t: SkewTableau,
     return _run_blocks(t, on_step)
 
 
-def _assert_route_claim(routes: list, row: int):
-    """The route claim on one block's row-word bumping routes, each a
-    sequence of cells: none is blank, each ends in the block's row, and no
-    two share a cell."""
-    seen: set[Cell] = set()
-    for route in routes:
-        if not route:
-            raise ValueError("a row-word insertion was a blank move")
-        if route[-1][0] != row:
-            raise ValueError(f"a row-word bumping route ended in row "
-                             f"{route[-1][0]}, expected {row}")
-        if not seen.isdisjoint(route):
-            raise ValueError("row-word bumping routes are not disjoint")
-        seen.update(route)
-    return True
+def _check_route(route, row: int, seen: set):
+    """The route claim on a row-word bumping route of block ``row``: it is not
+    blank, ends in that row and shares no cell with ``seen``, the cells of
+    the block's earlier routes, to which it adds its own."""
+    if not route:
+        raise ValueError("a row-word insertion was a blank move")
+    if route[-1][0] != row:
+        raise ValueError(f"a row-word bumping route ended in row "
+                         f"{route[-1][0]}, expected {row}")
+    if not seen.isdisjoint(route):
+        raise ValueError("row-word bumping routes are not disjoint")
+    seen.update(route)
 
 
 def rho1_internal(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
-    """The commutor by the row program, checking the route claim on every
-    row block as it ends; ``on_step`` is as for ``run_row_program``."""
+    """The commutor by the row program, checking the route claim on each
+    row-word route as it is made; ``on_step`` is as for ``run_row_program``."""
     _require_lr_pair(p)
     return glued_pair(_run_blocks(p.skew, on_step, check_routes=True))
 

@@ -37,9 +37,9 @@ from operator import itemgetter, sub
 from typing import Iterator
 
 from . import insertion
-from .commutor import (_board, _cells_of, _geometry, _infuse, _split_cells,
-                       _terminals, rho1_internal, rho1_scratch, rho1_switching,
-                       staged_decomposition)
+from .commutor import (_board, _cells_of, _geometry, _infuse, _infusion_order,
+                       _split_cells, _terminals, rho1_internal, rho1_scratch,
+                       rho1_switching, staged_decomposition)
 from .insertion import (GluedPair, InsertionTrace, _corners, _freeze, _rows_at,
                         _tableau, _thaw, glued_pair)
 from .knuth import elementary_moves, p_tableau_rows
@@ -208,12 +208,10 @@ def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
     terminal board, and greedy's (S, H) stay Knuth equivalent to (V, U)."""
     @cache  # each filling is read once per check
     def fillings(outer, inner):
-        """The packed fillings of outer/inner, each with its hash, its
-        infusion order (its cells in reverse standard order) and its Knuth
-        class (the P-tableau rows of its reading word)."""
+        """The packed fillings of outer/inner, each with its hash and its
+        Knuth class (the P-tableau rows of its reading word)."""
         inner += (0,) * (len(outer) - len(inner))
-        return [(t, _hash_tableau(t), [c for _x, c in reversed(standard_order(t))],
-                 p_tableau_rows(reading_word(t)))
+        return [(t, _hash_tableau(t), p_tableau_rows(reading_word(t)))
                 for t in packed_fillings(outer, inner)]
 
     def instances():
@@ -222,12 +220,12 @@ def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
                 vs = fillings(gamma, lam)
                 for mu in subpartitions(lam):
                     g = _geometry(gamma, mu)
-                    for u, h_u, infusion, p_u in fillings(lam, mu):
-                        for v, h_v, _infusion, p_v in vs:
-                            yield u, v, _pair(h_u, h_v), infusion, (p_v, p_u), g
+                    for u, h_u, p_u in fillings(lam, mu):
+                        for v, h_v, p_v in vs:
+                            yield u, v, _pair(h_u, h_v), (p_v, p_u), g
 
     def prop(instance):
-        u, v, _h, infusion, want, g = instance
+        u, v, _h, want, g = instance
         if u.size == 0 or v.size == 0:
             return  # no switch can ever apply
         board = _board(u, v)
@@ -239,7 +237,7 @@ def check_confluence(max_size: int = 8, seed: int = 0) -> VerifyReport:
             left = " and ".join(m for m, x, w in zip("SH", got, want) if x != w)
             yield (f"knuth: {u!r} {v!r}", f"P(V), P(U) = {want}",
                    f"{left} left its class: P(S), P(H) = {got}")
-        alt = tuple(_infuse(g, board, infusion))
+        alt = tuple(_infuse(g, board, _infusion_order(g, board)))
         if alt != end:
             yield f"infusion: {u!r} {v!r}", _cells_of(g, end), _cells_of(g, alt)
         alt = next((b for b in ends if b != end), None)

@@ -20,8 +20,8 @@ from lrcommute.insertion import (GluedPair, _append_inplace, _freeze,
 from lrcommute.knuth import p_tableau_rows
 from lrcommute.tableaux import (EMPTY, SkewShape, SkewTableau, empty_of_shape,
                                 enumerate_ssyt, glue, reading_word,
-                                subpartitions, tableau_content, to_json_dict,
-                                yamanouchi_tableau)
+                                standard_order, subpartitions, tableau_content,
+                                to_json_dict, yamanouchi_tableau)
 from lrcommute.verify import lr_pairs, packed_fillings, partitions_up_to
 
 T_RUNNING = SkewTableau((6, 5, 5, 4, 3), (4, 3, 2, 1, 0),
@@ -52,7 +52,6 @@ def test_geometry_steps_to_each_neighbour_or_to_the_sentinel():
             assert g.starts[-1] == len(board)
             assert _board_of(g, {cell: (x, "u") for cell, x in value.items()}) == board
             assert [commutor._cell(g, i) for i in index.values()] == list(index)
-            assert [commutor._index(g, cell) for cell in index] == list(index.values())
             for (r, c), i in index.items():
                 assert g.north[i] == index.get((r - 1, c), 0)
                 assert g.south[i] == index.get((r + 1, c), 0)
@@ -333,11 +332,27 @@ def test_live_site_set_equals_a_rescan_beyond_desk_scale():
     assert n_frames == 2504
 
 
+def test_live_site_set_equals_a_rescan_on_the_wide_switching_pair():
+    # every swap of the wide switching pair re-marks the edges of a whole
+    # line: its frames and terminal board still match the rescan's
+    p = _wide_switching_pair(40)
+    frames, end = _frames(switching, p.yam, p.skew)
+    assert (frames, end) == _frames(_rescanned_switching, p.yam, p.skew)
+    assert len(frames) == 40 * 40
+
+
 def _deep_pair(n: int) -> GluedPair:
     """The deep two-column pair: 1..n down column 2 over the inner border
     1^n."""
     return glued_pair(SkewTableau((2,) * n, (1,) * n,
                                   [(i,) for i in range(1, n + 1)]))
+
+
+def _wide_switching_pair(n: int) -> GluedPair:
+    """The wide switching pair: 1^n right of the inner border (n), over 2^n.
+    Each member's letters switch past all of the other's, n^2 swaps on 4n
+    boxes."""
+    return glued_pair(SkewTableau((2 * n, n), (n,), [(1,) * n, (2,) * n]))
 
 
 def _wide_bumping_pair(n: int) -> GluedPair:
@@ -371,11 +386,12 @@ def test_greedy_tests_only_the_sites_a_swap_can_change(monkeypatch):
 
 def test_greedy_matches_infusion_and_insertion_beyond_desk_scale():
     # the N=40 staircase (820 boxes), ten seeded pairs of 30-100 boxes, four
-    # deep two-column pairs and two wide bumping pairs
+    # deep two-column pairs, two wide bumping pairs and a wide switching one
     pairs = _seeded_pairs()
     pairs.append(_disconnected_pair(0, 40, 4, cut=1))
     pairs += [_deep_pair(n) for n in (60, 200, 400, 1500)]
     pairs += [_wide_bumping_pair(n) for n in (100, 1600)]
+    pairs.append(_wide_switching_pair(100))
     for p in pairs:
         image = rho1_internal(p)
         assert rho1_switching(p) == rho1_switching(p, "infusion") == image
@@ -454,6 +470,20 @@ def test_infusion_slides_by_admissible_switches_to_greedys_board():
             assert previous.cells == cells
         g = _geometry(v.outer, u.inner)
         assert previous.cells == _cells_of(g, _switch(g, _board(u, v)))
+
+
+def test_infusion_order_is_the_reverse_standard_order():
+    # the board indices read off the board name u's cells in the order of
+    # the standard order, reversed: the oracle
+    pairs = list(_packed_pairs(6))
+    pairs += [(p.yam, p.skew) for p in
+              (*_seeded_pairs(), _disconnected_pair(0, 40, 4, cut=1))]
+    assert len(pairs) == 4261
+    for u, v in pairs:
+        g = _geometry(v.outer, u.inner)
+        order = commutor._infusion_order(g, _board(u, v))
+        assert [commutor._cell(g, i) for i in order] == [
+            c for _x, c in reversed(standard_order(u))]
 
 
 def test_infusion_slides_the_largest_letter_first():
@@ -751,15 +781,18 @@ def test_commutor_small_sweep():
 
 
 def test_route_claim_checker_rejects_bad_traces():
-    from lrcommute.commutor import _assert_route_claim
+    from lrcommute.commutor import _check_route
     good = [[(1, 2), (2, 2)], [(1, 3), (2, 3)]]
-    assert _assert_route_claim(good, 2)
+    seen = set()
+    for route in good:
+        _check_route(route, 2, seen)
+    assert seen == {(1, 2), (2, 2), (1, 3), (2, 3)}
     with pytest.raises(ValueError, match="disjoint"):
-        _assert_route_claim([good[0], good[0]], 2)
+        _check_route(good[0], 2, seen)
     with pytest.raises(ValueError, match="ended in row"):
-        _assert_route_claim(good, 3)
+        _check_route(good[0], 3, set())
     with pytest.raises(ValueError, match="blank"):
-        _assert_route_claim([[]], 1)
+        _check_route([], 1, set())
 
 
 def test_switching_knuth_preservation_small():

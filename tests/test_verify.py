@@ -257,8 +257,7 @@ def test_recursion_records_the_pairs_that_raise(monkeypatch):
     # still walks every pair
     def infuse_east_on_ties(g, board, order, on_frame=None):
         board = list(board)
-        for cell in order:
-            i = commutor._index(g, cell)
+        for i in order:
             while True:
                 # v-letters are negative: of two, the smaller letter is larger
                 s, e = g.south[i], i + 1

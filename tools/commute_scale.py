@@ -9,13 +9,17 @@ Each (input, method) runs in a fresh interpreter, one process at a time:
 the child times ``cli.main(["--format", "json", "commute", FILE, "--method",
 METHOD])`` (parse, commute and print, not the import) and reports its peak
 RSS (``VmHWM`` of ``/proc/self/status``, so Linux only: a spawned child's
-``ru_maxrss`` also counts its parent's RSS at the spawn).  It also reports
+``ru_maxrss`` also counts its parent's RSS at the spawn).  Each child
+limits its own address space to ``AS_LIMIT`` bytes, so that a method that
+needs more fails its point, recorded with the child's last error line,
+rather than the machine.  It also reports
 the time scaled by ``perfbench/refclock.py``, whose kernel it samples while
 the call runs, so that records taken on a drifting machine compare.  The
-inputs are four families of pairs from ``tests/test_commutor.py``: the deep
+inputs are five families of pairs from ``tests/test_commutor.py``: the deep
 two-column pairs, two kinds of disconnected blocks (staircases cut at every
 letter, and seed-1 blocks of letters up to 6 cut with probability 0.3, up to
-800 letters, to keep memory small) and the wide bumping pairs.
+3,200 letters, about 3.09 M boxes), the wide switching pairs and the wide
+bumping pairs.
 Greedy switching is stopped at 60 s and then skipped on every larger input
 of the family.  The record holds, per method, the best raw and scaled times
 over ``RUNS`` runs and the peak RSS on each input, whether all four methods
@@ -31,6 +35,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -41,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("switching", "infusion", "internal", "scratch")
 GREEDY_LIMIT_S = 60
 RUNS = 3
+AS_LIMIT = 3 << 30
 
 
 def inputs() -> dict[str, tuple[str, dict]]:
@@ -48,7 +54,8 @@ def inputs() -> dict[str, tuple[str, dict]]:
     tableaux: the pairs of ``tests/test_commutor.py``, so the record and the
     tests share them."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from test_commutor import _deep_pair, _disconnected_pair, _wide_bumping_pair
+    from test_commutor import (_deep_pair, _disconnected_pair, _wide_bumping_pair,
+                               _wide_switching_pair)
 
     from lrcommute import to_json_dict
 
@@ -56,7 +63,9 @@ def inputs() -> dict[str, tuple[str, dict]]:
     pairs.update({f"staircase N={n}": ("staircase", _disconnected_pair(0, n, 4, cut=1))
                   for n in (40, 80, 160)})
     pairs.update({f"blocks {n} letters": ("blocks", _disconnected_pair(1, n, 6))
-                  for n in (200, 800)})
+                  for n in (200, 800, 1600, 3200)})
+    pairs.update({f"wide switching N={n}": ("wide switching", _wide_switching_pair(n))
+                  for n in (250, 500, 1000, 2000)})
     pairs.update({f"wide bumping N={n}": ("wide bumping", _wide_bumping_pair(n))
                   for n in (10_000, 40_000, 160_000, 640_000)})
     return {name: (family, to_json_dict(p.skew))
@@ -65,6 +74,7 @@ def inputs() -> dict[str, tuple[str, dict]]:
 
 def child(method: str, path: str):
     """Time one ``commute`` call in this interpreter and print the result."""
+    resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import refclock
 
@@ -89,14 +99,17 @@ def child(method: str, path: str):
 
 
 def run_child(method: str, path: str, timeout: float | None) -> dict | None:
-    """One fresh interpreter's result, or None past ``timeout``."""
+    """One fresh interpreter's result, or None past ``timeout``; a child
+    that fails, say past ``AS_LIMIT``, gives its last line of stderr."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     try:
         done = subprocess.run([sys.executable, __file__, "--child", method, path],
                               capture_output=True, text=True, env=env,
-                              timeout=timeout, check=True)
+                              timeout=timeout)
     except subprocess.TimeoutExpired:
         return None
+    if done.returncode:
+        return {"failed": (done.stderr.strip().splitlines() or ["no stderr"])[-1]}
     return json.loads(done.stdout)
 
 
@@ -138,9 +151,14 @@ def main(argv=None):
                 results = []
                 for _ in range(RUNS):
                     result = run_child(method, path, timeout)
-                    if result is None:
+                    if result is None or "failed" in result:
                         break
                     results.append(result)
+                if result and "failed" in result:
+                    row[method] = result
+                    print(f"{name:24} {method:9} failed: {result['failed']}",
+                          flush=True)
+                    continue
                 if not results:
                     greedy_off[family] = name
                     row[method] = {"skipped": f"past {GREEDY_LIMIT_S} s"}
@@ -162,7 +180,8 @@ def main(argv=None):
     record = {
         "what": "lrcommute commute latency by method on inputs of growing "
                 "size: each (input, method) in a fresh interpreter, one at a "
-                f"time; s is the best cli.main time over {RUNS} runs, s_ref "
+                f"time, its address space limited to {AS_LIMIT >> 30} GiB; s is "
+                f"the best cli.main time over {RUNS} runs, s_ref "
                 "the best in reference seconds (perfbench/refclock.py), "
                 "rss_mb the child's peak RSS (VmHWM); slopes fit s_ref",
         "command": "python3 tools/commute_scale.py",
