@@ -13,12 +13,13 @@ Every switch order runs on one flat board: a list (a tuple once frozen) of
 signed values, a 0, then each row's cells, u-letters positive and v-letters
 negative, each row closed by a 0.  So a cell's west and east neighbours are
 the indices next to it, a 0 past the row's end, and its ``_Geometry`` holds
-the north and south ones, index 0 past the edge.  ``_admissible`` is the
-one site test: each colour class stays a valid filling at every switch
-(Benkart-Sottile-Stroomer), so only the order relations a switch creates
-are tested.  Greedy runs ``_switch``, which tests each edge a swap may have
-changed only once it comes first on a heap; ``_terminals`` walks every
-order, for the confluence sweep.  Infusion (reverse standard order,
+the north and south ones, index 0 past the edge.  ``_admissible`` is the one
+site test: each colour class stays a valid filling at every switch
+(Benkart-Sottile-Stroomer), so only the order relations a switch creates are
+tested.  Greedy runs ``_switch``, which finds its next site by scanning a
+byte per edge from a pointer and, after a swap, re-tests only the edges it
+rejected in lines whose walks can reach a swapped cell; ``_terminals`` walks
+every order, for the confluence sweep.  Infusion (reverse standard order,
 Thomas-Yong) and staged switching (``staged_decomposition``: one Yamanouchi
 row at a time, bottom-up) slide by jeu de taquin in ``_infuse``, in board
 indices that infusion reads off the board.  The public ``TwoColorTableau``
@@ -28,7 +29,6 @@ holds a board as a dict of cells.
 from __future__ import annotations
 
 from bisect import bisect_right
-from heapq import heappop, heappush
 from itertools import zip_longest
 from typing import Callable, Iterator, NamedTuple
 
@@ -283,78 +283,108 @@ def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
     """Switch a copy of the board at the first site row-major until none
     remains; returns the terminal board.
 
-    Each candidate edge is in state 1 (to test) or 0 (not a site, or tested
-    inadmissible since).  Those in state 1 are on a heap, among stale entries
-    in state 0, and the first that tests admissible is the next site.  A swap
-    drops the edges at its two cells and marks to test its new ones and the
-    old ones whose walks cross a line whose values changed.  An east edge at
-    u-cell (r, c) walks only columns c and c + 1, a south one only rows r + 1
-    and r.  An east swap trades two letters within row r, so no walk along a
-    row meets new values: it marks the east edges in columns c - 1 to c + 1;
-    a south swap, the south edges in rows r - 1 to r + 1.  So every admissible
-    edge is on the heap in state 1, and one in state 0 is inadmissible,
-    as nothing it reads has changed: the frames are a rescan's."""
+    Edge 2i joins u-cell i to the v-cell east of it, 2i + 1 to the one
+    south, so edges sort as ``_find_sites`` lists sites.  A bytearray holds
+    a state per edge, 1 for "to test", and a sentinel 1 past the last; the
+    next site is the first edge in state 1 from a pointer below which none
+    is, that tests admissible.  An edge that tests inadmissible goes to 0
+    and is filed under its line, its u-cell's column if east and its row if
+    south, unless it is filed there already.  It stays inadmissible while
+    nothing its walks read changes.  An east edge in column c walks column c
+    over u-letters and column c + 1 over v-letters; a south edge in row r
+    walks row r over u-letters and row r + 1 over v-letters.  A swap trades
+    a u- and a v-letter next to each other in one line, so a walk along that
+    line reads what it read before.  A walk across it reaches a swapped cell
+    only through a run of the colour it skips, and that run starts at the
+    swapped cell's neighbour in the walk's line (or is empty: the walk
+    starts at the cell, from that neighbour's edge).  So a swap sets back to
+    1 the edges filed under the at most three lines such neighbours open, if
+    still a u-letter then a v-letter, and its four new edges, into iu from
+    the west and north and out of iv; the pointer moves back to the first of
+    them.  Every admissible edge is in state 1: the frames are a rescan's."""
     board = list(board)
     south, north = g.south, g.north
-    # each cell's row and column, 1-based, sharing int objects as _geometry's
-    # (and some row and column for each 0, which no edge reads)
-    idx = list(range(max(g.outer, default=0) + 2))
-    row, col = [0], [0]
-    for r, (a, b) in enumerate(zip(g.inner, g.outer), 1):
-        row += [r] * (b - a + 1)
-        col += idx[a + 1:b + 2]
-    # the candidate edges: east ones by their u-cell's column, south by row
-    cols = [set() for _ in idx]
-    rows = [set() for _ in range(len(g.outer) + 2)]
-    # edge 2i is the u-cell i and the v-cell east of it, 2i + 1 the one
-    # south: edges sort as _find_sites lists sites, so this list is a heap
-    heap = [e for iu, x in enumerate(board) if x > 0
-            for e, iv in ((2 * iu, iu + 1), (2 * iu + 1, south[iu])) if board[iv] < 0]
-    state = bytearray(2 * len(board))  # by edge, as above
-    for e in heap:
-        state[e] = 1
-        (rows[row[e >> 1]] if e & 1 else cols[col[e >> 1]]).add(e)
+    # each cell's row, 1-based (and some row for each 0, which no edge
+    # reads); cell i of row r lies in column i - shift[r], 0-based
+    row, shift = [0], [0]
+    for r, (a, s) in enumerate(zip(g.inner, g.starts), 1):
+        row += [r] * (g.starts[r] - s)
+        shift.append(s - a)
+    end = 2 * len(board)
+    state = bytearray(end + 1)
+    state[end] = 1
+    for iu, x in enumerate(board):
+        if x > 0:
+            if board[iu + 1] < 0:
+                state[2 * iu] = 1
+            if board[south[iu]] < 0:
+                state[2 * iu + 1] = 1
+    rejected_cols: dict[int, list] = {}  # tested inadmissible, by line
+    rejected_rows: dict[int, list] = {}
+    filed = bytearray(end)  # by edge: 1 while in one of those lists
     frame = on_frame and _framer(g, board, on_frame)
+    lo = 0
     while True:
-        while heap:
-            e = heap[0]
-            iu = e >> 1
-            iv = south[iu] if e & 1 else iu + 1
-            if state[e] and _admissible(g, board, iu, iv):
-                break
-            state[e] = 0
-            heappop(heap)
-        else:
+        e = state.find(1, lo)
+        if e == end:
             return board
+        iu = e >> 1
+        if e & 1:
+            iv, lines, k = south[iu], rejected_rows, row[iu]
+        else:
+            iv, lines, k = iu + 1, rejected_cols, iu - shift[row[iu]]
+        if not _admissible(g, board, iu, iv):
+            state[e] = 0
+            lo = e + 1
+            if not filed[e]:
+                filed[e] = 1
+                lines.setdefault(k, []).append(e)
+            continue
         board[iu], board[iv] = board[iv], board[iu]
         if frame:
             frame(iu, iv)
         # iu now holds a v-letter, iv a u-letter: edges out of iu, into iv go
-        r, c = row[iu], col[iu]
-        wu, nu, wv, nv = iu - 1, north[iu], iv - 1, north[iv]
-        state[2 * iu] = state[2 * iu + 1] = state[2 * wv] = state[2 * nv + 1] = 0
-        cols[c].discard(2 * iu)
-        rows[r].discard(2 * iu + 1)
-        cols[col[iv] - 1].discard(2 * wv)
-        rows[row[iv] - 1].discard(2 * nv + 1)
-        lines, k = (rows, r) if e & 1 else (cols, c)
-        marked = [*lines[k - 1], *lines[k], *lines[k + 1]]
+        wu, nu, ev, sv = iu - 1, north[iu], iv + 1, south[iv]
+        state[2 * iu] = state[2 * iu + 1] = 0
+        state[2 * iv - 2] = state[2 * north[iv] + 1] = 0
+        # the lines k - 1, k and k + 1 whose walks may reach iu or iv
+        if e & 1:
+            # a south swap: by the cells west and east of them
+            before = board[iu + 1] < 0
+            here = board[wu] > 0 or board[ev] < 0
+            after = board[iv - 1] > 0
+        else:
+            # an east swap: by the cells north and south of them
+            bn, bs, cn, cs = board[nu], board[south[iu]], board[north[iv]], board[sv]
+            before = bn < 0 or bs < 0
+            here = bn > 0 or bs > 0 or cn < 0 or cs < 0
+            after = cn > 0 or cs > 0
+        popped = []
+        if before and k - 1 in lines:
+            popped += lines.pop(k - 1)
+        if here and k in lines:
+            popped += lines.pop(k)
+        if after and k + 1 in lines:
+            popped += lines.pop(k + 1)
+        # its new edges: into iu from the west and north, out of iv
+        lo = e
         if board[wu] > 0:
-            cols[c - 1].add(2 * wu)
-            marked.append(2 * wu)
+            lo = 2 * wu
+            state[lo] = 1
         if board[nu] > 0:
-            rows[r - 1].add(2 * nu + 1)
-            marked.append(2 * nu + 1)
-        if board[iv + 1] < 0:
-            cols[col[iv]].add(2 * iv)
-            marked.append(2 * iv)
-        if board[south[iv]] < 0:
-            rows[row[iv]].add(2 * iv + 1)
-            marked.append(2 * iv + 1)
-        for d in marked:
-            if not state[d]:
-                heappush(heap, d)
-            state[d] = 1
+            lo = 2 * nu + 1  # nu is north of wu, so its edge comes first
+            state[lo] = 1
+        if board[ev] < 0:
+            state[2 * iv] = 1
+        if board[sv] < 0:
+            state[2 * iv + 1] = 1
+        for d in popped:
+            filed[d] = 0
+            i = d >> 1
+            if board[i] > 0 and board[south[i] if d & 1 else i + 1] < 0:
+                state[d] = 1
+                if d < lo:
+                    lo = d
 
 
 def _successors(g: _Geometry, board) -> list[tuple]:

@@ -2,6 +2,7 @@ from collections import Counter
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -270,8 +271,8 @@ def _packed_pairs(max_size: int):
 
 
 def test_live_site_set_equals_a_rescan():
-    # the live site set takes the rescan's first site at every step, so
-    # every frame and the terminal board match it
+    # greedy's scan pointer stops at the rescan's first site at every step,
+    # so every frame and the terminal board match it
     pairs = list(_packed_pairs(6))
     assert len(pairs) == 4250
     n_frames = 0
@@ -319,10 +320,10 @@ def _seeded_pairs():
 
 
 def test_live_site_set_equals_a_rescan_beyond_desk_scale():
-    # greedy re-tests east edges after an east swap and south edges after a
-    # south one; past the packed pairs its frames and terminal board still
-    # match the rescan's, on the seeded pairs, their images and the N=20
-    # staircase
+    # an east swap puts back only the rejected east edges of the columns
+    # its walks reach, a south swap the south edges of such rows; past the
+    # packed pairs greedy's frames and terminal board still match the
+    # rescan's, on the seeded pairs, their images and the N=20 staircase
     pairs = _seeded_pairs() + [_disconnected_pair(0, 20, 4, cut=1)]
     n_frames = 0
     for p in pairs + [rho1_internal(p) for p in pairs]:
@@ -333,8 +334,8 @@ def test_live_site_set_equals_a_rescan_beyond_desk_scale():
 
 
 def test_live_site_set_equals_a_rescan_on_the_wide_switching_pair():
-    # every swap of the wide switching pair re-marks the edges of a whole
-    # line: its frames and terminal board still match the rescan's
+    # each swap of the wide switching pair puts back the rejected edges of
+    # a whole line: its frames and terminal board still match the rescan's
     p = _wide_switching_pair(40)
     frames, end = _frames(switching, p.yam, p.skew)
     assert (frames, end) == _frames(_rescanned_switching, p.yam, p.skew)
@@ -362,6 +363,16 @@ def _wide_bumping_pair(n: int) -> GluedPair:
     return glued_pair(SkewTableau((2 * n, n), (n,), [(1,) * n, (1,) * n]))
 
 
+def test_live_site_set_equals_a_rescan_where_few_lines_reopen():
+    # the deep pair's swaps run down one column and the wide bumping pair's
+    # from row 1 to row 2: most swaps put back no line of rejected edges,
+    # and the frames and terminal board still match the rescan's
+    for p in (_deep_pair(40), _wide_bumping_pair(40)):
+        frames, end = _frames(switching, p.yam, p.skew)
+        assert (frames, end) == _frames(_rescanned_switching, p.yam, p.skew)
+        assert len(frames) == 40
+
+
 def _site_tests(monkeypatch, p: GluedPair) -> int:
     calls = []
     admissible = commutor._admissible
@@ -374,14 +385,39 @@ def _site_tests(monkeypatch, p: GluedPair) -> int:
 
 def test_greedy_tests_only_the_sites_a_swap_can_change(monkeypatch):
     # a cost record that machine noise cannot move: greedy on the N=20
-    # staircase makes 830 site tests (1,350 when every swap re-tested the
-    # marked edges at once, 1,756 when it re-tested the east and the south
-    # edges of the lines it touched)
+    # staircase makes 735 site tests (830 when a swap re-marked every edge
+    # of three lines, 1,350 when every swap re-tested the marked edges at
+    # once, 1,756 when it re-tested the east and the south edges of the
+    # lines it touched)
     staircase = _disconnected_pair(0, 20, 4, cut=1)
-    assert _site_tests(monkeypatch, staircase) == 830
+    assert _site_tests(monkeypatch, staircase) == 735
     # the deep pairs test 2n - 1 sites (1,889 and 20,299 when every swap
     # re-tested the marked edges at once)
     assert [_site_tests(monkeypatch, _deep_pair(n)) for n in (60, 200)] == [119, 399]
+    # the wide bumping pair tests N + 1 sites for its N swaps, the wide
+    # switching pair about 1.5 a swap
+    assert _site_tests(monkeypatch, _wide_bumping_pair(100)) == 101
+    assert _site_tests(monkeypatch, _wide_switching_pair(40)) == 2419
+
+
+def test_greedy_keeps_a_few_bytes_a_cell():
+    # greedy keeps a board copy, a row per cell and two bytes per edge, and
+    # files a rejected edge once: no container per line (a set per column
+    # took 216 B each, on the one-row board of the border limit, N
+    # u-letters and one v-letter), and no list of every test (the wide
+    # switching pair rejects each edge many times)
+    n = 20000
+    wide = _wide_switching_pair(100)
+    for u, v in ((yamanouchi_tableau((n,)), SkewTableau((n + 1,), (n,), [(1,)])),
+                 (wide.yam, wide.skew)):
+        g, board = _geometry(v.outer, u.inner), _board(u, v)
+        tracemalloc.start()
+        try:
+            _switch(g, board)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * len(board)
 
 
 def test_greedy_matches_infusion_and_insertion_beyond_desk_scale():

@@ -9,11 +9,14 @@ Each (input, method) runs in a fresh interpreter, one process at a time:
 the child times ``cli.main(["--format", "json", "commute", FILE, "--method",
 METHOD])`` (parse, commute and print, not the import) and reports its peak
 RSS (``VmHWM`` of ``/proc/self/status``, so Linux only: a spawned child's
-``ru_maxrss`` also counts its parent's RSS at the spawn).  Each child
-limits its own address space to ``AS_LIMIT`` bytes, so that a method that
-needs more fails its point, recorded with the child's last error line,
-rather than the machine.  It also reports
-the time scaled by ``perfbench/refclock.py``, whose kernel it samples while
+``ru_maxrss`` also counts its parent's RSS at the spawn), and the number of
+swaps any switch order makes, read off the input and the image by the
+displacement identity (``swaps``).  Greedy switching's site tests are
+counted in one more, untimed child, which wraps ``commutor._admissible``
+from outside.  Each child limits its own address space to ``AS_LIMIT``
+bytes, so that a method that needs more fails its point, recorded with the
+child's last error line, rather than the machine.  It also reports the time
+scaled by ``perfbench/refclock.py``, whose kernel it samples while
 the call runs, so that records taken on a drifting machine compare.  The
 inputs are five families of pairs from ``tests/test_commutor.py``: the deep
 two-column pairs, two kinds of disconnected blocks (staircases cut at every
@@ -22,14 +25,16 @@ letter, and seed-1 blocks of letters up to 6 cut with probability 0.3, up to
 bumping pairs.
 Greedy switching is stopped at 60 s and then skipped on every larger input
 of the family.  The record holds, per method, the best raw and scaled times
-over ``RUNS`` runs and the peak RSS on each input, whether all four methods
-printed the same image, and the log-log slopes of scaled time against
-boxes, over all inputs and over each family.  It is a record, not a gate.
+over ``RUNS`` runs and the peak RSS on each input, greedy's site tests, the
+input's swaps, whether all four methods printed the same image, and the
+log-log slopes of scaled time against boxes, over all inputs and over each
+family.  It is a record, not a gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -72,6 +77,16 @@ def inputs() -> dict[str, tuple[str, dict]]:
             for name, (family, p) in pairs.items()}
 
 
+def swaps(table: dict, image: dict) -> int:
+    """The switches every order makes from the pair of ``table`` to its
+    image: each moves a letter of the Yamanouchi member one step east or
+    south, so they number the sum of row + column over the image's skew
+    cells, less that sum over the input's inner border."""
+    def weight(shape):
+        return sum(n * r + n * (n + 1) // 2 for r, n in enumerate(shape, 1))
+    return weight(image["outer"]) - weight(image["inner"]) - weight(table["inner"])
+
+
 def child(method: str, path: str):
     """Time one ``commute`` call in this interpreter and print the result."""
     resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
@@ -92,18 +107,43 @@ def child(method: str, path: str):
     with open("/proc/self/status") as status:
         rss_mb = next(int(line.split()[1]) for line in status
                       if line.startswith("VmHWM:")) / 1024
+    with open(path) as fh:
+        table = json.load(fh)
+    image = json.loads(out)["skew"] if code == 0 else None
     print(json.dumps({"code": code, "s": seconds,
                       "s_ref": refclock.scale(seconds, ticker.mean),
                       "rss_mb": rss_mb,
+                      "swaps": image and swaps(table, image),
                       "sha256": hashlib.sha256(out.encode()).hexdigest()}))
 
 
-def run_child(method: str, path: str, timeout: float | None) -> dict | None:
-    """One fresh interpreter's result, or None past ``timeout``; a child
-    that fails, say past ``AS_LIMIT``, gives its last line of stderr."""
+def count_child(path: str):
+    """Count greedy switching's site tests on one ``commute`` call, untimed,
+    through a wrapper on ``commutor._admissible``."""
+    resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
+    from lrcommute import cli, commutor
+
+    tests = 0
+    admissible = commutor._admissible
+
+    def counting(*args):
+        nonlocal tests
+        tests += 1
+        return admissible(*args)
+
+    commutor._admissible = counting
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["--format", "json", "commute", path, "--method", "switching"])
+    print(json.dumps({"code": code, "site_tests": tests}))
+
+
+def run_child(args: list[str], timeout: float | None) -> dict | None:
+    """One fresh interpreter's result for ``args`` (``--child METHOD FILE``
+    or ``--count FILE``), or None past ``timeout``; a child that fails, say
+    past ``AS_LIMIT``, gives its last line of stderr."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     try:
-        done = subprocess.run([sys.executable, __file__, "--child", method, path],
+        done = subprocess.run([sys.executable, __file__, *args],
                               capture_output=True, text=True, env=env,
                               timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -129,9 +169,12 @@ def main(argv=None):
     ap.add_argument("--out", default=str(ROOT / "BENCH_commute_scale.json"))
     ap.add_argument("--child", nargs=2, metavar=("METHOD", "FILE"),
                     help=argparse.SUPPRESS)
+    ap.add_argument("--count", metavar="FILE", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
         return child(*args.child)
+    if args.count:
+        return count_child(args.count)
     tables = inputs()
     order = sorted(tables, key=lambda name: sum(tables[name][1]["outer"]))
     rows, greedy_off = [], {}
@@ -150,7 +193,7 @@ def main(argv=None):
                 timeout = GREEDY_LIMIT_S if method == "switching" else None
                 results = []
                 for _ in range(RUNS):
-                    result = run_child(method, path, timeout)
+                    result = run_child(["--child", method, path], timeout)
                     if result is None or "failed" in result:
                         break
                     results.append(result)
@@ -164,10 +207,14 @@ def main(argv=None):
                     row[method] = {"skipped": f"past {GREEDY_LIMIT_S} s"}
                     continue
                 digests.update(r["sha256"] for r in results)
+                row.setdefault("swaps", results[0]["swaps"])
                 row[method] = {"s": round(min(r["s"] for r in results), 4),
                                "s_ref": round(min(r["s_ref"] for r in results), 4),
                                "rss_mb": round(max(r["rss_mb"] for r in results), 1),
                                "exit": sorted({r["code"] for r in results})}
+                if method == "switching":
+                    counted = run_child(["--count", path], timeout)
+                    row[method]["site_tests"] = counted and counted.get("site_tests")
                 print(f"{name:24} {method:9} {row[method]['s']:9.4f} s "
                       f"{row[method]['s_ref']:9.4f} ref s "
                       f"{row[method]['rss_mb']:7.1f} MB", flush=True)
@@ -183,7 +230,10 @@ def main(argv=None):
                 f"time, its address space limited to {AS_LIMIT >> 30} GiB; s is "
                 f"the best cli.main time over {RUNS} runs, s_ref "
                 "the best in reference seconds (perfbench/refclock.py), "
-                "rss_mb the child's peak RSS (VmHWM); slopes fit s_ref",
+                "rss_mb the child's peak RSS (VmHWM), site_tests greedy's "
+                "calls of commutor._admissible in one more, untimed child, "
+                "swaps the switches every order makes, by the displacement "
+                "identity; slopes fit s_ref",
         "command": "python3 tools/commute_scale.py",
         "python": sys.version.split()[0],
         "inputs": rows,
