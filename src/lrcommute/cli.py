@@ -201,6 +201,7 @@ def cmd_verify(args) -> int:
                      for f in rep.failures[:5]]
             print(json.dumps({"name": rep.name, "passed": rep.passed,
                               "instances": rep.instances,
+                              "skipped": rep.skipped,
                               "digest": f"{rep.digest:016x}",
                               "failures": rep.failure_count,
                               "seconds": rep.seconds, "first_failures": shown}))

@@ -331,9 +331,13 @@ def _fillings(outer, inner, rows, cells, letters) -> list[SkewTableau]:
     return found
 
 
-def enumerate_ssyt(shape: SkewShape, max_letter: int) -> list[SkewTableau]:
+def enumerate_ssyt(shape: SkewShape, max_letter: int,
+                   packed: bool = False) -> list[SkewTableau]:
     """All semistandard fillings over alphabet [max_letter], ordered
-    lexicographically by reading word."""
+    lexicographically by reading word.  With ``packed``, only those whose
+    letters are an initial segment 1..k of the alphabet: the search drops a
+    branch once more letters are missing below the largest placed than cells
+    are left to fill, so every filling it completes is packed."""
     if max_letter < 1:
         raise ValueError("max_letter must be >= 1")
     outer, inner = as_partition(shape.outer), as_partition(shape.inner)
@@ -344,6 +348,10 @@ def enumerate_ssyt(shape: SkewShape, max_letter: int) -> list[SkewTableau]:
     # height[col]: how many rows reach column col
     height = [sum(1 for o in outer if o >= col)
               for col in range(max(outer, default=0) + 1)]
+    # placed[v]: how many v's are placed; a packed filling's letters are at
+    # most its size, whatever the alphabet
+    placed = [0] * (len(cells) + 1)
+    top = missing = 0  # the largest letter placed; the letters below it not
 
     def letters(depth):
         """Letters to try at cells[depth], smallest first: at least its left
@@ -355,26 +363,55 @@ def enumerate_ssyt(shape: SkewShape, max_letter: int) -> list[SkewTableau]:
         if k > 0 and inner[k - 1] < col <= outer[k - 1]:
             lo = max(lo, rows[k - 1][col - 1 - inner[k - 1]] + 1)
         below = height[col] - k - 1
+        if packed:
+            return packed_letters(lo, max_letter - below, len(cells) - depth - 1)
         return iter(range(lo, max_letter - below + 1))
+
+    def packed_letters(lo, hi, left):
+        """The letters of lo..hi after which at most ``left`` letters, as
+        many as the cells after this one, are missing below the largest
+        placed.  Each letter stays counted until the walk asks for the
+        next."""
+        nonlocal top, missing
+        was_top, was_missing = top, missing
+        for v in range(lo, hi + 1):
+            if v > was_top:  # the letters between the old top and v go missing
+                top, missing = v, was_missing + v - was_top - 1
+                if missing > left:
+                    break  # and more of them for every larger letter
+            else:
+                top, missing = was_top, was_missing - (not placed[v])
+                if missing > left:
+                    continue
+            placed[v] += 1
+            yield v
+            placed[v] -= 1
+        top, missing = was_top, was_missing
 
     return _fillings(outer, inner, rows, cells, letters)
 
 
-def enumerate_ballot(shape: SkewShape, nu) -> list[SkewTableau]:
+def enumerate_ballot(shape: SkewShape, nu=None) -> list[SkewTableau]:
     """All ballot semistandard tableaux of the given shape and content,
-    in reading-word lexicographic order.
+    in reading-word lexicographic order.  With ``nu`` None, those of every
+    content, from one search: ordered by content as ``partitions_of`` lists
+    them (decreasing lexicographic), and within a content by reading word.
 
     Fills cells in reverse reading order (top row rightmost first) so the
     ballot condition prunes every prefix of the search.
     """
-    nu = as_partition(nu)
     outer, inner = as_partition(shape.outer), as_partition(shape.inner)
     inner += (0,) * (len(outer) - len(inner))
-    if sum(outer) - sum(inner) != sum(nu):
-        return []
+    size = sum(outer) - sum(inner)
+    if nu is None:
+        remaining = [size] * size  # no letter runs out
+    else:
+        remaining = list(as_partition(nu))
+        if size != sum(remaining):
+            return []
+    remaining.append(0)  # a letter past the content has none left
     rows = [[0] * (o - i) for o, i in zip(outer, inner)]
-    remaining = list(nu)
-    suffix = [0] * (len(nu) + 1)
+    suffix = [0] * (len(remaining) + 1)
     # reverse reading order is rows top to bottom, each row right to left;
     # every partial filling is then a suffix of the reading word
     cells = [(k, pos) for k in range(len(outer))
@@ -382,10 +419,13 @@ def enumerate_ballot(shape: SkewShape, nu) -> list[SkewTableau]:
 
     def letters(depth):
         """Letters to try at cells[depth], largest first: at most its right
-        neighbour, above the entry over it, and ballot.  Each letter stays
-        counted in the suffix content until the walk asks for the next."""
+        neighbour, or else one more than the largest letter placed (the
+        first letter the suffix lacks, since a ballot suffix lacks none
+        below its largest), above the entry over it, and ballot.  Each
+        letter stays counted in the suffix content until the walk asks for
+        the next."""
         k, pos = cells[depth]
-        hi = rows[k][pos + 1] if pos + 1 < len(rows[k]) else len(nu)
+        hi = rows[k][pos + 1] if pos + 1 < len(rows[k]) else suffix.index(0, 1)
         col = inner[k] + pos + 1
         above = 0
         if k > 0 and inner[k - 1] < col <= outer[k - 1]:
@@ -399,7 +439,10 @@ def enumerate_ballot(shape: SkewShape, nu) -> list[SkewTableau]:
                 remaining[v - 1] += 1
                 suffix[v] -= 1
 
-    return _fillings(outer, inner, rows, cells, letters)
+    found = _fillings(outer, inner, rows, cells, letters)
+    if nu is None:  # a stable sort keeps each content's reading-word order
+        found.sort(key=lambda t: [-c for c in tableau_content(t)])
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def _raising_at_3_boxes(fn, size_of):
 
 
 @pytest.mark.parametrize("name, size_of, checks", [
-    ("enumerate_ballot", lambda shape, nu: shape.size,
+    ("enumerate_ballot", lambda shape, nu=None: shape.size,
      ["involution", "skew-rsk"]),
     # the shared Knuth/route walk, then a check that reads no packed filling
     ("packed_fillings", lambda lam, mu: sum(lam) - sum(mu),
@@ -288,10 +288,14 @@ def test_verify_and_golden_print_json_lines(capsys, monkeypatch):
     assert code == 1 and [r["name"] for r in reports] == ["involution",
                                                           "confluence"]
     confluence = reports[1]
-    assert set(confluence) == {"name", "passed", "instances", "digest",
-                               "failures", "seconds", "first_failures"}
+    assert set(confluence) == {"name", "passed", "instances", "skipped",
+                               "digest", "failures", "seconds",
+                               "first_failures"}
+    # an instance with an empty member admits no switch: it is counted and
+    # reported skipped; no other check skips an instance
     assert (confluence["passed"], confluence["instances"],
-            confluence["failures"]) == (False, 341, 65)
+            confluence["skipped"], confluence["failures"]) == (False, 341, 216, 65)
+    assert reports[0]["skipped"] == 0
     # the digest pins the instances walked, which the broken switch leaves
     # as they are
     assert confluence["digest"] == "6df3b69372ed681d"

@@ -215,6 +215,7 @@ def test_enumerate_ballot_against_filter_oracle():
     # independent oracle: plain fill-and-filter over all semistandard fillings
     for shape in all_shapes(6):
         n = shape.size
+        by_content = []
         for nu in partitions_of(n, max_len=max(1, len(shape.outer))):
             brute = [t for t in enumerate_ssyt(shape, max(1, len(nu) or 1))
                      if tableau_content(t) == nu and is_ballot_tableau(t)]
@@ -222,6 +223,9 @@ def test_enumerate_ballot_against_filter_oracle():
             assert fast == sorted(brute, key=reading_word)
             for t in fast:
                 t._validate()
+            by_content += fast
+        # every content in one search: by content, then reading word
+        assert enumerate_ballot(shape) == by_content
 
 
 def test_enumerate_ssyt_examples():
@@ -239,6 +243,17 @@ def test_enumerate_ssyt_valid_and_lex_sorted():
         assert words == sorted(words)
         for t in ts:
             t._validate()
+
+
+def test_enumerate_ssyt_packed_keeps_the_initial_segments():
+    # the packed search lists exactly the fillings whose letters are 1..k,
+    # in the same order, on an alphabet shorter or longer than the shape
+    for shape in all_shapes(5):
+        for max_letter in range(1, 7):
+            words = [(t, reading_word(t))
+                     for t in enumerate_ssyt(shape, max_letter)]
+            packed = [t for t, w in words if len(set(w)) == max(w, default=0)]
+            assert enumerate_ssyt(shape, max_letter, packed=True) == packed
 
 
 def test_subpartitions_order():
@@ -262,6 +277,8 @@ def test_enumerators_walk_deep_shapes():
     assert list(partitions_of(1100, max_len=1)) == [(1100,)]
     only = enumerate_ssyt(skew_shape(column, ()), 1100)
     assert [t.rows for t in only] == [tuple((x,) for x in range(1, 1101))]
+    assert enumerate_ssyt(skew_shape(column, ()), 1100, packed=True) == only
+    assert enumerate_ballot(skew_shape(column, ())) == only
     # a column longer than the alphabet has no filling
     assert enumerate_ssyt(skew_shape((1, 1, 1), ()), 2) == []
 

@@ -5,10 +5,94 @@ from collections import Counter
 import pytest
 
 from lrcommute import commutor, insertion, schur, verify
-from lrcommute.verify import (_thu_sweep, check_confluence,
+from lrcommute.insertion import glued_pair
+from lrcommute.tableaux import (SkewShape, enumerate_ballot, enumerate_ssyt,
+                                partitions_of, reading_word, subpartitions)
+from lrcommute.verify import (_thu_sweep, check_confluence, check_involution,
                               check_knuth_commutativity, check_lr_oracle,
                               check_recursion, check_route_geometry,
-                              check_skew_rsk)
+                              check_skew_rsk, lr_pairs, packed_fillings,
+                              partitions_up_to)
+
+
+def _counted(monkeypatch, module, *names):
+    """Count the calls of the named functions of module from here on."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counting
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name))
+    return calls
+
+
+def _lr_pairs_by_content(max_boxes):
+    """The reference for lr_pairs: one ballot search per (lam, mu, nu)."""
+    for lam in partitions_up_to(max_boxes):
+        for mu in subpartitions(lam):
+            shape = SkewShape(lam, mu)
+            for nu in partitions_of(shape.size, max_len=len(lam)):
+                for t in enumerate_ballot(shape, nu):
+                    yield glued_pair(t)
+
+
+def _packed_by_filter(outer, inner):
+    """The reference for packed_fillings: every filling over the alphabet
+    [size], kept when its letters are 1..k."""
+    shape = SkewShape(outer, inner)
+    words = ((t, reading_word(t))
+             for t in enumerate_ssyt(shape, max(shape.size, 1)))
+    return tuple(t for t, w in words if len(set(w)) == max(w, default=0))
+
+
+def test_lr_pairs_searches_each_skew_shape_once(monkeypatch):
+    # the same pairs in the same order as one search per content; a count
+    # that machine noise cannot move: one search per lam/mu of at most 8
+    # boxes, where a search per content made 3,145, 1,815 of them empty
+    assert list(lr_pairs(7)) == list(_lr_pairs_by_content(7))
+    calls = _counted(monkeypatch, verify, "enumerate_ballot")
+    assert sum(1 for _ in lr_pairs(8)) == 1351
+    assert calls == {"enumerate_ballot": 862}
+
+
+def test_packed_fillings_builds_only_packed_fillings(monkeypatch):
+    # the same fillings in the same order as filtering every filling over
+    # the alphabet [size]; a count that machine noise cannot move: on the
+    # shapes of at most 6 boxes the search builds the 1,753 packed fillings
+    # and no other, where the filter built 10,310
+    built = Counter()
+    search = verify.enumerate_ssyt
+
+    def counting(*args, **kwargs):
+        found = search(*args, **kwargs)
+        built["fillings"] += len(found)
+        return found
+
+    monkeypatch.setattr(verify, "enumerate_ssyt", counting)
+    kept = 0
+    for lam in partitions_up_to(6):
+        for mu in subpartitions(lam):
+            mu += (0,) * (len(lam) - len(mu))
+            fillings = packed_fillings.__wrapped__(lam, mu)
+            assert fillings == _packed_by_filter(lam, mu)
+            kept += len(fillings)
+    assert kept == built["fillings"] == 1753
+
+
+def test_involution_runs_each_commutor_once_per_pair(monkeypatch):
+    # a count that machine noise cannot move: every image is a pair swept,
+    # so each commutor runs once per pair, 295 times at size 6, where
+    # computing rho1(rho1(p)) afresh ran it 590 times
+    calls = _counted(monkeypatch, verify, "rho1_switching", "rho1_internal")
+    rep = check_involution(max_size=6)
+    assert rep.instances == 295 and rep.passed
+    assert calls == {"rho1_switching": 295, "rho1_internal": 295}
 
 
 def test_route_geometry_reports_the_shared_sweep_time():
@@ -92,29 +176,13 @@ def test_skew_rsk_flags_a_broken_reverse_bump(monkeypatch):
     assert len({key for key, _expected, _actual in rep.failures}) == 50
 
 
-def _counting_kernels(monkeypatch):
-    """Count the calls of the insertion kernels from here on."""
-    calls = Counter()
-
-    def counted(name):
-        kernel = getattr(insertion, name)
-
-        def counting(*args):
-            calls[name] += 1
-            return kernel(*args)
-        return counting
-
-    for name in ("_insert_inplace", "_uninsert_inplace"):
-        monkeypatch.setattr(insertion, name, counted(name))
-    return calls
-
-
 def test_skew_rsk_inserts_each_prefix_once(monkeypatch):
     # a cost record that machine noise cannot move: each T inserts along each
     # edge of the trie of its side's standard-order row sequences once, and
     # backtracks along it once (a forward and an inverse run per instance
     # would make 10,664 of each)
-    calls = _counting_kernels(monkeypatch)
+    calls = _counted(monkeypatch, insertion, "_insert_inplace",
+                     "_uninsert_inplace")
     rep = check_skew_rsk(max_size=4)
     assert rep.instances == 3430 and rep.passed
     assert calls == {"_insert_inplace": 1466, "_uninsert_inplace": 1466}
@@ -124,14 +192,7 @@ def test_confluence_lists_each_states_sites_once(monkeypatch):
     # a cost record that machine noise cannot move: the every-order search
     # tests each candidate switch of each state it meets once, 2,583 site
     # tests at size 5, as on the dict boards of the earlier engine
-    calls = Counter()
-    admissible = commutor._admissible
-
-    def counting(*args):
-        calls["_admissible"] += 1
-        return admissible(*args)
-
-    monkeypatch.setattr(commutor, "_admissible", counting)
+    calls = _counted(monkeypatch, commutor, "_admissible")
     rep = check_confluence(max_size=5)
     assert rep.instances == 1569 and rep.passed
     assert calls == {"_admissible": 2583}
@@ -143,7 +204,8 @@ def test_knuth_walk_inserts_each_word_once(monkeypatch, max_size, word_len,
                                            words):
     # a cost record that machine noise cannot move: the shared walk inserts
     # and backtracks once per valid word, and no more
-    calls = _counting_kernels(monkeypatch)
+    calls = _counted(monkeypatch, insertion, "_insert_inplace",
+                     "_uninsert_inplace")
     [((knuth, _route), _counts)] = _small_walks([(max_size, word_len)])
     assert knuth.instances == words and knuth.passed
     assert calls == {"_insert_inplace": words, "_uninsert_inplace": words}
