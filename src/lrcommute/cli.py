@@ -19,7 +19,8 @@ from .insertion import (GluedPair, NotBallotPair, _freeze, glued_pair,
 from .knuth import rsk
 from .schur import lr_coefficient, schur_product
 from .tableaux import (SkewTableau, as_partition, brief, from_json_dict,
-                       from_text, json_ints, read_json, to_json_dict, to_text)
+                       from_text, json_ints, parse_int, read_json,
+                       to_json_dict, to_text)
 
 
 class UsageError(Exception):
@@ -69,7 +70,7 @@ def parse_partition(text: str):
             return as_partition(read_json(text, json_ints))
         if text.strip() in ("", "0", "()"):
             return ()
-        return as_partition(int(x) for x in text.split(","))
+        return as_partition(parse_int(x.strip()) for x in text.split(","))
     except (ValueError, TypeError) as exc:
         raise UsageError(f"cannot parse partition {brief(text)!r}: {exc}")
 
@@ -80,8 +81,8 @@ def parse_word(text: str):
         if text.startswith("["):
             return read_json(text, json_ints)
         if "," in text:
-            return tuple(int(x) for x in text.split(","))
-        return tuple(int(ch) for ch in text)
+            return tuple(parse_int(x.strip()) for x in text.split(","))
+        return tuple(parse_int(ch) for ch in text)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"cannot parse word {brief(text)!r}: {exc}")
 

@@ -18,8 +18,9 @@ site test: each colour class stays a valid filling at every switch
 (Benkart-Sottile-Stroomer), so only the order relations a switch creates are
 tested.  Greedy runs ``_switch``, which finds its next site by scanning a
 byte per edge from a pointer and, after a swap, re-tests only the edges it
-rejected in lines whose walks can reach a swapped cell; ``_terminals`` walks
-every order, for the confluence sweep.  Infusion (reverse standard order,
+rejected in the two lines beside the swap, when their walks can reach a
+swapped cell: its own line's stay rejected; ``_terminals`` walks every
+order, for the confluence sweep.  Infusion (reverse standard order,
 Thomas-Yong) and staged switching (``staged_decomposition``: one Yamanouchi
 row at a time, bottom-up) slide by jeu de taquin in ``_infuse``, in board
 indices that infusion reads off the board.  The public ``TwoColorTableau``
@@ -297,11 +298,35 @@ def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
     line reads what it read before.  A walk across it reaches a swapped cell
     only through a run of the colour it skips, and that run starts at the
     swapped cell's neighbour in the walk's line (or is empty: the walk
-    starts at the cell, from that neighbour's edge).  So a swap sets back to
-    1 the edges filed under the at most three lines such neighbours open, if
-    still a u-letter then a v-letter, and its four new edges, into iu from
-    the west and north and out of iv; the pointer moves back to the first of
-    them.  Every admissible edge is in state 1: the frames are a rescan's."""
+    starts at the cell, from that neighbour's edge).
+
+    No edge of the swap's own line k reopens.  Take an east swap of a at
+    (r, c) with b at (r, c + 1), and a rejected edge of column c, x at
+    (r', c) to y at (r', c + 1), r' < r.  Of its walks only the south ones,
+    down column c over u-letters and down column c + 1 over v-letters,
+    reach row r.  Before the swap they pass a and b and stop where the
+    swap's own south walks stop, and those passed the swap's test: they
+    stop on no v-letter <= b, where y < b, and on no u-letter <= a, where
+    x < a (same columns).  So neither rejected the edge; after the swap
+    they stop on b > y and on a > x, and pass.  The walk that rejects it
+    is one the swap left alone.  r' > r is the mirror case, by the north
+    walks; a south swap's row r is the same argument along rows, with
+    y <= b in row r + 1 and a <= x in row r.
+
+    Lines k - 1 and k + 1 have no such argument: the walk that reaches the
+    swap stops on a or b before it and passes it after, and what lies
+    beyond is not ordered against the edge.  For an east swap the walk
+    rejected on a <= x or b <= y from the north, on a >= x or b >= y from
+    the south; validity orders a and x, or b and y, only where one is
+    strictly northwest of the other, and allows x = a (north of iu) and
+    b = y (south of iv).  Each neighbour condition reopens an edge on some
+    valid board, so all stay.
+
+    So a swap sets back to 1 the edges filed under lines k - 1 and k + 1
+    when such neighbours open them, if still a u-letter then a v-letter,
+    and its four new edges, into iu from the west and north and out of
+    iv; the pointer moves back to the first of them.  Every admissible
+    edge is in state 1: the frames are a rescan's."""
     board = list(board)
     south, north = g.south, g.north
     # each cell's row, 1-based (and some row for each 0, which no edge
@@ -347,23 +372,18 @@ def _switch(g: _Geometry, board, on_frame: Callable | None = None) -> list:
         wu, nu, ev, sv = iu - 1, north[iu], iv + 1, south[iv]
         state[2 * iu] = state[2 * iu + 1] = 0
         state[2 * iv - 2] = state[2 * north[iv] + 1] = 0
-        # the lines k - 1, k and k + 1 whose walks may reach iu or iv
+        # the lines k - 1 and k + 1 whose walks may reach iu or iv
         if e & 1:
-            # a south swap: by the cells west and east of them
+            # a south swap: by the cell east of iu and the one west of iv
             before = board[iu + 1] < 0
-            here = board[wu] > 0 or board[ev] < 0
             after = board[iv - 1] > 0
         else:
             # an east swap: by the cells north and south of them
-            bn, bs, cn, cs = board[nu], board[south[iu]], board[north[iv]], board[sv]
-            before = bn < 0 or bs < 0
-            here = bn > 0 or bs > 0 or cn < 0 or cs < 0
-            after = cn > 0 or cs > 0
+            before = board[nu] < 0 or board[south[iu]] < 0
+            after = board[north[iv]] > 0 or board[sv] > 0
         popped = []
         if before and k - 1 in lines:
             popped += lines.pop(k - 1)
-        if here and k in lines:
-            popped += lines.pop(k)
         if after and k + 1 in lines:
             popped += lines.pop(k + 1)
         # its new edges: into iu from the west and north, out of iv

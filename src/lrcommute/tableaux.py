@@ -23,6 +23,15 @@ def brief(text: str) -> str:
     return text if len(text) <= QUOTED_CHARS else text[:QUOTED_CHARS] + "..."
 
 
+def parse_int(tok: str) -> int:
+    """``int(tok)`` for ASCII digits after at most one '-': ``int`` alone
+    also reads '+', '_' and other scripts' digits ('1_0' as 10)."""
+    digits = tok.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal {brief(tok)!r}: not ASCII digits")
+    return int(tok)
+
+
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Validate a weakly decreasing nonnegative sequence; strip trailing zeros."""
     p = tuple(index(x) for x in parts)
@@ -538,7 +547,7 @@ def from_text(s: str) -> SkewTableau:
         for tok in toks[blanks:]:
             if tok == ".":
                 raise ValueError("blank after entries in a row")
-            entries.append(int(tok))
+            entries.append(parse_int(tok))
         inner.append(blanks)
         outer.append(blanks + len(entries))
         rows.append(tuple(entries))

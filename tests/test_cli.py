@@ -37,6 +37,24 @@ def test_parse_word_forms():
     assert cli.parse_word("10,2") == (10, 2)
 
 
+@pytest.mark.parametrize("argv, stdin, token", [
+    (["lr-coeff", "1_0", "5", "5"], "", "1_0"),
+    (["lr-coeff", "2,1", "1", "٢"], "", "٢"),
+    (["rsk", "١٢"], "", "١"),
+    (["rsk", "1,+2"], "", "+2"),
+    (["insert", "-", "1"], "1 1_0", "1_0"),
+    (["commute", "-"], "١", "١"),
+], ids=["partition-underscore", "partition-arabic-indic", "word-arabic-indic",
+        "word-plus", "tableau-underscore", "tableau-arabic-indic"])
+def test_integers_are_ascii_digits(monkeypatch, capsys, argv, stdin, token):
+    # int() reads '1_0' as 10 and Arabic-Indic digits as their values: the
+    # parsers take ASCII digits only, and quote the token they refuse
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"invalid literal {token!r}: not ASCII digits" in err
+
+
 def test_lr_coeff_command(capsys):
     code, out, _ = run(capsys, "lr-coeff", "3,2,1", "2,1", "2,1")
     assert code == 0 and out.strip() == "2"

@@ -235,15 +235,19 @@ def test_terminals_branch_only_where_a_step_has_a_choice(monkeypatch):
                      SkewTableau((2,), (1,), [(1,)]))]
 
 
-def _rescanned_switching(u, v, strategy="greedy", on_frame=None):
-    """``switching`` in greedy order, rescanning the sites at every step:
-    the reference for the live site set."""
-    tc = TwoColorTableau.from_pair(u, v)
+def _rescan(tc: TwoColorTableau, on_frame=None) -> TwoColorTableau:
+    """Switch at the first site until none remains, rescanning the sites at
+    every step: the reference for the live site set."""
     while sites := switch_sites(tc):
-        site = sites[0]
-        tc = apply_switch(tc, site)
+        tc = apply_switch(tc, sites[0])
         if on_frame is not None:
-            on_frame(site, dict(tc.cells))
+            on_frame(sites[0], dict(tc.cells))
+    return tc
+
+
+def _rescanned_switching(u, v, strategy="greedy", on_frame=None):
+    """``switching`` in greedy order by ``_rescan``."""
+    tc = _rescan(TwoColorTableau.from_pair(u, v), on_frame)
     g = _geometry(tc.outer, tc.inner)
     return _split_cells(g, _board_of(g, tc.cells), g.inner)
 
@@ -321,9 +325,10 @@ def _seeded_pairs():
 
 def test_live_site_set_equals_a_rescan_beyond_desk_scale():
     # an east swap puts back only the rejected east edges of the columns
-    # its walks reach, a south swap the south edges of such rows; past the
-    # packed pairs greedy's frames and terminal board still match the
-    # rescan's, on the seeded pairs, their images and the N=20 staircase
+    # beside it that its walks reach, a south swap the south edges of such
+    # rows, never those of its own line; past the packed pairs greedy's
+    # frames and terminal board still match the rescan's, on the seeded
+    # pairs, their images and the N=20 staircase
     pairs = _seeded_pairs() + [_disconnected_pair(0, 20, 4, cut=1)]
     n_frames = 0
     for p in pairs + [rho1_internal(p) for p in pairs]:
@@ -335,7 +340,8 @@ def test_live_site_set_equals_a_rescan_beyond_desk_scale():
 
 def test_live_site_set_equals_a_rescan_on_the_wide_switching_pair():
     # each swap of the wide switching pair puts back the rejected edges of
-    # a whole line: its frames and terminal board still match the rescan's
+    # a whole line beside it: its frames and terminal board still match the
+    # rescan's
     p = _wide_switching_pair(40)
     frames, end = _frames(switching, p.yam, p.skew)
     assert (frames, end) == _frames(_rescanned_switching, p.yam, p.skew)
@@ -366,11 +372,38 @@ def _wide_bumping_pair(n: int) -> GluedPair:
 def test_live_site_set_equals_a_rescan_where_few_lines_reopen():
     # the deep pair's swaps run down one column and the wide bumping pair's
     # from row 1 to row 2: most swaps put back no line of rejected edges,
-    # and the frames and terminal board still match the rescan's
+    # neither their own nor one beside it, and the frames and terminal
+    # board still match the rescan's
     for p in (_deep_pair(40), _wide_bumping_pair(40)):
         frames, end = _frames(switching, p.yam, p.skew)
         assert (frames, end) == _frames(_rescanned_switching, p.yam, p.skew)
         assert len(frames) == 40
+
+
+# valid boards, one for each neighbour condition of an east swap's columns
+# c - 1 and c + 1 that no pair's board is known to need, as (outer, inner,
+# board).  In each, a swap reopens an edge of the column beside it that a
+# walk rejected on a or b (named as in ``_switch``'s docstring): on the
+# u-letter 1 equal to x southeast of it (north of iu), on the u-letter 4
+# northeast of x (south of iu), on the v-letter 4 equal to y northwest of
+# it (south of iv)
+REOPENING_BOARDS = {
+    "north-of-iu": ((3, 3), (), [0, 1, -1, -1, 0, -2, 1, -2, 0]),
+    "south-of-iu": ((4, 4), (1,), [0, 4, -1, -1, 0, 1, -2, 4, -2, 0]),
+    "south-of-iv": ((4, 4, 2), (1, 1), [0, 1, -4, 1, 0, 2, 2, -4, 0, 3, -1, 0]),
+}
+
+
+@pytest.mark.parametrize("outer, inner, board", REOPENING_BOARDS.values(),
+                         ids=REOPENING_BOARDS)
+def test_greedy_reopens_the_lines_beside_an_east_swap(outer, inner, board):
+    # greedy's frames and terminal board match a rescan's from the board
+    g = _geometry(outer, inner)
+    tc = TwoColorTableau(outer, inner, _cells_of(g, board))
+    frames, want = [], []
+    end = _switch(g, board, lambda *frame: frames.append(frame))
+    assert _cells_of(g, end) == _rescan(tc, lambda *frame: want.append(frame)).cells
+    assert frames == want
 
 
 def _site_tests(monkeypatch, p: GluedPair) -> int:
@@ -385,12 +418,13 @@ def _site_tests(monkeypatch, p: GluedPair) -> int:
 
 def test_greedy_tests_only_the_sites_a_swap_can_change(monkeypatch):
     # a cost record that machine noise cannot move: greedy on the N=20
-    # staircase makes 735 site tests (830 when a swap re-marked every edge
-    # of three lines, 1,350 when every swap re-tested the marked edges at
+    # staircase makes 686 site tests (735 when a swap also re-tested the
+    # rejected edges of its own line, 830 when it re-marked every edge of
+    # three lines, 1,350 when every swap re-tested the marked edges at
     # once, 1,756 when it re-tested the east and the south edges of the
     # lines it touched)
     staircase = _disconnected_pair(0, 20, 4, cut=1)
-    assert _site_tests(monkeypatch, staircase) == 735
+    assert _site_tests(monkeypatch, staircase) == 686
     # the deep pairs test 2n - 1 sites (1,889 and 20,299 when every swap
     # re-tested the marked edges at once)
     assert [_site_tests(monkeypatch, _deep_pair(n)) for n in (60, 200)] == [119, 399]
