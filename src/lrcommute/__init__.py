@@ -5,6 +5,10 @@ the empty-matrix-word skew RSK correspondence, the switching involution and
 its internal-insertion realisation as a row program, LR coefficients by the
 row-by-row rule with an exact tableau-count oracle, and exhaustive desk-scale
 verification sweeps.
+
+The modules every entry point runs are imported here.  ``knuth``, ``schur``,
+``verify`` and ``golden``, and the names taken from them, are imported on
+first access (PEP 562), so that ``lrcommute commute`` compiles none of them.
 """
 
 from .tableaux import (EMPTY, SkewShape, SkewTableau, as_partition,
@@ -15,8 +19,6 @@ from .tableaux import (EMPTY, SkewShape, SkewTableau, as_partition,
                        restrict_rows, skew_shape, standardize, subpartitions,
                        tableau_content, to_json, to_json_dict, to_text,
                        yamanouchi_tableau)
-from .knuth import (RskPair, elementary_moves, knuth_class, knuth_equivalent,
-                    rsk, schensted_insert)
 from .insertion import (GluedPair, InsertionTrace, NotBallotPair,
                         apply_order_word, extended_insert, glued_pair,
                         inner_corners, internal_insert, is_lr_pair,
@@ -27,8 +29,27 @@ from .commutor import (RowStep, StagedDecomposition, SwitchSite,
                        gt_order_word, nu_hat, rho1_internal, rho1_scratch,
                        rho1_switching, row_program, run_row_program,
                        staged_decomposition, switch_sites, switching)
-from .schur import lr_coefficient, schur_polynomial, schur_product
-from .verify import CHECKS, VerifyReport, run_checks
-from .golden import run_golden
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# name -> the submodule that defines it, for the names loaded on first access
+_LAZY = {
+    "knuth": "knuth", "RskPair": "knuth", "elementary_moves": "knuth",
+    "knuth_class": "knuth", "knuth_equivalent": "knuth", "rsk": "knuth",
+    "schensted_insert": "knuth",
+    "schur": "schur", "lr_coefficient": "schur", "schur_polynomial": "schur",
+    "schur_product": "schur",
+    "verify": "verify", "CHECKS": "verify", "VerifyReport": "verify",
+    "run_checks": "verify",
+    "golden": "golden", "run_golden": "golden",
+}
+
+__all__ = sorted(name for name in {*dir(), *_LAZY} if not name.startswith("_"))
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value

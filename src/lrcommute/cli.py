@@ -11,13 +11,9 @@ import json
 import sys
 from functools import cache, partial
 
-from . import golden as golden_mod
-from . import verify as verify_mod
 from .commutor import rho1_internal, rho1_scratch, rho1_switching
 from .insertion import (GluedPair, NotBallotPair, _freeze, glued_pair,
                         order_word_steps)
-from .knuth import rsk
-from .schur import lr_coefficient, schur_product
 from .tableaux import (SkewTableau, as_partition, brief, from_json_dict,
                        from_text, json_ints, parse_int, read_json,
                        to_json_dict, to_text)
@@ -25,6 +21,16 @@ from .tableaux import (SkewTableau, as_partition, brief, from_json_dict,
 
 class UsageError(Exception):
     pass
+
+
+# The --help lists of ``verify.CHECKS`` and ``golden.RUNNERS``, kept here so
+# that building the parser imports neither module: ``knuth``, ``schur``,
+# ``verify`` and ``golden`` load only in the commands that run them.
+CHECK_NAMES = ("coincidence", "confluence", "involution", "knuth-commutativity",
+               "lr-oracle", "recursion", "route-geometry", "skew-rsk")
+EXAMPLE_IDS = ("companion-word", "ballot-words", "switch-sequence",
+               "insertion-words", "staged-switching", "row-recursion",
+               "factored-commutor")
 
 
 # The most inner-border cells ``commute`` and ``insert`` take.  The border is
@@ -53,11 +59,11 @@ def _read_input(path: str) -> str:
 
 
 def parse_tableau(text: str) -> SkewTableau:
-    text = text.strip()
+    text = text.removeprefix("\ufeff").strip()  # a BOM, as some editors save
     if not text:
         return SkewTableau((), (), ())
     try:
-        if text.startswith("{"):
+        if text.startswith(("{", "[")):
             return read_json(text, from_json_dict)
         return from_text(text)
     except (ValueError, KeyError, TypeError) as exc:
@@ -144,6 +150,7 @@ def cmd_insert(args) -> int:
 
 
 def cmd_rsk(args) -> int:
+    from .knuth import rsk
     word = parse_word(args.word)
     try:
         pair = rsk(word)
@@ -160,6 +167,7 @@ def cmd_rsk(args) -> int:
 
 
 def cmd_lr_coeff(args) -> int:
+    from .schur import lr_coefficient
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
@@ -168,6 +176,7 @@ def cmd_lr_coeff(args) -> int:
 
 
 def cmd_schur_product(args) -> int:
+    from .schur import schur_product
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
     max_rows = args.max_rows
@@ -188,11 +197,12 @@ def cmd_schur_product(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.checks.split(",") if args.checks else sorted(verify_mod.CHECKS)
+    from . import verify
+    names = args.checks.split(",") if args.checks else sorted(verify.CHECKS)
     try:
         # checks the arguments only: the checks run in the loop below, and a
         # check that fails, or whose instances raise, reports FAIL (exit 1)
-        reports = verify_mod.run_checks(names, max_size=args.max_size)
+        reports = verify.run_checks(names, max_size=args.max_size)
     except ValueError as exc:
         raise UsageError(str(exc))
     failed = False
@@ -215,9 +225,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_golden(args) -> int:
+    from . import golden
     ids = args.only.split(",") if args.only else None
     try:
-        results = golden_mod.run_golden(ids)
+        results = golden.run_golden(ids)
     except ValueError as exc:
         raise UsageError(str(exc))
     failed = False
@@ -276,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run exhaustive property sweeps")
     p.add_argument("--max-size", type=int, default=6)
     p.add_argument("--checks", default=None,
-                   help="comma separated, from: " + ", ".join(sorted(verify_mod.CHECKS)))
+                   help="comma separated, from: " + ", ".join(CHECK_NAMES))
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("golden", help="replay the worked examples")
     p.add_argument("--only", default=None,
                    help="comma separated example ids, from: "
-                        + ", ".join(golden_mod.RUNNERS))
+                        + ", ".join(EXAMPLE_IDS))
     p.set_defaults(fn=cmd_golden)
     return ap
 

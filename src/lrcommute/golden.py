@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
-from importlib import resources
 
 from .commutor import (TwoColorTableau, _board, _board_of, _geometry,
                        _successors, gt_order_word, nu_hat,
@@ -24,11 +22,15 @@ from .tableaux import (EMPTY, SkewTableau, as_partition, companion_word,
                        restrict_rows, standardize, to_text, yamanouchi_tableau)
 
 
-@dataclass
 class GoldenResult:
-    name: str
-    passed: bool = True
-    messages: list = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.passed = True
+        self.messages = []
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"GoldenResult({fields})"
 
     def check(self, label, expected, actual):
         if expected != actual:
@@ -49,6 +51,7 @@ def _show(x) -> str:
 
 
 def _load(name: str) -> dict:
+    from importlib import resources  # only a replay reads the fixtures
     ref = resources.files("lrcommute.fixtures").joinpath(name)
     return json.loads(ref.read_text())
 

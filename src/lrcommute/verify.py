@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import chain, product, repeat
 from operator import itemgetter, sub
@@ -87,15 +86,19 @@ def _pair(a: int, b: int) -> int:
     return (a * _PAIR_MUL + b) & _MASK
 
 
-@dataclass
 class VerifyReport:
-    name: str
-    instances: int = 0
-    failures: list = field(default_factory=list)
-    seconds: float = 0.0
-    failure_count: int = 0
-    digest: int = 0
-    skipped: int = 0  # instances counted but left untested, as vacuous
+    def __init__(self, name: str):
+        self.name = name
+        self.instances = 0
+        self.failures = []
+        self.seconds = 0.0
+        self.failure_count = 0
+        self.digest = 0
+        self.skipped = 0  # instances counted but left untested, as vacuous
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"VerifyReport({fields})"
 
     @property
     def passed(self) -> bool:
@@ -110,6 +113,12 @@ class VerifyReport:
         self.failure_count += 1
         if len(self.failures) < MAX_STORED_FAILURES:
             self.failures.append((str(instance), str(expected), str(actual)))
+
+    def copy(self) -> VerifyReport:
+        """This report, with a failure list of its own."""
+        new = VerifyReport(self.name)
+        vars(new).update(vars(self), failures=list(self.failures))
+        return new
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -509,14 +518,14 @@ def check_knuth_commutativity(max_size: int = 7, seed: int = 0,
                               word_len: int = 5) -> VerifyReport:
     """Knuth-equivalent order words stay valid and act identically."""
     knuth, _route = _thu_sweep(max_size, word_len)
-    return replace(knuth, failures=list(knuth.failures))  # the sweep is cached
+    return knuth.copy()  # the sweep is cached
 
 
 def check_route_geometry(max_size: int = 7, seed: int = 0,
                          word_len: int = 5) -> VerifyReport:
     """Successive bumping routes keep their expected relative positions."""
     _knuth, route = _thu_sweep(max_size, word_len)
-    return replace(route, failures=list(route.failures))
+    return route.copy()
 
 
 def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:

@@ -55,6 +55,32 @@ def test_integers_are_ascii_digits(monkeypatch, capsys, argv, stdin, token):
     assert f"invalid literal {token!r}: not ASCII digits" in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["commute", "-"], json.dumps(to_json_dict(T))),
+    (["commute", "-"], T_TEXT),
+    (["insert", "-", "1"], json.dumps(to_json_dict(T))),
+    (["commute", "-"], "[1, 2]"),
+    (["insert", "-", "1"], "[1, 2]"),
+], ids=["commute-json", "commute-grid", "insert-json", "commute-array",
+        "insert-array"])
+def test_a_bom_is_dropped_and_an_array_is_read_as_json(monkeypatch, capsys,
+                                                       argv, text):
+    # both once went to the grid parser, which refused them with "invalid
+    # literal ...: not ASCII digits"; an input led by a BOM now reads as the
+    # same input without it, and an array as JSON that is not an object
+    results = []
+    for stdin in (text, "\ufeff" + text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        results.append(run(capsys, *argv))
+    assert results[1] == results[0]
+    if text.startswith("["):
+        assert results[0] == (2, "", "error: cannot parse tableau: expected an "
+                              "object with the fields outer, inner and rows, "
+                              "got [1, 2]\n")
+    else:
+        assert results[0][0] == 0 and results[0][2] == ""
+
+
 def test_lr_coeff_command(capsys):
     code, out, _ = run(capsys, "lr-coeff", "3,2,1", "2,1", "2,1")
     assert code == 0 and out.strip() == "2"

@@ -23,16 +23,17 @@ two-column pairs, two kinds of disconnected blocks (staircases cut at every
 letter, and seed-1 blocks of letters up to 6 cut with probability 0.3, up to
 3,200 letters, about 3.09 M boxes), the wide switching pairs and the wide
 bumping pairs.
-Greedy switching is stopped at 60 s and then skipped on every larger input
-of the family.  The record holds, per method, the best raw and scaled times
-over ``RUNS`` runs and the peak RSS on each input, greedy's site tests, the
-input's swaps, whether all four methods printed the same image, and the
-log-log slopes of scaled time, over all inputs and over each family.  The
-slopes fit only inputs of at least ``MIN_FIT_BOXES`` boxes, below which
-fixed per-call cost dominates, and fit the switching methods against
+Greedy switching is stopped on a family once a run's scaled time passes
+``GREEDY_LIMIT_S``, and skipped on every larger input of it; a raw timeout
+of three times that guards each of its children.  The record holds, per
+method, the best raw and scaled times over ``RUNS`` runs and the peak RSS on
+each input, greedy's site tests, the input's swaps, whether all four methods
+printed the same image, and the log-log slopes of scaled time, over all
+inputs and over each family.  The slopes fit the switching methods against
 swaps, which every order makes alike (N^2 on the wide switching pair's 4N
-boxes), and the insertion methods against boxes.  It is a record, not a
-gate.
+boxes), and the insertion methods against boxes, each only on the inputs
+with at least ``MIN_FIT`` of its own, below which fixed per-call cost
+dominates.  It is a record, not a gate.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("switching", "infusion", "internal", "scratch")
 GREEDY_LIMIT_S = 60
 SWAP_AXIS = ("switching", "infusion")  # fitted against swaps, not boxes
-MIN_FIT_BOXES = 10_000
+MIN_FIT = 10_000
 RUNS = 3
 AS_LIMIT = 3 << 30
 
@@ -193,16 +194,19 @@ def main(argv=None):
             digests = set()
             for method in METHODS:
                 if method == "switching" and family in greedy_off:
-                    row[method] = {"skipped": f"past {GREEDY_LIMIT_S} s on "
-                                              f"{greedy_off[family]}"}
+                    row[method] = {"skipped": f"past {GREEDY_LIMIT_S} ref s "
+                                              f"on {greedy_off[family]}"}
                     continue
-                timeout = GREEDY_LIMIT_S if method == "switching" else None
+                timeout = 3 * GREEDY_LIMIT_S if method == "switching" else None
                 results = []
                 for _ in range(RUNS):
                     result = run_child(["--child", method, path], timeout)
                     if result is None or "failed" in result:
                         break
                     results.append(result)
+                    if method == "switching" and result["s_ref"] > GREEDY_LIMIT_S:
+                        greedy_off[family] = name
+                        break
                 if result and "failed" in result:
                     row[method] = result
                     print(f"{name:24} {method:9} failed: {result['failed']}",
@@ -210,7 +214,7 @@ def main(argv=None):
                     continue
                 if not results:
                     greedy_off[family] = name
-                    row[method] = {"skipped": f"past {GREEDY_LIMIT_S} s"}
+                    row[method] = {"skipped": f"past {timeout} s raw"}
                     continue
                 digests.update(r["sha256"] for r in results)
                 row.setdefault("swaps", results[0]["swaps"])
@@ -226,10 +230,10 @@ def main(argv=None):
                       f"{row[method]['rss_mb']:7.1f} MB", flush=True)
             row["same_image"] = len(digests) == 1
             rows.append(row)
-    slopes = {f: {m: slope([(r["swaps" if m in SWAP_AXIS else "boxes"],
-                             r[m]["s_ref"]) for r in rows
+    axis = {m: "swaps" if m in SWAP_AXIS else "boxes" for m in METHODS}
+    slopes = {f: {m: slope([(r[axis[m]], r[m]["s_ref"]) for r in rows
                             if f in ("all", r["family"]) and "s" in r[m]
-                            and r["boxes"] >= MIN_FIT_BOXES])
+                            and r[axis[m]] >= MIN_FIT])
                   for m in METHODS}
               for f in ("all", *dict.fromkeys(r["family"] for r in rows))}
     record = {
@@ -242,8 +246,9 @@ def main(argv=None):
                 "calls of commutor._admissible in one more, untimed child, "
                 "swaps the switches every order makes, by the displacement "
                 "identity; slopes fit s_ref against swaps (switching, "
-                "infusion) or boxes (internal, scratch), on the inputs of at "
-                f"least {MIN_FIT_BOXES} boxes",
+                "infusion) or boxes (internal, scratch), each on the inputs "
+                f"with at least {MIN_FIT} of its own; greedy stops on a "
+                f"family past {GREEDY_LIMIT_S} ref s",
         "command": "python3 tools/commute_scale.py",
         "python": sys.version.split()[0],
         "inputs": rows,
