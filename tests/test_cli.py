@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from lrcommute import cli, commutor, insertion, verify
+from lrcommute import cli, commutor, verify
 from lrcommute.golden import run_golden
 from lrcommute.tableaux import (SkewTableau, from_json_dict, to_json_dict,
                                to_text)
+from probe import counting
 
 T_TEXT = ". . 1 1\n. 1 2\n2 3"
 T = SkewTableau((4, 3, 2), (2, 1, 0), [(1, 1), (1, 2), (2, 3)])
@@ -162,17 +163,13 @@ def test_commute_rejects_non_ballot(tmp_path, capsys):
                    "reading word is not ballot\n")
 
 
-def test_commute_checks_its_input_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    original = insertion.lr_violation
-    monkeypatch.setattr(insertion, "lr_violation",
-                        lambda p: calls.append(p) or original(p))
+def test_commute_checks_its_input_once(tmp_path, capsys):
     f = tmp_path / "t.txt"
     f.write_text(T_TEXT)
     for method in ("switching", "internal", "scratch", "infusion"):
-        calls.clear()
-        code, _out, _err = run(capsys, "commute", str(f), "--method", method)
-        assert code == 0 and len(calls) == 1
+        with counting("insertion.lr_violation") as calls:
+            code, _out, _err = run(capsys, "commute", str(f), "--method", method)
+        assert code == 0 and calls == {"insertion.lr_violation": 1}
 
 
 def test_commute_propagates_internal_errors(tmp_path, capsys, monkeypatch):

@@ -24,6 +24,7 @@ from lrcommute.tableaux import (EMPTY, SkewShape, SkewTableau, empty_of_shape,
                                 standard_order, subpartitions, tableau_content,
                                 to_json_dict, yamanouchi_tableau)
 from lrcommute.verify import lr_pairs, packed_fillings, partitions_up_to
+from probe import counting
 
 T_RUNNING = SkewTableau((6, 5, 5, 4, 3), (4, 3, 2, 1, 0),
                      [(1, 1), (1, 2), (1, 2, 3), (2, 3, 4), (2, 3, 4)])
@@ -206,20 +207,15 @@ def test_switching_validates_extension():
         _frames(switching, SW_U, SW_V, "greedy")
 
 
-def test_terminals_branch_only_where_a_step_has_a_choice(monkeypatch):
-    reads = []
-    find = commutor._find_sites
-    monkeypatch.setattr(commutor, "_find_sites",
-                        lambda *board: reads.append(1) or find(*board))
-
+def test_terminals_branch_only_where_a_step_has_a_choice():
     def search(u, v):
         """(greedy's frames, site-list reads of the search, its terminals)"""
         frames = []
         switching(u, v, on_frame=lambda *frame: frames.append(frame))
         g = _geometry(v.outer, u.inner)
-        reads.clear()
-        ends = [_split_cells(g, b, g.inner) for b in _terminals(g, _board(u, v))]
-        return len(frames), len(reads), ends
+        with counting("commutor._find_sites") as reads:
+            ends = [_split_cells(g, b, g.inner) for b in _terminals(g, _board(u, v))]
+        return len(frames), reads["commutor._find_sites"], ends
 
     # a choice: the search leaves greedy's path, and every order ends on
     # greedy's board
@@ -406,32 +402,50 @@ def test_greedy_reopens_the_lines_beside_an_east_swap(outer, inner, board):
     assert frames == want
 
 
-def _site_tests(monkeypatch, p: GluedPair) -> int:
-    calls = []
-    admissible = commutor._admissible
-    monkeypatch.setattr(commutor, "_admissible",
-                        lambda *args: calls.append(1) or admissible(*args))
-    switching(p.yam, p.skew)
-    monkeypatch.setattr(commutor, "_admissible", admissible)
-    return len(calls)
+# the kernel calls of each commute method on two cheap sizes of each family
+# of tools/commute_scale.py, as (the pair's maker and its arguments, greedy's
+# site tests, the inserts and the appends of internal and of scratch
+# insertion); infusion calls none of these kernels.  Greedy on the N=20
+# staircase makes 686 site tests (735 when a swap also re-tested the rejected
+# edges of its own line, 830 when it re-marked every edge of three lines,
+# 1,350 when every swap re-tested the marked edges at once, 1,756 when it
+# re-tested the east and the south edges of the lines it touched).  The deep
+# pairs test 2n - 1 sites (1,889 and 20,299 at n = 60 and 200 when every swap
+# re-tested the marked edges at once).  The wide bumping pair tests N + 1
+# sites for its N swaps, the wide switching pair about 1.5 a swap.
+SCALE_COUNTS = {
+    "deep-60": (_deep_pair, (60,), 119, 60, 60),
+    "deep-200": (_deep_pair, (200,), 399, 200, 200),
+    "staircase-20": (_disconnected_pair, (0, 20, 4, 1), 686, 20, 19),
+    "staircase-40": (_disconnected_pair, (0, 40, 4, 1), 3499, 40, 39),
+    "blocks-50": (_disconnected_pair, (1, 50, 6), 5125, 49, 27),
+    "blocks-100": (_disconnected_pair, (1, 100, 6), 27202, 99, 62),
+    "wide-switching-20": (_wide_switching_pair, (20,), 609, 2, 1),
+    "wide-switching-40": (_wide_switching_pair, (40,), 2419, 2, 1),
+    "wide-bumping-100": (_wide_bumping_pair, (100,), 101, 101, 1),
+    "wide-bumping-400": (_wide_bumping_pair, (400,), 401, 401, 1),
+}
 
 
-def test_greedy_tests_only_the_sites_a_swap_can_change(monkeypatch):
-    # a cost record that machine noise cannot move: greedy on the N=20
-    # staircase makes 686 site tests (735 when a swap also re-tested the
-    # rejected edges of its own line, 830 when it re-marked every edge of
-    # three lines, 1,350 when every swap re-tested the marked edges at
-    # once, 1,756 when it re-tested the east and the south edges of the
-    # lines it touched)
-    staircase = _disconnected_pair(0, 20, 4, cut=1)
-    assert _site_tests(monkeypatch, staircase) == 686
-    # the deep pairs test 2n - 1 sites (1,889 and 20,299 when every swap
-    # re-tested the marked edges at once)
-    assert [_site_tests(monkeypatch, _deep_pair(n)) for n in (60, 200)] == [119, 399]
-    # the wide bumping pair tests N + 1 sites for its N swaps, the wide
-    # switching pair about 1.5 a swap
-    assert _site_tests(monkeypatch, _wide_bumping_pair(100)) == 101
-    assert _site_tests(monkeypatch, _wide_switching_pair(40)) == 2419
+@pytest.mark.parametrize("make, args, site_tests, inserts, appends",
+                         SCALE_COUNTS.values(), ids=SCALE_COUNTS)
+def test_each_method_makes_the_pinned_kernel_calls_on_the_scale_families(
+        make, args, site_tests, inserts, appends):
+    # counts that machine noise cannot move, so a change in how a method
+    # grows shows here whatever the machine's speed
+    p = make(*args)
+    methods = {"greedy": rho1_switching,
+               "infusion": lambda p: rho1_switching(p, strategy="infusion"),
+               "internal": rho1_internal, "scratch": rho1_scratch}
+    calls = {}
+    for method, rho in methods.items():
+        with counting("commutor._admissible", "commutor._insert_inplace",
+                      "commutor._append_inplace") as calls[method]:
+            rho(p)
+    inserting = {"commutor._insert_inplace": inserts,
+                 "commutor._append_inplace": appends}
+    assert calls == {"greedy": {"commutor._admissible": site_tests},
+                     "infusion": {}, "internal": inserting, "scratch": inserting}
 
 
 def test_greedy_keeps_a_few_bytes_a_cell():
@@ -795,37 +809,35 @@ def test_scratch_inserts_once_per_blank_run_and_row_word_letter(monkeypatch):
     # 343 times, and once per letter below the row, 265 times, 608 calls;
     # letter by letter it made one call per letter, 773.  It asks for no
     # bumping route.
-    calls = []
     insert = commutor._insert_inplace
 
-    def counting(inner, rows, i, route=None, count=1):
-        calls.append(route)
+    def routeless(inner, rows, i, route=None, count=1):
+        assert route is None
         return insert(inner, rows, i, route, count)
 
-    monkeypatch.setattr(commutor, "_insert_inplace", counting)
+    monkeypatch.setattr(commutor, "_insert_inplace", routeless)
     pairs = list(lr_pairs(6))
-    for p in pairs:
-        rho1_scratch(p)
+    with counting("commutor._insert_inplace") as calls:
+        for p in pairs:
+            rho1_scratch(p)
     rows = [(n, row) for p in pairs for n, row in enumerate(p.skew.rows, 1)]
     assert sum(len(row) for _n, row in rows) == 773
     assert sum(1 for n, row in rows if n in row) == 343
     assert sum(1 for n, row in rows for x in row if x < n) == 265
-    assert len(calls) == 608 and calls == [None] * 608
+    assert calls == {"commutor._insert_inplace": 608}
 
 
-def test_scratch_appends_once_per_row_with_an_inner_part(monkeypatch):
+def test_scratch_appends_once_per_row_with_an_inner_part():
     # a count that machine noise cannot move: over lr_pairs(6), rho1_scratch
     # calls the append kernel once per row with a nonzero inner part, 507
     # times; letter by letter it made one call per inner cell, 773
-    calls = []
-    append = commutor._append_inplace
-    monkeypatch.setattr(commutor, "_append_inplace",
-                        lambda *args: calls.append(1) or append(*args))
     pairs = list(lr_pairs(6))
-    for p in pairs:
-        rho1_scratch(p)
+    with counting("commutor._append_inplace") as calls:
+        for p in pairs:
+            rho1_scratch(p)
     assert sum(sum(p.skew.inner) for p in pairs) == 773
-    assert len(calls) == sum(1 for p in pairs for m in p.skew.inner if m) == 507
+    assert sum(1 for p in pairs for m in p.skew.inner if m) == 507
+    assert calls == {"commutor._append_inplace": 507}
 
 
 def test_rho1_final_example_gluing():

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 from lrcommute import insertion
@@ -14,6 +12,7 @@ from lrcommute.tableaux import (EMPTY, SkewTableau, empty_of_shape,
                                 is_ballot_tableau, reading_word, subpartitions,
                                 yamanouchi_tableau)
 from lrcommute.verify import _walk, packed_fillings, partitions_up_to
+from probe import counting
 
 T_WORDS = SkewTableau((3, 2), (1, 0), [(1, 3), (2, 3)])
 RESULT_WORDS = SkewTableau((4, 3, 2, 1), (4, 2, 0, 0), [(), (3,), (1, 3), (2,)])
@@ -136,15 +135,12 @@ def test_the_kernels_keep_each_rows_blanks_as_its_leading_0s(monkeypatch):
     # every insertion and every undoing on the walk of each valid word of up
     # to 4 letters on the packed fillings of at most 5 boxes leaves row k as
     # inner[k] 0s, then entries of at least 1
-    calls = []
-
     def checking(kernel):
         def run(inner, rows, *args):
             created = kernel(inner, rows, *args)
             assert len(inner) == len(rows)
             for a, row in zip(inner, rows):
                 assert row[:a] == [0] * a and min(row[a:], default=1) >= 1
-            calls.append(kernel.__name__)
             return created
         return run
 
@@ -154,10 +150,13 @@ def test_the_kernels_keep_each_rows_blanks_as_its_leading_0s(monkeypatch):
     def fail(*args):
         pytest.fail(repr(args))
 
-    for t in small_tableaux(5):
-        assert _freeze(*_thaw(t)) == t
-        _walk(*_thaw(t), 4, lambda v, trail: None, fail, fail)
-    assert Counter(calls) == {"_insert_inplace": 17914, "_uninsert_inplace": 17914}
+    with counting("insertion._insert_inplace",
+                  "insertion._uninsert_inplace") as calls:
+        for t in small_tableaux(5):
+            assert _freeze(*_thaw(t)) == t
+            _walk(*_thaw(t), 4, lambda v, trail: None, fail, fail)
+    assert calls == {"insertion._insert_inplace": 17914,
+                     "insertion._uninsert_inplace": 17914}
 
 
 def _outcome(insert, t, i, count):

@@ -13,23 +13,7 @@ from lrcommute.verify import (_thu_sweep, check_confluence, check_involution,
                               check_recursion, check_route_geometry,
                               check_skew_rsk, lr_pairs, packed_fillings,
                               partitions_up_to)
-
-
-def _counted(monkeypatch, module, *names):
-    """Count the calls of the named functions of module from here on."""
-    calls = Counter()
-
-    def counted(name):
-        fn = getattr(module, name)
-
-        def counting(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return counting
-
-    for name in names:
-        monkeypatch.setattr(module, name, counted(name))
-    return calls
+from probe import counting
 
 
 def _lr_pairs_by_content(max_boxes):
@@ -51,14 +35,14 @@ def _packed_by_filter(outer, inner):
     return tuple(t for t, w in words if len(set(w)) == max(w, default=0))
 
 
-def test_lr_pairs_searches_each_skew_shape_once(monkeypatch):
+def test_lr_pairs_searches_each_skew_shape_once():
     # the same pairs in the same order as one search per content; a count
     # that machine noise cannot move: one search per lam/mu of at most 8
     # boxes, where a search per content made 3,145, 1,815 of them empty
     assert list(lr_pairs(7)) == list(_lr_pairs_by_content(7))
-    calls = _counted(monkeypatch, verify, "enumerate_ballot")
-    assert sum(1 for _ in lr_pairs(8)) == 1351
-    assert calls == {"enumerate_ballot": 862}
+    with counting("verify.enumerate_ballot") as calls:
+        assert sum(1 for _ in lr_pairs(8)) == 1351
+    assert calls == {"verify.enumerate_ballot": 862}
 
 
 def test_packed_fillings_builds_only_packed_fillings(monkeypatch):
@@ -85,14 +69,14 @@ def test_packed_fillings_builds_only_packed_fillings(monkeypatch):
     assert kept == built["fillings"] == 1753
 
 
-def test_involution_runs_each_commutor_once_per_pair(monkeypatch):
+def test_involution_runs_each_commutor_once_per_pair():
     # a count that machine noise cannot move: every image is a pair swept,
     # so each commutor runs once per pair, 295 times at size 6, where
     # computing rho1(rho1(p)) afresh ran it 590 times
-    calls = _counted(monkeypatch, verify, "rho1_switching", "rho1_internal")
-    rep = check_involution(max_size=6)
+    with counting("verify.rho1_switching", "verify.rho1_internal") as calls:
+        rep = check_involution(max_size=6)
     assert rep.instances == 295 and rep.passed
-    assert calls == {"rho1_switching": 295, "rho1_internal": 295}
+    assert calls == {"verify.rho1_switching": 295, "verify.rho1_internal": 295}
 
 
 def test_route_geometry_reports_the_shared_sweep_time():
@@ -176,39 +160,40 @@ def test_skew_rsk_flags_a_broken_reverse_bump(monkeypatch):
     assert len({key for key, _expected, _actual in rep.failures}) == 50
 
 
-def test_skew_rsk_inserts_each_prefix_once(monkeypatch):
+def test_skew_rsk_inserts_each_prefix_once():
     # a cost record that machine noise cannot move: each T inserts along each
     # edge of the trie of its side's standard-order row sequences once, and
     # backtracks along it once (a forward and an inverse run per instance
     # would make 10,664 of each)
-    calls = _counted(monkeypatch, insertion, "_insert_inplace",
-                     "_uninsert_inplace")
-    rep = check_skew_rsk(max_size=4)
+    with counting("insertion._insert_inplace",
+                  "insertion._uninsert_inplace") as calls:
+        rep = check_skew_rsk(max_size=4)
     assert rep.instances == 3430 and rep.passed
-    assert calls == {"_insert_inplace": 1466, "_uninsert_inplace": 1466}
+    assert calls == {"insertion._insert_inplace": 1466,
+                     "insertion._uninsert_inplace": 1466}
 
 
-def test_confluence_lists_each_states_sites_once(monkeypatch):
+def test_confluence_lists_each_states_sites_once():
     # a cost record that machine noise cannot move: the every-order search
     # tests each candidate switch of each state it meets once, 2,583 site
     # tests at size 5, as on the dict boards of the earlier engine
-    calls = _counted(monkeypatch, commutor, "_admissible")
-    rep = check_confluence(max_size=5)
+    with counting("commutor._admissible") as calls:
+        rep = check_confluence(max_size=5)
     assert rep.instances == 1569 and rep.passed
-    assert calls == {"_admissible": 2583}
+    assert calls == {"commutor._admissible": 2583}
 
 
 @pytest.mark.parametrize("max_size, word_len, words",
                          [walk[:3] for walk in SMALL_WALKS[1:]])
-def test_knuth_walk_inserts_each_word_once(monkeypatch, max_size, word_len,
-                                           words):
+def test_knuth_walk_inserts_each_word_once(max_size, word_len, words):
     # a cost record that machine noise cannot move: the shared walk inserts
     # and backtracks once per valid word, and no more
-    calls = _counted(monkeypatch, insertion, "_insert_inplace",
-                     "_uninsert_inplace")
-    [((knuth, _route), _counts)] = _small_walks([(max_size, word_len)])
+    with counting("insertion._insert_inplace",
+                  "insertion._uninsert_inplace") as calls:
+        [((knuth, _route), _counts)] = _small_walks([(max_size, word_len)])
     assert knuth.instances == words and knuth.passed
-    assert calls == {"_insert_inplace": words, "_uninsert_inplace": words}
+    assert calls == {"insertion._insert_inplace": words,
+                     "insertion._uninsert_inplace": words}
 
 
 def test_skew_rsk_needs_q_to_number_the_created_cells(monkeypatch):

@@ -11,9 +11,9 @@ METHOD])`` (parse, commute and print, not the import) and reports its peak
 RSS (``VmHWM`` of ``/proc/self/status``, so Linux only: a spawned child's
 ``ru_maxrss`` also counts its parent's RSS at the spawn), and the number of
 swaps any switch order makes, read off the input and the image by the
-displacement identity (``swaps``).  Greedy switching's site tests are
-counted in one more, untimed child, which wraps ``commutor._admissible``
-from outside.  Each child limits its own address space to ``AS_LIMIT``
+displacement identity (``swaps``).  Each method's calls of the kernels in
+``KERNELS`` are counted in one more, untimed child, through
+``tests/probe.py``.  Each child limits its own address space to ``AS_LIMIT``
 bytes, so that a method that needs more fails its point, recorded with the
 child's last error line, rather than the machine.  It also reports the time
 scaled by ``perfbench/refclock.py``, whose kernel it samples while
@@ -23,17 +23,19 @@ two-column pairs, two kinds of disconnected blocks (staircases cut at every
 letter, and seed-1 blocks of letters up to 6 cut with probability 0.3, up to
 3,200 letters, about 3.09 M boxes), the wide switching pairs and the wide
 bumping pairs.
-Greedy switching is stopped on a family once a run's scaled time passes
-``GREEDY_LIMIT_S``, and skipped on every larger input of it; a raw timeout
-of three times that guards each of its children.  The record holds, per
-method, the best raw and scaled times over ``RUNS`` runs and the peak RSS on
-each input, greedy's site tests, the input's swaps, whether all four methods
-printed the same image, and the log-log slopes of scaled time, over all
-inputs and over each family.  The slopes fit the switching methods against
-swaps, which every order makes alike (N^2 on the wide switching pair's 4N
-boxes), and the insertion methods against boxes, each only on the inputs
-with at least ``MIN_FIT`` of its own, below which fixed per-call cost
-dominates.  It is a record, not a gate.
+Greedy switching runs last on each input, and is skipped there when its
+scaled time passes ``GREEDY_LIMIT_S`` by an estimate: the family's last
+greedy time, grown at greedy's slope over the family's last two completed
+inputs.  A raw timeout of three times that guards each of its children, and
+once it fires greedy skips the family's larger inputs.  The record holds, per
+method, the best raw and scaled times over ``RUNS`` runs, the peak RSS and
+the kernel calls on each input (or greedy's estimate where it was skipped),
+the input's swaps, whether all four methods printed the same image, and the
+log-log slopes of scaled time, over all inputs and over each family.  The
+slopes fit the switching methods against swaps, which every order makes
+alike (N^2 on the wide switching pair's 4N boxes), and the insertion methods
+against boxes, each only on the inputs with at least ``MIN_FIT`` of its own,
+below which fixed per-call cost dominates.  It is a record, not a gate.
 """
 
 from __future__ import annotations
@@ -53,7 +55,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-METHODS = ("switching", "infusion", "internal", "scratch")
+# greedy last, so that its estimate can read the input's swaps
+METHODS = ("infusion", "internal", "scratch", "switching")
+KERNELS = ("commutor._admissible", "commutor._insert_inplace",
+           "insertion._uninsert_inplace", "commutor._append_inplace")
 GREEDY_LIMIT_S = 60
 SWAP_AXIS = ("switching", "infusion")  # fitted against swaps, not boxes
 MIN_FIT = 10_000
@@ -124,24 +129,18 @@ def child(method: str, path: str):
                       "sha256": hashlib.sha256(out.encode()).hexdigest()}))
 
 
-def count_child(path: str):
-    """Count greedy switching's site tests on one ``commute`` call, untimed,
-    through a wrapper on ``commutor._admissible``."""
+def count_child(method: str, path: str):
+    """Count the kernel calls of one ``commute`` call by ``method``, untimed,
+    through ``tests/probe.py``."""
     resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
-    from lrcommute import cli, commutor
+    sys.path.insert(0, str(ROOT / "tests"))
+    from probe import counting
 
-    tests = 0
-    admissible = commutor._admissible
+    from lrcommute import cli
 
-    def counting(*args):
-        nonlocal tests
-        tests += 1
-        return admissible(*args)
-
-    commutor._admissible = counting
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["--format", "json", "commute", path, "--method", "switching"])
-    print(json.dumps({"code": code, "site_tests": tests}))
+    with counting(*KERNELS) as calls, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["--format", "json", "commute", path, "--method", method])
+    print(json.dumps({"code": code, "calls": {k: calls[k] for k in KERNELS}}))
 
 
 def run_child(args: list[str], timeout: float | None) -> dict | None:
@@ -171,20 +170,31 @@ def slope(points: list[tuple[int, float]]) -> float | None:
     return round(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx, 3)
 
 
+def estimate(runs: list[tuple[int, float]], swaps: int | None) -> float:
+    """Greedy's scaled time on an input of ``swaps`` swaps, from its (swaps,
+    scaled time) on the family's completed inputs: the last time, grown at
+    the slope over the last two; 0 before any or with ``swaps`` unknown."""
+    if not runs or swaps is None:
+        return 0.0
+    last_swaps, last_s = runs[-1]
+    return last_s * (swaps / last_swaps) ** (slope(runs[-2:]) or 0)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", default=str(ROOT / "BENCH_commute_scale.json"))
     ap.add_argument("--child", nargs=2, metavar=("METHOD", "FILE"),
                     help=argparse.SUPPRESS)
-    ap.add_argument("--count", metavar="FILE", help=argparse.SUPPRESS)
+    ap.add_argument("--count", nargs=2, metavar=("METHOD", "FILE"),
+                    help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
         return child(*args.child)
     if args.count:
-        return count_child(args.count)
+        return count_child(*args.count)
     tables = inputs()
     order = sorted(tables, key=lambda name: sum(tables[name][1]["outer"]))
-    rows, greedy_off = [], {}
+    rows, greedy_runs, greedy_off = [], {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in order:
             family, table = tables[name]
@@ -193,10 +203,19 @@ def main(argv=None):
             row = {"input": name, "family": family, "boxes": sum(table["outer"])}
             digests = set()
             for method in METHODS:
-                if method == "switching" and family in greedy_off:
-                    row[method] = {"skipped": f"past {GREEDY_LIMIT_S} ref s "
-                                              f"on {greedy_off[family]}"}
-                    continue
+                if method == "switching":
+                    if family in greedy_off:
+                        row[method] = {"skipped": f"past {3 * GREEDY_LIMIT_S} s "
+                                                  f"raw on {greedy_off[family]}"}
+                        continue
+                    guess = estimate(greedy_runs.get(family, []), row.get("swaps"))
+                    if guess > GREEDY_LIMIT_S:
+                        row[method] = {"skipped": f"estimated past "
+                                                  f"{GREEDY_LIMIT_S} ref s",
+                                       "estimated_s_ref": round(guess, 1)}
+                        print(f"{name:24} {method:9} skipped: estimated "
+                              f"{guess:.1f} ref s", flush=True)
+                        continue
                 timeout = 3 * GREEDY_LIMIT_S if method == "switching" else None
                 results = []
                 for _ in range(RUNS):
@@ -205,7 +224,6 @@ def main(argv=None):
                         break
                     results.append(result)
                     if method == "switching" and result["s_ref"] > GREEDY_LIMIT_S:
-                        greedy_off[family] = name
                         break
                 if result and "failed" in result:
                     row[method] = result
@@ -223,8 +241,10 @@ def main(argv=None):
                                "rss_mb": round(max(r["rss_mb"] for r in results), 1),
                                "exit": sorted({r["code"] for r in results})}
                 if method == "switching":
-                    counted = run_child(["--count", path], timeout)
-                    row[method]["site_tests"] = counted and counted.get("site_tests")
+                    greedy_runs.setdefault(family, []).append(
+                        (results[0]["swaps"], row[method]["s_ref"]))
+                counted = run_child(["--count", method, path], timeout)
+                row[method]["calls"] = counted and counted.get("calls")
                 print(f"{name:24} {method:9} {row[method]['s']:9.4f} s "
                       f"{row[method]['s_ref']:9.4f} ref s "
                       f"{row[method]['rss_mb']:7.1f} MB", flush=True)
@@ -242,13 +262,13 @@ def main(argv=None):
                 f"time, its address space limited to {AS_LIMIT >> 30} GiB; s is "
                 f"the best cli.main time over {RUNS} runs, s_ref "
                 "the best in reference seconds (perfbench/refclock.py), "
-                "rss_mb the child's peak RSS (VmHWM), site_tests greedy's "
-                "calls of commutor._admissible in one more, untimed child, "
+                "rss_mb the child's peak RSS (VmHWM), calls the calls of "
+                "each of the kernels in one more, untimed child, "
                 "swaps the switches every order makes, by the displacement "
                 "identity; slopes fit s_ref against swaps (switching, "
                 "infusion) or boxes (internal, scratch), each on the inputs "
-                f"with at least {MIN_FIT} of its own; greedy stops on a "
-                f"family past {GREEDY_LIMIT_S} ref s",
+                f"with at least {MIN_FIT} of its own; greedy is skipped where "
+                f"its estimate passes {GREEDY_LIMIT_S} ref s",
         "command": "python3 tools/commute_scale.py",
         "python": sys.version.split()[0],
         "inputs": rows,
