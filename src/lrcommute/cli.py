@@ -247,54 +247,64 @@ def cmd_golden(args) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` keeps no
-    state between calls."""
+    state between calls.
+
+    ``add_argument`` makes a formatter to check each metavar, and
+    ``HelpFormatter`` reads the terminal width through ``shutil``, which
+    loads ``bz2``, ``lzma``, ``zlib`` and ``fnmatch``.  So the parsers are
+    built with a fixed-width formatter, and get ``HelpFormatter`` back at
+    the end, for help and usage messages to follow the terminal."""
+    fixed = partial(argparse.HelpFormatter, width=80)
     ap = argparse.ArgumentParser(
-        prog="lrcommute",
+        prog="lrcommute", formatter_class=fixed,
         description="Littlewood-Richardson commutor toolkit: switching, "
                     "internal row insertion, LR coefficients, verification.")
     ap.add_argument("--format", choices=("json", "text"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, formatter_class=fixed)
 
-    p = sub.add_parser("commute", help="apply the LR commutor to a ballot pair")
+    p = add_parser("commute", help="apply the LR commutor to a ballot pair")
     p.add_argument("input", help="skew tableau (JSON or grid), path or - for stdin")
     p.add_argument("--method", choices=("switching", "internal", "scratch",
                                         "infusion"), default="switching")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=cmd_commute)
 
-    p = sub.add_parser("insert", help="apply an internal insertion order word")
+    p = add_parser("insert", help="apply an internal insertion order word")
     p.add_argument("input", help="skew tableau (JSON or grid), path or - for stdin")
     p.add_argument("word", help="order word, e.g. 12121 or [1,2,1,2,1]")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=cmd_insert)
 
-    p = sub.add_parser("rsk", help="insertion and recording tableaux of a word")
+    p = add_parser("rsk", help="insertion and recording tableaux of a word")
     p.add_argument("word")
     p.set_defaults(fn=cmd_rsk)
 
-    p = sub.add_parser("lr-coeff", help="one Littlewood-Richardson coefficient")
+    p = add_parser("lr-coeff", help="one Littlewood-Richardson coefficient")
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("nu")
     p.set_defaults(fn=cmd_lr_coeff)
 
-    p = sub.add_parser("schur-product", help="expand a product of Schur functions")
+    p = add_parser("schur-product", help="expand a product of Schur functions")
     p.add_argument("mu")
     p.add_argument("nu")
     p.add_argument("--max-rows", type=int, default=None)
     p.set_defaults(fn=cmd_schur_product)
 
-    p = sub.add_parser("verify", help="run exhaustive property sweeps")
+    p = add_parser("verify", help="run exhaustive property sweeps")
     p.add_argument("--max-size", type=int, default=6)
     p.add_argument("--checks", default=None,
                    help="comma separated, from: " + ", ".join(CHECK_NAMES))
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("golden", help="replay the worked examples")
+    p = add_parser("golden", help="replay the worked examples")
     p.add_argument("--only", default=None,
                    help="comma separated example ids, from: "
                         + ", ".join(EXAMPLE_IDS))
     p.set_defaults(fn=cmd_golden)
+    for parser in (ap, *sub.choices.values()):
+        parser.formatter_class = argparse.HelpFormatter
     return ap
 
 

@@ -607,32 +607,39 @@ def row_program(t: SkewTableau) -> Iterator[RowStep]:
 def _run_blocks(t: SkewTableau, on_step: Callable | None = None,
                 check_routes: bool = False) -> SkewTableau:
     """``run_row_program``; given ``check_routes``, it also checks the route
-    claim on the bumping route of each row-word insertion (a letter below
-    the block's row) as it is made."""
+    claim on the bumping routes of each block's row-word insertions (its
+    letters below the block's row), which it gathers in one list."""
     inner: list[int] = []
     rows: list[list[int]] = []
     state = (inner, rows)
     for n, h, word, appends in _blocks(t):
-        seen: set[Cell] = set()
+        routes: list[Cell] = []  # the block's row-word routes, if checked
         if on_step is None:
             if h:
                 _insert_inplace(inner, rows, n, None, h)
             for i in word:
-                route = [] if check_routes else None
-                _insert_inplace(inner, rows, i, route)
                 if check_routes:
-                    _check_route(route, n, seen)
+                    start = len(routes)
+                    _insert_inplace(inner, rows, i, routes)
+                    if len(routes) == start or routes[-1][0] != n:
+                        _check_route(routes, start, n)  # to say which
+                else:
+                    _insert_inplace(inner, rows, i)
             if appends:
                 _append_inplace(inner, rows, n, appends)
         else:
             for i in [n] * h + word:
                 trace = _insert_traced(inner, rows, i)
                 if check_routes and i < n:
-                    _check_route(trace.route, n, seen)
+                    start = len(routes)
+                    routes += trace.route
+                    _check_route(routes, start, n)
                 on_step(RowStep(n, "insert", i), trace, state)
             for _ in range(appends):
                 _append_inplace(inner, rows, n)
                 on_step(RowStep(n, "append", n), None, state)
+        if check_routes:
+            _check_route(routes, None, n)
     return _freeze(inner, rows)
 
 
@@ -653,23 +660,25 @@ def run_row_program(t: SkewTableau,
     return _run_blocks(t, on_step)
 
 
-def _check_route(route, row: int, seen: set):
-    """The route claim on a row-word bumping route of block ``row``: it is not
-    blank, ends in that row and shares no cell with ``seen``, the cells of
-    the block's earlier routes, to which it adds its own."""
-    if not route:
+def _check_route(routes: list, start: int | None, row: int):
+    """The route claim on the row-word bumping routes of block ``row``, which
+    ``routes`` holds one after another.  Given ``start``, where the last
+    route begins, that route is not blank and ends in that row; given None,
+    at the end of the block, no two routes share a cell (a route meets each
+    row once, so a repeated cell is one two routes share)."""
+    if start is None:
+        if len(set(routes)) != len(routes):
+            raise ValueError("row-word bumping routes are not disjoint")
+    elif len(routes) == start:
         raise ValueError("a row-word insertion was a blank move")
-    if route[-1][0] != row:
+    elif routes[-1][0] != row:
         raise ValueError(f"a row-word bumping route ended in row "
-                         f"{route[-1][0]}, expected {row}")
-    if not seen.isdisjoint(route):
-        raise ValueError("row-word bumping routes are not disjoint")
-    seen.update(route)
+                         f"{routes[-1][0]}, expected {row}")
 
 
 def rho1_internal(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
-    """The commutor by the row program, checking the route claim on each
-    row-word route as it is made; ``on_step`` is as for ``run_row_program``."""
+    """The commutor by the row program, checking the route claim on the
+    row-word routes of each block; ``on_step`` is as for ``run_row_program``."""
     _require_lr_pair(p)
     return glued_pair(_run_blocks(p.skew, on_step, check_routes=True))
 

@@ -4,12 +4,20 @@ Conventions: English (matrix) orientation, rows and columns 1-based in every
 public interface.  Partitions are tuples of weakly decreasing nonnegative
 integers; trailing zeros are stripped on input, so ``(6, 4, 0, 0)`` and
 ``(6, 4)`` denote the same partition.  All values are immutable.
+
+Checks run as passes in C (``map``, ``any``, ``min`` over whole rows or
+whole tableaux), not as a Python loop per entry: ``SkewTableau`` validates
+its filling in a few such passes and looks for the entry or column a
+message names only when one fails, and ``is_ballot_tableau`` and
+``tableau_content`` read a tableau one run of equal letters at a time.
 """
 
 from __future__ import annotations
 
 import json
-from operator import index
+from bisect import bisect_left
+from itertools import chain, repeat
+from operator import ge, getitem, gt, index, itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple
 
 Cell = tuple[int, int]
@@ -34,10 +42,9 @@ def parse_int(tok: str) -> int:
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Validate a weakly decreasing nonnegative sequence; strip trailing zeros."""
-    p = tuple(index(x) for x in parts)
-    for a, b in zip(p, p[1:]):
-        if a < b:
-            raise ValueError(f"not weakly decreasing: {brief(str(p))}")
+    p = tuple(map(index, parts))
+    if not all(map(ge, p, p[1:])):
+        raise ValueError(f"not weakly decreasing: {brief(str(p))}")
     if p and p[-1] < 0:
         raise ValueError(f"negative part in {brief(str(p))}")
     while p and p[-1] == 0:
@@ -49,7 +56,7 @@ def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     """Whether the diagram of ``inner`` fits inside ``outer`` row by row."""
     if len(inner) > len(outer):
         return False
-    return all(o >= i for o, i in zip(outer, inner))
+    return all(map(ge, outer, inner))
 
 
 def partitions_of(n: int, max_len: int | None = None,
@@ -117,7 +124,7 @@ class SkewTableau:
     def __init__(self, outer, inner, rows, check: bool = True):
         o = as_partition(outer)
         i = as_partition(inner)
-        r = tuple(tuple(index(x) for x in row) for row in rows)
+        r = tuple(map(tuple, map(map, repeat(index), rows)))
         if len(r) > len(o) or len(i) > len(o):
             raise ValueError("row count mismatch with outer shape")
         i = i + (0,) * (len(o) - len(i))
@@ -131,28 +138,22 @@ class SkewTableau:
             self._validate()
 
     def _validate(self):
+        """Check the filling in a few passes in C over all its entries, or
+        all its pairs of rows: row lengths, entries at least 1, weak rows and
+        strict columns (the shared columns of rows k and k + 1 start at
+        entry 0 of row k and entry inner[k] - inner[k + 1] of row k + 1, as
+        the borders are partitions).  Only when one fails does ``_fault``
+        look for the first bad row or column, which the message names."""
         o, i, r = self.outer, self.inner, self.rows
         if len(i) != len(o) or len(r) != len(o):
             raise ValueError("row count mismatch with outer shape")
-        for k, row in enumerate(r):
-            if len(row) != o[k] - i[k]:
-                raise ValueError(
-                    f"row {k + 1} has {len(row)} entries, expected {o[k] - i[k]}")
-            for x in row:
-                if x < 1:
-                    raise ValueError(f"entry {x} < 1 in row {k + 1}")
-            for a, b in zip(row, row[1:]):
-                if a > b:
-                    raise ValueError(f"row {k + 1} not weakly increasing")
-        for k in range(1, len(r)):
-            lo = max(i[k], i[k - 1])
-            hi = min(o[k], o[k - 1])
-            for col in range(lo + 1, hi + 1):
-                above = r[k - 1][col - 1 - i[k - 1]]
-                below = r[k][col - 1 - i[k]]
-                if above >= below:
-                    raise ValueError(
-                        f"column {col} not strictly increasing at row {k + 1}")
+        entries = chain.from_iterable
+        below = map(getitem, r[1:], map(slice, map(sub, i, i[1:]), repeat(None)))
+        if (list(map(len, r)) != list(map(sub, o, i))
+                or min(entries(r), default=1) < 1
+                or any(map(gt, entries(map(_HEAD, r)), entries(map(_TAIL, r))))
+                or any(entries(map(map, repeat(ge), r, below)))):
+            raise ValueError(_fault(o, i, r))
 
     @staticmethod
     def _fast(outer: tuple, inner: tuple, rows: tuple) -> "SkewTableau":
@@ -211,6 +212,30 @@ class SkewTableau:
         return to_text(self)
 
 
+_HEAD = itemgetter(slice(None, -1))  # a row without its last entry
+_TAIL = itemgetter(slice(1, None))   # and without its first
+
+
+def _fault(o, i, r) -> str:
+    """What ``SkewTableau._validate`` reports of a filling with rows of
+    ``r`` that fails one of its checks: the first fault, row by row."""
+    for k, row in enumerate(r):
+        if len(row) != o[k] - i[k]:
+            return f"row {k + 1} has {len(row)} entries, expected {o[k] - i[k]}"
+        for x in row:
+            if x < 1:
+                return f"entry {x} < 1 in row {k + 1}"
+        for a, b in zip(row, row[1:]):
+            if a > b:
+                return f"row {k + 1} not weakly increasing"
+    for k in range(1, len(r)):
+        lo = max(i[k], i[k - 1])
+        hi = min(o[k], o[k - 1])
+        for col in range(lo + 1, hi + 1):
+            if r[k - 1][col - 1 - i[k - 1]] >= r[k][col - 1 - i[k]]:
+                return f"column {col} not strictly increasing at row {k + 1}"
+
+
 EMPTY = SkewTableau((), (), ())
 
 
@@ -250,12 +275,47 @@ def is_ballot(word) -> bool:
     return True
 
 
+def _runs(t: SkewTableau) -> Iterator[tuple[int, int]]:
+    """(letter, count) for each run of equal letters of t's reading word,
+    read backwards: rows top to bottom, each run right to left.  A row
+    weakly increases, so ``bisect_left`` finds where its run starts."""
+    for row in t.rows:
+        j = len(row)
+        while j:
+            x = row[j - 1]
+            s = bisect_left(row, x, 0, j)
+            yield x, j - s
+            j = s
+
+
 def is_ballot_tableau(t: SkewTableau) -> bool:
-    return is_ballot(reading_word(t))
+    """``is_ballot(reading_word(t))``, one run of equal letters at a time:
+    reading the word backwards, a run of x's leaves the most x's against
+    the (x - 1)'s at its end, so the ballot condition is checked there."""
+    counts = [0, 0]  # counts[x]: the x's read so far, for x >= 1
+    for x, m in _runs(t):
+        if x == len(counts):
+            counts.append(0)
+        elif x > len(counts):  # no x - 1 read yet
+            return False
+        if x > 1 and counts[x - 1] < counts[x] + m:
+            return False
+        if x > 0:  # a letter below 1, as in is_ballot, counts for nothing
+            counts[x] += m
+    return True
 
 
 def tableau_content(t: SkewTableau) -> tuple[int, ...]:
-    return content(reading_word(t))
+    """``content(reading_word(t))``, counted one run of equal letters at a
+    time."""
+    counts: list[int] = []
+    for x, m in _runs(t):
+        if x < 1:
+            return content(reading_word(t))  # raises, naming the letter
+        if x > len(counts):
+            counts.extend([0] * (x - len(counts)))
+        counts[x - 1] += m
+    return tuple(counts)
 
 
 def standard_order(t: SkewTableau) -> list[tuple[int, Cell]]:
@@ -476,7 +536,7 @@ def _shown(value) -> str:
 def json_ints(value) -> tuple[int, ...]:
     """A decoded JSON array of integers as a tuple.  Anything else raises
     ValueError, so floats and booleans are never truncated to integers."""
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise ValueError(f"expected an array of integers, got {_shown(value)}")
     return tuple(value)
 
@@ -485,7 +545,11 @@ def _json_rows(value) -> list[tuple[int, ...]]:
     if not isinstance(value, list):
         raise ValueError("expected an array of arrays of integers, "
                          f"got {_shown(value)}")
-    return [json_ints(r) for r in value]
+    if not (set(map(type, value)) <= {list}
+            and set(map(type, chain.from_iterable(value))) <= {int}):
+        for r in value:
+            json_ints(r)  # names the first row that is not one
+    return list(map(tuple, value))
 
 
 def _json_field(d: dict, name: str, read):

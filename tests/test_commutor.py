@@ -864,17 +864,65 @@ def test_commutor_small_sweep():
 
 def test_route_claim_checker_rejects_bad_traces():
     from lrcommute.commutor import _check_route
-    good = [[(1, 2), (2, 2)], [(1, 3), (2, 3)]]
-    seen = set()
-    for route in good:
-        _check_route(route, 2, seen)
-    assert seen == {(1, 2), (2, 2), (1, 3), (2, 3)}
+    routes = [(1, 2), (2, 2)]
+    _check_route(routes, 0, 2)
+    routes += [(1, 3), (2, 3)]
+    _check_route(routes, 2, 2)
+    _check_route(routes, None, 2)
     with pytest.raises(ValueError, match="disjoint"):
-        _check_route(good[0], 2, seen)
+        _check_route(routes + [(1, 2), (2, 2)], None, 2)
     with pytest.raises(ValueError, match="ended in row"):
-        _check_route(good[0], 3, set())
+        _check_route(routes, 2, 3)
     with pytest.raises(ValueError, match="blank"):
-        _check_route([], 1, set())
+        _check_route(routes, 4, 2)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("blank", "a row-word insertion was a blank move"),
+    ("shared", "row-word bumping routes are not disjoint"),
+])
+@pytest.mark.parametrize("traced", [False, True], ids=["run", "on_step"])
+def test_rho1_internal_rejects_a_blank_or_shared_route(monkeypatch, traced,
+                                                       fault, message):
+    # a kernel whose k-th row-word route, the second of its block, records
+    # no cell ("blank") or starts at the first cell of the block's first
+    # route ("shared"), on the run path and on the on_step path
+    pair = glued_pair(T_RUNNING)
+    steps = [s for s in row_program(T_RUNNING) if s.op == "insert"]
+    row_word = [s for s in steps if s.i < s.row]
+    k = next(k for k in range(1, len(row_word))
+             if row_word[k].row == row_word[k - 1].row)
+    if traced:
+        # _insert_traced runs once per insertion, blank runs included
+        k = steps.index(row_word[k])
+        kernel = commutor._insert_traced
+        calls, kept = itertools.count(), []
+
+        def insert(inner, rows, i):
+            trace = kernel(inner, rows, i)
+            kept.append(trace.route[:1])
+            if next(calls) == k:
+                route = () if fault == "blank" else kept[-2] + trace.route
+                trace = trace._replace(route=route)
+            return trace
+        monkeypatch.setattr(commutor, "_insert_traced", insert)
+    else:
+        kernel = commutor._insert_inplace
+        calls = itertools.count()
+
+        def insert(inner, rows, i, route=None, count=1):
+            start = len(route) if route is not None else 0
+            created = kernel(inner, rows, i, route, count)
+            if route is not None and next(calls) == k:
+                if fault == "blank":
+                    del route[start:]
+                else:
+                    route.insert(start, route[0])
+            return created
+        monkeypatch.setattr(commutor, "_insert_inplace", insert)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rho1_internal(pair, (lambda *_: None) if traced else None)
+    assert rho1_scratch(pair) == rho1_switching(pair)
 
 
 def test_switching_knuth_preservation_small():

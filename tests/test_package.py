@@ -86,6 +86,13 @@ def test_importing_the_cli_loads_only_what_commute_runs():
     assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_building_the_parser_loads_no_terminal_or_archive_modules():
+    # a parser built with HelpFormatter's own width would read the terminal
+    # through shutil, which loads these
+    loaded = _loaded("from lrcommute import cli", "cli.build_parser()")
+    assert not loaded & {"shutil", "bz2", "lzma", "zlib", "fnmatch"}
+
+
 @pytest.mark.parametrize("argv, stdin, modules", [
     (["commute", "-"], ". . 1 1\n. 1 2\n2 3", set()),
     (["lr-coeff", "2,1", "1", "1"], "", {"lrcommute.schur"}),

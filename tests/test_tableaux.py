@@ -147,6 +147,19 @@ def test_yamanouchi_examples():
     assert yamanouchi_tableau((6, 4, 0, 0)).rows == ((1,) * 6, (2,) * 4)
 
 
+def test_tableau_ballot_and_content_match_the_reading_word():
+    # one run of equal letters at a time, against letter by letter, on
+    # every filling of at most 6 boxes over letters up to 4
+    fillings = [t for shape in all_shapes(6) for t in enumerate_ssyt(shape, 4)]
+    ballot = 0
+    for t in fillings:
+        word = reading_word(t)
+        assert is_ballot_tableau(t) == is_ballot(word), t
+        assert tableau_content(t) == content(word), t
+        ballot += is_ballot(word)
+    assert (len(fillings), ballot) == (4538, 290)
+
+
 def test_yamanouchi_is_ballot_up_to_8():
     for n in range(9):
         for mu in partitions_of(n):
@@ -179,6 +192,46 @@ def test_validation_rejects_bad_fillings():
         SkewTableau((1,), (2,), [()])          # inner not contained
     with pytest.raises(ValueError):
         SkewTableau((2,), (), [(0, 1)])        # entries below 1
+
+
+# Each message as the per-entry checks wrote it; the inputs put the first
+# offending entry, row or column before a smaller or a later one, so a check
+# that finds its fault in another order names another.
+@pytest.mark.parametrize("build, args, message", [
+    (SkewTableau, ((2,), (), [(0, -1)]), "entry 0 < 1 in row 1"),
+    (SkewTableau, ((2, 2), (1,), [(1,), (0, 2)]), "entry 0 < 1 in row 2"),
+    (SkewTableau, ((3, 3), (), [(1, 2, 3), (2, 2, 3)]),
+     "column 2 not strictly increasing at row 2"),
+    (SkewTableau, ((4, 4), (1,), [(1, 2, 3), (1, 2, 2, 3)]),
+     "column 3 not strictly increasing at row 2"),
+    (SkewTableau, ((2, 2, 2), (), [(1, 2), (2, 3), (2, 3)]),
+     "column 1 not strictly increasing at row 3"),
+    (SkewTableau, ((3,), (), [(2, 3, 1)]), "row 1 not weakly increasing"),
+    (SkewTableau, ((3, 3), (), [(1, 2, 3), (1, 3, 2)]),
+     "row 2 not weakly increasing"),
+    (SkewTableau, ((3, 3), (), [(2, 1, 3), (1, 2, 2)]),
+     "row 1 not weakly increasing"),
+    (SkewTableau, ((3, 2), (1,), [(1, 1), (2,)]),
+     "row 2 has 1 entries, expected 2"),
+    (SkewTableau, ((3, 2), (1,), [(3, 1), (2,)]), "row 1 not weakly increasing"),
+    (SkewTableau, ((1,), (2,), [()]), "inner (2,) not contained in outer (1,)"),
+    (as_partition, ((3, 1, 2),), "not weakly decreasing: (3, 1, 2)"),
+    (as_partition, ((2, 0, -1),), "negative part in (2, 0, -1)"),
+    (json_ints, ([1, True],), "expected an array of integers, got [1, true]"),
+    (json_ints, ([1, 2.0],), "expected an array of integers, got [1, 2.0]"),
+    (from_json, ('{"outer": [2], "inner": [], "rows": [[1, true]]}',),
+     "rows: expected an array of integers, got [1, true]"),
+    (from_json, ('{"outer": [1, 1], "inner": [], "rows": [[1], [2.5]]}',),
+     "rows: expected an array of integers, got [2.5]"),
+    (from_json, ('{"outer": [1, 1], "inner": [], "rows": [[1], 2]}',),
+     "rows: expected an array of integers, got 2"),
+    (from_json, ('{"outer": [2, false], "inner": [], "rows": [[1, 1]]}',),
+     "outer: expected an array of integers, got [2, false]"),
+])
+def test_validation_messages_name_the_first_fault(build, args, message):
+    with pytest.raises(ValueError) as exc:
+        build(*args)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("check", [True, False])
