@@ -194,14 +194,22 @@ def check_involution(max_size: int = 8, seed: int = 0) -> VerifyReport:
     """rho1 o rho1 = id on all ballot pairs, via switching and internally.
 
     An image keeps lam, so it is one of the pairs swept, and each commutor
-    is memoised for this call: it runs once per pair, and rho1(rho1(p))
-    reads the image's own entry.  rho1 is pure, so that is what computing it
-    again would give; a raise is not memoised, and fails each instance that
-    meets it."""
+    is memoised while the sweep is on one lam: it runs once per pair, and
+    rho1(rho1(p)) reads the image's own entry.  ``lr_pairs`` yields the
+    pairs by lam, so the memos are cleared when lam changes and hold one
+    lam's pairs and images only, with every hit kept.  rho1 is pure, so a
+    hit is what computing it again would give; a raise is not memoised, and
+    fails each instance that meets it."""
     commutors = (("switching", cache(rho1_switching)),
                  ("internal", cache(rho1_internal)))
+    lam = None
 
     def prop(p):
+        nonlocal lam
+        if p.skew.outer != lam:  # no later pair or image meets the memos
+            lam = p.skew.outer
+            for _name, rho in commutors:
+                rho.cache_clear()
         for name, rho in commutors:
             back = rho(rho(p))
             if back != p:
@@ -538,29 +546,36 @@ def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:
     at most max_size - |mu| letters is the row sequence of the standard
     filling it grows, a packed U: so one ``_walk`` of that depth per T, on
     one copy of T's lists, inserts each prefix once and meets each U at its
-    row sequence.  There P's class is tested once; for each U, Q's rows are
-    built from the created cells by ``skew_rsk_forward``'s own
-    ``_rows_at``, and Q's class is tested.  The inverse undoes the cells of
-    Q's standard order, last first.  Equal letters of U create cells
-    strictly left to right (the row-bumping lemma), so Q's standard order
-    must be the order in which its cells were created, or the instance
-    fails; then the inverse is exactly the walk's backtracking from that
-    word, which must give back each vacated cell and state.  A tableau is
-    frozen only to report a failure.  A raise at a word fails each instance
-    below it once, and the walk goes on."""
+    row sequence.  There P's class is tested once, and for each U, Q's
+    class.  The inverse undoes the cells of Q's standard order, last first.
+    Equal letters of U create cells strictly left to right (the row-bumping
+    lemma), so Q's standard order must be the order in which its cells were
+    created, or the instance fails; then the inverse is exactly the walk's
+    backtracking from that word, which must give back each vacated cell and
+    state.  Q's rows are the letters of U's standard order, put by
+    ``skew_rsk_forward``'s own ``_rows_at`` in the rows of the created
+    cells, on Q's inner border, which is T's outer one: so U's letters, the
+    created cells and that border fix Q, and both Q tests read Q's class
+    and standard-order cells from a memo of the side keyed by those three.
+    Q's rows are built on a miss, and otherwise only to report a failure,
+    as a frozen tableau is.  A raise at a word fails each instance below it
+    once, and the walk goes on."""
     rep = VerifyReport("skew-rsk")
     t0 = time.perf_counter()
     for mu, fillings in _guarded(_fillings_by_border(max_size), rep):
-        side = [(t, p_tableau_rows(reading_word(t)), standard_order(t), h)
-                for t, h in fillings]
+        side = []  # (filling, class, standard order, its letters, hash)
+        for t, h in fillings:
+            order = standard_order(t)
+            side.append((t, p_tableau_rows(reading_word(t)), order,
+                         tuple(x for x, _c in order), h))
         ends: dict = {}  # row sequence -> [the U's indices in side, hash sum]
-        for j, (_u, _w, order, h) in enumerate(side):
+        for j, (_u, _w, order, _letters, h) in enumerate(side):
             entry = ends.setdefault(tuple(r for _x, (r, _c) in order), [[], 0])
             entry[0].append(j)
             entry[1] += h
         # a side meets few distinct P and Q; the memos end with the side
-        memos = cache(_reading_class), cache(_order_cells)
-        for t, w_t, _order, h_t in side:
+        memos = cache(_reading_class), {}
+        for t, w_t, _order, _letters, h_t in side:
             _skew_rsk_walk(rep, t, w_t, h_t, side, ends, max_size - sum(mu),
                            memos)
     rep.seconds = time.perf_counter() - t0
@@ -578,14 +593,20 @@ def _order_cells(q: tuple) -> tuple:
     return tuple(c for _x, c in _standard_order(*q))
 
 
+def _q_rows(order, created, q_inner) -> tuple:
+    """Q's rows: the letters of order at the rows of the created cells."""
+    return tuple(map(tuple, _rows_at(order, created, len(q_inner))))
+
+
 def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, ends: dict,
                    depth: int, memos):
     """Every instance (t, U) of one side, on one ``_walk`` of the given
     depth; ends maps a row sequence to the U's that have it, and memos are
-    the side's ``_reading_class`` and ``_order_cells``.  Q's standard order
-    must be its cells' creation order, so that the walk's backtracking is
-    the inverse of each U."""
-    reading_class, order_cells = memos
+    the side's ``_reading_class`` and its dict from (U's standard-order
+    letters, the created cells, Q's inner border) to Q's class and Q's
+    standard-order cells.  Q's standard order must be its cells' creation
+    order, so that the walk's backtracking is the inverse of each U."""
+    reading_class, q_memo = memos
     inner, rows = _thaw(t)
     settled: set = set()  # the U's whose round trip has failed
 
@@ -596,7 +617,7 @@ def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, ends: dict,
         created = tuple(tr.created for tr in trail)
         p_class = None
         for j in js:
-            u, w_u, order, _h = side[j]
+            u, w_u, order, letters, _h = side[j]
             try:
                 if p_class is None:  # once per word, unless it raises
                     # keyed by P's entries: each row without its blanks' 0s
@@ -605,15 +626,22 @@ def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, ends: dict,
                 if p_class != w_t:
                     rep.fail(f"{t!r} {u!r}", "P = T class",
                              f"{_freeze(inner, rows)!r}")
-                q_rows = tuple(map(tuple, _rows_at(order, created, len(rows))))
-                if reading_class(q_rows) != w_u:
+                key = letters, created, q_inner
+                q = q_memo.get(key)
+                if q is None:  # a raise is not memoised
+                    q_rows = _q_rows(order, created, q_inner)
+                    q = q_memo[key] = (reading_class(q_rows),
+                                       _order_cells((q_inner, q_rows)))
+                q_class, cells = q
+                if q_class != w_u:
+                    q_rows = _q_rows(order, created, q_inner)
                     rep.fail(f"{t!r} {u!r}", "Q = U class",
                              f"{_tableau(q_inner, q_rows)!r}")
                 # the creation-order claim: the inverse, which undoes Q's
                 # standard order, is then the walk's backtracking
-                cells = order_cells((q_inner, q_rows))
                 if cells != created:
                     settled.add(j)
+                    q_rows = _q_rows(order, created, q_inner)
                     rep.fail(f"{t!r} {u!r}",
                              f"Q's standard order is the created cells {created}",
                              f"{_tableau(q_inner, q_rows)!r} orders {cells}")
@@ -631,7 +659,7 @@ def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, ends: dict,
 
     def on_raise(words, actual):
         for j in under(words):
-            rep.count(_pair(h_t, side[j][3]))
+            rep.count(_pair(h_t, side[j][4]))
             rep.fail(f"{t!r} {side[j][0]!r}", "no exception", actual)
 
     def on_undo(words, expected, actual):

@@ -173,6 +173,35 @@ def test_skew_rsk_inserts_each_prefix_once():
                      "insertion._uninsert_inplace": 1466}
 
 
+def test_skew_rsk_builds_each_q_once_per_memo_key():
+    # a cost record that machine noise cannot move: Q's rows are built once
+    # per (U's letters, created cells, Q's inner border) of a side, 1,053
+    # times at size 4, where building them for each instance made 3,430;
+    # Q's class shares the side's class memo with P's, 759 calls either way
+    with counting("verify._rows_at", "verify._reading_class") as calls:
+        rep = check_skew_rsk(max_size=4)
+    assert rep.instances == 3430 and rep.passed
+    assert calls == {"verify._rows_at": 1053, "verify._reading_class": 759}
+
+
+def test_skew_rsk_memo_gives_each_u_its_own_q(monkeypatch):
+    # reversing each row of Q breaks both Q tests on many instances; a memo
+    # that handed one U the Q of another U, T or word would fail a different
+    # set of them, so each test's failure count is pinned, as built with Q
+    # made afresh for every instance
+    rows_at = verify._rows_at
+
+    def reversed_rows(order, cells, n):
+        return [row[::-1] for row in rows_at(order, cells, n)]
+
+    monkeypatch.setattr(verify, "_rows_at", reversed_rows)
+    monkeypatch.setattr(verify, "MAX_STORED_FAILURES", 10**6)
+    rep = check_skew_rsk(max_size=4)
+    assert rep.instances == 3430 and rep.failure_count == 2338
+    kinds = Counter(expected.split(" is ")[0] for _k, expected, _a in rep.failures)
+    assert kinds == {"Q = U class": 983, "Q's standard order": 1355}
+
+
 def test_confluence_lists_each_states_sites_once():
     # a cost record that machine noise cannot move: the every-order search
     # tests each candidate switch of each state it meets once, 2,583 site
