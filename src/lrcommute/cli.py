@@ -11,7 +11,7 @@ import json
 import sys
 from functools import cache, partial
 
-from .commutor import rho1_internal, rho1_scratch, rho1_switching
+from .commutor import METHODS
 from .insertion import (GluedPair, NotBallotPair, _freeze, glued_pair,
                         order_word_steps)
 from .tableaux import (SkewTableau, as_partition, brief, from_json_dict,
@@ -108,26 +108,22 @@ def _emit_pair(p: GluedPair, fmt: str) -> str:
 
 def cmd_commute(args) -> int:
     skew = check_border(parse_tableau(_read_input(args.input)))
-    frames = []
-    if args.method in ("switching", "infusion"):
-        def on_frame(site, cells):
-            frames.append({"switch": [list(site.cell_u), list(site.cell_v)],
-                           "cells": [[r, c, val, color] for (r, c), (val, color)
-                                     in sorted(cells.items())]})
-        strategy = "infusion" if args.method == "infusion" else "greedy"
-        rho = partial(rho1_switching, strategy=strategy,
-                      on_frame=on_frame if args.trace else None)
-    else:
-        def on_step(step, trace, state):
-            frame = {"op": step.op, "row": step.i,
-                     "state": to_json_dict(_freeze(*state))}
-            if trace is not None:
-                frame["trace"] = trace._asdict()
-            frames.append(frame)
-        rho = partial(rho1_internal if args.method == "internal" else rho1_scratch,
-                      on_step=on_step if args.trace else None)
+    method, frames = METHODS[args.method], []
+
+    def on_frame(site, cells):
+        frames.append({"switch": [list(site.cell_u), list(site.cell_v)],
+                       "cells": [[r, c, val, color] for (r, c), (val, color)
+                                 in sorted(cells.items())]})
+
+    def on_step(step, trace, state):
+        frame = {"op": step.op, "row": step.i, "state": to_json_dict(_freeze(*state))}
+        if trace is not None:
+            frame["trace"] = trace._asdict()
+        frames.append(frame)
+
+    hook = {"on_frame": on_frame, "on_step": on_step}[method.family]
     try:
-        result = rho(glued_pair(skew))
+        result = method.rho(glued_pair(skew), hook if args.trace else None)
     except NotBallotPair as exc:
         raise UsageError(f"input is not a ballot pair: {exc.why}")
     print(_emit_pair(result, args.format))
@@ -265,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("commute", help="apply the LR commutor to a ballot pair")
     p.add_argument("input", help="skew tableau (JSON or grid), path or - for stdin")
-    p.add_argument("--method", choices=("switching", "internal", "scratch",
-                                        "infusion"), default="switching")
+    p.add_argument("--method", choices=tuple(METHODS), default="switching")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=cmd_commute)
 

@@ -8,6 +8,8 @@ insertions and row appends that build the image from the empty tableau, and
 its own row as one run and its appends as another.  ``rho1_internal`` and
 ``rho1_scratch`` are that one run, the former also asking the kernel for the
 bumping route of each row-word letter and checking the route claim on it.
+``METHODS``, the one table of these four commutors and their trace hooks,
+is what the CLI, ``verify``, ``tools/commute_scale.py`` and the tests run.
 
 Every switch order runs on one flat board: a list (a tuple once frozen) of
 signed values, a 0, then each row's cells, u-letters positive and v-letters
@@ -604,11 +606,20 @@ def row_program(t: SkewTableau) -> Iterator[RowStep]:
             yield RowStep(n, "append", n)
 
 
-def _run_blocks(t: SkewTableau, on_step: Callable | None = None,
-                check_routes: bool = False) -> SkewTableau:
-    """``run_row_program``; given ``check_routes``, it also checks the route
-    claim on the bumping routes of each block's row-word insertions (its
-    letters below the block's row), which it gathers in one list."""
+def run_row_program(t: SkewTableau, on_step: Callable | None = None,
+                    check_routes: bool = False) -> SkewTableau:
+    """Run ``row_program(t)`` from the empty tableau; returns the skew member
+    of the commutor image.
+
+    The state is kept in parallel mutable (inner, rows) lists and frozen
+    once at the end.  A block's h_n insertions at its row n, blank moves in
+    a ballot tableau, are one kernel call, as are its appends, each run
+    checked once; each letter of its row word is one more call, which
+    records its bumping route only for ``check_routes``, the route claim
+    (``_check_route``).  Given ``on_step``, steps run one at a time: after
+    each, ``on_step(step, trace, state)`` receives the ``RowStep``, its
+    ``InsertionTrace`` (None for an append) and the live lists, which a
+    callback that keeps them must copy."""
     inner: list[int] = []
     rows: list[list[int]] = []
     state = (inner, rows)
@@ -643,23 +654,6 @@ def _run_blocks(t: SkewTableau, on_step: Callable | None = None,
     return _freeze(inner, rows)
 
 
-def run_row_program(t: SkewTableau,
-                    on_step: Callable | None = None) -> SkewTableau:
-    """Run ``row_program(t)`` from the empty tableau; returns the skew member
-    of the commutor image.
-
-    The state is kept in parallel mutable (inner, rows) lists and frozen
-    once at the end.  A block's h_n insertions at its row n, blank moves in
-    a ballot tableau, are one kernel call, as are its appends, each run
-    checked once; each letter of its row word is one more call, which
-    records no bumping route.  Given
-    ``on_step``, steps run one at a time: after each, ``on_step(step, trace,
-    state)`` receives the ``RowStep``, its ``InsertionTrace`` (None for an
-    append) and the live lists, which a callback that keeps them must copy.
-    """
-    return _run_blocks(t, on_step)
-
-
 def _check_route(routes: list, start: int | None, row: int):
     """The route claim on the row-word bumping routes of block ``row``, which
     ``routes`` holds one after another.  Given ``start``, where the last
@@ -680,7 +674,7 @@ def rho1_internal(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
     """The commutor by the row program, checking the route claim on the
     row-word routes of each block; ``on_step`` is as for ``run_row_program``."""
     _require_lr_pair(p)
-    return glued_pair(_run_blocks(p.skew, on_step, check_routes=True))
+    return glued_pair(run_row_program(p.skew, on_step, check_routes=True))
 
 
 def rho1_scratch(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
@@ -689,3 +683,16 @@ def rho1_scratch(p: GluedPair, on_step: Callable | None = None) -> GluedPair:
     ``on_step`` is passed to ``run_row_program``."""
     _require_lr_pair(p)
     return glued_pair(run_row_program(p.skew, on_step))
+
+
+# The commutors by name, in ``commute --method``'s order: rho(p, hook=None) is
+# the image of the ballot pair p, and family the hook's kind, on_frame (per
+# switch) or on_step (per step).  Each rho calls its function by name, so a
+# wrapper rebound over the name (a tracer, a probe) sees the call.
+Method = NamedTuple("Method", [("rho", Callable), ("family", str)])
+METHODS = {
+    "switching": Method(lambda p, h=None: rho1_switching(p, "greedy", h), "on_frame"),
+    "internal": Method(lambda p, h=None: rho1_internal(p, h), "on_step"),
+    "scratch": Method(lambda p, h=None: rho1_scratch(p, h), "on_step"),
+    "infusion": Method(lambda p, h=None: rho1_switching(p, "infusion", h), "on_frame"),
+}

@@ -10,11 +10,10 @@ from __future__ import annotations
 import heapq
 import json
 
-from .commutor import (TwoColorTableau, _board, _board_of, _geometry,
-                       _successors, gt_order_word, nu_hat,
-                       rho1_internal, rho1_scratch, rho1_switching,
-                       run_row_program, staged_decomposition, switch_sites,
-                       switching)
+from .commutor import (METHODS, STRATEGIES, TwoColorTableau, _board,
+                       _board_of, _geometry, _successors, gt_order_word, nu_hat,
+                       rho1_switching, run_row_program, staged_decomposition,
+                       switch_sites, switching)
 from .insertion import GluedPair, _freeze, apply_order_word, glued_pair
 from .knuth import knuth_equivalent
 from .tableaux import (EMPTY, SkewTableau, as_partition, companion_word,
@@ -116,7 +115,7 @@ def _run_switch_sequence(res: GoldenResult, data: dict):
         ok = _reachable(g, boards[k], boards[k + 1])
         res.check(f"frame {k + 1} -> {k + 2} by switches", True, ok)
     res.check("first frame admits a switch", True, bool(switch_sites(start)))
-    for strategy in ("greedy", "infusion"):
+    for strategy in STRATEGIES:
         s, h = switching(u, v, strategy=strategy)
         res.check(f"terminal S ({strategy})", from_json_dict(data["terminal_s"]), s)
         res.check(f"terminal H ({strategy})", from_json_dict(data["terminal_h"]), h)
@@ -190,7 +189,7 @@ def _run_row_recursion(res: GoldenResult, data: dict):
         res.check(f"scratch frame {k + 1}", from_json_dict(data["scratch_frames"][k]),
                   blocks[k + 1][-1][1])
 
-    # level by level: operators, frames, recursion result, switching, internal
+    # level by level: operators, frames, recursion result, every commutor
     for level in data["rho_levels"]:
         k = level["k"]
         steps, states = zip(*blocks[k])
@@ -202,9 +201,8 @@ def _run_row_recursion(res: GoldenResult, data: dict):
         expected = glued_pair(from_json_dict(level["result"]))
         res.check(f"rho^({k}) recursion result", expected, glued_pair(states[-1]))
         sub_pair = glued_pair(restrict_rows(t, k)[1])
-        res.check(f"rho^({k}) switching", expected, rho1_switching(sub_pair))
-        res.check(f"rho^({k}) internal", expected, rho1_internal(sub_pair))
-    res.check(f"rho^({k}) scratch", expected, rho1_scratch(glued_pair(t)))
+        for name, method in METHODS.items():
+            res.check(f"rho^({k}) {name}", expected, method.rho(sub_pair))
 
 
 def _run_factored_commutor(res: GoldenResult, data: dict):

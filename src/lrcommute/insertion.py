@@ -51,10 +51,13 @@ def glued_pair(skew: SkewTableau) -> GluedPair:
 
 def lr_violation(p: GluedPair) -> str | None:
     """Why p fails to be a ballot pair of partition shape, or None."""
-    yam = yamanouchi_tableau(p.skew.inner)
-    if p.yam != yam:
+    # p.yam is read in place: a tableau of outer border mu with mu_i letters
+    # i in each row i has no room for inner cells, so it is Y_mu
+    yam, mu = p.yam, as_partition(p.skew.inner)
+    i_in_row_i = map(tuple.count, yam.rows, range(1, len(mu) + 1))
+    if yam.outer != mu or list(i_in_row_i) != list(mu):
         return ("the inner member must be the Yamanouchi tableau of the "
-                f"skew member's inner border {yam.outer}")
+                f"skew member's inner border {mu}")
     if not is_ballot_tableau(p.skew):
         return "the skew member's reading word is not ballot"
     return None

@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import struct
 import time
+from collections import Counter
 from functools import cache
 from itertools import chain, product, repeat
 from operator import itemgetter, sub
 from typing import Iterator
 
 from . import insertion
-from .commutor import (_board, _cells_of, _geometry, _infuse, _infusion_order,
-                       _split_cells, _terminals, rho1_internal, rho1_scratch,
+from .commutor import (METHODS, _board, _cells_of, _geometry, _infuse,
+                       _infusion_order, _split_cells, _terminals,
                        rho1_switching, staged_decomposition)
 from .insertion import (GluedPair, InsertionTrace, _corners, _freeze, _rows_at,
                         _tableau, _thaw, glued_pair)
@@ -191,7 +192,8 @@ def _sweep(name: str, instances, prop, key, ident) -> VerifyReport:
 # criterion sweeps
 
 def check_involution(max_size: int = 8, seed: int = 0) -> VerifyReport:
-    """rho1 o rho1 = id on all ballot pairs, via switching and internally.
+    """rho1 o rho1 = id on all ballot pairs, via switching and internally,
+    one ``METHODS`` entry per trace family: all four would add about 0.1 s.
 
     An image keeps lam, so it is one of the pairs swept, and each commutor
     is memoised while the sweep is on one lam: it runs once per pair, and
@@ -200,8 +202,8 @@ def check_involution(max_size: int = 8, seed: int = 0) -> VerifyReport:
     lam's pairs and images only, with every hit kept.  rho1 is pure, so a
     hit is what computing it again would give; a raise is not memoised, and
     fails each instance that meets it."""
-    commutors = (("switching", cache(rho1_switching)),
-                 ("internal", cache(rho1_internal)))
+    commutors = [(name, cache(METHODS[name].rho))
+                 for name in ("switching", "internal")]
     lam = None
 
     def prop(p):
@@ -219,13 +221,14 @@ def check_involution(max_size: int = 8, seed: int = 0) -> VerifyReport:
 
 
 def check_coincidence(max_size: int = 8, seed: int = 0) -> VerifyReport:
-    """rho1_switching = rho1_internal = rho1_scratch on all ballot pairs."""
+    """All ``METHODS`` give each ballot pair one image; a failure names each
+    method whose image is not the one most give (the first's, on a tie)."""
     def prop(p):
-        a = rho1_switching(p)
-        b = rho1_internal(p)
-        c = rho1_scratch(p)
-        if not (a == b == c):
-            yield _pair_key(p), _pair_key(a), f"{_pair_key(b)} / {_pair_key(c)}"
+        images = {name: m.rho(p) for name, m in METHODS.items()}
+        (image, _votes), *others = Counter(images.values()).most_common()
+        if others:
+            yield _pair_key(p), _pair_key(image), " / ".join(
+                f"{name}: {_pair_key(q)}" for name, q in images.items() if q != image)
 
     return _sweep("coincidence", lr_pairs(max_size), prop, _pair_key, _pair_hash)
 
@@ -555,11 +558,12 @@ def check_skew_rsk(max_size: int = 6, seed: int = 0) -> VerifyReport:
     state.  Q's rows are the letters of U's standard order, put by
     ``skew_rsk_forward``'s own ``_rows_at`` in the rows of the created
     cells, on Q's inner border, which is T's outer one: so U's letters, the
-    created cells and that border fix Q, and both Q tests read Q's class
-    and standard-order cells from a memo of the side keyed by those three.
-    Q's rows are built on a miss, and otherwise only to report a failure,
-    as a frozen tableau is.  A raise at a word fails each instance below it
-    once, and the walk goes on."""
+    created cells and that border fix Q.  Both Q tests read Q's class and
+    standard-order cells from the side's memo, keyed by the created cells
+    and the border (once per word), then by U's letters.  Q's rows are
+    built on a miss, and otherwise only to report a failure, as a frozen
+    tableau is.  A raise at a word fails each instance below it once, and
+    the walk goes on."""
     rep = VerifyReport("skew-rsk")
     t0 = time.perf_counter()
     for mu, fillings in _guarded(_fillings_by_border(max_size), rep):
@@ -602,10 +606,9 @@ def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, ends: dict,
                    depth: int, memos):
     """Every instance (t, U) of one side, on one ``_walk`` of the given
     depth; ends maps a row sequence to the U's that have it, and memos are
-    the side's ``_reading_class`` and its dict from (U's standard-order
-    letters, the created cells, Q's inner border) to Q's class and Q's
-    standard-order cells.  Q's standard order must be its cells' creation
-    order, so that the walk's backtracking is the inverse of each U."""
+    the side's two (see ``check_skew_rsk``).  Q's standard order must be
+    its cells' creation order, so that the walk's backtracking is the
+    inverse of each U."""
     reading_class, q_memo = memos
     inner, rows = _thaw(t)
     settled: set = set()  # the U's whose round trip has failed
@@ -615,6 +618,7 @@ def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, ends: dict,
         rep.count(_pair(len(js) * h_t, ends_hash), len(js))
         q_inner = t.outer + (0,) * (len(rows) - len(t.outer))
         created = tuple(tr.created for tr in trail)
+        q_by_letters = q_memo.setdefault((created, q_inner), {})
         p_class = None
         for j in js:
             u, w_u, order, letters, _h = side[j]
@@ -626,12 +630,11 @@ def _skew_rsk_walk(rep: VerifyReport, t, w_t, h_t, side, ends: dict,
                 if p_class != w_t:
                     rep.fail(f"{t!r} {u!r}", "P = T class",
                              f"{_freeze(inner, rows)!r}")
-                key = letters, created, q_inner
-                q = q_memo.get(key)
+                q = q_by_letters.get(letters)
                 if q is None:  # a raise is not memoised
                     q_rows = _q_rows(order, created, q_inner)
-                    q = q_memo[key] = (reading_class(q_rows),
-                                       _order_cells((q_inner, q_rows)))
+                    q = q_by_letters[letters] = (
+                        reading_class(q_rows), _order_cells((q_inner, q_rows)))
                 q_class, cells = q
                 if q_class != w_u:
                     q_rows = _q_rows(order, created, q_inner)

@@ -1,14 +1,16 @@
 import hashlib
 import io
 import json
+import pkgutil
 import subprocess
 import sys
 import textwrap
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
 
 import pytest
 
+import lrcommute
 from lrcommute import cli, commutor, verify
 from lrcommute.golden import run_golden
 from lrcommute.tableaux import (SkewTableau, from_json_dict, to_json_dict,
@@ -132,7 +134,7 @@ def test_commute_methods_agree(tmp_path, capsys):
     f = tmp_path / "t.txt"
     f.write_text(T_TEXT)
     outputs = []
-    for method in ("switching", "internal", "scratch", "infusion"):
+    for method in commutor.METHODS:
         code, out, _ = run(capsys, "--format", "json", "commute", str(f),
                            "--method", method)
         assert code == 0
@@ -166,10 +168,26 @@ def test_commute_rejects_non_ballot(tmp_path, capsys):
 def test_commute_checks_its_input_once(tmp_path, capsys):
     f = tmp_path / "t.txt"
     f.write_text(T_TEXT)
-    for method in ("switching", "internal", "scratch", "infusion"):
+    for method in commutor.METHODS:
         with counting("insertion.lr_violation") as calls:
             code, _out, _err = run(capsys, "commute", str(f), "--method", method)
         assert code == 0 and calls == {"insertion.lr_violation": 1}
+
+
+def test_commute_builds_one_yamanouchi_tableau_a_side(tmp_path, capsys):
+    # one for the input pair and one for its image: the input check tests
+    # the inner member in place, where it built the tableau again (3 calls)
+    f = tmp_path / "t.txt"
+    f.write_text(T_TEXT)
+    targets = [f"{m.name}.yamanouchi_tableau"
+               for m in pkgutil.iter_modules(lrcommute.__path__)
+               if hasattr(import_module(f"lrcommute.{m.name}"),
+                          "yamanouchi_tableau")]
+    assert "insertion.yamanouchi_tableau" in targets
+    for method in commutor.METHODS:
+        with counting(*targets) as calls:
+            code, _out, _err = run(capsys, "commute", str(f), "--method", method)
+        assert code == 0 and sum(calls.values()) == 2, (method, calls)
 
 
 def test_commute_propagates_internal_errors(tmp_path, capsys, monkeypatch):
@@ -187,14 +205,15 @@ def test_commute_trace(tmp_path, capsys):
     data = json.loads(fixture.read_text())
     f = tmp_path / "t.json"
     f.write_text(json.dumps(data["t"]))
-    traces = {}
-    for method in ("internal", "scratch"):
-        code, out, _ = run(capsys, "commute", str(f), "--trace", "--method",
-                           method)
-        assert code == 0
-        traces[method] = json.loads(out.strip().splitlines()[-1])
-    frames = traces["internal"]
-    assert frames == traces["scratch"]
+    traces = []  # of the row-program methods, which trace each step
+    for method, entry in commutor.METHODS.items():
+        if entry.family == "on_step":
+            code, out, _ = run(capsys, "commute", str(f), "--trace",
+                               "--method", method)
+            assert code == 0
+            traces.append(out.strip().splitlines()[-1])
+    assert len(traces) > 1 and len(set(traces)) == 1
+    frames = json.loads(traces[0])
     assert all("op" in fr and "state" in fr for fr in frames)
     # while row block n runs the state has n rows, so the last such frame
     # is the state after the block
@@ -353,27 +372,40 @@ def test_seed_is_not_an_option(capsys):
 def test_perfbench_tracer_runs_the_traced_calls(tmp_path):
     # perfbench/tracer.py passes seed= to switching and to the checks, and
     # its sweep reads packed_fillings' cache_info; its wrappers never come
-    # off, so it runs in an interpreter of its own
+    # off, so it runs in an interpreter of its own.  It rebinds the rho1_
+    # names, which each METHODS entry looks up when called, so every method
+    # is spanned: greedy and infusion each make 7 switches here, and the row
+    # program appends the 3 cells of the inner border twice
     f = tmp_path / "t.txt"
     f.write_text(T_TEXT)
     root = Path(__file__).resolve().parents[1]
     script = textwrap.dedent(f"""
-        import sys
+        import json, sys
         sys.path[:0] = [{str(root / "src")!r}, {str(root / "perfbench")!r}]
         from tracer import Tracer
-        Tracer().install()
-        from lrcommute import cli, verify
-        for method in ("switching", "internal", "scratch", "infusion"):
+        tracer = Tracer()
+        tracer.install()
+        from lrcommute import cli, commutor, verify
+        for method in commutor.METHODS:
             argv = ["--format", "json", "commute", {str(f)!r}, "--method", method]
             assert cli.main(argv) == 0
+        summary = tracer.summary()
         assert verify.check_confluence(max_size=3, seed=1).passed
         assert verify.packed_fillings.cache_info().misses > 0
+        print(json.dumps(summary))
     """)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()  # one commuted pair per method, equal
-    assert len(lines) == 4 and len(set(lines)) == 1
+    *lines, summary = done.stdout.splitlines()
+    assert len(lines) == len(commutor.METHODS)  # one commuted pair each
+    assert len(set(lines)) == 1
+    summary = json.loads(summary)
+    assert {name: summary["calls"][f"commutor.{name}"] for name in
+            ("rho1_switching", "rho1_internal", "rho1_scratch")} == {
+        "rho1_switching": 2, "rho1_internal": 1, "rho1_scratch": 1}
+    assert {name: summary["counters"][f"commutor.{name}"] for name in
+            ("switches", "appends")} == {"switches": 14, "appends": 6}
 
 
 def test_golden_command_and_subset(capsys):

@@ -7,10 +7,10 @@ import tracemalloc
 import pytest
 
 from lrcommute import cli, commutor
-from lrcommute.commutor import (SwitchSite, TwoColorTableau, _board,
-                                _board_of, _cells_of, _find_sites, _geometry,
-                                _split_cells, _switch, _terminals,
-                                apply_switch, chi_append,
+from lrcommute.commutor import (METHODS, STRATEGIES, SwitchSite,
+                                TwoColorTableau, _board, _board_of, _cells_of,
+                                _find_sites, _geometry, _split_cells, _switch,
+                                _terminals, apply_switch, chi_append,
                                 gt_order_word, nu_hat,
                                 rho1_internal, rho1_scratch, rho1_switching,
                                 row_program, run_row_program,
@@ -159,7 +159,7 @@ def test_switching_never_runs_the_state_check(monkeypatch):
     monkeypatch.setattr(TwoColorTableau, "__init__", refuse)
     tc = TwoColorTableau.from_pair(SW_U, SW_V)
     apply_switch(tc, switch_sites(tc)[0])
-    for strategy in ("greedy", "infusion"):
+    for strategy in STRATEGIES:
         switching(SW_U, SW_V, strategy)
 
 
@@ -434,18 +434,18 @@ def test_each_method_makes_the_pinned_kernel_calls_on_the_scale_families(
     # counts that machine noise cannot move, so a change in how a method
     # grows shows here whatever the machine's speed
     p = make(*args)
-    methods = {"greedy": rho1_switching,
-               "infusion": lambda p: rho1_switching(p, strategy="infusion"),
-               "internal": rho1_internal, "scratch": rho1_scratch}
-    calls = {}
-    for method, rho in methods.items():
-        with counting("commutor._admissible", "commutor._insert_inplace",
-                      "commutor._append_inplace") as calls[method]:
-            rho(p)
     inserting = {"commutor._insert_inplace": inserts,
                  "commutor._append_inplace": appends}
-    assert calls == {"greedy": {"commutor._admissible": site_tests},
-                     "infusion": {}, "internal": inserting, "scratch": inserting}
+    for name, method in METHODS.items():
+        with counting("commutor._admissible", "commutor._insert_inplace",
+                      "commutor._append_inplace") as calls:
+            method.rho(p)
+        if method.family == "on_step":  # the row program
+            assert calls == inserting, name
+        elif name == "switching":  # greedy tests sites; slides need none
+            assert calls == {"commutor._admissible": site_tests}, name
+        else:
+            assert calls == {}, name
 
 
 def test_greedy_keeps_a_few_bytes_a_cell():
@@ -478,7 +478,7 @@ def test_greedy_matches_infusion_and_insertion_beyond_desk_scale():
     pairs.append(_wide_switching_pair(100))
     for p in pairs:
         image = rho1_internal(p)
-        assert rho1_switching(p) == rho1_switching(p, "infusion") == image
+        assert {method.rho(p) for method in METHODS.values()} == {image}
         assert rho1_switching(image) == p
 
 
@@ -627,9 +627,9 @@ def test_rho1_switching_identity_like_cases():
 
 def test_rho1_rejects_non_lr_input():
     bad = glued_pair(SkewTableau((2,), (1,), [(2,)]))
-    for fn in (rho1_switching, rho1_internal, rho1_scratch):
+    for method in METHODS.values():
         with pytest.raises(ValueError, match="ballot"):
-            fn(bad)
+            method.rho(bad)
 
 
 def test_staged_decomposition_four_rows():
@@ -855,7 +855,7 @@ def test_commutor_small_sweep():
     for p in lr_pairs(6):
         nu = tableau_content(p.skew)
         a = rho1_switching(p)
-        assert a == rho1_internal(p) == rho1_scratch(p)
+        assert {method.rho(p) for method in METHODS.values()} == {a}
         a.skew._validate()
         assert tableau_content(a.skew) == tableau_content(p.yam)
         assert a.yam == yamanouchi_tableau(nu)

@@ -370,3 +370,19 @@ def test_lr_pair_validation():
     assert "Yamanouchi" in lr_violation(bad)
     not_ballot = glued_pair(SkewTableau((2,), (1,), [(2,)]))
     assert "ballot" in lr_violation(not_ballot)
+
+
+@pytest.mark.parametrize("yam", [
+    SkewTableau((2, 1), (), [(1, 2), (2,)]),  # one 1 in row 1
+    SkewTableau((2, 1), (), [(1, 1), (3,)]),  # no 2 in row 2
+    SkewTableau((2, 1), (1,), [(1,), (2,)]),  # an inner cell
+    SkewTableau((2,), (), [(1, 1)]),          # another border
+], ids=["row-1-letters", "row-2-letters", "inner-cell", "border"])
+def test_lr_violation_names_any_other_inner_member(yam):
+    # the inner member is read in place, not compared with a Yamanouchi
+    # tableau built again: each way it can differ is still refused
+    skew = SkewTableau((3, 2), (2, 1), [(1,), (2,)])
+    assert lr_violation(glued_pair(skew)) is None
+    assert lr_violation(GluedPair(yam, skew)) == (
+        "the inner member must be the Yamanouchi tableau of the skew "
+        "member's inner border (2, 1)")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import lrcommute
-from lrcommute import cli, golden, verify
+from lrcommute import cli, commutor, golden, verify
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -61,6 +61,17 @@ def test_help_lists_every_check_and_example(capsys):
         assert cli.main([command, "--help"]) == 0
         shown = "".join(capsys.readouterr().out.split())  # as wrapped
         assert "from:" + ",".join(names) in shown
+
+
+def test_commute_method_choices_are_the_method_table(capsys):
+    # the one place outside the table that spells the methods out: --method
+    # lists the table's names in its order, with greedy switching first and
+    # the default
+    choices = ["switching", "internal", "scratch", "infusion"]
+    assert list(commutor.METHODS) == choices
+    assert cli.build_parser().parse_args(["commute", "-"]).method == choices[0]
+    assert cli.main(["commute", "--help"]) == 0
+    assert "--method {" + ",".join(choices) + "}" in capsys.readouterr().out
 
 
 def _loaded(setup: str, code: str, stdin: str = "") -> set:

@@ -3,8 +3,7 @@
 here as their oracle: it must accept each of them and build the very same
 tableau, normalised borders included."""
 
-from lrcommute.commutor import (STRATEGIES, chi_append, rho1_internal,
-                                rho1_scratch, switching)
+from lrcommute.commutor import METHODS, STRATEGIES, chi_append, switching
 from lrcommute.insertion import (extended_insert, inner_corners,
                                  internal_insert, order_word_steps,
                                  skew_rsk_forward, skew_rsk_inverse)
@@ -120,5 +119,6 @@ def test_commutor_outputs_pass_validation():
     pairs = 0
     for p in lr_pairs(6):
         pairs += 1
-        assert_valid(*rho1_internal(p), *rho1_scratch(p))
+        for method in METHODS.values():
+            assert_valid(*method.rho(p))
     assert pairs == 295

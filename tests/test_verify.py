@@ -73,10 +73,26 @@ def test_involution_runs_each_commutor_once_per_pair():
     # a count that machine noise cannot move: every image is a pair swept,
     # so each commutor runs once per pair, 295 times at size 6, where
     # computing rho1(rho1(p)) afresh ran it 590 times
-    with counting("verify.rho1_switching", "verify.rho1_internal") as calls:
+    with counting("commutor.rho1_switching", "commutor.rho1_internal") as calls:
         rep = check_involution(max_size=6)
     assert rep.instances == 295 and rep.passed
-    assert calls == {"verify.rho1_switching": 295, "verify.rho1_internal": 295}
+    assert calls == {"commutor.rho1_switching": 295,
+                     "commutor.rho1_internal": 295}
+
+
+@pytest.mark.parametrize("name", list(commutor.METHODS))
+def test_coincidence_names_the_one_method_that_differs(monkeypatch, name):
+    # an entry that returns its input differs on every pair but the 9 that
+    # rho1 fixes, and each failure names that method and no other, with the
+    # image the other three agree on as expected
+    family = commutor.METHODS[name].family
+    monkeypatch.setitem(commutor.METHODS, name,
+                        commutor.Method(lambda p, hook=None: p, family))
+    rep = verify.check_coincidence(max_size=4)
+    assert (rep.instances, rep.failure_count) == (57, 48)
+    for key, expected, actual in rep.failures:
+        assert [m for m in commutor.METHODS if f"{m}: " in actual] == [name]
+        assert actual == f"{name}: {key}" and expected != key
 
 
 def test_route_geometry_reports_the_shared_sweep_time():

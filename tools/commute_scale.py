@@ -4,7 +4,7 @@ growing size.
     python3 tools/commute_scale.py [--out BENCH_commute_scale.json]
 
 Run it from a source checkout with pytest installed: it puts ``src/`` and
-``tests/`` on the path.
+``tests/`` on the path, and runs every method of ``commutor.METHODS``.
 Each (input, method) runs in a fresh interpreter, one process at a time:
 the child times ``cli.main(["--format", "json", "commute", FILE, "--method",
 METHOD])`` (parse, commute and print, not the import) and reports its peak
@@ -30,12 +30,13 @@ inputs.  A raw timeout of three times that guards each of its children, and
 once it fires greedy skips the family's larger inputs.  The record holds, per
 method, the best raw and scaled times over ``RUNS`` runs, the peak RSS and
 the kernel calls on each input (or greedy's estimate where it was skipped),
-the input's swaps, whether all four methods printed the same image, and the
+the input's swaps, whether every method printed the same image, and the
 log-log slopes of scaled time, over all inputs and over each family.  The
-slopes fit the switching methods against swaps, which every order makes
-alike (N^2 on the wide switching pair's 4N boxes), and the insertion methods
-against boxes, each only on the inputs with at least ``MIN_FIT`` of its own,
-below which fixed per-call cost dominates.  It is a record, not a gate.
+slopes fit the methods of the ``on_frame`` family, the switch orders,
+against swaps, which every order makes alike (N^2 on the wide switching
+pair's 4N boxes), and the row-program methods against boxes, each only on
+the inputs with at least ``MIN_FIT`` of its own, below which fixed per-call
+cost dominates.  It is a record, not a gate.
 """
 
 from __future__ import annotations
@@ -55,12 +56,15 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from lrcommute.commutor import METHODS  # noqa: E402
+
 # greedy last, so that its estimate can read the input's swaps
-METHODS = ("infusion", "internal", "scratch", "switching")
+ORDER = sorted(METHODS, key="switching".__eq__)
 KERNELS = ("commutor._admissible", "commutor._insert_inplace",
            "insertion._uninsert_inplace", "commutor._append_inplace")
 GREEDY_LIMIT_S = 60
-SWAP_AXIS = ("switching", "infusion")  # fitted against swaps, not boxes
 MIN_FIT = 10_000
 RUNS = 3
 AS_LIMIT = 3 << 30
@@ -70,7 +74,6 @@ def inputs() -> dict[str, tuple[str, dict]]:
     """The inputs by name, each with its family, as ``commute``'s JSON
     tableaux: the pairs of ``tests/test_commutor.py``, so the record and the
     tests share them."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from test_commutor import (_deep_pair, _disconnected_pair, _wide_bumping_pair,
                                _wide_switching_pair)
 
@@ -133,7 +136,6 @@ def count_child(method: str, path: str):
     """Count the kernel calls of one ``commute`` call by ``method``, untimed,
     through ``tests/probe.py``."""
     resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
-    sys.path.insert(0, str(ROOT / "tests"))
     from probe import counting
 
     from lrcommute import cli
@@ -145,13 +147,11 @@ def count_child(method: str, path: str):
 
 def run_child(args: list[str], timeout: float | None) -> dict | None:
     """One fresh interpreter's result for ``args`` (``--child METHOD FILE``
-    or ``--count FILE``), or None past ``timeout``; a child that fails, say
-    past ``AS_LIMIT``, gives its last line of stderr."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    or ``--count METHOD FILE``), or None past ``timeout``; a child that
+    fails, say past ``AS_LIMIT``, gives its last line of stderr."""
     try:
         done = subprocess.run([sys.executable, __file__, *args],
-                              capture_output=True, text=True, env=env,
-                              timeout=timeout)
+                              capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return None
     if done.returncode:
@@ -202,7 +202,7 @@ def main(argv=None):
             Path(path).write_text(json.dumps(table))
             row = {"input": name, "family": family, "boxes": sum(table["outer"])}
             digests = set()
-            for method in METHODS:
+            for method in ORDER:
                 if method == "switching":
                     if family in greedy_off:
                         row[method] = {"skipped": f"past {3 * GREEDY_LIMIT_S} s "
@@ -250,11 +250,12 @@ def main(argv=None):
                       f"{row[method]['rss_mb']:7.1f} MB", flush=True)
             row["same_image"] = len(digests) == 1
             rows.append(row)
-    axis = {m: "swaps" if m in SWAP_AXIS else "boxes" for m in METHODS}
+    axis = {m: "swaps" if METHODS[m].family == "on_frame" else "boxes"
+            for m in ORDER}
     slopes = {f: {m: slope([(r[axis[m]], r[m]["s_ref"]) for r in rows
                             if f in ("all", r["family"]) and "s" in r[m]
                             and r[axis[m]] >= MIN_FIT])
-                  for m in METHODS}
+                  for m in ORDER}
               for f in ("all", *dict.fromkeys(r["family"] for r in rows))}
     record = {
         "what": "lrcommute commute latency by method on inputs of growing "
@@ -265,8 +266,8 @@ def main(argv=None):
                 "rss_mb the child's peak RSS (VmHWM), calls the calls of "
                 "each of the kernels in one more, untimed child, "
                 "swaps the switches every order makes, by the displacement "
-                "identity; slopes fit s_ref against swaps (switching, "
-                "infusion) or boxes (internal, scratch), each on the inputs "
+                "identity; slopes fit s_ref against swaps (the on_frame "
+                "methods) or boxes (the on_step ones), each on the inputs "
                 f"with at least {MIN_FIT} of its own; greedy is skipped where "
                 f"its estimate passes {GREEDY_LIMIT_S} ref s",
         "command": "python3 tools/commute_scale.py",
