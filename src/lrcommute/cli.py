@@ -12,8 +12,7 @@ import sys
 from functools import cache, partial
 
 from .commutor import METHODS
-from .insertion import (GluedPair, NotBallotPair, _freeze, glued_pair,
-                        order_word_steps)
+from .insertion import GluedPair, NotBallotPair, glued_pair, order_word_steps
 from .tableaux import (SkewTableau, as_partition, brief, from_json_dict,
                        from_text, json_ints, parse_int, read_json,
                        to_json_dict, to_text)
@@ -116,7 +115,7 @@ def cmd_commute(args) -> int:
                                  in sorted(cells.items())]})
 
     def on_step(step, trace, state):
-        frame = {"op": step.op, "row": step.i, "state": to_json_dict(_freeze(*state))}
+        frame = {"op": step.op, "row": step.i, "state": to_json_dict(state)}
         if trace is not None:
             frame["trace"] = trace._asdict()
         frames.append(frame)

@@ -36,7 +36,7 @@ from itertools import zip_longest
 from typing import Callable, Iterator, NamedTuple
 
 from .insertion import (GluedPair, _append_inplace, _freeze, _insert_inplace,
-                        _insert_traced, _require_lr_pair, _thaw, glued_pair)
+                        _insert_traced, _require_lr_pair, glued_pair)
 from .tableaux import (Cell, SkewTableau, as_partition, is_ballot_tableau,
                        skew_shape, tableau_content, yamanouchi_tableau)
 
@@ -246,15 +246,6 @@ def switch_sites(t: TwoColorTableau) -> list[SwitchSite]:
     g = _geometry(t.outer, t.inner)
     return [SwitchSite(_cell(g, iu), _cell(g, iv))
             for iu, iv in _find_sites(g, _board_of(g, t.cells))]
-
-
-def apply_switch(t: TwoColorTableau, s: SwitchSite) -> TwoColorTableau:
-    """Interchange the letters at an admissible site."""
-    if s not in switch_sites(t):
-        raise ValueError(f"site {s} is not admissible")
-    (cu, cv), cells = s, dict(t.cells)
-    cells[cu], cells[cv] = cells[cv], cells[cu]
-    return TwoColorTableau._fast(t.outer, t.inner, cells)
 
 
 def _split_cells(g: _Geometry, board, inner) -> tuple[SkewTableau, SkewTableau]:
@@ -550,13 +541,6 @@ def staged_decomposition(p: GluedPair) -> StagedDecomposition:
     return StagedDecomposition(d, s, f_hat, q.rows[n], q)
 
 
-def chi_append(p: GluedPair, i: int) -> GluedPair:
-    """Append one letter i at the end of row i of the skew member."""
-    inner, rows = _thaw(p.skew)
-    _append_inplace(inner, rows, i)
-    return GluedPair(p.yam, _freeze(inner, rows))
-
-
 def nu_hat(t: SkewTableau) -> tuple[int, ...]:
     """Count of letter i in row i, for each row, trailing zeros stripped."""
     counts = tuple(sum(1 for x in t.rows[k] if x == k + 1)
@@ -618,11 +602,9 @@ def run_row_program(t: SkewTableau, on_step: Callable | None = None,
     records its bumping route only for ``check_routes``, the route claim
     (``_check_route``).  Given ``on_step``, steps run one at a time: after
     each, ``on_step(step, trace, state)`` receives the ``RowStep``, its
-    ``InsertionTrace`` (None for an append) and the live lists, which a
-    callback that keeps them must copy."""
+    ``InsertionTrace`` (None for an append) and the state as a tableau."""
     inner: list[int] = []
     rows: list[list[int]] = []
-    state = (inner, rows)
     for n, h, word, appends in _blocks(t):
         routes: list[Cell] = []  # the block's row-word routes, if checked
         if on_step is None:
@@ -645,10 +627,10 @@ def run_row_program(t: SkewTableau, on_step: Callable | None = None,
                     start = len(routes)
                     routes += trace.route
                     _check_route(routes, start, n)
-                on_step(RowStep(n, "insert", i), trace, state)
+                on_step(RowStep(n, "insert", i), trace, _freeze(inner, rows))
             for _ in range(appends):
                 _append_inplace(inner, rows, n)
-                on_step(RowStep(n, "append", n), None, state)
+                on_step(RowStep(n, "append", n), None, _freeze(inner, rows))
         if check_routes:
             _check_route(routes, None, n)
     return _freeze(inner, rows)

@@ -14,7 +14,7 @@ from .commutor import (METHODS, STRATEGIES, TwoColorTableau, _board,
                        _board_of, _geometry, _successors, gt_order_word, nu_hat,
                        rho1_switching, run_row_program, staged_decomposition,
                        switch_sites, switching)
-from .insertion import GluedPair, _freeze, apply_order_word, glued_pair
+from .insertion import GluedPair, apply_order_word, glued_pair
 from .knuth import knuth_equivalent
 from .tableaux import (EMPTY, SkewTableau, as_partition, companion_word,
                        content, from_json_dict, glue, is_ballot, reading_word,
@@ -182,7 +182,7 @@ def _run_row_recursion(res: GoldenResult, data: dict):
 
     def on_step(step, _trace, state):
         op = "phibar" if step.op == "insert" else "chi"
-        blocks.setdefault(step.row, []).append(([op, step.i], _freeze(*state)))
+        blocks.setdefault(step.row, []).append(([op, step.i], state))
 
     run_row_program(t, on_step)
     for k in range(len(t.outer)):

@@ -78,21 +78,13 @@ def _require_lr_pair(p: GluedPair) -> None:
         raise NotBallotPair(why)
 
 
-def is_lr_pair(p: GluedPair) -> bool:
-    return lr_violation(p) is None
-
-
-def inner_corners(t: SkewTableau) -> list[int]:
-    """Rows at which an internal insertion is defined, 1-based: the rows up
-    to one past the last that have an inner corner, meaning row 1 and every
-    row whose inner border is shorter than the one above, so that the cell
-    just right of it, filled or blank, can join the inner border."""
-    return _corners(t.inner)
-
-
 def _corners(inner) -> list[int]:
-    """``inner_corners`` of any filling with this inner border, a list or a
-    tuple padded with zeros to the outer border's length."""
+    """The rows, 1-based, at which an internal insertion is defined on a
+    filling with this inner border, a list or a tuple padded with zeros to
+    the outer border's length: the rows up to one past the last that have
+    an inner corner, meaning row 1 and every row whose inner border is
+    shorter than the one above, so that the cell just right of it, filled
+    or blank, can join the inner border."""
     n = len(inner)
     out = []
     for i in range(1, n + 2):
@@ -267,16 +259,6 @@ def apply_order_word(t: SkewTableau, word) -> SkewTableau:
     """The composite insertion operator for an order word, applied to t."""
     result, _ = order_word_steps(t, word)
     return result
-
-
-def extended_insert(p: GluedPair, i: int) -> GluedPair:
-    """Internal insertion on a glued pair: the Yamanouchi factor gains one
-    box in row i (a new bottom row when i is one past its length)."""
-    mu = as_partition(p.skew.inner)
-    if p.yam.outer != mu:
-        raise ValueError(f"the Yamanouchi factor {p.yam.outer} does not meet "
-                         f"the skew member's inner border {mu}")
-    return glued_pair(internal_insert(p.skew, i)[0])
 
 
 def _rows_at(order, cells, n: int) -> list[list[int]]:

@@ -1,8 +1,7 @@
-"""Words under Knuth relations: RSK, equivalence testing, class exploration.
+"""Words under Knuth relations: RSK, equivalence testing, elementary moves.
 
 Equivalence is decided by comparing RSK insertion tableaux.  The elementary
 moves generate it: the Knuth commutativity sweep makes one move per word.
-The breadth-first class search is an independent oracle, for the tests only.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .insertion import _freeze, _thaw
+from .insertion import _freeze
 from .tableaux import SkewTableau
 
 Word = tuple[int, ...]
@@ -38,17 +37,6 @@ def _insert_rows(rows: list[list[int]], x: int) -> tuple[int, int]:
             return k + 1, len(row)
         row[j], x = x, row[j]
         k += 1
-
-
-def schensted_insert(p: SkewTableau, x: int) -> tuple[SkewTableau, tuple[int, int]]:
-    """Row-insert x into a normal-shape tableau; returns (tableau, new cell)."""
-    if not p.is_normal():
-        raise ValueError("schensted_insert needs a normal-shape tableau")
-    if x < 1:
-        raise ValueError(f"letter {x} < 1")
-    rows = _thaw(p)[1]
-    cell = _insert_rows(rows, x)
-    return _freeze([0] * len(rows), rows), cell
 
 
 def rsk(word) -> RskPair:
@@ -99,29 +87,3 @@ def elementary_moves(word) -> list[Word]:
             out.append(w[:i] + (a, c, b) + w[i + 3:])
     return list(dict.fromkeys(out))
 
-
-def knuth_class(word, cap: int) -> list[Word]:
-    """Breadth-first closure of word under elementary moves.
-
-    Deterministic order: BFS layers, each layer sorted.  Raises when the
-    class grows past cap.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    start = tuple(word)
-    seen = {start}
-    frontier = [start]
-    order = [start]
-    while frontier:
-        nxt = set()
-        for w in frontier:
-            for m in elementary_moves(w):
-                if m not in seen:
-                    seen.add(m)
-                    nxt.add(m)
-                    if len(seen) > cap:
-                        raise ValueError(
-                            f"Knuth class of {start} exceeds cap {cap}")
-        frontier = sorted(nxt)
-        order.extend(frontier)
-    return order

@@ -6,7 +6,7 @@ whose cells in rows 1..r number at most the (k-1)'s in rows 1..r-1 (the
 reverse reading word is ballot), and equal states merge, so no tableau is
 listed; Buch's ``lrcalc`` iterates the same rule.  The oracle never calls
 it: ``_kostka_counter`` counts semistandard tableaux of a shape and a content
-as chains of horizontal strips, and ``schur_polynomial`` lists them.
+as chains of horizontal strips.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ from functools import cache
 from itertools import product
 from operator import sub
 
-from .tableaux import (as_partition, contains, enumerate_ssyt, skew_shape,
-                       tableau_content)
-
-# sparse polynomial: {exponent tuple: integer coefficient}, fixed arity
-Poly = dict[tuple[int, ...], int]
+from .tableaux import as_partition, contains
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -113,18 +109,3 @@ def _kostka_counter():
         return total
     return kostka
 
-
-def schur_polynomial(lam, n_vars: int) -> Poly:
-    """The tableau generating function: sum of content monomials over all
-    semistandard fillings of lam with entries at most n_vars."""
-    lam = as_partition(lam)
-    if n_vars < 1:
-        raise ValueError("n_vars must be >= 1")
-    if len(lam) > n_vars:
-        return {}
-    poly: Poly = {}
-    for t in enumerate_ssyt(skew_shape(lam, ()), n_vars):
-        c = tableau_content(t)
-        key = c + (0,) * (n_vars - len(c))
-        poly[key] = poly.get(key, 0) + 1
-    return poly

@@ -169,32 +169,8 @@ class SkewTableau:
         return t
 
     @property
-    def shape(self) -> SkewShape:
-        return SkewShape(self.outer, self.inner)
-
-    @property
     def size(self) -> int:
         return sum(self.outer) - sum(self.inner)
-
-    def n_rows(self) -> int:
-        return len(self.outer)
-
-    def entry(self, row: int, col: int) -> int:
-        """Entry at 1-based (row, col); raises if the cell is not filled."""
-        if not (1 <= row <= len(self.outer)):
-            raise ValueError(f"row {row} out of range")
-        if not (self.inner[row - 1] < col <= self.outer[row - 1]):
-            raise ValueError(f"cell ({row}, {col}) not filled")
-        return self.rows[row - 1][col - 1 - self.inner[row - 1]]
-
-    def cells(self) -> Iterator[tuple[Cell, int]]:
-        """Filled cells with entries, row-major."""
-        for k, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                yield (k + 1, self.inner[k] + j + 1), x
-
-    def is_normal(self) -> bool:
-        return not any(self.inner)
 
     def __eq__(self, other):
         if not isinstance(other, SkewTableau):
@@ -237,12 +213,6 @@ def _fault(o, i, r) -> str:
 
 
 EMPTY = SkewTableau((), (), ())
-
-
-def empty_of_shape(mu) -> SkewTableau:
-    """The empty skew tableau mu/mu (a bare Young diagram)."""
-    mu = as_partition(mu)
-    return SkewTableau._fast(mu, mu, ((),) * len(mu))
 
 
 def reading_word(t: SkewTableau) -> tuple[int, ...]:
@@ -571,20 +541,12 @@ def from_json_dict(d: dict) -> SkewTableau:
                        _json_field(d, "rows", _json_rows))
 
 
-def to_json(t: SkewTableau) -> str:
-    return json.dumps(to_json_dict(t))
-
-
 def read_json(s: str, read):
     """read(json.loads(s)); JSON nested too deeply raises ValueError."""
     try:
         return read(json.loads(s))
     except RecursionError:  # in decoding
         raise ValueError("JSON nested too deeply") from None
-
-
-def from_json(s: str) -> SkewTableau:
-    return read_json(s, from_json_dict)
 
 
 def to_text(t: SkewTableau) -> str:

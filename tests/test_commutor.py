@@ -10,16 +10,15 @@ from lrcommute import cli, commutor
 from lrcommute.commutor import (METHODS, STRATEGIES, SwitchSite,
                                 TwoColorTableau, _board, _board_of, _cells_of,
                                 _find_sites, _geometry, _split_cells, _switch,
-                                _terminals, apply_switch, chi_append,
-                                gt_order_word, nu_hat,
+                                _terminals, gt_order_word, nu_hat,
                                 rho1_internal, rho1_scratch, rho1_switching,
                                 row_program, run_row_program,
                                 staged_decomposition, switch_sites, switching)
-from lrcommute.insertion import (GluedPair, _append_inplace, _freeze,
+from lrcommute.insertion import (GluedPair, _append_inplace, _freeze, _thaw,
                                  _insert_traced, glued_pair, skew_rsk_forward,
                                  skew_rsk_inverse)
 from lrcommute.knuth import p_tableau_rows
-from lrcommute.tableaux import (EMPTY, SkewShape, SkewTableau, empty_of_shape,
+from lrcommute.tableaux import (EMPTY, SkewShape, SkewTableau,
                                 enumerate_ssyt, glue, reading_word,
                                 standard_order, subpartitions, tableau_content,
                                 to_json_dict, yamanouchi_tableau)
@@ -85,15 +84,15 @@ def test_switch_sites_examples():
     assert SwitchSite((2, 3), (3, 3)) in sites
     # lone inner member admits nothing
     alone = TwoColorTableau.from_pair(yamanouchi_tableau((2, 1)),
-                                      empty_of_shape((2, 1)))
+                                      SkewTableau((2, 1), (2, 1), ()))
     assert switch_sites(alone) == []
 
 
 def test_switch_sites_terminal_state_empty():
     # terminal state: the outer member's material (v) has moved northwest
     s, h = switching(SW_U, SW_V)
-    cells = {c: (x, "v") for c, x in s.cells()}
-    cells.update({c: (x, "u") for c, x in h.cells()})
+    cells = {c: (x, "v") for x, c in standard_order(s)}
+    cells.update({c: (x, "u") for x, c in standard_order(h)})
     terminal = TwoColorTableau(h.outer, s.inner, cells)
     assert switch_sites(terminal) == []
 
@@ -157,32 +156,14 @@ def test_switching_never_runs_the_state_check(monkeypatch):
         raise AssertionError("the checking constructor ran")
 
     monkeypatch.setattr(TwoColorTableau, "__init__", refuse)
-    tc = TwoColorTableau.from_pair(SW_U, SW_V)
-    apply_switch(tc, switch_sites(tc)[0])
     for strategy in STRATEGIES:
         switching(SW_U, SW_V, strategy)
 
 
-def test_apply_switch():
-    tc = TwoColorTableau.from_pair(SW_U, SW_V)
-    site = SwitchSite((2, 2), (3, 2))
-    out = apply_switch(tc, site)
-    assert out.cells[(2, 2)] == (2, "v")
-    assert out.cells[(3, 2)] == (2, "u")
-    # re-interchanging the two entries restores the original cells
-    cells = dict(out.cells)
-    cells[site.cell_u], cells[site.cell_v] = cells[site.cell_v], cells[site.cell_u]
-    assert cells == tc.cells
-    with pytest.raises(ValueError):
-        apply_switch(tc, SwitchSite((1, 1), (2, 1)))  # both letters from u
-    with pytest.raises(ValueError):
-        apply_switch(tc, SwitchSite((1, 1), (3, 3)))  # not adjacent
-
-
 def test_switching_empty_outer_member():
     u = SkewTableau((3, 1), (1, 0), [(1, 2), (1,)])
-    s, h = switching(u, empty_of_shape((3, 1)))
-    assert s == empty_of_shape((1,)) and h == u
+    s, h = switching(u, SkewTableau((3, 1), (3, 1), ()))
+    assert s == SkewTableau((1,), (1,), ()) and h == u
 
 
 def test_switching_base_case_row():
@@ -194,7 +175,7 @@ def test_switching_base_case_row():
 
 def test_switching_validates_extension():
     with pytest.raises(ValueError):
-        switching(yamanouchi_tableau((2,)), empty_of_shape((3, 1)))
+        switching(yamanouchi_tableau((2,)), SkewTableau((3, 1), (3, 1), ()))
     with pytest.raises(ValueError):
         switching(SW_U, SW_V, strategy="sideways")
     with pytest.raises(ValueError):
@@ -231,11 +212,18 @@ def test_terminals_branch_only_where_a_step_has_a_choice():
                      SkewTableau((2,), (1,), [(1,)]))]
 
 
+def _swapped(tc: TwoColorTableau, site: SwitchSite) -> TwoColorTableau:
+    """tc with the letters at site interchanged."""
+    cells = dict(tc.cells)
+    cells[site.cell_u], cells[site.cell_v] = cells[site.cell_v], cells[site.cell_u]
+    return TwoColorTableau._fast(tc.outer, tc.inner, cells)
+
+
 def _rescan(tc: TwoColorTableau, on_frame=None) -> TwoColorTableau:
     """Switch at the first site until none remains, rescanning the sites at
     every step: the reference for the live site set."""
     while sites := switch_sites(tc):
-        tc = apply_switch(tc, sites[0])
+        tc = _swapped(tc, sites[0])
         if on_frame is not None:
             on_frame(sites[0], dict(tc.cells))
     return tc
@@ -498,7 +486,7 @@ def test_skew_rsk_round_trips_the_wide_bumping_pair():
 def test_greedy_on_a_board_with_no_site_returns_an_equal_copy():
     # the empty board, a terminal board and a lone member admit no switch
     g = _geometry(SW_V.outer, SW_U.inner)
-    lone = yamanouchi_tableau((2, 1)), empty_of_shape((2, 1))
+    lone = yamanouchi_tableau((2, 1)), SkewTableau((2, 1), (2, 1), ())
     frames = []
     for g, board in ((_geometry((), ()), [0]),
                      (g, _switch(g, _board(SW_U, SW_V))),
@@ -550,7 +538,7 @@ def test_infusion_slides_by_admissible_switches_to_greedys_board():
         previous = TwoColorTableau.from_pair(u, v)
         for site, cells in _infusion_frames(u, v):
             assert site in switch_sites(previous)
-            previous = apply_switch(previous, site)
+            previous = _swapped(previous, site)
             assert previous.cells == cells
         g = _geometry(v.outer, u.inner)
         assert previous.cells == _cells_of(g, _switch(g, _board(u, v)))
@@ -615,7 +603,7 @@ def test_rho1_switching_running_example():
 
 def test_rho1_switching_identity_like_cases():
     lam = (2, 1)
-    p = glued_pair(empty_of_shape(lam))
+    p = glued_pair(SkewTableau(lam, lam, ()))
     out = rho1_switching(p)
     assert out.yam == EMPTY
     assert out.skew == yamanouchi_tableau(lam)
@@ -666,22 +654,23 @@ def test_staged_decomposition_preconditions():
 
 
 def test_chi_append():
-    p = GluedPair(EMPTY, EMPTY)
-    p = chi_append(p, 1)
-    assert p.skew.rows == ((1,),)
-    p = chi_append(p, 1)
-    p2 = chi_append(chi_append(p, 2), 2)
-    assert p2.skew.rows == ((1, 1), (2, 2))
+    # chi_i, one letter i at the end of row i, on the kernel's lists
+    inner, rows = [], []
+    _append_inplace(inner, rows, 1)
+    assert rows == [[1]]
+    for i in (1, 2, 2):
+        _append_inplace(inner, rows, i)
+    assert _freeze(inner, rows).rows == ((1, 1), (2, 2))
     with pytest.raises(ValueError):
-        chi_append(p2, 2)  # row 2 would outgrow row 1
+        _append_inplace(inner, rows, 2)  # row 2 would outgrow row 1
     with pytest.raises(ValueError):
-        chi_append(GluedPair(EMPTY, EMPTY), 2)
+        _append_inplace([], [], 2)
     # a new row under a letter that is too large
     with pytest.raises(ValueError, match="breaks the tableau"):
-        chi_append(GluedPair(EMPTY, SkewTableau((1,), (0,), [(2,)])), 2)
+        _append_inplace(*_thaw(SkewTableau((1,), (0,), [(2,)])), 2)
     # a column clash with the cell above
     with pytest.raises(ValueError, match="breaks the tableau"):
-        chi_append(GluedPair(EMPTY, SkewTableau((2, 1), (1, 0), [(3,), (1,)])), 2)
+        _append_inplace(*_thaw(SkewTableau((2, 1), (1, 0), [(3,), (1,)])), 2)
 
 
 def test_nu_hat_examples():
@@ -708,7 +697,7 @@ def test_rho1_internal_and_scratch_running_example():
 def test_rho1_internal_and_scratch_deep_column():
     n = 1100
     column = SkewTableau((1,) * n, (), [(k,) for k in range(1, n + 1)])
-    expected = glued_pair(empty_of_shape((1,) * n))
+    expected = glued_pair(SkewTableau((1,) * n, (1,) * n, ()))
     assert rho1_internal(glued_pair(column)) == expected
     assert rho1_scratch(glued_pair(column)) == expected
 
@@ -718,14 +707,13 @@ def test_rho1_scratch_normal_shape():
     p = glued_pair(yamanouchi_tableau(nu))
     out = rho1_scratch(p)
     assert out.yam == yamanouchi_tableau(nu)
-    assert out.skew == empty_of_shape(nu)
+    assert out.skew == SkewTableau(nu, nu, ())
 
 
 def _per_letter_run(t, on_step=None):
     # the reference executor: row_program's steps through the kernels one
     # at a time, one insertion or append call per letter, each traced
     inner, rows = [], []
-    state = (inner, rows)
     for step in row_program(t):
         if step.op == "insert":
             trace = _insert_traced(inner, rows, step.i)
@@ -733,13 +721,13 @@ def _per_letter_run(t, on_step=None):
             trace = None
             _append_inplace(inner, rows, step.i)
         if on_step is not None:
-            on_step(step, trace, state)
+            on_step(step, trace, _freeze(inner, rows))
     return _freeze(inner, rows)
 
 
 def _observed(run, t):
     seen = []
-    end = run(t, lambda step, trace, state: seen.append((step, trace, _freeze(*state))))
+    end = run(t, lambda step, trace, state: seen.append((step, trace, state)))
     return seen, end
 
 

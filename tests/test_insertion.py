@@ -1,15 +1,15 @@
 import pytest
 
 from lrcommute import insertion
-from lrcommute.insertion import (GluedPair, _append_inplace, _freeze,
-                                 _insert_inplace, _thaw, _uninsert_inplace,
-                                 apply_order_word, extended_insert,
-                                 glued_pair, inner_corners, internal_insert,
-                                 is_lr_pair, lr_violation, order_word_steps,
-                                 skew_rsk_forward, skew_rsk_inverse)
+from lrcommute.insertion import (GluedPair, _append_inplace, _corners,
+                                 _freeze, _insert_inplace, _thaw,
+                                 _uninsert_inplace, apply_order_word,
+                                 glued_pair, internal_insert, lr_violation,
+                                 order_word_steps, skew_rsk_forward,
+                                 skew_rsk_inverse)
 from lrcommute.knuth import p_tableau_rows
-from lrcommute.tableaux import (EMPTY, SkewTableau, empty_of_shape,
-                                is_ballot_tableau, reading_word, subpartitions,
+from lrcommute.tableaux import (EMPTY, SkewTableau, is_ballot_tableau,
+                                reading_word, subpartitions,
                                 yamanouchi_tableau)
 from lrcommute.verify import _walk, packed_fillings, partitions_up_to
 from probe import counting
@@ -25,14 +25,14 @@ def small_tableaux(max_boxes):
 
 
 def test_inner_corners_examples():
-    assert inner_corners(T_WORDS) == [1, 2]
-    assert inner_corners(EMPTY) == [1]
-    assert inner_corners(empty_of_shape((2,))) == [1, 2]
+    assert _corners(T_WORDS.inner) == [1, 2]
+    assert _corners(EMPTY.inner) == [1]
+    assert _corners((2,)) == [1, 2]
 
 
 def test_inner_corners_match_insertability():
     for t in small_tableaux(5):
-        listed = set(inner_corners(t))
+        listed = set(_corners(t.inner))
         for i in range(1, len(t.outer) + 3):
             try:
                 internal_insert(t, i)
@@ -44,13 +44,13 @@ def test_inner_corners_match_insertability():
 
 def test_internal_insert_blank_cases():
     out, tr = internal_insert(EMPTY, 1)
-    assert out == empty_of_shape((1,))
+    assert out == SkewTableau((1,), (1,), ())
     assert tr.route == () and tr.created == tr.vacated == (1, 1)
     # a blank corner needs room under the row above
-    t = empty_of_shape((2, 2))
-    assert inner_corners(t) == [1, 3]
-    assert internal_insert(t, 1)[0] == empty_of_shape((3, 2))
-    assert internal_insert(t, 3)[0] == empty_of_shape((2, 2, 1))
+    t = SkewTableau((2, 2), (2, 2), ())
+    assert _corners(t.inner) == [1, 3]
+    assert internal_insert(t, 1)[0] == SkewTableau((3, 2), (3, 2), ())
+    assert internal_insert(t, 3)[0] == SkewTableau((2, 2, 1), (2, 2, 1), ())
     with pytest.raises(ValueError):
         internal_insert(t, 2)
 
@@ -74,7 +74,7 @@ def test_internal_insert_word_steps():
 
 def test_internal_insert_shape_accounting():
     for t in small_tableaux(5):
-        for i in inner_corners(t):
+        for i in _corners(t.inner):
             out, tr = internal_insert(t, i)
             out._validate()
             assert sum(out.inner) == sum(t.inner) + 1
@@ -90,7 +90,7 @@ def test_internal_insert_shape_accounting():
 
 def test_uninsert_undoes_insert():
     for t in small_tableaux(6):
-        for i in inner_corners(t):
+        for i in _corners(t.inner):
             inner, rows = _thaw(t)
             route = []
             created = _insert_inplace(inner, rows, i, route)
@@ -102,7 +102,7 @@ def test_uninsert_undoes_insert():
 def _insert_walk(t, depth):
     """Each valid word of 1 to depth letters on t, as (the tableau before
     its last letter, that letter)."""
-    for i in inner_corners(t):
+    for i in _corners(t.inner):
         yield t, i
         if depth > 1:
             yield from _insert_walk(internal_insert(t, i)[0], depth - 1)
@@ -231,7 +231,7 @@ def test_internal_insert_preserves_knuth_and_ballot():
     for t in small_tableaux(8):
         w = p_tableau_rows(reading_word(t))
         ballot = is_ballot_tableau(t)
-        for i in inner_corners(t):
+        for i in _corners(t.inner):
             out, _ = internal_insert(t, i)
             assert p_tableau_rows(reading_word(out)) == w
             if ballot:
@@ -274,7 +274,7 @@ def test_apply_order_word_examples():
     assert apply_order_word(T_WORDS, (2, 1, 1, 2, 1)) == RESULT_WORDS
     assert apply_order_word(T_WORDS, ()) == T_WORDS
     word = (2, 3, 4, 2, 3, 4, 1, 2, 3, 1, 2, 1, 1)
-    assert apply_order_word(EMPTY, word) == empty_of_shape((4, 4, 3, 2))
+    assert apply_order_word(EMPTY, word) == SkewTableau((4, 4, 3, 2), (4, 4, 3, 2), ())
 
 
 def test_apply_order_word_reports_step():
@@ -289,32 +289,35 @@ def test_order_word_steps_traces():
     assert traces[0].created == (3, 1)
 
 
+def _extended_insert(p: GluedPair, i: int) -> GluedPair:
+    """Internal insertion on a glued pair: the Yamanouchi factor of the
+    result gains one box in row i."""
+    return glued_pair(internal_insert(p.skew, i)[0])
+
+
 def test_extended_insert_level2_frames():
     # first-level state of the running example, then phibar_2, phibar_1
     state = GluedPair(yamanouchi_tableau((2,)),
                       SkewTableau((6,), (2,), [(1, 1, 1, 1)]))
-    after2 = extended_insert(state, 2)
+    after2 = _extended_insert(state, 2)
     assert after2.yam == yamanouchi_tableau((2, 1))
     assert (after2.skew.outer, after2.skew.inner) == ((6, 1), (2, 1))
-    after1 = extended_insert(after2, 1)
+    after1 = _extended_insert(after2, 1)
     assert after1.yam == yamanouchi_tableau((3, 1))
     assert after1.skew.rows == ((1, 1, 1), (1,))
 
 
 def test_extended_insert_blank_and_errors():
-    p = GluedPair(yamanouchi_tableau((2,)), empty_of_shape((2,)))
-    q = extended_insert(p, 1)
+    p = GluedPair(yamanouchi_tableau((2,)), SkewTableau((2,), (2,), ()))
+    q = _extended_insert(p, 1)
     assert q.yam == yamanouchi_tableau((3,))
-    assert q.skew == empty_of_shape((3,))
+    assert q.skew == SkewTableau((3,), (3,), ())
     with pytest.raises(ValueError):
-        extended_insert(p, 3)  # only one row in the Yamanouchi factor
+        _extended_insert(p, 3)  # only one row in the Yamanouchi factor
     bad = GluedPair(yamanouchi_tableau((1,)),
                     SkewTableau((2, 1), (1, 0), [(1,), (1,)]))
     with pytest.raises(ValueError):
-        extended_insert(bad, 3)
-    mismatched = GluedPair(yamanouchi_tableau((1,)), empty_of_shape((2,)))
-    with pytest.raises(ValueError, match="inner border"):
-        extended_insert(mismatched, 1)
+        _extended_insert(bad, 3)
 
 
 def test_skew_rsk_forward_example():
@@ -329,13 +332,13 @@ def test_skew_rsk_forward_example():
 def test_skew_rsk_trivial_cases():
     mu = (2, 1)
     t = SkewTableau((3, 2), (2, 1), [(1,), (1,)])
-    p, q = skew_rsk_forward(t, empty_of_shape(mu))
+    p, q = skew_rsk_forward(t, SkewTableau(mu, mu, ()))
     assert p == t
     assert q.size == 0 and q.outer == t.outer
     t2, u2 = skew_rsk_inverse(p, q)
-    assert t2 == t and u2 == empty_of_shape(mu)
+    assert t2 == t and u2 == SkewTableau(mu, mu, ())
     with pytest.raises(ValueError):
-        skew_rsk_forward(t, empty_of_shape((3,)))
+        skew_rsk_forward(t, SkewTableau((3,), (3,), ()))
 
 
 def test_skew_rsk_round_trip_small():
@@ -362,11 +365,9 @@ def test_skew_rsk_inverse_rejects_malformed():
 
 def test_lr_pair_validation():
     good = glued_pair(SkewTableau((2, 1), (1, 0), [(1,), (1,)]))
-    assert is_lr_pair(good)
     assert lr_violation(good) is None
     bad = GluedPair(yamanouchi_tableau((2,)),
                     SkewTableau((2, 1), (1, 0), [(1,), (1,)]))
-    assert not is_lr_pair(bad)
     assert "Yamanouchi" in lr_violation(bad)
     not_ballot = glued_pair(SkewTableau((2,), (1,), [(2,)]))
     assert "ballot" in lr_violation(not_ballot)

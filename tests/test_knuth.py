@@ -3,24 +3,45 @@ from itertools import product
 
 import pytest
 
-from lrcommute.knuth import (elementary_moves, knuth_class, knuth_equivalent,
-                             p_tableau_rows, rsk, schensted_insert)
-from lrcommute.tableaux import (EMPTY, SkewTableau, enumerate_ballot,
-                                partitions_of, reading_word, skew_shape,
-                                yamanouchi_tableau)
+from lrcommute.knuth import (elementary_moves, knuth_equivalent,
+                             p_tableau_rows, rsk)
+from lrcommute.tableaux import (EMPTY, enumerate_ballot, partitions_of,
+                                reading_word, skew_shape, yamanouchi_tableau)
+
+
+def knuth_class(word, cap: int) -> list[tuple[int, ...]]:
+    """The oracle for Knuth equivalence: the breadth-first closure of word
+    under elementary moves, in BFS layers, each layer sorted.  Raises when
+    the class grows past cap."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    start = tuple(word)
+    seen = {start}
+    frontier = [start]
+    order = [start]
+    while frontier:
+        nxt = set()
+        for w in frontier:
+            for m in elementary_moves(w):
+                if m not in seen:
+                    seen.add(m)
+                    nxt.add(m)
+                    if len(seen) > cap:
+                        raise ValueError(
+                            f"Knuth class of {start} exceeds cap {cap}")
+        frontier = sorted(nxt)
+        order.extend(frontier)
+    return order
 
 
 def test_schensted_insert_examples():
-    p, cell = schensted_insert(SkewTableau((2, 1), (), [(1, 2), (2,)]), 1)
-    assert p.rows == ((1, 1), (2, 2)) and cell == (2, 2)
-    p, cell = schensted_insert(SkewTableau((2, 1), (), [(1, 2), (2,)]), 9)
-    assert p.rows == ((1, 2, 9), (2,)) and cell == (1, 3)
-    p, cell = schensted_insert(EMPTY, 1)
-    assert p.rows == ((1,),) and cell == (1, 1)
-    with pytest.raises(ValueError):
-        schensted_insert(SkewTableau((2,), (1,), [(1,)]), 1)
-    with pytest.raises(ValueError, match="letter 0 < 1"):
-        schensted_insert(EMPTY, 0)
+    # the word's last letter is row-inserted into the P tableau of the rest,
+    # and Q records where its box was created
+    pair = rsk((2, 1, 2, 1))  # 1 into rows (1, 2), (2): bumps a 2 to row 2
+    assert pair.p.rows == ((1, 1), (2, 2)) and pair.q.rows == ((1, 3), (2, 4))
+    pair = rsk((2, 1, 2, 9))  # 9 ends row 1
+    assert pair.p.rows == ((1, 2, 9), (2,)) and pair.q.rows == ((1, 3, 4), (2,))
+    assert rsk((1,)).p.rows == ((1,),)
 
 
 def test_rsk_examples():

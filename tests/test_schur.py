@@ -1,12 +1,31 @@
 from collections import Counter
 from math import factorial, prod
 
-from lrcommute.schur import (_kostka_counter, lr_coefficient,
-                             schur_polynomial, schur_product)
+from lrcommute.schur import _kostka_counter, lr_coefficient, schur_product
 from lrcommute.tableaux import (SkewShape, contains, enumerate_ballot,
-                                partitions_of)
+                                enumerate_ssyt, partitions_of, skew_shape,
+                                tableau_content)
 
 import pytest
+
+# sparse polynomial: {exponent tuple: integer coefficient}, fixed arity
+Poly = dict[tuple[int, ...], int]
+
+
+def schur_polynomial(lam, n_vars: int) -> Poly:
+    """The oracle for the Kostka counter: the tableau generating function,
+    the sum of content monomials over all semistandard fillings of lam with
+    entries at most n_vars."""
+    if n_vars < 1:
+        raise ValueError("n_vars must be >= 1")
+    if len(lam) > n_vars:
+        return {}
+    poly: Poly = {}
+    for t in enumerate_ssyt(skew_shape(lam, ()), n_vars):
+        c = tableau_content(t)
+        key = c + (0,) * (n_vars - len(c))
+        poly[key] = poly.get(key, 0) + 1
+    return poly
 
 
 def test_lr_coefficient_examples():

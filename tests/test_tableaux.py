@@ -8,18 +8,26 @@ from hypothesis import given, strategies as st
 
 from lrcommute.schur import lr_coefficient
 from lrcommute.tableaux import (EMPTY, SkewShape, SkewTableau, as_partition,
-                                companion_word, content, empty_of_shape,
-                                enumerate_ballot, enumerate_ssyt, from_json,
-                                from_text, glue, is_ballot, is_ballot_tableau,
-                                json_ints,
-                                partitions_of, reading_word, restrict_rows,
-                                skew_shape, standardize, subpartitions,
-                                tableau_content, to_json, to_text,
-                                yamanouchi_tableau)
+                                companion_word, content, enumerate_ballot,
+                                enumerate_ssyt, from_json_dict, from_text,
+                                glue, is_ballot, is_ballot_tableau, json_ints,
+                                partitions_of, read_json, reading_word,
+                                restrict_rows, skew_shape, standardize,
+                                subpartitions, tableau_content, to_json_dict,
+                                to_text, yamanouchi_tableau)
 
 T_BALLOT = SkewTableau((4, 3, 2), (2, 1, 0), [(1, 1), (1, 2), (2, 3)])
 H_NOT_BALLOT = SkewTableau((4, 3, 2), (2, 1, 0), [(1, 2), (1, 3), (1, 2)])
 U_STD = SkewTableau((5, 4, 3), (3, 2, 0), [(1, 3), (2, 4), (1, 2, 3)])
+
+
+def to_json(t: SkewTableau) -> str:
+    return json.dumps(to_json_dict(t))
+
+
+def from_json(s: str) -> SkewTableau:
+    """A tableau read from JSON text, as the CLI reads one."""
+    return read_json(s, from_json_dict)
 
 
 def all_shapes(max_boxes):
@@ -50,7 +58,7 @@ def test_non_integer_parts_and_entries_raise():
 
 def test_reading_word_examples():
     assert reading_word(T_BALLOT) == (2, 3, 1, 2, 1, 1)
-    assert reading_word(empty_of_shape((3, 1))) == ()
+    assert reading_word(SkewTableau((3, 1), (3, 1), ())) == ()
     assert reading_word(SkewTableau((2,), (), [(3, 5)])) == (3, 5)
 
 
@@ -93,7 +101,7 @@ def test_standardize_idempotent():
 
 def test_companion_word_examples():
     assert companion_word(U_STD) == (2, 1, 3, 2, 3, 1, 3)
-    assert companion_word(empty_of_shape((2, 1))) == ()
+    assert companion_word(SkewTableau((2, 1), (2, 1), ())) == ()
     assert companion_word(SkewTableau((3,), (), [(1, 2, 3)])) == (1, 1, 1)
 
 
@@ -346,7 +354,7 @@ def test_glue():
 
 
 def test_json_round_trip_examples():
-    for t in (T_BALLOT, EMPTY, empty_of_shape((2, 2)), yamanouchi_tableau((3, 1))):
+    for t in (T_BALLOT, EMPTY, SkewTableau((2, 2), (2, 2), ()), yamanouchi_tableau((3, 1))):
         assert from_json(to_json(t)) == t
     d = json.loads(to_json(T_BALLOT))
     assert d == {"outer": [4, 3, 2], "inner": [2, 1, 0],
@@ -394,7 +402,7 @@ def test_text_round_trip_exhaustive():
 
 def test_text_format_shape():
     assert to_text(T_BALLOT) == ". . 1 1\n. 1 2\n2 3"
-    assert to_text(empty_of_shape((2,))) == ". ."
+    assert to_text(SkewTableau((2,), (2,), ())) == ". ."
     assert to_text(EMPTY) == ""
 
 

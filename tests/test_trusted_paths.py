@@ -3,9 +3,9 @@
 here as their oracle: it must accept each of them and build the very same
 tableau, normalised borders included."""
 
-from lrcommute.commutor import METHODS, STRATEGIES, chi_append, switching
-from lrcommute.insertion import (extended_insert, inner_corners,
-                                 internal_insert, order_word_steps,
+from lrcommute.commutor import METHODS, STRATEGIES, switching
+from lrcommute.insertion import (_append_inplace, _corners, _freeze, _thaw,
+                                 glued_pair, internal_insert, order_word_steps,
                                  skew_rsk_forward, skew_rsk_inverse)
 from lrcommute.knuth import rsk
 from lrcommute.tableaux import (SkewShape, SkewTableau, enumerate_ballot,
@@ -90,10 +90,10 @@ def test_internal_insertion_outputs_pass_validation():
     for lam in partitions_up_to(5):
         for mu in subpartitions(lam):
             for t in fillings(lam, mu):
-                for i in inner_corners(t):
+                for i in _corners(t.inner):
                     once, _trace = internal_insert(t, i)
                     assert_valid(once)
-                    for j in inner_corners(once):
+                    for j in _corners(once.inner):
                         words += 1
                         assert_valid(order_word_steps(t, (j, i))[0])
     assert words == 1603
@@ -103,15 +103,16 @@ def test_glued_pair_operators_pass_validation():
     appended = inserted = 0
     for p in lr_pairs(5):
         for i in range(1, len(p.skew.rows) + 2):
+            inner, rows = _thaw(p.skew)
             try:
-                q = chi_append(p, i)
+                _append_inplace(inner, rows, i)
             except ValueError:
                 continue
             appended += 1
-            assert_valid(*q)
-        for i in inner_corners(p.skew):
+            assert_valid(_freeze(inner, rows))
+        for i in _corners(p.skew.inner):
             inserted += 1
-            assert_valid(*extended_insert(p, i))
+            assert_valid(*glued_pair(internal_insert(p.skew, i)[0]))
     assert (appended, inserted) == (347, 268)
 
 

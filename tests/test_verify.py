@@ -95,6 +95,21 @@ def test_coincidence_names_the_one_method_that_differs(monkeypatch, name):
         assert actual == f"{name}: {key}" and expected != key
 
 
+def test_coincidence_names_every_method_that_raises(monkeypatch):
+    # an input guard that raises makes all four methods raise alike: a raise
+    # is no image and never votes, so every instance fails, naming all four
+    def refuse(p):
+        raise RuntimeError("refused")
+
+    monkeypatch.setattr(commutor, "_require_lr_pair", refuse)
+    rep = verify.check_coincidence(max_size=4)
+    assert (rep.instances, rep.failure_count) == (57, 57)
+    raised = " / ".join(f"{m}: raises RuntimeError: refused"
+                        for m in commutor.METHODS)
+    assert {(expected, actual) for _key, expected, actual in rep.failures} == {
+        ("no exception", raised)}
+
+
 def test_route_geometry_reports_the_shared_sweep_time():
     # route-geometry reads the knuth sweep from its cache, and reports the
     # time that sweep took rather than the time of the cache lookup
@@ -456,6 +471,8 @@ def test_a_raising_kernel_fails_its_instances_not_the_sweep(
     finally:
         _thu_sweep.cache_clear()
     assert rep.instances == instances and rep.failure_count == failures
-    assert {actual for _key, _expected, actual in rep.failures} == {
-        "raises RuntimeError: broken at row 3"}
+    raised = "raises RuntimeError: broken at row 3"
+    if name == "coincidence":  # runs each method on its own, and names it
+        raised = f"internal: {raised} / scratch: {raised}"
+    assert {actual for _key, _expected, actual in rep.failures} == {raised}
     assert len({key for key, _expected, _actual in rep.failures}) == min(failures, 50)
