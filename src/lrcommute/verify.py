@@ -222,23 +222,26 @@ def check_involution(max_size: int = 8, seed: int = 0) -> VerifyReport:
 
 def check_coincidence(max_size: int = 8, seed: int = 0) -> VerifyReport:
     """All ``METHODS`` give each ballot pair one image.  Each method runs on
-    its own, so a failure names each method that raises, and each whose
-    image is not the one most others give (the first's, on a tie); a raise
-    is no image, and never votes."""
+    its own, and a pair fails once, naming each method that raises and each
+    whose image is not the one most others give (the first's, on a tie); a
+    raise is no image, and never votes."""
     def prop(p):
-        images, raised = {}, []
+        images, wrong, want = {}, [], []
         for name, m in METHODS.items():
             try:
                 images[name] = m.rho(p)
             except Exception as exc:
-                raised.append(f"{name}: {_raised(exc)}")
-        if raised:
-            yield _pair_key(p), "no exception", " / ".join(raised)
+                wrong.append(f"{name}: {_raised(exc)}")
+        if wrong:
+            want.append("no exception")
         votes = Counter(images.values()).most_common()
         if len(votes) > 1:
             image = votes[0][0]
-            yield _pair_key(p), _pair_key(image), " / ".join(
-                f"{name}: {_pair_key(q)}" for name, q in images.items() if q != image)
+            want.append(_pair_key(image))
+            wrong += [f"{name}: {_pair_key(q)}"
+                      for name, q in images.items() if q != image]
+        if want:
+            yield _pair_key(p), " and ".join(want), " / ".join(wrong)
 
     return _sweep("coincidence", lr_pairs(max_size), prop, _pair_key, _pair_hash)
 

@@ -156,6 +156,8 @@ def test_switching_never_runs_the_state_check(monkeypatch):
         raise AssertionError("the checking constructor ran")
 
     monkeypatch.setattr(TwoColorTableau, "__init__", refuse)
+    tc = TwoColorTableau.from_pair(SW_U, SW_V)
+    _swapped(tc, switch_sites(tc)[0])
     for strategy in STRATEGIES:
         switching(SW_U, SW_V, strategy)
 

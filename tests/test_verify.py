@@ -110,6 +110,31 @@ def test_coincidence_names_every_method_that_raises(monkeypatch):
         ("no exception", raised)}
 
 
+def test_coincidence_fails_a_pair_once_for_a_raise_and_a_wrong_image(
+        monkeypatch):
+    # scratch raises and infusion returns its input: each pair that infusion
+    # gets wrong fails once, naming both, with the image switching and
+    # internal agree on after "no exception"
+    def refuse(p, hook=None):
+        raise RuntimeError("refused")
+
+    for name, rho in (("scratch", refuse), ("infusion", lambda p, hook=None: p)):
+        monkeypatch.setitem(commutor.METHODS, name, commutor.Method(
+            rho, commutor.METHODS[name].family))
+    rep = verify.check_coincidence(max_size=4)
+    assert (rep.instances, rep.failure_count) == (57, 57)
+    # the report keeps the first 50 failures: 8 of the 9 fixed pairs are among them
+    assert Counter(expected == "no exception"
+                   for _key, expected, _actual in rep.failures) == {
+        False: 42, True: 8}
+    for key, expected, actual in rep.failures:
+        if expected == "no exception":  # a pair that rho1 fixes
+            assert actual == "scratch: raises RuntimeError: refused"
+        else:
+            assert expected.removeprefix("no exception and ") != key
+            assert actual == f"scratch: raises RuntimeError: refused / infusion: {key}"
+
+
 def test_route_geometry_reports_the_shared_sweep_time():
     # route-geometry reads the knuth sweep from its cache, and reports the
     # time that sweep took rather than the time of the cache lookup
