@@ -12,21 +12,19 @@ first access (PEP 562), so that ``lrcommute commute`` compiles none of them.
 """
 
 from .tableaux import (EMPTY, SkewShape, SkewTableau, as_partition,
-                       companion_word, content, enumerate_ballot,
-                       enumerate_ssyt, from_json_dict, from_text, glue,
-                       is_ballot, is_ballot_tableau, partitions_of,
-                       reading_word, restrict_rows, skew_shape, standardize,
-                       subpartitions, tableau_content, to_json_dict, to_text,
-                       yamanouchi_tableau)
+                       companion_word, enumerate_ballot, enumerate_ssyt,
+                       from_json_dict, from_text, glue, is_ballot_tableau,
+                       partitions_of, reading_word, restrict_rows, skew_shape,
+                       standardize, subpartitions, tableau_content,
+                       to_json_dict, to_text, yamanouchi_tableau)
 from .insertion import (GluedPair, InsertionTrace, NotBallotPair,
                         apply_order_word, glued_pair, internal_insert,
                         lr_violation, order_word_steps, skew_rsk_forward,
                         skew_rsk_inverse)
 from .commutor import (RowStep, StagedDecomposition, SwitchSite,
-                       TwoColorTableau, gt_order_word, nu_hat, rho1_internal,
-                       rho1_scratch, rho1_switching, row_program,
-                       run_row_program, staged_decomposition, switch_sites,
-                       switching)
+                       gt_order_word, nu_hat, rho1_internal, rho1_scratch,
+                       rho1_switching, row_program, run_row_program,
+                       staged_decomposition, switching)
 
 # name -> the submodule that defines it, for the names loaded on first access
 _LAZY = {

@@ -107,18 +107,20 @@ def _emit_pair(p: GluedPair, fmt: str) -> str:
 
 def cmd_commute(args) -> int:
     skew = check_border(parse_tableau(_read_input(args.input)))
+    # each frame is encoded as it arrives, so the trace keeps its text only
     method, frames = METHODS[args.method], []
 
     def on_frame(site, cells):
-        frames.append({"switch": [list(site.cell_u), list(site.cell_v)],
-                       "cells": [[r, c, val, color] for (r, c), (val, color)
-                                 in sorted(cells.items())]})
+        frames.append(json.dumps({
+            "switch": [list(site.cell_u), list(site.cell_v)],
+            "cells": [[r, c, val, color]
+                      for (r, c), (val, color) in sorted(cells.items())]}))
 
     def on_step(step, trace, state):
         frame = {"op": step.op, "row": step.i, "state": to_json_dict(state)}
         if trace is not None:
             frame["trace"] = trace._asdict()
-        frames.append(frame)
+        frames.append(json.dumps(frame))
 
     hook = {"on_frame": on_frame, "on_step": on_step}[method.family]
     try:
@@ -127,7 +129,9 @@ def cmd_commute(args) -> int:
         raise UsageError(f"input is not a ballot pair: {exc.why}")
     print(_emit_pair(result, args.format))
     if args.trace:
-        print(json.dumps(frames))
+        # as json.dumps of the frames, written piece by piece
+        print("[", end="")
+        print(*frames, sep=", ", end="]\n")
     return 0
 
 

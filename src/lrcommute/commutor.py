@@ -25,8 +25,9 @@ swapped cell: its own line's stay rejected; ``_terminals`` walks every
 order, for the confluence sweep.  Infusion (reverse standard order,
 Thomas-Yong) and staged switching (``staged_decomposition``: one Yamanouchi
 row at a time, bottom-up) slide by jeu de taquin in ``_infuse``, in board
-indices that infusion reads off the board.  The public ``TwoColorTableau``
-holds a board as a dict of cells.
+indices that infusion reads off the board.  Outside the engine a board is
+a dict of cells (``_cells_of``), which ``switching``'s ``on_frame`` hook
+receives after each switch.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Iterator, NamedTuple
 from .insertion import (GluedPair, _append_inplace, _freeze, _insert_inplace,
                         _insert_traced, _require_lr_pair, glued_pair)
 from .tableaux import (Cell, SkewTableau, as_partition, is_ballot_tableau,
-                       skew_shape, tableau_content, yamanouchi_tableau)
+                       tableau_content, yamanouchi_tableau)
 
 STRATEGIES = ("greedy", "infusion")
 
@@ -46,71 +47,6 @@ STRATEGIES = ("greedy", "infusion")
 class SwitchSite(NamedTuple):
     cell_u: Cell
     cell_v: Cell
-
-
-class TwoColorTableau:
-    """Cells of a glued pair mid-switching, tagged by member.
-
-    ``cells`` maps a 1-based (row, col) to (value, color) with color "u" for
-    the inner member and "v" for the outer one.  The constructor checks that
-    they fill the board outer/inner and that each colour class is a valid
-    filling (rows weak, columns strict, weak from northwest to southeast).
-    """
-
-    __slots__ = ("outer", "inner", "cells")
-
-    def __init__(self, outer, inner, cells: dict[Cell, tuple[int, str]]):
-        self.outer = o = as_partition(outer)
-        self.inner = i = skew_shape(o, inner).inner
-        self.cells = dict(cells)
-        pad = i + (0,) * (len(o) - len(i))
-        if set(self.cells) != {(r, c) for r in range(1, len(o) + 1)
-                               for c in range(pad[r - 1] + 1, o[r - 1] + 1)}:
-            raise ValueError(f"cells do not fill the board {o}/{i}")
-        # row-major; nw: the largest u and v values weakly northwest of a
-        # cell; above: the last value of each colour met in each column
-        nw: dict = {}
-        above: dict = {}
-        for (r, c), e in sorted(self.cells.items()):
-            if not (type(e) is tuple and len(e) == 2 and type(e[0]) is int
-                    and e[0] >= 1 and e[1] in ("u", "v")):
-                raise ValueError(f"cell {(r, c)} holds {e!r}, not a value "
-                                 f"of at least 1 and a colour 'u' or 'v'")
-            value, color = e
-            m = [max(x, y) for x, y in zip(nw.get((r - 1, c), (0, 0)),
-                                           nw.get((r, c - 1), (0, 0)))]
-            k = "uv".index(color)
-            if m[k] > value or above.get((c, color), 0) >= value:
-                raise ValueError(f"colour class {color} is not a valid filling "
-                                 f"at cell {(r, c)}")
-            m[k] = value
-            nw[r, c] = m
-            above[c, color] = value
-
-    @classmethod
-    def _fast(cls, outer: tuple, inner: tuple, cells: dict):
-        """``__init__`` unchecked, for states the library built itself."""
-        t = cls.__new__(cls)
-        t.outer, t.inner, t.cells = outer, inner, cells
-        return t
-
-    @classmethod
-    def from_pair(cls, u: SkewTableau, v: SkewTableau) -> "TwoColorTableau":
-        board = _board(u, v)
-        return cls._fast(v.outer, as_partition(u.inner),
-                         _cells_of(_geometry(v.outer, u.inner), board))
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoColorTableau):
-            return NotImplemented
-        return (self.outer == other.outer and self.inner == other.inner
-                and self.cells == other.cells)
-
-    def __hash__(self):
-        return hash((self.outer, self.inner, tuple(sorted(self.cells.items()))))
-
-    def __repr__(self):
-        return f"TwoColorTableau({self.outer}/{self.inner}, {len(self.cells)} cells)"
 
 
 class _Geometry(NamedTuple):
@@ -161,7 +97,7 @@ def _board(u: SkewTableau, v: SkewTableau) -> list:
 
 
 def _board_of(g: _Geometry, cells: dict) -> list:
-    """The board of ``TwoColorTableau.cells``."""
+    """The board of a dict of cells, as ``_cells_of`` makes it."""
     board = [0] * g.starts[-1]
     for (r, c), (x, color) in cells.items():
         board[g.starts[r - 1] + c - 1 - g.inner[r - 1]] = x if color == "u" else -x
@@ -169,7 +105,9 @@ def _board_of(g: _Geometry, cells: dict) -> list:
 
 
 def _cells_of(g: _Geometry, board) -> dict:
-    """The ``TwoColorTableau.cells`` of a board."""
+    """The cells of a board: a dict from each 1-based (row, col) to its
+    (value, colour), colour "u" for a letter of the inner member and "v"
+    for one of the outer member, row-major."""
     return {(r, c): (x, "u") if x > 0 else (-x, "v")
             for r, (a, b, s) in enumerate(zip(g.inner, g.outer, g.starts), 1)
             for c, x in zip(range(a + 1, b + 1), board[s:s + b - a])}
@@ -238,14 +176,6 @@ def _find_sites(g: _Geometry, board) -> list[tuple[int, int]]:
             if board[south[iu]] < 0 and _admissible(g, board, iu, south[iu]):
                 sites.append((iu, south[iu]))
     return sites
-
-
-def switch_sites(t: TwoColorTableau) -> list[SwitchSite]:
-    """All admissible switches, sorted row-major by the u-cell, horizontal
-    before vertical."""
-    g = _geometry(t.outer, t.inner)
-    return [SwitchSite(_cell(g, iu), _cell(g, iv))
-            for iu, iv in _find_sites(g, _board_of(g, t.cells))]
 
 
 def _split_cells(g: _Geometry, board, inner) -> tuple[SkewTableau, SkewTableau]:
@@ -470,9 +400,9 @@ def switching(u: SkewTableau, v: SkewTableau, strategy: str = "greedy",
     S Knuth-equivalent to v and H to u, on the same union shape: the pair's
     board goes through ``_switch`` (greedy) or ``_infuse`` (infusion), its
     terminal board through ``_split_cells``.
-    ``on_frame(site, cells)`` sees each switch and the ``TwoColorTableau``
-    cells after it.  ``seed`` is unused; ``perfbench/tracer.py`` still
-    passes it."""
+    ``on_frame(site, cells)`` sees each switch, a ``SwitchSite``, and the
+    board's cells after it, a fresh dict as ``_cells_of`` makes it.
+    ``seed`` is unused; ``perfbench/tracer.py`` still passes it."""
     board = _board(u, v)
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")

@@ -10,15 +10,16 @@ from __future__ import annotations
 import heapq
 import json
 
-from .commutor import (METHODS, STRATEGIES, TwoColorTableau, _board,
-                       _board_of, _geometry, _successors, gt_order_word, nu_hat,
-                       rho1_switching, run_row_program, staged_decomposition,
-                       switch_sites, switching)
+from .commutor import (METHODS, STRATEGIES, _board, _board_of, _cells_of,
+                       _find_sites, _geometry, _successors, gt_order_word,
+                       nu_hat, rho1_switching, run_row_program,
+                       staged_decomposition, switching)
 from .insertion import GluedPair, apply_order_word, glued_pair
 from .knuth import knuth_equivalent
 from .tableaux import (EMPTY, SkewTableau, as_partition, companion_word,
-                       content, from_json_dict, glue, is_ballot, reading_word,
-                       restrict_rows, standardize, to_text, yamanouchi_tableau)
+                       from_json_dict, glue, is_ballot_tableau, reading_word,
+                       restrict_rows, standardize, tableau_content, to_text,
+                       yamanouchi_tableau)
 
 
 class GoldenResult:
@@ -100,21 +101,21 @@ def _run_ballot_words(res: GoldenResult, data: dict):
     h, t = from_json_dict(data["h"]), from_json_dict(data["t"])
     res.check("word of H", tuple(data["word_h"]), reading_word(h))
     res.check("word of T", tuple(data["word_t"]), reading_word(t))
-    res.check("H ballot", data["ballot_h"], is_ballot(reading_word(h)))
-    res.check("T ballot", data["ballot_t"], is_ballot(reading_word(t)))
+    res.check("H ballot", data["ballot_h"], is_ballot_tableau(h))
+    res.check("T ballot", data["ballot_t"], is_ballot_tableau(t))
 
 
 def _run_switch_sequence(res: GoldenResult, data: dict):
     frames = [_cells(f) for f in data["frames"]]
     u, v = from_json_dict(data["u"]), from_json_dict(data["v"])
-    start = TwoColorTableau.from_pair(u, v)
-    res.check("first frame", frames[0], start.cells)
     g = _geometry(v.outer, u.inner)
+    start = _board(u, v)
+    res.check("first frame", frames[0], _cells_of(g, start))
     boards = [_board_of(g, f) for f in frames]
     for k in range(len(frames) - 1):
         ok = _reachable(g, boards[k], boards[k + 1])
         res.check(f"frame {k + 1} -> {k + 2} by switches", True, ok)
-    res.check("first frame admits a switch", True, bool(switch_sites(start)))
+    res.check("first frame admits a switch", True, bool(_find_sites(g, start)))
     for strategy in STRATEGIES:
         s, h = switching(u, v, strategy=strategy)
         res.check(f"terminal S ({strategy})", from_json_dict(data["terminal_s"]), s)
@@ -168,7 +169,7 @@ def _run_staged_switching(res: GoldenResult, data: dict):
 
 def _run_row_recursion(res: GoldenResult, data: dict):
     t = from_json_dict(data["t"])
-    res.check("content", tuple(data["nu"]), as_partition(content(reading_word(t))))
+    res.check("content", tuple(data["nu"]), as_partition(tableau_content(t)))
     res.check("nu hat", tuple(data["nu_hat"]), nu_hat(t))
     word = tuple(data["gt_word"])
     res.check("order word of the pattern", word, gt_order_word(t))

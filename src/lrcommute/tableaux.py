@@ -223,28 +223,6 @@ def reading_word(t: SkewTableau) -> tuple[int, ...]:
     return tuple(out)
 
 
-def content(word: Iterable[int]) -> tuple[int, ...]:
-    """counts[i] = multiplicity of letter i+1; length = largest letter."""
-    counts: list[int] = []
-    for x in word:
-        if x < 1:
-            raise ValueError(f"letter {x} < 1")
-        if x > len(counts):
-            counts.extend([0] * (x - len(counts)))
-        counts[x - 1] += 1
-    return tuple(counts)
-
-
-def is_ballot(word) -> bool:
-    """True iff the content of every suffix is a partition."""
-    counts: dict[int, int] = {}
-    for x in reversed(tuple(word)):
-        counts[x] = counts.get(x, 0) + 1
-        if x > 1 and counts.get(x - 1, 0) < counts[x]:
-            return False
-    return True
-
-
 def _runs(t: SkewTableau) -> Iterator[tuple[int, int]]:
     """(letter, count) for each run of equal letters of t's reading word,
     read backwards: rows top to bottom, each run right to left.  A row
@@ -259,9 +237,10 @@ def _runs(t: SkewTableau) -> Iterator[tuple[int, int]]:
 
 
 def is_ballot_tableau(t: SkewTableau) -> bool:
-    """``is_ballot(reading_word(t))``, one run of equal letters at a time:
-    reading the word backwards, a run of x's leaves the most x's against
-    the (x - 1)'s at its end, so the ballot condition is checked there."""
+    """Whether t's reading word is ballot: read backwards, no letter x > 1
+    has been read more often than x - 1.  One run of equal letters at a
+    time: a run of x's leaves the most x's against the (x - 1)'s at its
+    end, so the condition is checked there."""
     counts = [0, 0]  # counts[x]: the x's read so far, for x >= 1
     for x, m in _runs(t):
         if x == len(counts):
@@ -270,18 +249,19 @@ def is_ballot_tableau(t: SkewTableau) -> bool:
             return False
         if x > 1 and counts[x - 1] < counts[x] + m:
             return False
-        if x > 0:  # a letter below 1, as in is_ballot, counts for nothing
+        if x > 0:  # a letter below 1 counts for nothing
             counts[x] += m
     return True
 
 
 def tableau_content(t: SkewTableau) -> tuple[int, ...]:
-    """``content(reading_word(t))``, counted one run of equal letters at a
-    time."""
+    """counts[i] = multiplicity of letter i + 1 in t; length = largest
+    letter.  Counted one run of equal letters at a time; a letter below 1
+    (only an unvalidated tableau holds one) raises, naming it."""
     counts: list[int] = []
     for x, m in _runs(t):
         if x < 1:
-            return content(reading_word(t))  # raises, naming the letter
+            raise ValueError(f"letter {x} < 1")
         if x > len(counts):
             counts.extend([0] * (x - len(counts)))
         counts[x - 1] += m

@@ -223,6 +223,21 @@ def test_commute_trace(tmp_path, capsys):
         [from_json_dict(d) for d in data["scratch_frames"]]
 
 
+@pytest.mark.parametrize("text, method, frames", [
+    (T_TEXT, "switching", 7), (T_TEXT, "internal", 9), (". .", "infusion", 0),
+], ids=["switching", "row-program", "no-frame"])
+def test_commute_trace_is_one_json_dumps_of_its_frames(tmp_path, capsys,
+                                                       text, method, frames):
+    # each frame is encoded as it arrives and the trace written piece by
+    # piece: the line is byte-equal to json.dumps of the list of frames
+    f = tmp_path / "t.txt"
+    f.write_text(text)
+    code, out, _ = run(capsys, "commute", str(f), "--trace", "--method", method)
+    line = out.splitlines()[-1]
+    assert code == 0 and len(json.loads(line)) == frames
+    assert line == json.dumps(json.loads(line))
+
+
 def test_main_calls_share_no_state(tmp_path, capsys):
     # the parser is built once per process; each call still reads only its
     # own options

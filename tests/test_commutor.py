@@ -7,21 +7,22 @@ import tracemalloc
 import pytest
 
 from lrcommute import cli, commutor
-from lrcommute.commutor import (METHODS, STRATEGIES, SwitchSite,
-                                TwoColorTableau, _board, _board_of, _cells_of,
+from lrcommute.commutor import (METHODS, SwitchSite, _admissible,
+                                _board, _board_of, _cell, _cells_of,
                                 _find_sites, _geometry, _split_cells, _switch,
                                 _terminals, gt_order_word, nu_hat,
                                 rho1_internal, rho1_scratch, rho1_switching,
                                 row_program, run_row_program,
-                                staged_decomposition, switch_sites, switching)
+                                staged_decomposition, switching)
 from lrcommute.insertion import (GluedPair, _append_inplace, _freeze, _thaw,
                                  _insert_traced, glued_pair, skew_rsk_forward,
                                  skew_rsk_inverse)
 from lrcommute.knuth import p_tableau_rows
-from lrcommute.tableaux import (EMPTY, SkewShape, SkewTableau,
-                                enumerate_ssyt, glue, reading_word,
-                                standard_order, subpartitions, tableau_content,
-                                to_json_dict, yamanouchi_tableau)
+from lrcommute.tableaux import (EMPTY, SkewShape, SkewTableau, as_partition,
+                                enumerate_ssyt, glue, partitions_of,
+                                reading_word, skew_shape, standard_order,
+                                subpartitions, tableau_content, to_json_dict,
+                                yamanouchi_tableau)
 from lrcommute.verify import lr_pairs, packed_fillings, partitions_up_to
 from probe import counting
 
@@ -77,15 +78,71 @@ def test_board_closes_each_row_with_a_0_and_round_trips_its_cells():
         assert _board_of(g, cells) == board
 
 
+_NOTHING = (0, 0, 0, 0)  # no cell: no u- or v-value northwest or above
+
+
+def _placed(seen: dict, r: int, c: int, value: int, color: str) -> bool:
+    """Whether value, of colour color, at cell (r, c) keeps its colour class
+    a valid filling (rows weak, columns strict, weak from northwest to
+    southeast) against the cells before it row-major, which include every
+    cell weakly northwest of it.  If so, ``seen[r, c]`` records the largest
+    u- and v-value weakly northwest of the cell and the last u- and v-value
+    in its column down to it."""
+    k = "uv".index(color)
+    north, west = seen.get((r - 1, c), _NOTHING), seen.get((r, c - 1), _NOTHING)
+    nw = [max(north[0], west[0]), max(north[1], west[1])]
+    column = list(north[2:])
+    if nw[k] > value or column[k] >= value:
+        return False
+    nw[k] = column[k] = value
+    seen[r, c] = (*nw, *column)
+    return True
+
+
+def _board_cells(outer, inner) -> list:
+    """The cells of the board outer/inner, row-major."""
+    pad = inner + (0,) * (len(outer) - len(inner))
+    return [(r, c) for r, (a, b) in enumerate(zip(pad, outer), 1)
+            for c in range(a + 1, b + 1)]
+
+
+def _checked_board(outer, inner, cells: dict) -> tuple:
+    """The geometry and board of a two-colour state, after the whole-class
+    check: the cells, a dict from (row, col) to (value, colour), fill the
+    board outer/inner, each holds a value of at least 1 and a colour "u" or
+    "v", and each colour class is a valid filling.  The oracle of
+    ``_admissible``, which tests only the relations a switch creates."""
+    o = as_partition(outer)
+    i = skew_shape(o, inner).inner
+    if set(cells) != set(_board_cells(o, i)):
+        raise ValueError(f"cells do not fill the board {o}/{i}")
+    seen: dict = {}
+    for (r, c), e in sorted(cells.items()):
+        if not (type(e) is tuple and len(e) == 2 and type(e[0]) is int
+                and e[0] >= 1 and e[1] in ("u", "v")):
+            raise ValueError(f"cell {(r, c)} holds {e!r}, not a value "
+                             f"of at least 1 and a colour 'u' or 'v'")
+        if not _placed(seen, r, c, *e):
+            raise ValueError(f"colour class {e[1]} is not a valid filling "
+                             f"at cell {(r, c)}")
+    g = _geometry(o, i)
+    return g, _board_of(g, cells)
+
+
+def _sites(g, board) -> list[SwitchSite]:
+    """``_find_sites``, as cells."""
+    return [SwitchSite(_cell(g, iu), _cell(g, iv))
+            for iu, iv in _find_sites(g, board)]
+
+
 def test_switch_sites_examples():
-    tc = TwoColorTableau.from_pair(SW_U, SW_V)
-    sites = switch_sites(tc)
+    g = _geometry(SW_V.outer, SW_U.inner)
+    sites = _sites(g, _board(SW_U, SW_V))
     assert SwitchSite((2, 2), (3, 2)) in sites
     assert SwitchSite((2, 3), (3, 3)) in sites
     # lone inner member admits nothing
-    alone = TwoColorTableau.from_pair(yamanouchi_tableau((2, 1)),
-                                      SkewTableau((2, 1), (2, 1), ()))
-    assert switch_sites(alone) == []
+    alone = yamanouchi_tableau((2, 1)), SkewTableau((2, 1), (2, 1), ())
+    assert _find_sites(_geometry((2, 1), ()), _board(*alone)) == []
 
 
 def test_switch_sites_terminal_state_empty():
@@ -93,14 +150,14 @@ def test_switch_sites_terminal_state_empty():
     s, h = switching(SW_U, SW_V)
     cells = {c: (x, "v") for x, c in standard_order(s)}
     cells.update({c: (x, "u") for x, c in standard_order(h)})
-    terminal = TwoColorTableau(h.outer, s.inner, cells)
-    assert switch_sites(terminal) == []
+    assert _find_sites(*_checked_board(h.outer, s.inner, cells)) == []
 
 
 def _state(outer, inner, entries):
-    """A two-colour state from "(row, col): value colour" entries."""
-    return TwoColorTableau(outer, inner, {cell: (int(e[:-1]), e[-1])
-                                          for cell, e in entries.items()})
+    """The geometry and board of a two-colour state from "(row, col): value
+    colour" entries."""
+    return _checked_board(outer, inner, {cell: (int(e[:-1]), e[-1])
+                                         for cell, e in entries.items()})
 
 
 @pytest.mark.parametrize("outer, inner, entries, expected", [
@@ -125,7 +182,7 @@ def _state(outer, inner, entries):
 def test_each_relation_a_switch_creates_blocks_it(outer, inner, entries,
                                                    expected):
     # in each state exactly one relation the switch creates blocks a site
-    assert switch_sites(_state(outer, inner, entries)) == expected
+    assert _sites(*_state(outer, inner, entries)) == expected
 
 
 @pytest.mark.parametrize("outer, inner, cells, why", [
@@ -146,20 +203,69 @@ def test_each_relation_a_switch_creates_blocks_it(outer, inner, entries,
 ], ids=["off-board", "borders", "value", "colour", "entry", "row", "column",
         "diagonal"])
 def test_two_colour_state_is_checked(outer, inner, cells, why):
-    # the literal states above build, so the check admits valid states
+    # the oracle's own check; the literal states above build, so it admits
+    # valid states
     with pytest.raises(ValueError, match=why):
-        TwoColorTableau(outer, inner, cells)
+        _checked_board(outer, inner, cells)
 
 
-def test_switching_never_runs_the_state_check(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the checking constructor ran")
+def _valid_boards(outer, inner, letters: int):
+    """Every valid two-colour state of the board outer/inner with values up
+    to letters, as a board: a depth-first search that fills the cells
+    row-major, each with each colour and value ``_placed`` allows."""
+    g, cells = _geometry(outer, inner), _board_cells(outer, inner)
+    state, seen = {}, {}
 
-    monkeypatch.setattr(TwoColorTableau, "__init__", refuse)
-    tc = TwoColorTableau.from_pair(SW_U, SW_V)
-    _swapped(tc, switch_sites(tc)[0])
-    for strategy in STRATEGIES:
-        switching(SW_U, SW_V, strategy)
+    def fill(k):
+        if k == len(cells):
+            yield _board_of(g, state)
+            return
+        r, c = cells[k]
+        for color in "uv":
+            for value in range(1, letters + 1):
+                if _placed(seen, r, c, value, color):
+                    state[r, c] = value, color
+                    yield from fill(k + 1)
+
+    yield from fill(0)
+
+
+def _spanning_boards(max_cells: int):
+    """Every board outer/inner of 1 to max_cells cells with a cell in each
+    of its rows and columns, so at most max_cells of each."""
+    n = max_cells
+    for k in range(1, n * n + 1):
+        for outer in partitions_of(k, n, n):
+            for inner in subpartitions(outer):
+                cells = _board_cells(outer, inner)
+                if (len(cells) <= n
+                        and {r for r, _c in cells} == set(range(1, len(outer) + 1))
+                        and {c for _r, c in cells} == set(range(1, outer[0] + 1))):
+                    yield outer, inner
+
+
+def test_admissible_is_the_whole_class_check_after_the_swap():
+    # every valid state of every board of at most 4 cells with a cell in
+    # each row and column, letters up to 3: a u-letter and a v-letter east
+    # or south of it may switch exactly when both classes stay valid
+    boards = list(_spanning_boards(4))
+    n_states = n_switches = 0
+    for outer, inner in boards:
+        g = _geometry(outer, inner)
+        for board in _valid_boards(outer, inner, 3):
+            n_states += 1
+            for iu, iv in [(iu, iv) for iu, x in enumerate(board) if x > 0
+                           for iv in (iu + 1, g.south[iu]) if board[iv] < 0]:
+                swapped = list(board)
+                swapped[iu], swapped[iv] = board[iv], board[iu]
+                try:
+                    _checked_board(outer, inner, _cells_of(g, swapped))
+                    valid = True
+                except ValueError:
+                    valid = False
+                assert _admissible(g, board, iu, iv) == valid, (board, iu, iv)
+                n_switches += 1
+    assert (len(boards), n_states, n_switches) == (41, 20394, 11223)
 
 
 def test_switching_empty_outer_member():
@@ -214,28 +320,23 @@ def test_terminals_branch_only_where_a_step_has_a_choice():
                      SkewTableau((2,), (1,), [(1,)]))]
 
 
-def _swapped(tc: TwoColorTableau, site: SwitchSite) -> TwoColorTableau:
-    """tc with the letters at site interchanged."""
-    cells = dict(tc.cells)
-    cells[site.cell_u], cells[site.cell_v] = cells[site.cell_v], cells[site.cell_u]
-    return TwoColorTableau._fast(tc.outer, tc.inner, cells)
-
-
-def _rescan(tc: TwoColorTableau, on_frame=None) -> TwoColorTableau:
-    """Switch at the first site until none remains, rescanning the sites at
-    every step: the reference for the live site set."""
-    while sites := switch_sites(tc):
-        tc = _swapped(tc, sites[0])
+def _rescan(g, board, on_frame=None) -> list:
+    """Switch a copy of the board at the first site until none remains,
+    rescanning the sites at every step: the reference for the live site
+    set."""
+    board = list(board)
+    while sites := _find_sites(g, board):
+        iu, iv = sites[0]
+        board[iu], board[iv] = board[iv], board[iu]
         if on_frame is not None:
-            on_frame(sites[0], dict(tc.cells))
-    return tc
+            on_frame(SwitchSite(_cell(g, iu), _cell(g, iv)), _cells_of(g, board))
+    return board
 
 
 def _rescanned_switching(u, v, strategy="greedy", on_frame=None):
     """``switching`` in greedy order by ``_rescan``."""
-    tc = _rescan(TwoColorTableau.from_pair(u, v), on_frame)
-    g = _geometry(tc.outer, tc.inner)
-    return _split_cells(g, _board_of(g, tc.cells), g.inner)
+    g = _geometry(v.outer, u.inner)
+    return _split_cells(g, _rescan(g, _board(u, v), on_frame), g.inner)
 
 
 def _frames(switch, u, v, *args):
@@ -383,12 +484,13 @@ REOPENING_BOARDS = {
 @pytest.mark.parametrize("outer, inner, board", REOPENING_BOARDS.values(),
                          ids=REOPENING_BOARDS)
 def test_greedy_reopens_the_lines_beside_an_east_swap(outer, inner, board):
-    # greedy's frames and terminal board match a rescan's from the board
+    # each board is a valid state; greedy's frames and terminal board from
+    # it match a rescan's
     g = _geometry(outer, inner)
-    tc = TwoColorTableau(outer, inner, _cells_of(g, board))
+    assert _checked_board(outer, inner, _cells_of(g, board))[1] == board
     frames, want = [], []
     end = _switch(g, board, lambda *frame: frames.append(frame))
-    assert _cells_of(g, end) == _rescan(tc, lambda *frame: want.append(frame)).cells
+    assert end == _rescan(g, board, lambda *frame: want.append(frame))
     assert frames == want
 
 
@@ -537,13 +639,14 @@ def _infusion_frames(u, v):
 def test_infusion_slides_by_admissible_switches_to_greedys_board():
     pairs = [(SW_U, SW_V)] + [(p.yam, p.skew) for p in lr_pairs(6)]
     for u, v in pairs:
-        previous = TwoColorTableau.from_pair(u, v)
-        for site, cells in _infusion_frames(u, v):
-            assert site in switch_sites(previous)
-            previous = _swapped(previous, site)
-            assert previous.cells == cells
         g = _geometry(v.outer, u.inner)
-        assert previous.cells == _cells_of(g, _switch(g, _board(u, v)))
+        previous = _cells_of(g, _board(u, v))
+        for site, cells in _infusion_frames(u, v):
+            assert site in _sites(g, _board_of(g, previous))
+            u_cell, v_cell = site
+            previous[u_cell], previous[v_cell] = previous[v_cell], previous[u_cell]
+            assert previous == cells
+        assert previous == _cells_of(g, _switch(g, _board(u, v)))
 
 
 def test_infusion_order_is_the_reverse_standard_order():

@@ -17,24 +17,23 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 NAMES = [
     "CHECKS", "EMPTY", "GluedPair", "InsertionTrace", "NotBallotPair",
     "RowStep", "RskPair", "SkewShape", "SkewTableau", "StagedDecomposition",
-    "SwitchSite", "TwoColorTableau", "VerifyReport", "apply_order_word",
-    "as_partition", "commutor", "companion_word", "content",
-    "elementary_moves", "enumerate_ballot", "enumerate_ssyt", "from_json_dict",
-    "from_text", "glue", "glued_pair", "golden", "gt_order_word", "insertion",
-    "internal_insert", "is_ballot", "is_ballot_tableau", "knuth",
-    "knuth_equivalent", "lr_coefficient", "lr_violation", "nu_hat",
-    "order_word_steps", "partitions_of", "reading_word", "restrict_rows",
-    "rho1_internal", "rho1_scratch", "rho1_switching", "row_program", "rsk",
-    "run_checks", "run_golden", "run_row_program", "schur", "schur_product",
-    "skew_rsk_forward", "skew_rsk_inverse", "skew_shape",
-    "staged_decomposition", "standardize", "subpartitions", "switch_sites",
-    "switching", "tableau_content", "tableaux", "to_json_dict", "to_text",
-    "verify", "yamanouchi_tableau",
+    "SwitchSite", "VerifyReport", "apply_order_word", "as_partition",
+    "commutor", "companion_word", "elementary_moves", "enumerate_ballot",
+    "enumerate_ssyt", "from_json_dict", "from_text", "glue", "glued_pair",
+    "golden", "gt_order_word", "insertion", "internal_insert",
+    "is_ballot_tableau", "knuth", "knuth_equivalent", "lr_coefficient",
+    "lr_violation", "nu_hat", "order_word_steps", "partitions_of",
+    "reading_word", "restrict_rows", "rho1_internal", "rho1_scratch",
+    "rho1_switching", "row_program", "rsk", "run_checks", "run_golden",
+    "run_row_program", "schur", "schur_product", "skew_rsk_forward",
+    "skew_rsk_inverse", "skew_shape", "staged_decomposition", "standardize",
+    "subpartitions", "switching", "tableau_content", "tableaux",
+    "to_json_dict", "to_text", "verify", "yamanouchi_tableau",
 ]
 
 
 def test_the_package_exports_the_same_names():
-    assert sorted(lrcommute.__all__) == NAMES and len(NAMES) == 64
+    assert sorted(lrcommute.__all__) == NAMES and len(NAMES) == 60
     namespace = {}
     exec("from lrcommute import *", namespace)
     assert set(NAMES) <= set(namespace)

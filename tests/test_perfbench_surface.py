@@ -14,7 +14,7 @@ import importlib
 from pathlib import Path
 
 from lrcommute import verify
-from lrcommute.commutor import switching
+from lrcommute.commutor import SwitchSite, switching
 from lrcommute.tableaux import SkewTableau, yamanouchi_tableau
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -55,6 +55,29 @@ def test_every_sweep_child_check_runs_with_its_arguments():
         for fn_name, kwargs in calls:
             rep = getattr(verify, fn_name)(seed=1, **dict(kwargs, max_size=2))
             assert rep.instances and rep.passed, fn_name
+
+
+def test_switching_calls_its_hook_as_the_tracer_wraps_it():
+    # perfbench/tracer.py passes switching a hook counting(site, cells):
+    # two positional arguments, a SwitchSite and a dict from each cell to
+    # its (value, colour)
+    calls = []
+
+    def hook(*args, **kwargs):
+        calls.append((args, kwargs))
+
+    u, v = yamanouchi_tableau((2, 1)), SkewTableau((3, 2), (2, 1), [(1,), (2,)])
+    for strategy in ("greedy", "infusion"):
+        switching(u, v, strategy, on_frame=hook)
+    assert len(calls) == 6
+    for args, kw in calls:
+        assert kw == {} and len(args) == 2
+        site, cells = args
+        assert type(site) is SwitchSite and type(cells) is dict
+        assert set(cells) == {(r, c) for r, n in enumerate(v.outer, 1)
+                              for c in range(1, n + 1)}
+        assert all(type(x) is int and color in ("u", "v")
+                   for x, color in cells.values())
 
 
 def test_the_tracer_s_calls_still_bind():

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from lrcommute.schur import lr_coefficient
 from lrcommute.tableaux import (EMPTY, SkewShape, SkewTableau, as_partition,
-                                companion_word, content, enumerate_ballot,
+                                companion_word, enumerate_ballot,
                                 enumerate_ssyt, from_json_dict, from_text,
-                                glue, is_ballot, is_ballot_tableau, json_ints,
+                                glue, is_ballot_tableau, json_ints,
                                 partitions_of, read_json, reading_word,
                                 restrict_rows, skew_shape, standardize,
                                 subpartitions, tableau_content, to_json_dict,
@@ -62,10 +62,37 @@ def test_reading_word_examples():
     assert reading_word(SkewTableau((2,), (), [(3, 5)])) == (3, 5)
 
 
+def content(word) -> tuple[int, ...]:
+    """counts[i] = multiplicity of letter i+1; length = largest letter.
+    Letter by letter: the oracle of ``tableau_content``."""
+    counts: list[int] = []
+    for x in word:
+        if x < 1:
+            raise ValueError(f"letter {x} < 1")
+        if x > len(counts):
+            counts.extend([0] * (x - len(counts)))
+        counts[x - 1] += 1
+    return tuple(counts)
+
+
+def is_ballot(word) -> bool:
+    """True iff the content of every suffix is a partition.  Letter by
+    letter: the oracle of ``is_ballot_tableau``."""
+    counts: dict[int, int] = {}
+    for x in reversed(tuple(word)):
+        counts[x] = counts.get(x, 0) + 1
+        if x > 1 and counts.get(x - 1, 0) < counts[x]:
+            return False
+    return True
+
+
 def test_content_examples():
     assert content((2, 3, 1, 2, 1, 1)) == (3, 2, 1)
     assert content(()) == ()
     assert content((3, 3)) == (0, 0, 2)
+    # only an unvalidated tableau holds a letter below 1; it is named
+    with pytest.raises(ValueError, match=r"^letter 0 < 1$"):
+        tableau_content(SkewTableau._fast((3,), (0,), ((0, 1, 1),)))
 
 
 def test_is_ballot_examples():
